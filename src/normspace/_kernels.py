@@ -1,77 +1,28 @@
-"""Hot numeric kernels: numba @njit loops with pure-numpy fallbacks.
+"""Hot numeric kernels: one numpy implementation each.
 
-numba is an optional extra (``pip install normspace[jit]``).  The njit path
-is used when numba imports cleanly; otherwise, or when the environment
-variable NORMSPACE_NO_NUMBA=1 is set, the public kernels are the
-``*_numpy`` functions.  Both paths implement identical algorithms.  The
-tests run the ``_*_loops`` twins as plain Python against the numpy
-functions, so both algorithms are compared even without numba, and
-benchmarks/bench_kernels.py times the njit path against numpy when numba
-is present.
+The tests compare every kernel with a plain-Python loop oracle in
+``tests/helpers.py``.
 """
-
-import os
 
 import numpy as np
 
-_FLAG = os.environ.get("NORMSPACE_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _FLAG in {"1", "true", "yes", "on"}
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("disabled via NORMSPACE_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-    njit = None
+# Kept as a constant because the benchmark's run context (perfbench/measure.py)
+# reports it.
+HAVE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
 # gauge evaluation over direction batches
 # ---------------------------------------------------------------------------
 
-def poly_gauge_batch_numpy(a, binv, x):
+def poly_gauge_batch(a, binv, x):
     """max_i |<a_i, x>| / b_i for each row of x; a is (m, n), binv = 1/b."""
     return np.max(np.abs(x @ a.T) * binv, axis=1)
 
 
-def _poly_gauge_batch_loops(a, binv, x):
-    m, n = a.shape
-    out = np.empty(x.shape[0])
-    for r in range(x.shape[0]):
-        best = 0.0
-        for i in range(m):
-            s = 0.0
-            for j in range(n):
-                s += a[i, j] * x[r, j]
-            s = abs(s) * binv[i]
-            if s > best:
-                best = s
-        out[r] = best
-    return out
-
-
-def spd_gauge_batch_numpy(mat, x):
+def spd_gauge_batch(mat, x):
     """sqrt(x^T A x) for each row of x."""
     return np.sqrt(np.maximum(np.sum((x @ mat) * x, axis=1), 0.0))
-
-
-def _spd_gauge_batch_loops(mat, x):
-    n = mat.shape[0]
-    out = np.empty(x.shape[0])
-    for r in range(x.shape[0]):
-        acc = 0.0
-        for i in range(n):
-            row = 0.0
-            for j in range(n):
-                row += mat[i, j] * x[r, j]
-            acc += row * x[r, i]
-        if acc < 0.0:
-            acc = 0.0
-        out[r] = np.sqrt(acc)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +33,7 @@ def _spd_gauge_batch_loops(mat, x):
 # on all points; eps = max_i w_i / n - 1 certifies a (1+eps)^{n/2} volume
 # ratio and containment within sqrt(1+eps).
 
-def mvee_weights_numpy(pts, tol, max_iter):
+def mvee_weights(pts, tol, max_iter):
     m, n = pts.shape
     u = np.full(m, 1.0 / m)
     eps = np.inf
@@ -119,55 +70,11 @@ def mvee_weights_numpy(pts, tol, max_iter):
     return u, it, eps
 
 
-def _mvee_weights_loops(pts, tol, max_iter):
-    m, n = pts.shape
-    u = np.full(m, 1.0 / m)
-    eps = np.inf
-    it = 0
-    while it < max_iter:
-        mmat = pts.T @ (pts * u.reshape(m, 1))
-        minv = np.linalg.inv(mmat)
-        w = np.sum((pts @ minv) * pts, axis=1)
-        j = 0
-        wmax = -np.inf
-        for i in range(m):
-            if w[i] > wmax:
-                wmax = w[i]
-                j = i
-        eps = wmax / n - 1.0
-        if eps <= tol:
-            break
-        k = -1
-        wmin = np.inf
-        for i in range(m):
-            if u[i] > 0.0 and w[i] < wmin:
-                wmin = w[i]
-                k = i
-        if (wmax - n) >= (n - wmin):
-            beta = (wmax - n) / (n * (wmax - 1.0))
-            u = u * (1.0 - beta)
-            u[j] += beta
-        else:
-            bmin = -u[k] / (1.0 - u[k])
-            if wmin > 1.0:
-                beta = (wmin - n) / (n * (wmin - 1.0))
-                if beta < bmin:
-                    beta = bmin
-            else:
-                beta = bmin
-            u = u * (1.0 - beta)
-            u[k] += beta
-            if u[k] < 0.0:
-                u[k] = 0.0
-        it += 1
-    return u, it, eps
-
-
 # ---------------------------------------------------------------------------
 # cyclic coordinate descent to the extremal fixed point of a finite metric
 # ---------------------------------------------------------------------------
 
-def closure_sweeps_numpy(dmat, f, tol, max_sweeps):
+def closure_sweeps(dmat, f, tol, max_sweeps):
     k = dmat.shape[0]
     f = f.copy()
     sweeps = 0
@@ -186,17 +93,3 @@ def closure_sweeps_numpy(dmat, f, tol, max_sweeps):
             break
     return f, sweeps
 
-
-_closure_sweeps_loops = closure_sweeps_numpy  # already loop-structured
-
-
-if HAVE_NUMBA:
-    poly_gauge_batch = njit(cache=True)(_poly_gauge_batch_loops)
-    spd_gauge_batch = njit(cache=True)(_spd_gauge_batch_loops)
-    mvee_weights = njit(cache=True)(_mvee_weights_loops)
-    closure_sweeps = njit(cache=True)(_closure_sweeps_loops)
-else:
-    poly_gauge_batch = poly_gauge_batch_numpy
-    spd_gauge_batch = spd_gauge_batch_numpy
-    mvee_weights = mvee_weights_numpy
-    closure_sweeps = closure_sweeps_numpy

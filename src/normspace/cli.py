@@ -7,18 +7,13 @@ property holds; 1 property violated, verdict "exists", or counterexample
 
 Determinism contract: identical arguments (including --seed) produce
 byte-identical output.  Seeded randomness uses numpy's PCG64, instance i of
-a campaign drawing from SeedSequence([seed, i]).  NORMSPACE_THREADS caps
-campaign parallelism (default 1); results are merged in instance order, so
-the output does not depend on the thread count.
+a campaign drawing from SeedSequence([seed, i]).
 """
 
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -36,31 +31,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_SCALE = 3
-
-
-@dataclass
-class RunConfig:
-    """Normalized run configuration; identical configs must produce
-    byte-identical output (the determinism contract)."""
-
-    subcommand: str
-    seed: int = 0
-    fmt: str = "json"
-    tolerance: float | None = None
-    args: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_namespace(cls, ns):
-        seed = int(getattr(ns, "seed", 0) or 0)
-        if not 0 <= seed < 2 ** 64:
-            raise UsageError("--seed must fit in an unsigned 64-bit integer")
-        return cls(
-            subcommand=ns.subcommand,
-            seed=seed,
-            fmt=getattr(ns, "format", "json"),
-            tolerance=getattr(ns, "tol", None),
-            args={k: v for k, v in vars(ns).items() if k != "func"},
-        )
 
 
 def _load_json_arg(value, what="input"):
@@ -112,7 +82,7 @@ def _check_p(norms, p):
 # subcommand handlers (return (exit_code, document))
 # ---------------------------------------------------------------------------
 
-def _cmd_dist(ns, cfg):
+def _cmd_dist(ns):
     a = _norm_arg(ns.a, "--a")
     b = _norm_arg(ns.b, "--b")
     _check_p((a, b), ns.p)
@@ -120,13 +90,13 @@ def _cmd_dist(ns, cfg):
     return EXIT_OK, {"schema_version": SCHEMA_VERSION, "distance": str(d)}
 
 
-def _cmd_join(ns, cfg):
+def _cmd_join(ns):
     norms = [_norm_arg(x) for x in ns.inputs]
     theta = val.join_norms(norms)
     return EXIT_OK, {"schema_version": SCHEMA_VERSION, "norm": theta.to_json()}
 
 
-def _cmd_common_basis(ns, cfg):
+def _cmd_common_basis(ns):
     a = _norm_arg(ns.a, "--a")
     b = _norm_arg(ns.b, "--b")
     basis, mm, mmp = val.common_adapted_basis(a, b)
@@ -141,7 +111,7 @@ def _cmd_common_basis(ns, cfg):
     }
 
 
-def _cmd_helly_na(ns, cfg):
+def _cmd_helly_na(ns):
     fam = _load_json_arg(ns.family, "--family")
     try:
         norms = [val.DiagNorm.from_json(x) for x in fam["norms"]]
@@ -156,7 +126,7 @@ def _cmd_helly_na(ns, cfg):
     }
 
 
-def _cmd_ball(ns, cfg):
+def _cmd_ball(ns):
     center = bld.LatticeVertex.from_json(_load_json_arg(ns.center, "--center"))
     result = bld.ball_bfs(center, ns.radius)
     rows = sorted(
@@ -174,7 +144,7 @@ def _cmd_ball(ns, cfg):
     return EXIT_OK, doc
 
 
-def _cmd_helly_building(ns, cfg):
+def _cmd_helly_building(ns):
     fam = _load_json_arg(ns.family, "--family")
     try:
         centers = [bld.LatticeVertex.from_json(x) for x in fam["centers"]]
@@ -186,7 +156,7 @@ def _cmd_helly_building(ns, cfg):
     return code, cert.to_json()
 
 
-def _cmd_body_dist(ns, cfg):
+def _cmd_body_dist(ns):
     a = bod.body_from_json(_load_json_arg(ns.a, "--a"))
     b = bod.body_from_json(_load_json_arg(ns.b, "--b"))
     return EXIT_OK, {
@@ -195,7 +165,7 @@ def _cmd_body_dist(ns, cfg):
     }
 
 
-def _cmd_john(ns, cfg):
+def _cmd_john(ns):
     body = bod.body_from_json(_load_json_arg(ns.body, "--body"))
     if not isinstance(body, bod.PolyNorm):
         raise UsageError("john expects a polytope body")
@@ -211,10 +181,10 @@ def _cmd_john(ns, cfg):
     }
 
 
-def _cmd_mvee(ns, cfg):
+def _cmd_mvee(ns):
     obj = _load_json_arg(ns.points, "--points")
     pts = obj["points"] if isinstance(obj, dict) else obj
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-9
+    tol = ns.tol if ns.tol is not None else 1e-9
     ell, info = bod.mvee_certified(pts, tol=tol)
     return EXIT_OK, {
         "schema_version": SCHEMA_VERSION,
@@ -224,7 +194,7 @@ def _cmd_mvee(ns, cfg):
     }
 
 
-def _cmd_helly_bodies(ns, cfg):
+def _cmd_helly_bodies(ns):
     fam = _load_json_arg(ns.family, "--family")
     try:
         family = [bod.body_from_json(x) for x in fam["bodies"]]
@@ -240,7 +210,7 @@ def _cmd_helly_bodies(ns, cfg):
     }
 
 
-def _cmd_tight_span(ns, cfg):
+def _cmd_tight_span(ns):
     space = ts.FiniteMetric.from_json(_load_json_arg(ns.metric, "--metric"))
     verts = ts.tight_span_vertices(space)
     return EXIT_OK, {
@@ -250,7 +220,7 @@ def _cmd_tight_span(ns, cfg):
     }
 
 
-def _cmd_extremal(ns, cfg):
+def _cmd_extremal(ns):
     space = ts.FiniteMetric.from_json(_load_json_arg(ns.metric, "--metric"))
     f = _load_json_arg(ns.f, "--f")
     closure = ts.extremal_closure(f, space)
@@ -261,7 +231,7 @@ def _cmd_extremal(ns, cfg):
     }
 
 
-def _cmd_obstruction(ns, cfg):
+def _cmd_obstruction(ns):
     report = obs.injective_hom_decision(ns.n)
     code = EXIT_VIOLATION if report.verdict == "exists" else EXIT_OK
     return code, report.to_json()
@@ -370,40 +340,33 @@ CAMPAIGN_SUITES = {
 }
 
 
-def _cmd_campaign(ns, cfg):
+def _cmd_campaign(ns):
+    if not 0 <= ns.seed < 2 ** 64:
+        raise UsageError("--seed must fit in an unsigned 64-bit integer")
     if ns.suite not in CAMPAIGN_SUITES:
         raise UsageError(
             f"unknown suite {ns.suite!r}; choose from {sorted(CAMPAIGN_SUITES)}"
         )
     check = CAMPAIGN_SUITES[ns.suite]
-    try:
-        threads = max(1, int(os.environ.get("NORMSPACE_THREADS", "1") or "1"))
-    except ValueError:
-        raise UsageError("NORMSPACE_THREADS must be an integer")
 
     def run_one(i):
         try:
-            return bool(check(_rng(cfg.seed, i)))
+            return bool(check(_rng(ns.seed, i)))
         except Exception:
             return False
 
-    indices = range(ns.count)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, indices))
-    else:
-        results = [run_one(i) for i in indices]
+    results = [run_one(i) for i in range(ns.count)]
     failures = [i for i, ok in enumerate(results) if not ok]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "suite": ns.suite,
-        "seed": cfg.seed,
+        "seed": ns.seed,
         "instances": ns.count,
         "passed": ns.count - len(failures),
         "failures": failures,
     }
     code = EXIT_OK if not failures else EXIT_VIOLATION
-    if cfg.fmt == "csv":
+    if ns.format == "csv":
         rows = [(i, int(ok)) for i, ok in enumerate(results)]
         return code, doc, rows
     return code, doc
@@ -495,8 +458,7 @@ def main(argv=None):
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        cfg = RunConfig.from_namespace(ns)
-        out = ns.func(ns, cfg)
+        out = ns.func(ns)
     except PairwiseRadiusError as exc:
         _emit({
             "schema_version": SCHEMA_VERSION,

@@ -107,30 +107,6 @@ def cube_isometries(k):
     return tuple(out)
 
 
-def matrix_isometry_enumeration(k):
-    """Brute-force oracle (k <= 3): all {-1,0,1} matrices with one nonzero
-    entry per row and column that preserve the sup norm on sample vectors."""
-    if k > 3:
-        raise InfeasibleScaleError("matrix-level verification is limited to k <= 3")
-    samples = list(itertools.product((-1, 0, 1, 2), repeat=k))
-    found = []
-    for entries in itertools.product((-1, 0, 1), repeat=k * k):
-        m = [list(entries[i * k:(i + 1) * k]) for i in range(k)]
-        if any(sum(1 for x in row if x) != 1 for row in m):
-            continue
-        if any(sum(1 for r in range(k) if m[r][c]) != 1 for c in range(k)):
-            continue
-        ok = True
-        for v in samples:
-            img = [sum(m[r][c] * v[c] for c in range(k)) for r in range(k)]
-            if max(map(abs, img)) != max(map(abs, v)):
-                ok = False
-                break
-        if ok:
-            found.append(m)
-    return found
-
-
 def _partitions(n, mx=None):
     if mx is None:
         mx = n

@@ -12,7 +12,6 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from . import qlinalg
 from .errors import InfeasibleScaleError, UsageError
@@ -141,6 +140,11 @@ def hull3d_planes(points):
     is inconsistent the computation falls back to exhaustive triples (small
     inputs only).
     """
+    # Imported here because scipy.spatial is most of the package's import time
+    # and only 3D hulls use it; outside the try so that a failed import is not
+    # taken for a rejected Qhull seed.
+    from scipy.spatial import ConvexHull
+
     arr = np.array([[float(x) for x in p] for p in points], dtype=float)
     try:
         hull = ConvexHull(arr)

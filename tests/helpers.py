@@ -1,7 +1,8 @@
 """Shared generators and independent oracles for the test suite.
 
-The oracles here (integer Smith normal form, brute-force log-sup ratios)
-deliberately do not share code with the library paths they check.
+The oracles here (integer Smith normal form, brute-force log-sup ratios,
+loop-structured float kernels, brute-force cube isometries) deliberately do
+not share code with the library paths they check.
 """
 
 import itertools
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from normspace import DiagNorm, eval_log_norm
+from normspace import DiagNorm, InfeasibleScaleError, eval_log_norm
 from normspace.valued import pval
 
 
@@ -134,3 +135,107 @@ def sample_vectors(rng, n, count, lo=-6, hi=6):
         if any(v):
             out.append(v)
     return out
+
+
+# ---------------------------------------------------------------------------
+# loop oracles for the numpy kernels in normspace._kernels
+# ---------------------------------------------------------------------------
+
+def poly_gauge_batch_loops(a, binv, x):
+    m, n = a.shape
+    out = np.empty(x.shape[0])
+    for r in range(x.shape[0]):
+        best = 0.0
+        for i in range(m):
+            s = 0.0
+            for j in range(n):
+                s += a[i, j] * x[r, j]
+            s = abs(s) * binv[i]
+            if s > best:
+                best = s
+        out[r] = best
+    return out
+
+
+def spd_gauge_batch_loops(mat, x):
+    n = mat.shape[0]
+    out = np.empty(x.shape[0])
+    for r in range(x.shape[0]):
+        acc = 0.0
+        for i in range(n):
+            row = 0.0
+            for j in range(n):
+                row += mat[i, j] * x[r, j]
+            acc += row * x[r, i]
+        if acc < 0.0:
+            acc = 0.0
+        out[r] = np.sqrt(acc)
+    return out
+
+
+def mvee_weights_loops(pts, tol, max_iter):
+    m, n = pts.shape
+    u = np.full(m, 1.0 / m)
+    eps = np.inf
+    it = 0
+    while it < max_iter:
+        mmat = pts.T @ (pts * u.reshape(m, 1))
+        minv = np.linalg.inv(mmat)
+        w = np.sum((pts @ minv) * pts, axis=1)
+        j = 0
+        wmax = -np.inf
+        for i in range(m):
+            if w[i] > wmax:
+                wmax = w[i]
+                j = i
+        eps = wmax / n - 1.0
+        if eps <= tol:
+            break
+        k = -1
+        wmin = np.inf
+        for i in range(m):
+            if u[i] > 0.0 and w[i] < wmin:
+                wmin = w[i]
+                k = i
+        if (wmax - n) >= (n - wmin):
+            beta = (wmax - n) / (n * (wmax - 1.0))
+            u = u * (1.0 - beta)
+            u[j] += beta
+        else:
+            bmin = -u[k] / (1.0 - u[k])
+            if wmin > 1.0:
+                beta = (wmin - n) / (n * (wmin - 1.0))
+                if beta < bmin:
+                    beta = bmin
+            else:
+                beta = bmin
+            u = u * (1.0 - beta)
+            u[k] += beta
+            if u[k] < 0.0:
+                u[k] = 0.0
+        it += 1
+    return u, it, eps
+
+
+def matrix_isometry_enumeration(k):
+    """Brute-force oracle (k <= 3): all {-1,0,1} matrices with one nonzero
+    entry per row and column that preserve the sup norm on sample vectors."""
+    if k > 3:
+        raise InfeasibleScaleError("matrix-level verification is limited to k <= 3")
+    samples = list(itertools.product((-1, 0, 1, 2), repeat=k))
+    found = []
+    for entries in itertools.product((-1, 0, 1), repeat=k * k):
+        m = [list(entries[i * k:(i + 1) * k]) for i in range(k)]
+        if any(sum(1 for x in row if x) != 1 for row in m):
+            continue
+        if any(sum(1 for r in range(k) if m[r][c]) != 1 for c in range(k)):
+            continue
+        ok = True
+        for v in samples:
+            img = [sum(m[r][c] * v[c] for c in range(k)) for r in range(k)]
+            if max(map(abs, img)) != max(map(abs, v)):
+                ok = False
+                break
+        if ok:
+            found.append(m)
+    return found

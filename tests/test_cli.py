@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 
+import normspace
 from normspace import DiagNorm, PAdicContext, body_to_json, PolyNorm, SpdNorm
 from normspace.cli import main
 import numpy as np
@@ -19,6 +21,7 @@ LPRIME = json.dumps(
     DiagNorm(PAdicContext(2), [[2, 1], [0, 1]], [0, 0]).to_json()
 )
 SQUARE_BODY = json.dumps(body_to_json(PolyNorm.from_vertices([[1, 1], [1, -1]])))
+BALL_FAMILY = json.dumps({"centers": [json.loads(STD), json.loads(LPRIME)], "radii": [1, 1]})
 
 
 def test_dist(capsys):
@@ -98,12 +101,8 @@ def test_ball_and_scale_error(capsys):
 
 
 def test_helly_building(capsys):
-    fam = json.dumps({
-        "centers": [json.loads(STD), json.loads(LPRIME)],
-        "radii": [1, 1],
-    })
     for mode in ("witness", "exhaustive"):
-        code, out, _ = run_cli(capsys, "helly-building", "--family", fam, "--mode", mode)
+        code, out, _ = run_cli(capsys, "helly-building", "--family", BALL_FAMILY, "--mode", mode)
         assert code == 0
         assert json.loads(out)["outcome"] == "witness"
 
@@ -198,18 +197,19 @@ def test_campaign_csv(capsys):
     assert len(lines) == 4
 
 
-def test_campaign_threads_do_not_change_output(capsys, monkeypatch):
-    args = ("campaign", "--suite", "helly-na", "--count", "8", "--seed", "3")
-    code1, out1, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("NORMSPACE_THREADS", "4")
-    code2, out2, _ = run_cli(capsys, *args)
-    assert (code1, out1) == (code2, out2)
-
-
 def test_campaign_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "campaign", "--suite", "nope")
     assert code == 2
     assert json.loads(err)["error"] == "usage"
+
+
+def test_campaign_seed_out_of_range(capsys):
+    for seed in ("-1", str(2 ** 64)):
+        code, out, err = run_cli(capsys, "campaign", "--suite", "apartment",
+                                 "--count", "1", "--seed", seed)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "usage"
 
 
 def test_entry_point_subprocess():
@@ -222,11 +222,24 @@ def test_entry_point_subprocess():
     assert doc["reason"] == "element-order"
 
 
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(normspace.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, normspace.cli; print('scipy.spatial' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_determinism_across_subcommands(capsys):
     for args in (
         ("dist", "--a", STD, "--b", LPRIME),
         ("john", "--body", SQUARE_BODY),
         ("obstruction", "--n", "8"),
+        ("helly-building", "--family", BALL_FAMILY, "--mode", "witness"),
+        ("helly-building", "--family", BALL_FAMILY, "--mode", "exhaustive"),
     ):
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)

@@ -1,100 +1,19 @@
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
 
 import helpers
 from normspace import _kernels as K
 
-KERNELS = ("poly_gauge_batch", "spd_gauge_batch", "mvee_weights", "closure_sweeps")
 
-
-def _numba_importable():
-    try:
-        from numba import njit  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-# Stands in for numba in a subprocess so that the njit branch of the dispatch
-# rule is exercised on machines without numba.  Like numba's njit, it returns
-# a new callable, never the function it was given.
-_NJIT_DOUBLE = """
-def njit(**options):
-    def decorate(fn):
-        def jitted(*args):
-            return fn(*args)
-        return jitted
-    return decorate
-"""
-
-
-def _bindings_in_subprocess(tmp_path, no_numba_flag, numba_double):
-    """Import _kernels in a fresh interpreter and report what it bound."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(K.__file__)))
-    path = [src]
-    if numba_double:
-        (tmp_path / "numba.py").write_text(_NJIT_DOUBLE)
-        path.insert(0, str(tmp_path))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    env.pop("NORMSPACE_NO_NUMBA", None)
-    if no_numba_flag:
-        env["NORMSPACE_NO_NUMBA"] = "1"
-    script = (
-        "import json\n"
-        "from normspace import _kernels as K\n"
-        f"names = {KERNELS!r}\n"
-        "print(json.dumps({'file': K.__file__, 'have_numba': K.HAVE_NUMBA,\n"
-        "    'fallback': {n: getattr(K, n) is getattr(K, n + '_numpy') for n in names}}))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert os.path.samefile(report["file"], K.__file__)
-    return report["have_numba"], report["fallback"]
-
-
-def test_flag_respected(tmp_path):
-    # In this process: the njit path is bound exactly when numba imports
-    # cleanly and NORMSPACE_NO_NUMBA is not set.
-    expected = _numba_importable() and not K.NUMBA_DISABLED
-    assert K.HAVE_NUMBA == expected
-    for name in KERNELS:
-        bound = getattr(K, name)
-        fallback = getattr(K, name + "_numpy")
-        if K.HAVE_NUMBA:
-            assert bound is not fallback, name
-        else:
-            assert bound is fallback, name
-
-    # NORMSPACE_NO_NUMBA=1 binds every numpy fallback, with the installed
-    # packages and also when a numba module is importable.
-    everywhere = {name: True for name in KERNELS}
-    assert _bindings_in_subprocess(tmp_path, True, False) == (False, everywhere)
-    assert _bindings_in_subprocess(tmp_path, True, True) == (False, everywhere)
-
-    # Without the flag, an importable numba binds no numpy fallback.
-    nowhere = {name: False for name in KERNELS}
-    assert _bindings_in_subprocess(tmp_path, False, True) == (True, nowhere)
-
-
-# Each agreement test compares the bound kernel and the plain-Python loop
-# twin against the numpy function, so both algorithms are checked even
-# when numba is absent and the bound kernel is the numpy function itself.
+# Each agreement test compares the numpy kernel with its plain-Python loop
+# oracle in helpers.py.
 
 def test_poly_gauge_paths_agree():
     rng = helpers.rng_for(600)
     a = rng.standard_normal((7, 2))
     b = rng.uniform(0.5, 2.0, size=7)
     x = rng.standard_normal((500, 2))
-    ref = K.poly_gauge_batch_numpy(a, 1.0 / b, x)
-    for impl in (K.poly_gauge_batch, K._poly_gauge_batch_loops):
-        assert np.allclose(impl(a, 1.0 / b, x), ref, rtol=1e-13, atol=1e-15)
+    ref = helpers.poly_gauge_batch_loops(a, 1.0 / b, x)
+    assert np.allclose(K.poly_gauge_batch(a, 1.0 / b, x), ref, rtol=1e-13, atol=1e-15)
 
 
 def test_spd_gauge_paths_agree():
@@ -102,22 +21,20 @@ def test_spd_gauge_paths_agree():
     g = rng.standard_normal((3, 3))
     mat = g.T @ g + 0.25 * np.eye(3)
     x = rng.standard_normal((500, 3))
-    ref = K.spd_gauge_batch_numpy(mat, x)
-    for impl in (K.spd_gauge_batch, K._spd_gauge_batch_loops):
-        assert np.allclose(impl(mat, x), ref, rtol=1e-12, atol=1e-14)
+    ref = helpers.spd_gauge_batch_loops(mat, x)
+    assert np.allclose(K.spd_gauge_batch(mat, x), ref, rtol=1e-12, atol=1e-14)
 
 
 def test_mvee_paths_agree():
     rng = helpers.rng_for(602)
     pts = np.ascontiguousarray(rng.standard_normal((30, 2)))
-    u2, it2, eps2 = K.mvee_weights_numpy(pts, 1e-9, 100000)
+    u2, it2, eps2 = helpers.mvee_weights_loops(pts, 1e-9, 100000)
     assert eps2 <= 1e-9
     m2 = pts.T @ (pts * u2[:, None])
-    for impl in (K.mvee_weights, K._mvee_weights_loops):
-        u1, it1, eps1 = impl(pts, 1e-9, 100000)
-        assert eps1 <= 1e-9
-        m1 = pts.T @ (pts * u1[:, None])
-        assert np.allclose(m1, m2, atol=1e-7)
+    u1, it1, eps1 = K.mvee_weights(pts, 1e-9, 100000)
+    assert eps1 <= 1e-9
+    m1 = pts.T @ (pts * u1[:, None])
+    assert np.allclose(m1, m2, atol=1e-7)
 
 
 def test_closure_paths_agree():
@@ -125,7 +42,12 @@ def test_closure_paths_agree():
     pts = rng.standard_normal((5, 2))
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     f0 = d.max(axis=1) + rng.uniform(0, 1, size=5)
-    out1, s1 = K.closure_sweeps(d, f0.copy(), 1e-12, 1000)
-    out2, s2 = K.closure_sweeps_numpy(d, f0.copy(), 1e-12, 1000)
-    assert np.allclose(out1, out2, atol=1e-12)
-    assert s1 <= 4 and s2 <= 4  # one sweep reaches the fixed point, one verifies
+    out, sweeps = K.closure_sweeps(d, f0.copy(), 1e-12, 1000)
+    # the fixed point: out[x] = max_{y != x} d[x, y] - out[y]
+    off_diagonal = ~np.eye(5, dtype=bool)
+    expected = np.max(np.where(off_diagonal, d - out[None, :], -np.inf), axis=1)
+    assert np.allclose(out, expected, rtol=0, atol=1e-12)
+    # admissible and below the start, so an extremal closure of f0
+    assert np.all(out[:, None] + out[None, :] >= d - 1e-12)
+    assert np.all(out <= f0 + 1e-12)
+    assert sweeps <= 4  # one sweep reaches the fixed point, one verifies

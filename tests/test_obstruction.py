@@ -10,9 +10,9 @@ from normspace import (
     group_order_tools,
     injective_hom_decision,
 )
+from helpers import matrix_isometry_enumeration
 from normspace.obstruction import (
     alternating_order_spectrum,
-    matrix_isometry_enumeration,
     signed_perm_order_spectrum,
     verify_embedding_certificate,
 )

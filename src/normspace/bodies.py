@@ -29,6 +29,12 @@ SPD_APPROX_PAIRS = {2: 64, 3: 242}
 SPD_APPROX_LOG_BOUND = {2: 3.1e-4, 3: 8.5e-3}
 
 
+def _finite(arr, what):
+    if not np.all(np.isfinite(arr)):
+        raise UsageError(f"{what} must be finite")
+    return arr
+
+
 def _readonly(arr):
     arr = np.array(arr, dtype=float)
     arr.flags.writeable = False
@@ -41,7 +47,7 @@ class SpdNorm:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        a = np.array(matrix, dtype=float)
+        a = _finite(np.array(matrix, dtype=float), "SPD matrix entries")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise UsageError("SPD matrix must be square")
         if not np.all(np.abs(a - a.T) <= 1e-12):
@@ -75,6 +81,8 @@ class PolyNorm:
             raise UsageError("facet normals and offsets disagree in length")
         if a.shape[1] != w.shape[1]:
             raise UsageError("facet/vertex dimension mismatch")
+        for arr in (a, b, w):
+            _finite(arr, "polytope entries")
         if np.any(b <= 0):
             raise UsageError("facet offsets must be positive")
         n = a.shape[1]
@@ -103,8 +111,8 @@ class PolyNorm:
     def from_facets(cls, facets_a, facets_b):
         """Build from halfspaces alone; vertices are enumerated exactly and
         redundant facets are dropped."""
-        a = np.atleast_2d(np.array(facets_a, dtype=float))
-        b = np.ravel(np.array(facets_b, dtype=float))
+        a = _finite(np.atleast_2d(np.array(facets_a, dtype=float)), "facet normals")
+        b = _finite(np.ravel(np.array(facets_b, dtype=float)), "facet offsets")
         fr = [
             (tuple(Fraction(x) for x in row), Fraction(float(off)))
             for row, off in zip(a, b)
@@ -116,7 +124,7 @@ class PolyNorm:
     def from_vertices(cls, vertices):
         """Build from vertex representatives; facets are enumerated exactly
         and non-extreme points are dropped."""
-        w = np.atleast_2d(np.array(vertices, dtype=float))
+        w = _finite(np.atleast_2d(np.array(vertices, dtype=float)), "vertices")
         fr = [tuple(Fraction(x) for x in row) for row in w]
         facets, keep = polyhedra.facet_enum_exact(fr)
         fa = [[float(x) for x in a] for a, _ in facets]
@@ -224,7 +232,9 @@ def mvee_certified(points, tol=1e-9, max_iter=2_000_000):
     returned ellipsoid exactly (up to float roundoff) and its volume is
     within (1+eps)^{n/2} of optimal.
     """
-    pts = np.atleast_2d(np.array(points, dtype=float))
+    pts = _finite(np.atleast_2d(np.array(points, dtype=float)), "MVEE points")
+    if pts.ndim != 2:
+        raise UsageError("MVEE points must be a list of vectors")
     m, n = pts.shape
     if np.linalg.matrix_rank(pts, tol=1e-12) < n:
         raise UsageError("points do not span: degenerate MVEE input")
@@ -307,8 +317,8 @@ def coarse_helly_details(bodies, radii):
         raise UsageError("bodies and radii must have equal length")
     if not bodies:
         raise UsageError("empty ball family")
-    if any(r < 0 for r in radii):
-        raise UsageError("radii must be nonnegative")
+    if not all(0 <= r < math.inf for r in radii):
+        raise UsageError("radii must be finite and nonnegative")
     n = bodies[0].dim
     if any(b.dim != n for b in bodies):
         raise UsageError("dimension mismatch in the family")
@@ -467,6 +477,6 @@ def body_from_json(obj):
             fa = [f["a"] for f in obj["facets"]]
             fb = [f["b"] for f in obj["facets"]]
             return PolyNorm(fa, fb, obj["vertices"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad body JSON: {exc}") from exc
     raise UsageError(f"unknown body kind {obj.get('kind')!r}")

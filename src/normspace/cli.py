@@ -183,7 +183,10 @@ def _cmd_john(ns):
 
 def _cmd_mvee(ns):
     obj = _load_json_arg(ns.points, "--points")
-    pts = obj["points"] if isinstance(obj, dict) else obj
+    try:
+        pts = np.array(obj["points"] if isinstance(obj, dict) else obj, dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad points JSON: {exc}") from exc
     tol = ns.tol if ns.tol is not None else 1e-9
     ell, info = bod.mvee_certified(pts, tol=tol)
     return EXIT_OK, {

@@ -1,11 +1,12 @@
 """Exact vertex/facet enumeration for centrally symmetric polytopes, dim <= 3.
 
-Everything runs on Fractions.  The workhorse is polar duality: the vertices
-of {x : |<a_i, x>| <= b_i} are dual to the hull facets of the polar points
-+-a_i/b_i, so enumeration reduces to exact convex hulls.  In 2D the hull is
-a monotone chain; in 3D the combinatorics are seeded by Qhull on float
-images and then certified exactly, with a brute-force fallback for small
-inputs if certification fails.
+Everything runs on Fractions.  Both enumerations share one polar hull route:
+the facets of conv(+-w_i) are found directly, and the vertices of
+{x : |<a_i, x>| <= b_i} are the facets (n, c) of conv(+-a_i/b_i) mapped to
+n/c.  In 2D the hull is a monotone chain; in 3D the combinatorics are seeded
+by Qhull on float images and every plane is certified exactly, with a
+brute-force fallback for small inputs if certification fails.  Repeated and
+antipodal inputs are kept once, at their first index.
 """
 
 import itertools
@@ -136,34 +137,31 @@ def hull3d_planes(points):
     """Exact facet planes (n, c) with <n, x> <= c of conv(points), 0 interior.
 
     Qhull proposes the combinatorics on the float image; each proposed plane
-    is recomputed exactly and certified to support all points.  If the seed
-    is inconsistent the computation falls back to exhaustive triples (small
-    inputs only).
+    is recomputed exactly and certified to support all points.  If Qhull
+    rejects the input or the seed is inconsistent, the computation falls back
+    to exhaustive triples (small inputs only).
     """
     # Imported here because scipy.spatial is most of the package's import time
-    # and only 3D hulls use it; outside the try so that a failed import is not
-    # taken for a rejected Qhull seed.
-    from scipy.spatial import ConvexHull
+    # and only 3D hulls use it.
+    from scipy.spatial import ConvexHull, QhullError
 
     arr = np.array([[float(x) for x in p] for p in points], dtype=float)
     try:
-        hull = ConvexHull(arr)
-        planes = {}
-        ok = True
-        for simplex in hull.simplices:
-            pl = _plane_through(*(points[i] for i in simplex))
-            if pl is None:
-                continue
-            if pl not in planes:
-                n, c = pl
-                if _exact_violations(points, arr, n, c):
-                    ok = False
-                    break
-                planes[pl] = True
-        if ok and planes:
-            return list(planes)
-    except Exception:
-        pass
+        simplices = ConvexHull(arr).simplices
+    except QhullError:
+        simplices = []  # no seed: fall back below
+    planes = {}
+    ok = True
+    for simplex in simplices:
+        pl = _plane_through(*(points[i] for i in simplex))
+        if pl is None or pl in planes:
+            continue
+        if _exact_violations(points, arr, *pl):
+            ok = False
+            break
+        planes[pl] = True
+    if ok and planes:
+        return list(planes)
     if len(points) > BRUTE_FORCE_FACET_CAP:
         raise InfeasibleScaleError(
             f"exact 3D hull certification failed for {len(points)} points"
@@ -186,13 +184,59 @@ def _rank_full(vectors, n):
     return qlinalg.rank(qlinalg.mat(vectors)) == n
 
 
+def _hull_planes(points, n):
+    """Facet planes of conv(+-points) and the inputs that are hull vertices.
+
+    points must span R^n, so the origin is interior and every plane (a, b)
+    with <a, x> <= b on the hull has b > 0.  In 2D a plane is the outward
+    normal of a CCW edge p -> q with b = det(p, q); in 3D it comes certified
+    from hull3d_planes.  keep lists, in increasing order, the inputs whose
+    point is a hull vertex; an input that repeats an earlier point or its
+    antipode is never kept.
+    """
+    signed = []
+    for p in points:
+        signed.append(p)
+        signed.append(tuple(-x for x in p))
+    uniq, back = _dedup_exact(signed)  # back[h] // 2 is the input of uniq[h]
+
+    if n == 2:
+        hull = hull2d(uniq)
+        planes = []
+        for t, h in enumerate(hull):
+            p, q = uniq[h], uniq[hull[(t + 1) % len(hull)]]
+            planes.append(((q[1] - p[1], p[0] - q[0]), p[0] * q[1] - p[1] * q[0]))
+        return planes, sorted({back[h] // 2 for h in hull})
+
+    planes = hull3d_planes(uniq)
+    # a point is extreme iff the planes through it span the whole space; the
+    # hull is symmetric, so the first signed copy of each input decides
+    plane_arr = np.array([[float(x) for x in a] for a, _ in planes])
+    offs = np.array([float(b) for _, b in planes])
+    keep = []
+    for p, first in zip(uniq, back):
+        if first % 2:
+            continue
+        vals = plane_arr @ np.array([float(x) for x in p])
+        scale = np.maximum(1.0, np.maximum(np.abs(offs), np.abs(vals)))
+        touching = []
+        for t in np.nonzero(np.abs(vals - offs) <= 1e-9 * scale)[0]:
+            a, b = planes[int(t)]
+            if sum(a[r] * p[r] for r in range(n)) == b:
+                touching.append(a)
+        if touching and _rank_full(touching, n):
+            keep.append(first // 2)
+    return planes, keep
+
+
 def vertex_enum_exact(facets):
     """Vertices of {x : |<a_i, x>| <= b_i}, plus the irredundant facet indices.
 
     facets: list of (a, b) with a a Fraction tuple (one per antipodal pair)
     and b > 0.  Returns (vertices, keep) where vertices hold one
     representative per antipodal pair and keep indexes the facets that
-    actually support the body.
+    actually support the body.  By polarity, the hull facet (n, c) of the
+    points a_i/b_i is the vertex n/c.
     """
     if not facets:
         raise UsageError("no facets")
@@ -203,68 +247,8 @@ def vertex_enum_exact(facets):
             raise UsageError("facet offsets must be positive")
     if not _rank_full([a for a, _ in facets], n):
         raise UsageError("facet normals do not span: body is unbounded")
-    polar_pts = []
-    owner = []
-    for i, (a, b) in enumerate(facets):
-        p = tuple(x / b for x in a)
-        polar_pts.append(p)
-        owner.append(i)
-        polar_pts.append(tuple(-x for x in p))
-        owner.append(i)
-    uniq, back = _dedup_exact(polar_pts)
-
-    if n == 2:
-        hull = hull2d(uniq)
-        keep = sorted({owner[back[h]] for h in hull})
-        verts = {}
-        for t in range(len(hull)):
-            p = uniq[hull[t]]
-            q = uniq[hull[(t + 1) % len(hull)]]
-            det = p[0] * q[1] - p[1] * q[0]
-            if det == 0:
-                raise UsageError("degenerate facet pair (origin on hull edge)")
-            v = ((q[1] - p[1]) / det, (p[0] - q[0]) / det)
-            verts[_canon_sign(v)] = True
-        return list(verts), keep
-
-    planes = hull3d_planes(uniq)
-    # dual vertex of each hull facet, certified against every input facet
-    facet_pts = [tuple(x / b for x in a) for a, b in facets]
-    facet_arr = np.array([[float(x) for x in p] for p in facet_pts])
-    verts = {}
-    for nrm, c in planes:
-        v = tuple(x / c for x in nrm)
-        vf = np.array([float(x) for x in v])
-        vals = np.abs(facet_arr @ vf)  # |<a_i, v>| / b_i
-        scale = max(1.0, float(np.max(vals)))
-        for i in np.nonzero(vals > 1 - 1e-9 * scale)[0]:
-            a, b = facets[int(i)]
-            s = sum(a[t] * v[t] for t in range(n))
-            if s > b or -s > b:
-                raise RuntimeError(
-                    "dual vertex escapes a facet: incomplete hull combinatorics"
-                )
-        verts[_canon_sign(v)] = True
-    # facet i is irredundant iff its polar point is extreme: the planes
-    # through it must span the whole space
-    plane_arr = np.array([[float(x) for x in nrm] for nrm, _ in planes])
-    offs = np.array([float(c) for _, c in planes])
-    keep = []
-    seen_pts = set()
-    for i, p in enumerate(facet_pts):
-        if p in seen_pts:
-            continue  # exact duplicate facet: keep only the first
-        seen_pts.add(p)
-        pf = np.array([float(x) for x in p])
-        vals = plane_arr @ pf
-        scale = np.maximum(1.0, np.maximum(np.abs(offs), np.abs(vals)))
-        touching = []
-        for t in np.nonzero(np.abs(vals - offs) <= 1e-9 * scale)[0]:
-            nrm, c = planes[int(t)]
-            if sum(nrm[r] * p[r] for r in range(n)) == c:
-                touching.append(nrm)
-        if touching and _rank_full(touching, n):
-            keep.append(i)
+    planes, keep = _hull_planes([tuple(x / b for x in a) for a, b in facets], n)
+    verts = {_canon_sign(tuple(x / c for x in nrm)): True for nrm, c in planes}
     return list(verts), keep
 
 
@@ -277,49 +261,9 @@ def facet_enum_exact(vertices):
     _check_dim(n)
     if not _rank_full(list(vertices), n):
         raise UsageError("vertices do not span: body has empty interior")
-    pts = []
-    owner = []
-    for i, w in enumerate(vertices):
-        pts.append(tuple(_fr(x) for x in w))
-        owner.append(i)
-        pts.append(tuple(-_fr(x) for x in w))
-        owner.append(i)
-    uniq, back = _dedup_exact(pts)
-
-    if n == 2:
-        hull = hull2d(uniq)
-        keep = sorted({owner[back[h]] for h in hull})
-        out = {}
-        for t in range(len(hull)):
-            p = uniq[hull[t]]
-            q = uniq[hull[(t + 1) % len(hull)]]
-            a = (q[1] - p[1], p[0] - q[0])  # outward normal for CCW order
-            b = a[0] * p[0] + a[1] * p[1]
-            if b == 0:
-                raise UsageError("degenerate edge through the origin")
-            if b < 0:
-                a, b = (-a[0], -a[1]), -b
-            a, b = _primitive(a, b)
-            out[(_canon_sign(a), b)] = True
-        return [(a, b) for a, b in out], keep
-
-    planes = hull3d_planes(uniq)
+    planes, keep = _hull_planes([tuple(_fr(x) for x in w) for w in vertices], n)
     out = {}
     for nrm, c in planes:
-        out[(_canon_sign(nrm), c)] = True
-    plane_arr = np.array([[float(x) for x in nrm] for nrm, _ in planes])
-    offs = np.array([float(c) for _, c in planes])
-    keep = []
-    for i, w in enumerate(vertices):
-        p = tuple(_fr(x) for x in w)
-        pf = np.array([float(x) for x in p])
-        vals = plane_arr @ pf
-        scale = np.maximum(1.0, np.maximum(np.abs(offs), np.abs(vals)))
-        touching = []
-        for t in np.nonzero(np.abs(vals - offs) <= 1e-9 * scale)[0]:
-            nrm, c = planes[int(t)]
-            if sum(nrm[r] * p[r] for r in range(n)) == c:
-                touching.append(nrm)
-        if touching and _rank_full(touching, n):
-            keep.append(i)
-    return [(a, b) for a, b in out], keep
+        a, b = _primitive(nrm, c)
+        out[(_canon_sign(a), b)] = True
+    return list(out), keep

@@ -35,10 +35,6 @@ def identity(n):
     )
 
 
-def zeros(n, m):
-    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
-
-
 def transpose(a):
     return tuple(tuple(row[i] for row in a) for i in range(len(a[0])))
 
@@ -62,11 +58,6 @@ def column(a, j):
 
 def from_columns(cols):
     return tuple(tuple(col[i] for col in cols) for i in range(len(cols[0])))
-
-
-def scale(a, c):
-    c = frac(c)
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def _elim(a):

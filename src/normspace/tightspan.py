@@ -8,6 +8,7 @@ containing X.  Two arithmetic modes share each operation: binary64 with a
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +44,8 @@ class FiniteMetric:
             rows = [[Fraction(x) for x in r] for r in rows]
         else:
             rows = [[float(x) for x in r] for r in rows]
+            if not np.all(np.isfinite(rows)):
+                raise UsageError("distances must be finite")
         if labels is None:
             labels = [str(i) for i in range(n)]
         labels = [str(x) for x in labels]
@@ -85,7 +88,7 @@ class FiniteMetric:
     def from_json(cls, obj):
         try:
             return cls(obj["d"], labels=obj.get("labels"))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad FiniteMetric JSON: {exc}") from exc
 
     def __repr__(self):
@@ -95,9 +98,15 @@ class FiniteMetric:
 def _coerce_f(f, space):
     if len(f) != space.n:
         raise UsageError("function length does not match the space")
-    if space.exact:
-        return [Fraction(x) if _is_exact_scalar(x) else Fraction(float(x)) for x in f]
-    return [float(x) for x in f]
+    try:
+        if space.exact:
+            return [Fraction(x) if _is_exact_scalar(x) else Fraction(float(x)) for x in f]
+        ff = [float(x) for x in f]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"function values must be finite numbers: {exc}") from exc
+    if not all(map(math.isfinite, ff)):
+        raise UsageError("function values must be finite numbers")
+    return ff
 
 
 def is_admissible(f, space):

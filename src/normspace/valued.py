@@ -10,7 +10,6 @@ is exact Fraction arithmetic.  No floating point enters this module.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 from . import qlinalg
@@ -196,10 +195,6 @@ class DiagNorm:
             raise UsageError(f"bad DiagNorm JSON: {exc}") from exc
         return cls(PAdicContext(p), qlinalg.from_columns(cols), weights)
 
-    @classmethod
-    def from_json_str(cls, s):
-        return cls.from_json(json.loads(s))
-
 
 def _require_same_space(a, b):
     if a.ctx != b.ctx:
@@ -259,10 +254,6 @@ def gi_distance(eta, etap):
     if d < 0:
         raise RuntimeError("negative distance: broken norm input")
     return d
-
-
-def norms_equal(eta, etap):
-    return gi_distance(eta, etap) == 0
 
 
 def adapted_transition_check(u, m_from, m_to, p):

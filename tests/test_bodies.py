@@ -70,6 +70,23 @@ def test_polynorm_validation():
         PolyNorm([[1, 0]], [1], [[1, 0], [-1, 0]])  # vertices do not span
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SpdNorm([[1, 0], [0, np.nan]]),
+    lambda: PolyNorm([[1, 0], [0, 1]], [1, np.inf], [[1, 1], [1, -1]]),
+    lambda: PolyNorm([[1, 0], [0, 1]], [1, 1], [[1, np.nan], [1, -1]]),
+    lambda: PolyNorm.from_facets([[1, 0], [0, 1]], [1, np.nan]),
+    lambda: PolyNorm.from_facets([[1, 0], [np.inf, 1]], [1, 1]),
+    lambda: PolyNorm.from_vertices([[1, np.nan], [1, -1]]),
+    lambda: mvee_certified([[np.nan, 0], [0, 1]]),
+    lambda: coarse_helly_details([SQUARE, SQUARE], [np.nan, 0.1]),
+    lambda: coarse_helly_details([SQUARE, SQUARE], [np.inf, 0.1]),
+], ids=["spd", "poly-offset", "poly-vertex", "from-facets-offset",
+        "from-facets-normal", "from-vertices", "mvee", "radius-nan", "radius-inf"])
+def test_non_finite_input_is_usage_error(build):
+    with pytest.raises(UsageError, match="finite"):
+        build()
+
+
 # -- gauge --
 
 def test_gauge_examples():

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import normspace
 from normspace import DiagNorm, PAdicContext, body_to_json, PolyNorm, SpdNorm
 from normspace.cli import main
@@ -151,6 +153,40 @@ def test_helly_bodies_with_spd_input(capsys):
     # SPD input adds the circumscribed-approximation slack to its allowance
     assert doc["allowed"][0] > doc["allowed"][1]
     assert all(d <= a for d, a in zip(doc["distances"], doc["allowed"]))
+
+
+NAN_OFFSET_BODY = json.dumps({
+    "kind": "polytope",
+    "facets": [{"a": [1, 0], "b": float("nan")}, {"a": [0, 1], "b": 1}],
+    "vertices": [[1, 1], [1, -1]],
+})
+METRIC_2 = '{"d": [[0, 1], [1, 0]]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ("body-dist", "--a", NAN_OFFSET_BODY, "--b", SQUARE_BODY),
+    ("body-dist", "--a", '{"kind": "spd", "matrix": [[1, 0], [0, NaN]]}',
+     "--b", SQUARE_BODY),
+    ("body-dist", "--a", '{"kind": "spd", "matrix": [[1, "x"], ["x", 1]]}',
+     "--b", SQUARE_BODY),
+    ("john", "--body", SQUARE_BODY.replace("[1.0, -1.0]", "[Infinity, -1.0]")),
+    ("mvee", "--points", "[[NaN, 0], [0, 1]]"),
+    ("mvee", "--points", '{"pts": [[1, 0], [0, 1]]}'),
+    ("mvee", "--points", '[[1, "x"], [0, 1]]'),
+    ("helly-bodies", "--family",
+     json.dumps({"bodies": [json.loads(SQUARE_BODY)] * 2, "radii": [float("nan"), 1]})),
+    ("tight-span", "--metric", '{"d": [[0, "x"], ["x", 0]]}'),
+    ("tight-span", "--metric", '{"d": [[0, NaN], [NaN, 0]]}'),
+    ("extremal", "--metric", METRIC_2, "--f", "[NaN, 1]"),
+    ("extremal", "--metric", METRIC_2, "--f", '["x", 1]'),
+], ids=["body-nan-offset", "body-nan-spd", "body-string-spd", "john-inf-vertex",
+        "mvee-nan", "mvee-missing-points", "mvee-string", "helly-bodies-nan-radius",
+        "tight-span-string", "tight-span-nan", "extremal-nan", "extremal-string"])
+def test_non_finite_and_malformed_inputs_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "usage"
 
 
 def test_tight_span_and_extremal(capsys):

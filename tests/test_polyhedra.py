@@ -1,17 +1,20 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.optimize import linprog
 
 import helpers
-from normspace import InfeasibleScaleError, UsageError
+from normspace import InfeasibleScaleError, PolyNorm, UsageError, polyhedra, qlinalg
 from normspace.polyhedra import (
     facet_enum_exact,
     hull2d,
     hull3d_planes,
     vertex_enum_exact,
     _brute_hull3d_planes,
+    _canon_sign,
 )
 
 F = Fraction
@@ -116,6 +119,10 @@ def test_vertex_enum_cube_and_octahedron():
     verts, keep = vertex_enum_exact(facets)
     assert keep == [0, 1, 2]
     assert len(verts) == 4  # 8 cube vertices = 4 antipodal pairs
+    # x + y <= 2 touches the cube along an edge only: redundant
+    verts, keep = vertex_enum_exact(facets + [((F(1), F(1), F(0)), F(2))])
+    assert keep == [0, 1, 2]
+    assert len(verts) == 4
     facets = [((F(1), F(1), F(1)), F(1)), ((F(1), F(1), F(-1)), F(1)),
               ((F(1), F(-1), F(1)), F(1)), ((F(1), F(-1), F(-1)), F(1))]
     verts, keep = vertex_enum_exact(facets)
@@ -129,17 +136,99 @@ def test_vertex_enum_3d_matches_brute_force_random():
     for _ in range(5):
         dirs = rng.standard_normal((6, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        facets = [(tuple(F(float(x)) for x in d), F(1)) for d in dirs]
+        offs = rng.uniform(1.0, 1.5, size=6)  # some facets come out redundant
+        facets = [(tuple(F(float(x)) for x in d), F(float(b)))
+                  for d, b in zip(dirs, offs)]
         verts, keep = vertex_enum_exact(facets)
-        brute_planes = _brute_hull3d_planes(
-            [tuple(x / b for x in a) for a, b in facets]
-            + [tuple(-x / b for x in a) for a, b in facets]
-        )
-        seeded_planes = hull3d_planes(
-            [tuple(x / b for x in a) for a, b in facets]
-            + [tuple(-x / b for x in a) for a, b in facets]
-        )
-        assert sorted(brute_planes) == sorted(seeded_planes)
+        polar_pts = [tuple(x / b for x in a) for a, b in facets]
+        signed = polar_pts + [tuple(-x for x in p) for p in polar_pts]
+        brute_planes = _brute_hull3d_planes(signed)
+        assert sorted(brute_planes) == sorted(hull3d_planes(signed))
+        # polarity: the vertices are the brute-force planes (n, c) as n/c ...
+        assert sorted(verts) == sorted(
+            {_canon_sign(tuple(x / c for x in nrm)) for nrm, c in brute_planes})
+        # ... and facet i is kept iff the planes through its polar point span
+        full_rank = []
+        for i, p in enumerate(polar_pts):
+            touching = [nrm for nrm, c in brute_planes
+                        if sum(x * y for x, y in zip(nrm, p)) == c]
+            if touching and qlinalg.rank(qlinalg.mat(touching)) == 3:
+                full_rank.append(i)
+        assert keep == full_rank
+
+
+# Each base set is in convex position, +-symmetrically, and so is its polar:
+# a hexagon in 2D, the cross-polytope/cube pair in 3D.
+KEEP_BASES = {
+    2: [(1, 0), (1, 1), (0, 1)],
+    3: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+}
+
+
+@pytest.mark.parametrize("route", ["vertex", "facet"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_repeated_and_antipodal_inputs_are_kept_once(n, route):
+    b0, b1, b2 = [tuple(F(x) for x in p) for p in KEEP_BASES[n]]
+    # input 1 repeats input 0; input 3 is the antipode of input 2
+    pts = [b0, b0, b1, tuple(-x for x in b1), b2]
+    if route == "vertex":
+        _, keep = vertex_enum_exact([(p, F(1)) for p in pts])
+        body = PolyNorm.from_facets(pts, [1] * len(pts))
+        rows = body.a
+    else:
+        _, keep = facet_enum_exact(pts)
+        body = PolyNorm.from_vertices(pts)
+        rows = body.vertices
+    assert keep == [0, 2, 4]
+    assert rows.tolist() == [[float(x) for x in p] for p in (b0, b1, b2)]
+
+
+CUBE = [tuple(F(x) for x in p) for p in itertools.product((1, -1), repeat=3)]
+
+
+def _fake_convex_hull(monkeypatch, fake):
+    """Replace Qhull by `fake` and count the brute-force fallbacks."""
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", fake)
+    calls = []
+    brute = polyhedra._brute_hull3d_planes
+
+    def counted(points):
+        calls.append(len(points))
+        return brute(points)
+
+    monkeypatch.setattr(polyhedra, "_brute_hull3d_planes", counted)
+    return calls
+
+
+def test_hull3d_rejects_a_seed_with_a_non_facet_triple(monkeypatch):
+    real = scipy.spatial.ConvexHull(np.array(CUBE, dtype=float)).simplices
+
+    class Seed:
+        # (1,1,1), (1,-1,-1), (-1,1,-1) span x + y - z = 1, which cuts the cube
+        simplices = np.vstack([real, [[0, 3, 5]]])
+
+    calls = _fake_convex_hull(monkeypatch, lambda arr: Seed())
+    assert sorted(hull3d_planes(CUBE)) == sorted(_brute_hull3d_planes(CUBE))
+    assert calls == [8]
+
+
+def test_hull3d_falls_back_on_qhull_error(monkeypatch):
+    def fail(arr):
+        raise scipy.spatial.QhullError("QH6154 initial simplex is flat")
+
+    calls = _fake_convex_hull(monkeypatch, fail)
+    assert sorted(hull3d_planes(CUBE)) == sorted(_brute_hull3d_planes(CUBE))
+    assert calls == [8]
+
+
+def test_hull3d_lets_other_errors_propagate(monkeypatch):
+    def broken(arr):
+        raise TypeError("not a Qhull failure")
+
+    calls = _fake_convex_hull(monkeypatch, broken)
+    with pytest.raises(TypeError):
+        hull3d_planes(CUBE)
+    assert calls == []
 
 
 def test_dimension_guard():

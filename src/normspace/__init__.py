@@ -15,7 +15,6 @@ from .errors import (
 )
 from .valued import (
     DiagNorm,
-    LogValue,
     PAdicContext,
     common_adapted_basis,
     eval_log_norm,
@@ -25,7 +24,6 @@ from .valued import (
     leq_norms,
     pval,
     scale_norm,
-    stabilizer_check,
 )
 from .building import (
     BallCertificate,
@@ -35,7 +33,6 @@ from .building import (
     helly_triple_campaign,
     neighbors,
     random_vertex,
-    vertices_equal,
 )
 from .bodies import (
     LinearGroupAction,

@@ -68,28 +68,3 @@ def mvee_weights(pts, tol, max_iter):
                 u[k] = 0.0
         it += 1
     return u, it, eps
-
-
-# ---------------------------------------------------------------------------
-# cyclic coordinate descent to the extremal fixed point of a finite metric
-# ---------------------------------------------------------------------------
-
-def closure_sweeps(dmat, f, tol, max_sweeps):
-    k = dmat.shape[0]
-    f = f.copy()
-    sweeps = 0
-    while sweeps < max_sweeps:
-        move = 0.0
-        for x in range(k):
-            best = 0.0
-            row = dmat[x] - f
-            for y in range(k):
-                if y != x and row[y] > best:
-                    best = row[y]
-            move = max(move, abs(f[x] - best))
-            f[x] = best
-        sweeps += 1
-        if move <= tol:
-            break
-    return f, sweeps
-

@@ -163,23 +163,6 @@ class LatticeVertex:
         return cls(DiagNorm.from_json(obj))
 
 
-def vertices_equal(u, v):
-    """Exact lattice equality: both transition matrices are p-integral."""
-    if u.ctx != v.ctx or u.dim != v.dim:
-        raise UsageError("vertices live in different spaces")
-    p = u.ctx.p
-    wu = qlinalg.from_columns(u.lattice_basis())
-    wv = qlinalg.from_columns(v.lattice_basis())
-    t = qlinalg.matmul(qlinalg.inv(wu), wv)
-    tinv = qlinalg.inv(t)
-    for mtx in (t, tinv):
-        for row in mtx:
-            for x in row:
-                if x != 0 and pval(x, p) < 0:
-                    return False
-    return True
-
-
 def _extend_subgroup(elems, gen, p2, n):
     out = set()
     for s in elems:

@@ -351,15 +351,16 @@ def _cmd_campaign(ns):
             f"unknown suite {ns.suite!r}; choose from {sorted(CAMPAIGN_SUITES)}"
         )
     check = CAMPAIGN_SUITES[ns.suite]
-
-    def run_one(i):
+    failures = []
+    for i in range(ns.count):
         try:
-            return bool(check(_rng(ns.seed, i)))
-        except Exception:
-            return False
-
-    results = [run_one(i) for i in range(ns.count)]
-    failures = [i for i, ok in enumerate(results) if not ok]
+            if check(_rng(ns.seed, i)):
+                continue
+            failures.append({"instance": i, "kind": "violated", "type": None,
+                             "message": "the property does not hold"})
+        except Exception as exc:  # a crash is recorded, never counted as a pass
+            failures.append({"instance": i, "kind": "error",
+                             "type": type(exc).__name__, "message": str(exc)})
     doc = {
         "schema_version": SCHEMA_VERSION,
         "suite": ns.suite,
@@ -370,8 +371,8 @@ def _cmd_campaign(ns):
     }
     code = EXIT_OK if not failures else EXIT_VIOLATION
     if ns.format == "csv":
-        rows = [(i, int(ok)) for i, ok in enumerate(results)]
-        return code, doc, rows
+        failed = {f["instance"] for f in failures}
+        return code, doc, [(i, int(i not in failed)) for i in range(ns.count)]
     return code, doc
 
 

@@ -14,8 +14,6 @@ def frac(x):
     """Coerce ints, strings like '3/4', and Fractions to Fraction (exact)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        return Fraction(x)
     return Fraction(x)
 
 
@@ -85,8 +83,6 @@ def _elim(a):
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
         rank += 1
-    if rank < min(n, m):
-        det = Fraction(0)
     return rows, det, rank
 
 
@@ -108,15 +104,11 @@ def inv(a):
     n = len(a)
     if any(len(row) != n for row in a):
         raise UsageError("inv expects a square matrix")
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(a)]
-    red, d, r = _elim(aug)
-    if r < n or all(red[i][i] == 0 for i in range(n)):
+    aug = [list(row) + list(e) for row, e in zip(a, identity(n))]
+    red, d, _ = _elim(aug)
+    if d == 0:
         raise UsageError("matrix is singular")
-    # _elim normalizes pivots to 1 and clears columns, so the left block is I
-    for i in range(n):
-        if red[i][i] != 1 or any(red[i][j] != 0 for j in range(n) if j != i):
-            raise UsageError("matrix is singular")
+    # a nonzero det puts every pivot in the left block, which _elim reduces to I
     return tuple(tuple(red[i][n:]) for i in range(n))
 
 
@@ -124,8 +116,7 @@ def solve(a, b):
     """Solve a x = b exactly for a single right-hand side vector."""
     n = len(a)
     aug = [list(row) + [frac(bi)] for row, bi in zip(a, b)]
-    red, _, r = _elim(aug)
-    for i in range(n):
-        if red[i][i] == 0:
-            raise UsageError("singular system")
+    red, d, _ = _elim(aug)
+    if d == 0:
+        raise UsageError("singular system")
     return tuple(red[i][n] for i in range(n))

@@ -5,6 +5,12 @@ extremal when additionally f(x) = max_y (d(x, y) - f(y)) for every x: the
 extremal functions form the tight span, the smallest hyperconvex space
 containing X.  Two arithmetic modes share each operation: binary64 with a
 1e-9 tolerance, and exact Fractions when the input matrix is rational.
+
+The extremal closure is one ascending sweep f(x) <- max(0, max_{y != x}
+(d(x, y) - f(y))).  Each update sets f(x) to the least value that keeps f
+admissible, so f stays admissible and never rises.  Once x is updated it is
+tight; later updates only lower other values, which can only raise the terms
+d(x, y) - f(y), and admissibility caps them at f(x), so x stays tight.
 """
 
 import itertools
@@ -13,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels, qlinalg
+from . import qlinalg
 from .errors import InfeasibleScaleError, UsageError
 
 TOL = 1e-9
@@ -28,10 +34,11 @@ class FiniteMetric:
     """A finite (pseudo)metric space with validated axioms.
 
     Construction from ints/Fractions selects the exact mode; floats select
-    the binary64 mode.  `dist` is always available as a float array.
+    the binary64 mode.  `tol` is the mode's comparison tolerance (0 or TOL)
+    and `dist` is always available as a float array.
     """
 
-    __slots__ = ("labels", "rows", "exact", "dist")
+    __slots__ = ("labels", "rows", "exact", "tol", "dist")
 
     def __init__(self, d, labels=None, exact=None):
         rows = [list(r) for r in d]
@@ -51,7 +58,7 @@ class FiniteMetric:
         labels = [str(x) for x in labels]
         if len(labels) != n:
             raise UsageError("labels must match the matrix size")
-        tol = 0 if exact else TOL
+        self.tol = tol = 0 if exact else TOL
         for i in range(n):
             if abs(rows[i][i]) > tol:
                 raise UsageError("nonzero diagonal")
@@ -112,7 +119,7 @@ def _coerce_f(f, space):
 def is_admissible(f, space):
     """f(x) + f(y) >= d(x, y) for all pairs, and f >= 0."""
     ff = _coerce_f(f, space)
-    tol = 0 if space.exact else TOL
+    tol = space.tol
     if any(x < -tol for x in ff):
         return False
     n = space.n
@@ -128,7 +135,7 @@ def is_extremal(f, space):
     ff = _coerce_f(f, space)
     if not is_admissible(ff, space):
         raise UsageError("function is not admissible")
-    tol = 0 if space.exact else TOL
+    tol = space.tol
     n = space.n
     if n == 1:
         return abs(ff[0]) <= tol
@@ -157,37 +164,22 @@ def kuratowski_embed(space):
 
 
 def extremal_closure(f, space):
-    """A minimal admissible function below f (cyclic coordinate descent).
+    """A minimal admissible function below f, certified extremal.
 
-    Sweeps f(x) <- max(0, max_{y != x} (d(x, y) - f(y))) in ascending point
-    order; each step preserves admissibility and never increases f, and the
-    fixed points are exactly the extremal functions.
+    One ascending sweep of f(x) <- max(0, max_{y != x} (d(x, y) - f(y))) in
+    the space's own arithmetic reaches the fixed point (see the module
+    docstring); the result is checked with `is_extremal` before it returns.
     """
     ff = _coerce_f(f, space)
     if not is_admissible(ff, space):
         raise UsageError("closure input must be admissible")
-    n = space.n
-    if n == 1:
-        return [Fraction(0)] if space.exact else [0.0]
-    if space.exact:
-        for _ in range(4 * n + 8):
-            moved = False
-            for x in range(n):
-                best = max(space.d(x, y) - ff[y] for y in range(n) if y != x)
-                if best < 0:
-                    best = Fraction(0)
-                if best != ff[x]:
-                    ff[x] = best
-                    moved = True
-            if not moved:
-                break
-        if moved:
-            raise RuntimeError("exact closure did not stabilize")
-        return ff
-    out, _ = _kernels.closure_sweeps(
-        space.dist, np.array(ff, dtype=float), 1e-12, 10_000
-    )
-    return [float(x) for x in out]
+    zero = Fraction(0) if space.exact else 0.0
+    for x in range(space.n):
+        ff[x] = max([zero] + [space.d(x, y) - ff[y] for y in range(space.n) if y != x])
+    # is_extremal calls an inadmissible f a usage error; here it would be ours
+    if not (is_admissible(ff, space) and is_extremal(ff, space)):
+        raise RuntimeError("extremal closure failed the extremal identity")
+    return ff
 
 
 def _solve_candidate(space, pairs):
@@ -243,8 +235,7 @@ def tight_span_vertices(space):
             seen.add(key)
             found.append(f)
     for e in kuratowski_embed(space):
-        tol = 0 if space.exact else 10 * TOL
-        if not any(ts_distance(e, f) <= tol for f in found):
+        if not any(ts_distance(e, f) <= 10 * space.tol for f in found):
             raise RuntimeError("tight span enumeration missed a Kuratowski image")
     found.sort(key=lambda f: [float(x) for x in f])
     return found

@@ -9,7 +9,6 @@ is exact Fraction arithmetic.  No floating point enters this module.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from . import qlinalg
@@ -57,64 +56,6 @@ def pval(x, p):
     if x == 0:
         raise UsageError("valuation of zero is undefined")
     return pval_int(x.numerator, p) - pval_int(x.denominator, p)
-
-
-@functools.total_ordering
-class LogValue:
-    """A norm value on the log_q scale: a rational, or bottom for the zero vector.
-
-    Bottom compares below every finite value and absorbs shifts.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = None if value is None else frac(value)
-
-    @classmethod
-    def bottom(cls):
-        return cls(None)
-
-    @property
-    def is_bottom(self):
-        return self.value is None
-
-    def shifted(self, a):
-        if self.is_bottom:
-            return self
-        return LogValue(self.value + frac(a))
-
-    def __add__(self, a):
-        return self.shifted(a)
-
-    def __eq__(self, other):
-        if isinstance(other, LogValue):
-            return self.value == other.value
-        if self.is_bottom:
-            return False
-        return self.value == other
-
-    def __lt__(self, other):
-        ov = other.value if isinstance(other, LogValue) else frac(other)
-        if self.is_bottom:
-            return ov is not None
-        if ov is None:
-            return False
-        return self.value < ov
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return "LogValue(bottom)" if self.is_bottom else f"LogValue({self.value})"
-
-
-def log_max(values):
-    out = LogValue.bottom()
-    for v in values:
-        if out < v:
-            out = v
-    return out
 
 
 class DiagNorm:
@@ -204,7 +145,7 @@ def _require_same_space(a, b):
 
 
 def eval_log_norm(eta, v):
-    """log_q eta(v) as a LogValue; bottom iff v = 0."""
+    """log_q eta(v) as a Fraction; None iff v = 0."""
     v = vec(v)
     if len(v) != eta.dim:
         raise UsageError(f"vector has dimension {len(v)}, norm expects {eta.dim}")
@@ -217,7 +158,7 @@ def eval_log_norm(eta, v):
         t = mi - pval(xi, p)
         if best is None or t > best:
             best = t
-    return LogValue(best)
+    return best
 
 
 def log_sup_ratio(eta, etap):
@@ -229,7 +170,7 @@ def log_sup_ratio(eta, etap):
     _require_same_space(eta, etap)
     best = None
     for j in range(etap.dim):
-        t = eval_log_norm(eta, etap.basis_vector(j)).value - etap.weights[j]
+        t = eval_log_norm(eta, etap.basis_vector(j)) - etap.weights[j]
         if best is None or t > best:
             best = t
     return best
@@ -254,34 +195,6 @@ def gi_distance(eta, etap):
     if d < 0:
         raise RuntimeError("negative distance: broken norm input")
     return d
-
-
-def adapted_transition_check(u, m_from, m_to, p):
-    """True iff the columns of u (coordinates in an m_from-adapted basis)
-    define an m_to-adapted basis of the same norm.
-
-    Entrywise criterion: m_from[i] - v_p(u[i][k]) <= m_to[k] for u, and the
-    mirrored condition for u^{-1}; together they force norm equality.
-    """
-    u = mat(u)
-    try:
-        uinv = qlinalg.inv(u)
-    except UsageError:
-        raise UsageError("transition matrix is singular")
-    n = len(u)
-    for i in range(n):
-        for k in range(n):
-            if u[i][k] != 0 and m_from[i] - pval(u[i][k], p) > m_to[k]:
-                return False
-            if uinv[i][k] != 0 and m_to[i] - pval(uinv[i][k], p) > m_from[k]:
-                return False
-    return True
-
-
-def stabilizer_check(u, m, ctx):
-    """True iff u and u^{-1} preserve the diagonal norm with weights m."""
-    m = vec(m)
-    return adapted_transition_check(u, m, m, ctx.p)
 
 
 def common_adapted_basis(eta, etap):

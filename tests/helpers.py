@@ -1,8 +1,9 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here (integer Smith normal form, brute-force log-sup ratios,
-loop-structured float kernels, brute-force cube isometries) deliberately do
-not share code with the library paths they check.
+entrywise adapted-basis and lattice-equality tests, loop-structured float
+kernels and closure sweeps, brute-force cube isometries) deliberately do not
+share code with the library paths they check.
 """
 
 import itertools
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from normspace import DiagNorm, InfeasibleScaleError, eval_log_norm
+from normspace import DiagNorm, InfeasibleScaleError, UsageError, eval_log_norm, qlinalg
 from normspace.valued import pval
 
 
@@ -61,7 +62,7 @@ def brute_force_log_sup(eta, etap, box):
     for v in itertools.product(range(-box, box + 1), repeat=n):
         if all(x == 0 for x in v):
             continue
-        r = eval_log_norm(eta, v).value - eval_log_norm(etap, v).value
+        r = eval_log_norm(eta, v) - eval_log_norm(etap, v)
         if best is None or r > best:
             best = r
     return best
@@ -126,6 +127,52 @@ def cartan_distance_oracle(g_int, p):
     divs = smith_divisors(g_int)
     vals = [pval(Fraction(d), p) for d in divs]
     return max(max(vals), -min(vals), 0)
+
+
+# ---------------------------------------------------------------------------
+# entrywise oracles for adapted bases and lattice equality
+# ---------------------------------------------------------------------------
+
+def adapted_transition_check(u, m_from, m_to, p):
+    """True iff the columns of u (coordinates in an m_from-adapted basis)
+    define an m_to-adapted basis of the same norm.
+
+    Entrywise criterion: m_from[i] - v_p(u[i][k]) <= m_to[k] for u, and the
+    mirrored condition for u^{-1}; together they force norm equality.
+    """
+    u = qlinalg.mat(u)
+    uinv = qlinalg.inv(u)
+    n = len(u)
+    for i in range(n):
+        for k in range(n):
+            if u[i][k] != 0 and m_from[i] - pval(u[i][k], p) > m_to[k]:
+                return False
+            if uinv[i][k] != 0 and m_to[i] - pval(uinv[i][k], p) > m_from[k]:
+                return False
+    return True
+
+
+def stabilizer_check(u, m, ctx):
+    """True iff u and u^{-1} preserve the diagonal norm with weights m."""
+    m = qlinalg.vec(m)
+    return adapted_transition_check(u, m, m, ctx.p)
+
+
+def vertices_equal(u, v):
+    """Exact lattice equality: both transition matrices are p-integral."""
+    if u.ctx != v.ctx or u.dim != v.dim:
+        raise UsageError("vertices live in different spaces")
+    p = u.ctx.p
+    wu = qlinalg.from_columns(u.lattice_basis())
+    wv = qlinalg.from_columns(v.lattice_basis())
+    t = qlinalg.matmul(qlinalg.inv(wu), wv)
+    tinv = qlinalg.inv(t)
+    for mtx in (t, tinv):
+        for row in mtx:
+            for x in row:
+                if x != 0 and pval(x, p) < 0:
+                    return False
+    return True
 
 
 def sample_vectors(rng, n, count, lo=-6, hi=6):
@@ -239,3 +286,42 @@ def matrix_isometry_enumeration(k):
         if ok:
             found.append(m)
     return found
+
+
+def closure_sweeps_loops(dmat, f, tol, max_sweeps):
+    """Float closure oracle: ascending sweeps until no value moves by more
+    than tol; returns (f, sweeps)."""
+    k = dmat.shape[0]
+    f = f.copy()
+    sweeps = 0
+    while sweeps < max_sweeps:
+        move = 0.0
+        for x in range(k):
+            best = 0.0
+            row = dmat[x] - f
+            for y in range(k):
+                if y != x and row[y] > best:
+                    best = row[y]
+            move = max(move, abs(f[x] - best))
+            f[x] = best
+        sweeps += 1
+        if move <= tol:
+            break
+    return f, sweeps
+
+
+def exact_closure_loops(rows, f):
+    """Exact closure oracle: ascending sweeps over Fraction rows until a
+    whole sweep leaves f unchanged (at most 4n + 8 sweeps)."""
+    n = len(rows)
+    f = [Fraction(x) for x in f]
+    for _ in range(4 * n + 8):
+        moved = False
+        for x in range(n):
+            best = max([Fraction(0)] + [rows[x][y] - f[y] for y in range(n) if y != x])
+            if best != f[x]:
+                f[x] = best
+                moved = True
+        if not moved:
+            return f
+    raise RuntimeError("exact closure did not stabilize")

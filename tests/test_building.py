@@ -17,8 +17,8 @@ from normspace import (
     neighbors,
     random_vertex,
     scale_norm,
-    vertices_equal,
 )
+from helpers import vertices_equal
 from normspace.building import (
     adjacency_json,
     graphml,

@@ -7,6 +7,7 @@ import pytest
 
 import normspace
 from normspace import DiagNorm, PAdicContext, body_to_json, PolyNorm, SpdNorm
+from normspace import cli
 from normspace.cli import main
 import numpy as np
 
@@ -23,6 +24,8 @@ LPRIME = json.dumps(
     DiagNorm(PAdicContext(2), [[2, 1], [0, 1]], [0, 0]).to_json()
 )
 SQUARE_BODY = json.dumps(body_to_json(PolyNorm.from_vertices([[1, 1], [1, -1]])))
+# the package's src directory, for the PYTHONPATH of fresh interpreters
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(normspace.__file__)))
 BALL_FAMILY = json.dumps({"centers": [json.loads(STD), json.loads(LPRIME)], "radii": [1, 1]})
 
 
@@ -233,6 +236,34 @@ def test_campaign_csv(capsys):
     assert len(lines) == 4
 
 
+def _campaign_with(monkeypatch, capsys, check):
+    monkeypatch.setitem(cli.CAMPAIGN_SUITES, "apartment", check)
+    code, out, _ = run_cli(capsys, "campaign", "--suite", "apartment",
+                           "--count", "3", "--seed", "0")
+    return code, json.loads(out)
+
+
+def test_campaign_records_a_violated_property(monkeypatch, capsys):
+    verdicts = iter([True, False, True])
+    code, doc = _campaign_with(monkeypatch, capsys, lambda rng: next(verdicts))
+    assert code == 1
+    assert doc["passed"] == 2
+    assert doc["failures"] == [{"instance": 1, "kind": "violated", "type": None,
+                                "message": "the property does not hold"}]
+
+
+def test_campaign_records_a_crash_as_an_error(monkeypatch, capsys):
+    def check(rng):
+        raise ZeroDivisionError("boom")
+
+    code, doc = _campaign_with(monkeypatch, capsys, check)
+    assert code == 1
+    assert doc["passed"] == 0
+    assert doc["failures"] == [
+        {"instance": i, "kind": "error", "type": "ZeroDivisionError", "message": "boom"}
+        for i in range(3)]
+
+
 def test_campaign_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "campaign", "--suite", "nope")
     assert code == 2
@@ -251,7 +282,7 @@ def test_campaign_seed_out_of_range(capsys):
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "normspace", "obstruction", "--n", "3"],
-        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
@@ -259,11 +290,10 @@ def test_entry_point_subprocess():
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(normspace.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, normspace.cli; print('scipy.spatial' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -36,10 +36,31 @@ def test_inv_singular_raises():
         qlinalg.inv(qlinalg.mat([[1, 2], [2, 4]]))
 
 
+def test_inv_singular_with_pivots_in_the_identity_block():
+    # [A | I] keeps full row rank, so elimination finds its missing pivots in
+    # the identity block; neither the rank nor a nonzero reduced diagonal
+    # entry (red[0][0] = 1 in the first two) may pass for invertible
+    for a in ([[1, 1, 0], [0, 0, 1], [0, 0, 0]],
+              [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+              [[0, 0], [0, 1]]):
+        with pytest.raises(UsageError):
+            qlinalg.inv(qlinalg.mat(a))
+
+
 def test_solve():
     a = qlinalg.mat([[1, 1], [1, -1]])
     x = qlinalg.solve(a, [3, 1])
     assert x == (Fraction(2), Fraction(1))
+
+
+def test_solve_singular_raises():
+    # consistent and inconsistent right-hand sides alike
+    a = qlinalg.mat([[1, 2], [2, 4]])
+    for b in ([1, 2], [1, 0]):
+        with pytest.raises(UsageError):
+            qlinalg.solve(a, b)
+    with pytest.raises(UsageError):
+        qlinalg.solve(qlinalg.mat([[1, 0, 0], [0, 0, 0], [0, 0, 1]]), [1, 0, 1])
 
 
 def test_columns_roundtrip():

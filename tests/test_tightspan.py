@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from normspace import tightspan
 from normspace import (
     FiniteMetric,
     InfeasibleScaleError,
@@ -107,6 +108,74 @@ def test_closure_exact_mode():
     f = extremal_closure([Fraction(9, 2), Fraction(11, 2)], TWO)
     assert f == [Fraction(1, 2), Fraction(11, 2)]
     assert is_extremal(f, TWO)
+
+
+def _oracle_starts(rng, space, count):
+    """Admissible starts above the row maxima: integers and Fractions in
+    exact mode, relative offsets in float mode."""
+    for _ in range(count):
+        if space.exact:
+            yield [max(r) + Fraction(int(rng.integers(0, 20)), int(rng.integers(1, 4)))
+                   for r in space.rows]
+        else:
+            yield [max(r) * (1 + float(rng.uniform(0, 1))) for r in space.rows]
+
+
+def test_exact_closure_matches_the_sweep_oracle():
+    rng = helpers.rng_for(506)
+    for trial in range(60):
+        k = int(rng.integers(2, 8))
+        pts = rng.integers(-20, 21, size=(k, 3))
+        space = FiniteMetric([[int(np.abs(a - b).sum()) for b in pts] for a in pts])
+        for start in _oracle_starts(rng, space, 3):
+            out = extremal_closure(start, space)
+            assert out == helpers.exact_closure_loops(space.rows, start)
+            assert is_extremal(out, space)
+
+
+def test_float_closure_matches_the_sweep_oracle_bit_for_bit():
+    # exactly symmetric float metrics (Euclidean and body metrics) at scales
+    # from 1e-6 to 1e12: one sweep returns the oracle's converged floats
+    rng = helpers.rng_for(507)
+    for scale in (1e-6, 1.0, 1e6, 1e9, 1e12):
+        for trial in range(12):
+            k = int(rng.integers(2, 8))
+            if trial % 2:
+                pts = rng.standard_normal((k, 3))
+                d = (np.linalg.norm(pts[:, None] - pts[None], axis=2) * scale).tolist()
+            else:
+                mats = [SpdNorm(g.T @ g + 0.25 * np.eye(2))
+                        for g in rng.standard_normal((k, 2, 2))]
+                d = [[0.0] * k for _ in range(k)]
+                for i in range(k):
+                    for j in range(i + 1, k):
+                        d[i][j] = d[j][i] = gi_distance_bodies(mats[i], mats[j]) * scale
+            space = FiniteMetric(d)
+            for start in _oracle_starts(rng, space, 2):
+                out = extremal_closure(start, space)
+                ref, _ = helpers.closure_sweeps_loops(space.dist, np.array(start), 1e-12, 10_000)
+                assert out == ref.tolist()
+                assert is_extremal(out, space)
+
+
+def test_float_closure_on_a_nearly_symmetric_metric():
+    # gi_distance_bodies(a, b) and (b, a) can differ in the last bits; the
+    # oracle's extra sweeps then move values by rounding-sized steps, so the
+    # two agree to a few ulps of the largest distance instead of exactly
+    rng = helpers.rng_for(508)
+    for trial in range(20):
+        space = random_spd_metric(rng, int(rng.integers(2, 6)))
+        for start in _oracle_starts(rng, space, 2):
+            out = extremal_closure(start, space)
+            ref, _ = helpers.closure_sweeps_loops(space.dist, np.array(start), 1e-12, 10_000)
+            assert np.allclose(out, ref, rtol=0, atol=64 * np.spacing(space.dist.max()))
+            assert is_extremal(out, space)
+
+
+def test_closure_certificate_failure_raises(monkeypatch):
+    monkeypatch.setattr(tightspan, "is_extremal", lambda f, space: False)
+    with pytest.raises(RuntimeError):
+        extremal_closure([4, 4], TWO)
 
 
 def test_closure_rejects_inadmissible():

@@ -200,7 +200,8 @@ def gi_distance_bodies(k1, k2):
     if k1.dim != k2.dim:
         raise UsageError("dimension mismatch")
     if isinstance(k1, SpdNorm) and isinstance(k2, SpdNorm):
-        return _spd_pair_distance(k1.matrix, k2.matrix)
+        # one canonical order, so that d(a, b) and d(b, a) agree to the bit
+        return _spd_pair_distance(*sorted((k1.matrix, k2.matrix), key=np.ndarray.tobytes))
     s12 = _sup_gauge_over(k1, k2)
     s21 = _sup_gauge_over(k2, k1)
     return max(math.log(s12), math.log(s21))

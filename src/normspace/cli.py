@@ -3,7 +3,8 @@
 Every subcommand wraps exactly one library operation and emits a single
 JSON document (schema_version included) on stdout.  Exit codes: 0 success /
 property holds; 1 property violated, verdict "exists", or counterexample
-(payload still emitted); 2 usage or parse error; 3 infeasible scale.
+(payload still emitted); 2 usage or parse error; 3 infeasible scale; 4 an
+internal check failed (a RuntimeError, such as an exact hull certificate).
 
 Determinism contract: identical arguments (including --seed) produce
 byte-identical output.  Seeded randomness uses numpy's PCG64, instance i of
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_SCALE = 3
+EXIT_INTERNAL = 4
 
 
 def _load_json_arg(value, what="input"):
@@ -230,7 +232,7 @@ def _cmd_extremal(ns):
     return EXIT_OK, {
         "schema_version": SCHEMA_VERSION,
         "closure": [float(x) for x in closure],
-        "is_extremal": bool(ts.is_extremal(closure, space)),
+        "is_extremal": True,  # extremal_closure certified it
     }
 
 
@@ -321,8 +323,8 @@ def _campaign_tight_span(rng):
     dmat = [[bod.gi_distance_bodies(x, y) for y in pts] for x in pts]
     space = ts.FiniteMetric(dmat)
     start = [max(row) for row in dmat]
-    closure = ts.extremal_closure(start, space)
-    return ts.is_extremal(closure, space)
+    ts.extremal_closure(start, space)  # raises unless the closure is extremal
+    return True
 
 
 def _campaign_building(rng):
@@ -479,6 +481,10 @@ def main(argv=None):
         _emit({"schema_version": SCHEMA_VERSION, "error": "usage",
                "message": str(exc)}, sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        _emit({"schema_version": SCHEMA_VERSION, "error": "internal",
+               "message": str(exc)}, sys.stderr)
+        return EXIT_INTERNAL
     if len(out) == 3:
         code, doc, rows = out
         _emit_csv(rows, ("instance", "passed"))

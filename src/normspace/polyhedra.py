@@ -3,13 +3,12 @@
 Everything runs on Fractions.  Both enumerations share one polar hull route:
 the facets of conv(+-w_i) are found directly, and the vertices of
 {x : |<a_i, x>| <= b_i} are the facets (n, c) of conv(+-a_i/b_i) mapped to
-n/c.  In 2D the hull is a monotone chain; in 3D the combinatorics are seeded
-by Qhull on float images and every plane is certified exactly, with a
-brute-force fallback for small inputs if certification fails.  Repeated and
-antipodal inputs are kept once, at their first index.
+n/c.  In 2D the hull is a monotone chain; in 3D it is gift wrapping, each
+pivot proposed in float and certified in Fraction, and the finished hull is
+certified complete.  Repeated and antipodal inputs are kept once, at their
+first index.
 """
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -17,20 +16,9 @@ import numpy as np
 from . import qlinalg
 from .errors import InfeasibleScaleError, UsageError
 
-BRUTE_FORCE_FACET_CAP = 60
-
 
 def _fr(x):
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _dedup_exact(points):
-    seen = {}
-    for idx, p in enumerate(points):
-        seen.setdefault(tuple(p), idx)
-    uniq = list(seen.keys())
-    back = list(seen.values())
-    return uniq, back
 
 
 def _canon_sign(vec):
@@ -45,8 +33,6 @@ def _primitive(normal, offset):
     normal, so entries land in [-1, 1] with at least one equal to +-1.
     (Float-safe, unlike clearing denominators, which can explode.)"""
     mx = max(abs(x) for x in normal)
-    if mx == 0:
-        raise UsageError("zero normal")
     return tuple(x / mx for x in normal), offset / mx
 
 
@@ -77,7 +63,7 @@ def hull2d(points):
 
 
 # ---------------------------------------------------------------------------
-# 3D: Qhull-seeded exact hull planes
+# 3D: exact gift wrapping
 # ---------------------------------------------------------------------------
 
 def _plane_through(p, q, r):
@@ -88,85 +74,110 @@ def _plane_through(p, q, r):
         u[2] * v[0] - u[0] * v[2],
         u[0] * v[1] - u[1] * v[0],
     )
-    if all(x == 0 for x in n):
-        return None
     c = sum(n[i] * p[i] for i in range(3))
     if c < 0:
         n, c = tuple(-x for x in n), -c
     if c == 0:
-        return None  # plane through the origin cannot support a symmetric hull
+        return None  # collinear points, or a plane through the origin
     return _primitive(tuple(Fraction(x) for x in n), Fraction(c))
 
 
-def _brute_hull3d_planes(points):
-    planes = {}
-    m = len(points)
-    for i, j, k in itertools.combinations(range(m), 3):
-        pl = _plane_through(points[i], points[j], points[k])
-        if pl is None or pl in planes:
-            continue
-        n, c = pl
-        vals = [sum(n[t] * p[t] for t in range(3)) for p in points]
-        if all(v <= c for v in vals):
-            planes[pl] = True
-    return list(planes)
-
-
 def _exact_violations(points, arr, normal, offset):
-    """Indices of points with <n, x> > c, exactly.
+    """Indices of points with <n, x> > c, and of points with <n, x> = c.
 
     A float prefilter with a conservative guard band skips points that are
     strictly inside by a wide margin; only near-boundary points are checked
-    with exact arithmetic, so the result is still exact.
+    with exact arithmetic, so both lists are still exact.
     """
     nf = np.array([float(x) for x in normal])
     cf = float(offset)
     vals = arr @ nf
-    scale = max(1.0, abs(cf), float(np.max(np.abs(vals))))
-    guard = 1e-9 * scale
-    suspects = np.nonzero(vals > cf - guard)[0]
-    out = []
-    for i in suspects:
+    guard = 1e-9 * max(1.0, abs(cf), float(np.max(np.abs(vals))))
+    over, on = [], []
+    for i in np.nonzero(vals > cf - guard)[0]:
         v = sum(normal[t] * points[i][t] for t in range(3))
         if v > offset:
-            out.append(int(i))
-    return out
+            over.append(int(i))
+        elif v == offset:
+            on.append(int(i))
+    return over, on
+
+
+def _wrap(points, arr, a, b, normal, inside):
+    """Turn a supporting plane about the line ab as far as the points allow.
+
+    normal is the outward normal of the known supporting plane through the
+    line, inside (float) a point of it off the line on the side the plane
+    turns away from.  The pivot of largest rotation angle is proposed in
+    float; its exact plane is certified, and each exact violator turns the
+    plane strictly further.  Returns (plane, indices of the points on it).
+    """
+    pa = np.array([float(x) for x in a])
+    u = np.array([float(x) for x in b]) - pa
+    v = np.asarray(inside) - pa
+    v -= (v @ u) / (u @ u) * u
+    nf = np.array([float(x) for x in normal])
+    d = arr - pa
+    x, y = d @ (v / np.linalg.norm(v)), d @ (nf / np.linalg.norm(nf))
+    off_line = np.hypot(x, y) > 1e-12 * np.max(np.abs(arr))
+    # the angle turned is pi/2 - arctan2(x, -y), continuous where -y = +-0
+    q = int(np.argmin(np.where(off_line, np.arctan2(x, -y), np.inf)))
+    while True:
+        plane = _plane_through(a, b, points[q])
+        if plane is None:
+            raise RuntimeError("exact 3D hull: degenerate wrap pivot")
+        over, on = _exact_violations(points, arr, *plane)
+        if not over:
+            return plane, on
+        q = over[0]
 
 
 def hull3d_planes(points):
-    """Exact facet planes (n, c) with <n, x> <= c of conv(points), 0 interior.
+    """Exact facet planes (n, c) with <n, x> <= c of conv(points), 0 interior,
+    and the sorted indices of the hull's vertices.
 
-    Qhull proposes the combinatorics on the float image; each proposed plane
-    is recomputed exactly and certified to support all points.  If Qhull
-    rejects the input or the seed is inconsistent, the computation falls back
-    to exhaustive triples (small inputs only).
+    Gift wrapping (Chand-Kapur 1970): two wraps about lines through the point
+    s with the largest first coordinate turn the plane x = x_s into a first
+    facet, then each edge with one known face is wrapped to its other face.
+    A face is the exact 2D hull of the points exactly on its plane, seen
+    along the normal's largest coordinate.  The hull is certified complete:
+    every edge lies in exactly two faces and V - E + F = 2.
     """
-    # Imported here because scipy.spatial is most of the package's import time
-    # and only 3D hulls use it.
-    from scipy.spatial import ConvexHull, QhullError
-
     arr = np.array([[float(x) for x in p] for p in points], dtype=float)
-    try:
-        simplices = ConvexHull(arr).simplices
-    except QhullError:
-        simplices = []  # no seed: fall back below
-    planes = {}
-    ok = True
-    for simplex in simplices:
-        pl = _plane_through(*(points[i] for i in simplex))
-        if pl is None or pl in planes:
-            continue
-        if _exact_violations(points, arr, *pl):
-            ok = False
-            break
-        planes[pl] = True
-    if ok and planes:
-        return list(planes)
-    if len(points) > BRUTE_FORCE_FACET_CAP:
-        raise InfeasibleScaleError(
-            f"exact 3D hull certification failed for {len(points)} points"
-        )
-    return _brute_hull3d_planes(points)
+    faces = {}  # plane -> face vertex indices in cyclic order
+    edges = {}  # (i, j) with i < j -> set of the planes of the faces through it
+    todo = []
+
+    def add(plane, on):
+        if plane in faces:
+            raise RuntimeError("exact 3D hull: a wrap returned a known face")
+        if len(on) > 3:  # three points off one line are already a face
+            drop = max(range(3), key=lambda t: abs(plane[0][t]))
+            on = [on[h] for h in hull2d(
+                [tuple(points[i][t] for t in range(3) if t != drop) for i in on])]
+        faces[plane] = on
+        for i, j in zip(on, on[1:] + on[:1]):
+            edge = (min(i, j), max(i, j))
+            edges.setdefault(edge, set()).add(plane)
+            todo.append(edge)
+
+    s = max(range(len(points)), key=points.__getitem__)
+    a = points[s]
+    plane, on = _wrap(points, arr, a, (a[0], a[1], a[2] + 1), (1, 0, 0),
+                      arr[s] + (0, 1, 0))
+    q = next(i for i in on if points[i][:2] != a[:2])  # off the first line
+    add(*_wrap(points, arr, a, points[q], plane[0], arr[s] + (0, 0, 1)))
+    while todo:
+        i, j = todo.pop()
+        if len(edges[i, j]) == 1:
+            (plane,) = edges[i, j]
+            add(*_wrap(points, arr, points[i], points[j], plane[0],
+                       arr[faces[plane]].mean(axis=0)))
+    verts = sorted({i for face in faces.values() for i in face})
+    if (any(len(planes) != 2 for planes in edges.values())
+            or len(verts) - len(edges) + len(faces) != 2):
+        raise RuntimeError("exact 3D hull: the faces do not close up")
+    return list(faces), verts
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +205,10 @@ def _hull_planes(points, n):
     point is a hull vertex; an input that repeats an earlier point or its
     antipode is never kept.
     """
-    signed = []
-    for p in points:
-        signed.append(p)
-        signed.append(tuple(-x for x in p))
-    uniq, back = _dedup_exact(signed)  # back[h] // 2 is the input of uniq[h]
+    seen = {}  # each point -> its first index, input i at 2i and -input i at 2i + 1
+    for idx, p in enumerate(q for p in points for q in (p, tuple(-x for x in p))):
+        seen.setdefault(p, idx)
+    uniq, back = list(seen), list(seen.values())  # back[h] // 2 is the input of uniq[h]
 
     if n == 2:
         hull = hull2d(uniq)
@@ -206,27 +216,9 @@ def _hull_planes(points, n):
         for t, h in enumerate(hull):
             p, q = uniq[h], uniq[hull[(t + 1) % len(hull)]]
             planes.append(((q[1] - p[1], p[0] - q[0]), p[0] * q[1] - p[1] * q[0]))
-        return planes, sorted({back[h] // 2 for h in hull})
-
-    planes = hull3d_planes(uniq)
-    # a point is extreme iff the planes through it span the whole space; the
-    # hull is symmetric, so the first signed copy of each input decides
-    plane_arr = np.array([[float(x) for x in a] for a, _ in planes])
-    offs = np.array([float(b) for _, b in planes])
-    keep = []
-    for p, first in zip(uniq, back):
-        if first % 2:
-            continue
-        vals = plane_arr @ np.array([float(x) for x in p])
-        scale = np.maximum(1.0, np.maximum(np.abs(offs), np.abs(vals)))
-        touching = []
-        for t in np.nonzero(np.abs(vals - offs) <= 1e-9 * scale)[0]:
-            a, b = planes[int(t)]
-            if sum(a[r] * p[r] for r in range(n)) == b:
-                touching.append(a)
-        if touching and _rank_full(touching, n):
-            keep.append(first // 2)
-    return planes, keep
+    else:
+        planes, hull = hull3d_planes(uniq)
+    return planes, sorted({back[h] // 2 for h in hull})
 
 
 def vertex_enum_exact(facets):

@@ -2,11 +2,12 @@
 
 The oracles here (integer Smith normal form, brute-force log-sup ratios,
 entrywise adapted-basis and lattice-equality tests, loop-structured float
-kernels and closure sweeps, brute-force cube isometries) deliberately do not
-share code with the library paths they check.
+kernels and closure sweeps, brute-force cube isometries and 3D hulls)
+deliberately do not share code with the library paths they check.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -325,3 +326,38 @@ def exact_closure_loops(rows, f):
         if not moved:
             return f
     raise RuntimeError("exact closure did not stabilize")
+
+
+def brute_hull3d(points):
+    """Exact hull oracle in 3D by exhaustive triples, in integer arithmetic.
+
+    Returns (planes, vertices): the facet planes (n, c) with <n, x> <= c in
+    polyhedra's canonical form (max |n_i| = 1, c > 0; the origin must be
+    interior) and the sorted indices of the points whose facets' normals
+    span R^3, i.e. the hull vertices.
+    """
+    den = math.lcm(*(Fraction(x).denominator for p in points for x in p))
+    ints = [tuple(int(x * den) for x in p) for p in points]
+    found = set()
+    for p, q, r in itertools.combinations(ints, 3):
+        u = [q[t] - p[t] for t in range(3)]
+        v = [r[t] - p[t] for t in range(3)]
+        n = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+             u[0] * v[1] - u[1] * v[0]]
+        c = sum(n[t] * p[t] for t in range(3))
+        if c < 0:
+            n, c = [-x for x in n], -c
+        if c == 0 or any(sum(n[t] * w[t] for t in range(3)) > c for w in ints):
+            continue
+        g = math.gcd(*n, c)
+        found.add((tuple(x // g for x in n), c // g))
+    planes = []
+    for n, c in found:
+        m = max(abs(x) for x in n)
+        planes.append((tuple(Fraction(x, m) for x in n), Fraction(c, m * den)))
+    vertices = []
+    for i, w in enumerate(ints):
+        touching = [n for n, c in found if sum(n[t] * w[t] for t in range(3)) == c]
+        if touching and qlinalg.rank(qlinalg.mat(touching)) == 3:
+            vertices.append(i)
+    return planes, vertices

@@ -142,7 +142,10 @@ def test_distance_zero_and_symmetry():
         k = make()
         assert gi_distance_bodies(k, k) <= 1e-12
     a, b = random_spd(rng, 2), random_polygon(rng)
-    assert gi_distance_bodies(a, b) == pytest.approx(gi_distance_bodies(b, a), abs=1e-9)
+    assert gi_distance_bodies(a, b) == gi_distance_bodies(b, a)
+    for _ in range(300):  # SPD pairs too: symmetric to the bit
+        a, b = random_spd(rng, 2), random_spd(rng, 2)
+        assert gi_distance_bodies(a, b) == gi_distance_bodies(b, a)
 
 
 def test_disc_vs_square():
@@ -205,6 +208,17 @@ def test_polar_gauge_duality():
         u = rng.standard_normal(2)
         expect = np.max(full @ u)
         assert gauge(pol, u) == pytest.approx(expect, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_polar_duality_preserves_distance(n):
+    # d(polar K, polar L) = d(K, L); each polar is enumerated exactly from
+    # the facets |<w, x>| <= 1 over the vertices w of the body
+    rng = helpers.rng_for(407 + n)
+    for _ in range(8):
+        pair = [PolyNorm.from_vertices(rng.standard_normal((8, n))) for _ in range(2)]
+        polars = [PolyNorm.from_facets(b.vertices, np.ones(len(b.vertices))) for b in pair]
+        assert gi_distance_bodies(*polars) == pytest.approx(gi_distance_bodies(*pair), rel=1e-9)
 
 
 # -- mvee --

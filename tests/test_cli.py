@@ -243,6 +243,44 @@ def _campaign_with(monkeypatch, capsys, check):
     return code, json.loads(out)
 
 
+def _family_3d(seed):
+    """Three polytopes of 10 Gaussian points in R^3, radii max d / 2 + 0.05."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    fam = [PolyNorm.from_vertices(rng.standard_normal((10, 3))) for _ in range(3)]
+    dmat = [[normspace.gi_distance_bodies(x, y) for y in fam] for x in fam]
+    return json.dumps({"bodies": [body_to_json(b) for b in fam],
+                       "radii": [max(row) / 2 + 0.05 for row in dmat]})
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_helly_bodies_on_3d_polytope_families(capsys, seed):
+    # The witness's pooled facets put the polar points of a vertex of degree
+    # d > 3 off one plane by about 1e-17 relative: a degenerate exact hull.
+    code, out, _ = run_cli(capsys, "helly-bodies", "--family", _family_3d(seed))
+    assert code == 0
+    doc = json.loads(out)
+    assert all(d <= a for d, a in zip(doc["distances"], doc["allowed"]))
+
+
+def test_internal_check_failure_exits_4(monkeypatch, capsys):
+    family = _family_3d(0)
+    real = normspace.polyhedra._wrap
+    seen = []
+
+    def repeating(*args):  # the two wraps to the first facet, then that facet again
+        seen.append(real(*args))
+        return seen[min(len(seen), 2) - 1]
+
+    monkeypatch.setattr(normspace.polyhedra, "_wrap", repeating)
+    code, out, err = run_cli(capsys, "helly-bodies", "--family", family)
+    assert code == 4
+    assert out == ""
+    doc = json.loads(err)
+    assert set(doc) == {"schema_version", "error", "message"}
+    assert doc["error"] == "internal"
+    assert doc["message"] == "exact 3D hull: a wrap returned a known face"
+
+
 def test_campaign_records_a_violated_property(monkeypatch, capsys):
     verdicts = iter([True, False, True])
     code, doc = _campaign_with(monkeypatch, capsys, lambda rng: next(verdicts))
@@ -297,6 +335,24 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_3d_hulls_leave_scipy_unloaded():
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import numpy as np\n"
+        "from normspace import PolyNorm, body_to_json, cli\n"
+        "pts = np.random.Generator(np.random.PCG64(5)).standard_normal((3, 10, 3))\n"
+        "fam = [body_to_json(PolyNorm.from_vertices(p)) for p in pts]\n"
+        "arg = json.dumps({'bodies': fam, 'radii': [3, 3, 3]})\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['helly-bodies', '--family', arg])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 def test_determinism_across_subcommands(capsys):

@@ -3,17 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.spatial
 from scipy.optimize import linprog
 
 import helpers
-from normspace import InfeasibleScaleError, PolyNorm, UsageError, polyhedra, qlinalg
+from normspace import InfeasibleScaleError, PolyNorm, UsageError, polyhedra
 from normspace.polyhedra import (
     facet_enum_exact,
     hull2d,
     hull3d_planes,
     vertex_enum_exact,
-    _brute_hull3d_planes,
     _canon_sign,
 )
 
@@ -108,9 +106,10 @@ def test_hull3d_cube_planes():
     pts = [tuple(F(x) for x in p)
            for p in [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
                      (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1)]]
-    planes = hull3d_planes(pts)
+    planes, verts = hull3d_planes(pts)
     assert len(planes) == 6
-    assert sorted(planes) == sorted(_brute_hull3d_planes(pts))
+    assert verts == list(range(8))
+    assert sorted(planes) == sorted(helpers.brute_hull3d(pts)[0])
 
 
 def test_vertex_enum_cube_and_octahedron():
@@ -142,19 +141,13 @@ def test_vertex_enum_3d_matches_brute_force_random():
         verts, keep = vertex_enum_exact(facets)
         polar_pts = [tuple(x / b for x in a) for a, b in facets]
         signed = polar_pts + [tuple(-x for x in p) for p in polar_pts]
-        brute_planes = _brute_hull3d_planes(signed)
-        assert sorted(brute_planes) == sorted(hull3d_planes(signed))
+        brute_planes, brute_verts = helpers.brute_hull3d(signed)
+        assert sorted(brute_planes) == sorted(hull3d_planes(signed)[0])
         # polarity: the vertices are the brute-force planes (n, c) as n/c ...
         assert sorted(verts) == sorted(
             {_canon_sign(tuple(x / c for x in nrm)) for nrm, c in brute_planes})
-        # ... and facet i is kept iff the planes through its polar point span
-        full_rank = []
-        for i, p in enumerate(polar_pts):
-            touching = [nrm for nrm, c in brute_planes
-                        if sum(x * y for x, y in zip(nrm, p)) == c]
-            if touching and qlinalg.rank(qlinalg.mat(touching)) == 3:
-                full_rank.append(i)
-        assert keep == full_rank
+        # ... and facet i is kept iff its polar point is a hull vertex
+        assert keep == [i for i in brute_verts if i < len(polar_pts)]
 
 
 # Each base set is in convex position, +-symmetrically, and so is its polar:
@@ -186,49 +179,88 @@ def test_repeated_and_antipodal_inputs_are_kept_once(n, route):
 CUBE = [tuple(F(x) for x in p) for p in itertools.product((1, -1), repeat=3)]
 
 
-def _fake_convex_hull(monkeypatch, fake):
-    """Replace Qhull by `fake` and count the brute-force fallbacks."""
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", fake)
-    calls = []
-    brute = polyhedra._brute_hull3d_planes
-
-    def counted(points):
-        calls.append(len(points))
-        return brute(points)
-
-    monkeypatch.setattr(polyhedra, "_brute_hull3d_planes", counted)
-    return calls
+def _signed(points):
+    """Input i at index 2i and its antipode at 2i + 1, as _hull_planes does."""
+    return [q for p in points for q in (p, tuple(-x for x in p))]
 
 
-def test_hull3d_rejects_a_seed_with_a_non_facet_triple(monkeypatch):
-    real = scipy.spatial.ConvexHull(np.array(CUBE, dtype=float)).simplices
-
-    class Seed:
-        # (1,1,1), (1,-1,-1), (-1,1,-1) span x + y - z = 1, which cuts the cube
-        simplices = np.vstack([real, [[0, 3, 5]]])
-
-    calls = _fake_convex_hull(monkeypatch, lambda arr: Seed())
-    assert sorted(hull3d_planes(CUBE)) == sorted(_brute_hull3d_planes(CUBE))
-    assert calls == [8]
-
-
-def test_hull3d_falls_back_on_qhull_error(monkeypatch):
-    def fail(arr):
-        raise scipy.spatial.QhullError("QH6154 initial simplex is flat")
-
-    calls = _fake_convex_hull(monkeypatch, fail)
-    assert sorted(hull3d_planes(CUBE)) == sorted(_brute_hull3d_planes(CUBE))
-    assert calls == [8]
+def _assert_hull_matches_oracle(points, keep):
+    """Planes and vertices of conv(+-points) equal the brute-force oracle's,
+    and keep lists the inputs that are hull vertices."""
+    signed = _signed(points)
+    planes, verts = hull3d_planes(signed)
+    brute_planes, brute_verts = helpers.brute_hull3d(signed)
+    assert sorted(planes) == sorted(brute_planes)
+    assert verts == brute_verts
+    assert keep == [i for i in range(len(points)) if 2 * i in brute_verts]
 
 
-def test_hull3d_lets_other_errors_propagate(monkeypatch):
-    def broken(arr):
-        raise TypeError("not a Qhull failure")
+def _half_grid(ranges):
+    """Integer grid points with a positive first nonzero coordinate."""
+    pts = []
+    for p in itertools.product(*ranges):
+        if next((x for x in p if x), 0) > 0:
+            pts.append(tuple(F(x) for x in p))
+    return pts
 
-    calls = _fake_convex_hull(monkeypatch, broken)
-    with pytest.raises(TypeError):
+
+HULL_INPUTS = {
+    "cube": CUBE[:4],
+    "cross-polytope": [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))],
+    "grid-3x3x3": _half_grid([(-1, 0, 1)] * 3),
+    "grid-2x3x3": _half_grid([(1, 2), (-1, 0, 1), (-1, 0, 1)]),
+    "grid-2x2x5": _half_grid([(1, 3), (-1, 2), (-2, -1, 0, 1, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HULL_INPUTS))
+def test_hull3d_matches_the_oracle_on_degenerate_inputs(name):
+    points = HULL_INPUTS[name]
+    _, keep = facet_enum_exact(points)
+    _assert_hull_matches_oracle(points, keep)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_hull3d_matches_the_oracle_on_round_trips(seed):
+    # The float facets of a random polytope put the polar points of a vertex
+    # of degree d > 3 off one plane by about 1e-17 relative, so the exact hull
+    # splits that face into near-coplanar triangles.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    body = PolyNorm.from_vertices(rng.standard_normal((10, 3)))
+    facets = [(tuple(F(float(x)) for x in a), F(float(b)))
+              for a, b in zip(body.a, body.b)]
+    _, keep = vertex_enum_exact(facets)
+    _assert_hull_matches_oracle([tuple(x / b for x in a) for a, b in facets], keep)
+    assert len(PolyNorm.from_facets(body.a, body.b).a) == len(keep)
+
+
+TOP = ((F(0), F(0), F(1)), F(1))
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("lost", "do not close up"),   # every edge of the top face keeps one face
+    ("extra", "do not close up"),  # edges close up, but V - E + F = 3
+    ("repeated", "known face"),
+])
+def test_hull3d_certificate_rejects_a_faulty_wrap(monkeypatch, fault, message):
+    real = polyhedra._wrap
+    seen = []
+
+    def faulty(*args):
+        plane, on = real(*args)
+        seen.append(plane)
+        if plane != TOP:
+            return plane, on
+        if fault == "lost":  # the top face comes back empty, under a new plane
+            return (plane[0], plane[1] + len(seen)), []
+        if fault == "extra":  # one empty face before the real top face
+            return ((plane[0], plane[1] + 1), []) if seen.count(TOP) == 1 else (plane, on)
+        return seen[0], on  # an earlier face in place of the top one
+
+    monkeypatch.setattr(polyhedra, "_wrap", faulty)
+    with pytest.raises(RuntimeError, match=message):
         hull3d_planes(CUBE)
-    assert calls == []
+    assert TOP in seen
 
 
 def test_dimension_guard():

@@ -5,12 +5,15 @@ localization Z_(p).  The thickening graph puts an edge between vertices at
 Goldman-Iwahori distance exactly 1; its combinatorial balls are certified
 against the exact metric, and small Helly instances can be checked
 exhaustively.  Enumeration is limited to n <= 3 and p <= 3.
+Hermite forms and neighbour bases are computed on integers; Fractions are
+built only for the returned entries.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import qlinalg
 from .errors import InfeasibleScaleError, PairwiseRadiusError, UsageError
-from .valued import DiagNorm, gi_distance, helly_witness_na, pval
+from .valued import DiagNorm, gi_distance, helly_witness_na, pval_int
 
 MAX_DIM = 3
 MAX_PRIME = 3
@@ -32,70 +35,59 @@ def _check_scale(n, p):
         )
 
 
-def reduce_mod_ppow(x, k, p):
-    """Canonical representative of x modulo p^k Z_(p), in [0, p^k) ∩ Z[1/p]."""
-    if x == 0:
-        return Fraction(0)
-    v = pval(x, p)
-    if v >= k:
-        return Fraction(0)
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-    while den % p == 0:
-        den //= p
-    modulus = p ** (k - v)
-    c = (num * pow(den, -1, modulus)) % modulus
-    return Fraction(c) * Fraction(p) ** v
+def _hermite(cols, p):
+    """Z_(p) Hermite form (its n columns) of integer columns spanning a lattice.
+
+    Bottom-up pivoting on the least valuation by fraction-free operations
+    u*col - (w/p^a)*pcol (pivot entry p^a u), each changed column divided by
+    its content prime to p.  The lattice contains p^K Z_(p)^n, K = sum a_i,
+    so diagonal units are inverted mod p^K (modular HNF: Domich-Kannan-Trotter
+    1987; Cohen 1993, 2.4), and entries above pivot p^{a_i} go into [0, p^{a_i}).
+    """
+    n = len(cols[0])
+    work = [list(c) for c in cols]
+    placed = [None] * n
+    exps = [0] * n
+    for row in range(n - 1, -1, -1):
+        nonzero = [(pval_int(col[row], p), k) for k, col in enumerate(work) if col[row]]
+        if not nonzero:
+            raise UsageError("columns do not span a full lattice")
+        exps[row], k = min(nonzero)
+        pcol = placed[row] = work.pop(k)
+        pa = p ** exps[row]
+        u = pcol[row] // pa
+        for k, col in enumerate(work):
+            w = col[row] // pa  # exact: the pivot has the least valuation
+            if w:
+                col = [u * x - w * y for x, y in zip(col, pcol)]
+                g = math.gcd(*col)
+                while g and g % p == 0:
+                    g //= p
+                work[k] = [x // g for x in col] if g > 1 else col
+    mod = p ** sum(exps)
+    for j, col in enumerate(placed):
+        t = pow(col[j] // p ** exps[j], -1, mod)
+        col[:] = [t * x % mod for x in col]
+        col[j] = p ** exps[j]
+        for i in range(j - 1, -1, -1):  # columns i < j are already in final form
+            q = col[i] // placed[i][i]
+            if q:
+                for r in range(i + 1):
+                    col[r] -= q * placed[i][r]
+    return placed
 
 
 def hnf_dvr(columns, p):
     """Column Hermite form over Z_(p) of a full-rank rational column family.
 
     Output is upper triangular with diagonal p^{a_i} and the entries above
-    each pivot reduced modulo p^{a_i}; it is the canonical basis of the
-    lattice spanned by the input columns.
+    each pivot reduced modulo p^{a_i} into [0, p^{a_i}) ∩ Z[1/p]; it is the
+    canonical basis of the lattice spanned by the input columns.  With
+    D = p^s u the common denominator, that lattice is p^{-s} lattice(D columns).
     """
-    n = len(columns[0])
-    work = [[qlinalg.frac(x) for x in col] for col in columns]
-    avail = list(range(len(work)))
-    placed = [None] * n
-    for row in range(n - 1, -1, -1):
-        best = None
-        for idx in avail:
-            x = work[idx][row]
-            if x != 0:
-                v = pval(x, p)
-                if best is None or v < best[0]:
-                    best = (v, idx)
-        if best is None:
-            raise UsageError("columns do not span a full lattice")
-        pidx = best[1]
-        pcol = work[pidx]
-        avail.remove(pidx)
-        for idx in avail:
-            x = work[idx][row]
-            if x != 0:
-                c = x / pcol[row]  # valuation >= 0 by pivot minimality
-                for r in range(row + 1):
-                    work[idx][r] -= c * pcol[r]
-        placed[row] = pcol
-    exps = []
-    for j in range(n):
-        d = placed[j][j]
-        a = pval(d, p)
-        unit = d / Fraction(p) ** a
-        placed[j] = [x / unit for x in placed[j]]
-        exps.append(a)
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            x = placed[j][i]
-            target = reduce_mod_ppow(x, exps[i], p)
-            if x != target:
-                t = (x - target) / placed[i][i]
-                for r in range(i + 1):
-                    placed[j][r] -= t * placed[i][r]
-    return tuple(tuple(placed[j][i] for j in range(n)) for i in range(n))
+    cols, den = qlinalg.clear_denominators(columns)
+    h, scale = _hermite(cols, p), p ** pval_int(den, p)
+    return tuple(tuple(Fraction(col[i], scale) for col in h) for i in range(len(h)))
 
 
 class LatticeVertex:
@@ -123,11 +115,9 @@ class LatticeVertex:
     def lattice_basis(self):
         """Weight-absorbed basis: column j is p^{m_j} times basis vector j."""
         p = Fraction(self.ctx.p)
-        return [
-            tuple(self.norm.basis[i][j] * p ** self.norm.weights[j]
-                  for i in range(self.dim))
-            for j in range(self.dim)
-        ]
+        b, w = self.norm.basis, self.norm.weights
+        return [tuple(row[j] * p ** w[j] if w[j] else row[j] for row in b)
+                for j in range(self.dim)]
 
     @property
     def canonical_key(self):
@@ -173,22 +163,16 @@ def _extend_subgroup(elems, gen, p2, n):
     return frozenset(out)
 
 
-_SUBMODULE_CACHE = {}
-
-
+@functools.cache
 def submodule_generators(n, p):
     """Generating sets (<= n generators) for every submodule of (Z/p^2)^n.
 
     Built by closing one added generator at a time with deduplication; the
     result is cached per (n, p).
     """
-    key = (n, p)
-    if key in _SUBMODULE_CACHE:
-        return _SUBMODULE_CACHE[key]
     p2 = p * p
     elems = list(itertools.product(range(p2), repeat=n))
-    zero = tuple([0] * n)
-    trivial = frozenset([zero])
+    trivial = frozenset([(0,) * n])
     found = {trivial: ()}
     frontier = [trivial]
     for _ in range(n):
@@ -203,9 +187,15 @@ def submodule_generators(n, p):
                     found[bigger] = gens + (g,)
                     new_frontier.append(bigger)
         frontier = new_frontier
-    out = sorted(found.values())
-    _SUBMODULE_CACHE[key] = out
-    return out
+    return sorted(found.values())
+
+
+@functools.cache
+def _standard_forms(n, p):
+    """Integer columns of p H_s, H_s the Hermite form of pZ^n + span(gens_s / p)."""
+    eye = [[p * p * (i == j) for i in range(n)] for j in range(n)]
+    return [_hermite(eye + [list(g) for g in gens], p)
+            for gens in submodule_generators(n, p)]
 
 
 @functools.lru_cache(maxsize=65536)
@@ -213,26 +203,20 @@ def neighbors(vertex):
     """All vertices at Goldman-Iwahori distance exactly 1.
 
     These are the lattices L' with pL ⊆ L' ⊆ p^{-1}L other than L itself,
-    one per submodule of p^{-1}L / pL ≅ (Z/p^2)^n.
+    one per submodule of p^{-1}L / pL ≅ (Z/p^2)^n.  With W = W_int / D the
+    lattice basis of L, neighbour s has basis W H_s = W_int (p H_s) / (D p).
     """
     n, p = vertex.dim, vertex.ctx.p
     _check_scale(n, p)
-    ctx = vertex.ctx
-    w_cols = vertex.lattice_basis()
-    w_mat = qlinalg.from_columns(w_cols)
+    w_cols, den = qlinalg.clear_denominators(vertex.lattice_basis())
+    w_rows = list(zip(*w_cols))
     self_key = vertex.canonical_key
-    zero_w = [0] * n
+    zero_w = (Fraction(0),) * n
     out = {}
-    for gens in submodule_generators(n, p):
-        cols = [
-            tuple(Fraction(p) if i == j else Fraction(0) for i in range(n))
-            for j in range(n)
-        ]
-        for g in gens:
-            cols.append(tuple(Fraction(c, p) for c in g))
-        h = hnf_dvr(cols, p)
-        basis_std = qlinalg.matmul(w_mat, h)
-        cand = LatticeVertex(DiagNorm(ctx, basis_std, zero_w))
+    for form in _standard_forms(n, p):
+        basis = [[Fraction(sum(x * y for x, y in zip(wr, hc)), den * p) for hc in form]
+                 for wr in w_rows]
+        cand = LatticeVertex(DiagNorm(vertex.ctx, basis, zero_w))
         k = cand.canonical_key
         if k != self_key and k not in out:
             out[k] = cand
@@ -299,7 +283,8 @@ def helly_check_building(family, mode="witness"):
     """Check that a family of balls has a common vertex.
 
     family: list of (LatticeVertex, integer radius) pairs.
-    Witness mode builds the join witness and re-verifies memberships.
+    Witness mode builds the join witness, whose memberships
+    ``helly_witness_na`` certifies.
     Exhaustive mode enumerates the ball vertex sets and intersects them;
     an empty intersection despite pairwise-compatible radii would falsify
     the Helly property of the thickening and raises a fatal error.
@@ -326,11 +311,7 @@ def helly_check_building(family, mode="witness"):
         if bad_pair:
             raise PairwiseRadiusError(bad_pair[:2], bad_pair[2])
         theta = helly_witness_na([c.norm for c in centers], radii)
-        witness = LatticeVertex(theta)
-        for s, (c, r) in enumerate(zip(centers, radii)):
-            if gi_distance(witness.norm, c.norm) > r:
-                raise RuntimeError(f"witness escaped ball {s}")
-        return BallCertificate(centers, radii, mode, "witness", witness=witness)
+        return BallCertificate(centers, radii, mode, "witness", witness=LatticeVertex(theta))
 
     balls = [ball_bfs(c, r) for c, r in zip(centers, radii)]
     sizes = [len(b) for b in balls]

@@ -488,6 +488,7 @@ def main(argv=None):
     if len(out) == 3:
         code, doc, rows = out
         _emit_csv(rows, ("instance", "passed"))
+        _emit(doc, sys.stderr)
         return code
     code, doc = out
     _emit(doc)

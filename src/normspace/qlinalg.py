@@ -2,9 +2,11 @@
 
 Matrices are tuples of tuples of ``fractions.Fraction`` in row-major order.
 Everything here is exact; sizes stay tiny (n <= 6), so Gaussian elimination
-with Fraction arithmetic is entirely adequate.
+with Fraction arithmetic is entirely adequate.  The ultrametric core uses
+the integer helpers ``clear_denominators`` and ``bareiss`` instead.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import UsageError
@@ -33,21 +35,11 @@ def identity(n):
     )
 
 
-def transpose(a):
-    return tuple(tuple(row[i] for row in a) for i in range(len(a[0])))
-
-
 def matmul(a, b):
-    bt = transpose(b)
+    bt = list(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def matvec(a, v):
-    if len(a[0]) != len(v):
-        raise UsageError(f"matvec shape mismatch: {len(a[0])} vs {len(v)}")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def column(a, j):
@@ -56,6 +48,36 @@ def column(a, j):
 
 def from_columns(cols):
     return tuple(tuple(col[i] for col in cols) for i in range(len(cols[0])))
+
+
+def clear_denominators(rows):
+    """(integer rows, d) with rows = integer rows / d, d the least common denominator."""
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def bareiss(rows):
+    """Fraction-free Gauss-Jordan (Bareiss 1968) on integer rows [A | C].
+
+    Returns (d, d A^{-1} [A | C]) with d = +-det(A), or (0, None) if A is
+    singular; every division is exact.
+    """
+    out = [list(r) for r in rows]
+    n = len(out)
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if out[r][k]), None)
+        if piv is None:
+            return 0, None
+        out[k], out[piv] = out[piv], out[k]
+        top = out[k]
+        d = top[k]
+        for r in range(n):
+            if r != k:
+                f = out[r][k]
+                out[r] = [(d * x - f * y) // prev for x, y in zip(out[r], top)]
+        prev = d
+    return prev, out
 
 
 def _elim(a):

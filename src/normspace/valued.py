@@ -3,13 +3,17 @@
 A norm is stored as an invertible rational basis matrix (column j = j-th
 basis vector in standard coordinates) together with a rational weight
 vector m.  Writing x for the coordinates of v in that basis, the norm value
-is q^max_i(m_i - v_p(x_i)) with q = p, and all arithmetic on the log scale
-is exact Fraction arithmetic.  No floating point enters this module.
+is q^max_i(m_i - v_p(x_i)) with q = p.  Values and distances are computed
+on integers (basis = B_int / D, inverse = D M / d with M = d B_int^{-1});
+Fractions appear only at the boundary: inputs, weights and returned values.
+No floating point enters this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import qlinalg
 from .errors import PairwiseRadiusError, UsageError
@@ -61,7 +65,7 @@ def pval(x, p):
 class DiagNorm:
     """An ultrametric norm diagonal in an explicit rational basis."""
 
-    __slots__ = ("ctx", "basis", "weights", "_inv")
+    __slots__ = ("ctx", "basis", "weights", "_ints", "_adj")
 
     def __init__(self, ctx, basis, weights):
         if not isinstance(ctx, PAdicContext):
@@ -74,9 +78,11 @@ class DiagNorm:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_inv", None)
-        if qlinalg.det(basis) == 0:
+        b_int, den = qlinalg.clear_denominators(basis)
+        if qlinalg.bareiss(b_int)[0] == 0:
             raise UsageError("basis matrix is singular")
+        object.__setattr__(self, "_ints", (b_int, den))
+        object.__setattr__(self, "_adj", None)
 
     def __setattr__(self, *a):  # immutable by construction
         raise AttributeError("DiagNorm is immutable")
@@ -85,19 +91,24 @@ class DiagNorm:
     def dim(self):
         return len(self.weights)
 
+    def _view(self):
+        """(B_int, D, M, d): basis = B_int / D and M = d * B_int^{-1}, d = +-det B_int."""
+        if self._adj is None:
+            b_int, n = self._ints[0], self.dim
+            d, out = qlinalg.bareiss([r + [int(i == j) for j in range(n)]
+                                      for i, r in enumerate(b_int)])
+            object.__setattr__(self, "_adj", ([r[n:] for r in out], d))
+        return self._ints + self._adj
+
     @property
     def basis_inv(self):
-        if self._inv is None:
-            object.__setattr__(self, "_inv", qlinalg.inv(self.basis))
-        return self._inv
+        _, den, m, d = self._view()
+        return tuple(tuple(Fraction(den * x, d) for x in row) for row in m)
 
     @classmethod
     def standard(cls, ctx, weights):
         weights = vec(weights)
         return cls(ctx, qlinalg.identity(len(weights)), weights)
-
-    def basis_vector(self, j):
-        return qlinalg.column(self.basis, j)
 
     def __eq__(self, other):
         return (
@@ -144,36 +155,49 @@ def _require_same_space(a, b):
         raise UsageError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _log_max(eta, cols, shift, offsets):
+    """max_j (log_q eta(c_j / E) - offsets_j) for integer columns c_j, v_p(E) = shift.
+
+    c_j / E has coordinates D (M c_j) / (d E) in eta's basis, so only
+    valuations of integer products enter; the result is the only Fraction
+    built, and None iff every M c_j is 0.
+    """
+    p = eta.ctx.p
+    e = math.lcm(*(w.denominator for w in eta.weights + offsets))
+    a = [w.numerator * (e // w.denominator) for w in eta.weights]
+    _, den, m, d = eta._view()
+    best = None
+    for col, off in zip(cols, offsets):
+        o = off.numerator * (e // off.denominator)
+        for row, ai in zip(m, a):
+            y = sum(x * c for x, c in zip(row, col))
+            if y:
+                t = ai - o - e * pval_int(y, p)
+                if best is None or t > best:
+                    best = t
+    if best is None:
+        return None
+    return Fraction(best + e * (shift + pval_int(d, p) - pval_int(den, p)), e)
+
+
 def eval_log_norm(eta, v):
     """log_q eta(v) as a Fraction; None iff v = 0."""
     v = vec(v)
     if len(v) != eta.dim:
         raise UsageError(f"vector has dimension {len(v)}, norm expects {eta.dim}")
-    x = qlinalg.matvec(eta.basis_inv, v)
-    p = eta.ctx.p
-    best = None
-    for mi, xi in zip(eta.weights, x):
-        if xi == 0:
-            continue
-        t = mi - pval(xi, p)
-        if best is None or t > best:
-            best = t
-    return best
+    (v_int,), e = qlinalg.clear_denominators([v])
+    return _log_max(eta, [v_int], pval_int(e, eta.ctx.p), (Fraction(0),))
 
 
 def log_sup_ratio(eta, etap):
     """Exact log_q sup_{v != 0} eta(v)/eta'(v).
 
-    The sup is attained at a basis vector of eta' (ultrametric inequality),
-    so it equals max_j (log eta(f_j) - m'_j).
+    The sup is attained at a basis vector f_j of eta' (ultrametric
+    inequality), so it is max_j (log eta(f_j) - m'_j), read off M B'_int.
     """
     _require_same_space(eta, etap)
-    best = None
-    for j in range(etap.dim):
-        t = eval_log_norm(eta, etap.basis_vector(j)) - etap.weights[j]
-        if best is None or t > best:
-            best = t
-    return best
+    b_int, den = etap._ints
+    return _log_max(eta, list(zip(*b_int)), pval_int(den, eta.ctx.p), etap.weights)
 
 
 def leq_norms(eta, etap):

@@ -1,9 +1,10 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here (integer Smith normal form, brute-force log-sup ratios,
-entrywise adapted-basis and lattice-equality tests, loop-structured float
-kernels and closure sweeps, brute-force cube isometries and 3D hulls)
-deliberately do not share code with the library paths they check.
+the Fraction Hermite form and Fraction distances, entrywise adapted-basis and
+lattice-equality tests, loop-structured float kernels and closure sweeps,
+brute-force cube isometries and 3D hulls) deliberately do not share code with
+the library paths they check.
 """
 
 import itertools
@@ -128,6 +129,90 @@ def cartan_distance_oracle(g_int, p):
     divs = smith_divisors(g_int)
     vals = [pval(Fraction(d), p) for d in divs]
     return max(max(vals), -min(vals), 0)
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles of the integer exact core
+# ---------------------------------------------------------------------------
+
+def reduce_mod_ppow(x, k, p):
+    """Canonical representative of x modulo p^k Z_(p), in [0, p^k) ∩ Z[1/p]."""
+    if x == 0:
+        return Fraction(0)
+    v = pval(x, p)
+    if v >= k:
+        return Fraction(0)
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+    while den % p == 0:
+        den //= p
+    modulus = p ** (k - v)
+    c = (num * pow(den, -1, modulus)) % modulus
+    return Fraction(c) * Fraction(p) ** v
+
+
+def hnf_dvr_fraction(columns, p):
+    """Column Hermite form over Z_(p), by Fraction elimination."""
+    n = len(columns[0])
+    work = [[qlinalg.frac(x) for x in col] for col in columns]
+    avail = list(range(len(work)))
+    placed = [None] * n
+    for row in range(n - 1, -1, -1):
+        best = None
+        for idx in avail:
+            x = work[idx][row]
+            if x != 0:
+                v = pval(x, p)
+                if best is None or v < best[0]:
+                    best = (v, idx)
+        if best is None:
+            raise UsageError("columns do not span a full lattice")
+        pidx = best[1]
+        pcol = work[pidx]
+        avail.remove(pidx)
+        for idx in avail:
+            x = work[idx][row]
+            if x != 0:
+                c = x / pcol[row]  # valuation >= 0 by pivot minimality
+                for r in range(row + 1):
+                    work[idx][r] -= c * pcol[r]
+        placed[row] = pcol
+    exps = []
+    for j in range(n):
+        d = placed[j][j]
+        a = pval(d, p)
+        unit = d / Fraction(p) ** a
+        placed[j] = [x / unit for x in placed[j]]
+        exps.append(a)
+    for j in range(n):
+        for i in range(j - 1, -1, -1):
+            x = placed[j][i]
+            target = reduce_mod_ppow(x, exps[i], p)
+            if x != target:
+                t = (x - target) / placed[i][i]
+                for r in range(i + 1):
+                    placed[j][r] -= t * placed[i][r]
+    return tuple(tuple(placed[j][i] for j in range(n)) for i in range(n))
+
+
+def eval_log_norm_fraction(eta, v):
+    """log_q eta(v) from the Fraction inverse of the basis; None iff v = 0."""
+    x = [sum(a * b for a, b in zip(row, qlinalg.vec(v))) for row in qlinalg.inv(eta.basis)]
+    vals = [m - pval(xi, eta.ctx.p) for m, xi in zip(eta.weights, x) if xi != 0]
+    return max(vals) if vals else None
+
+
+def log_sup_ratio_fraction(eta, etap):
+    """max_j (log eta(f_j) - m'_j) over the basis vectors f_j of eta'."""
+    return max(
+        eval_log_norm_fraction(eta, qlinalg.column(etap.basis, j)) - etap.weights[j]
+        for j in range(etap.dim)
+    )
+
+
+def gi_distance_fraction(eta, etap):
+    return max(log_sup_ratio_fraction(eta, etap), log_sup_ratio_fraction(etap, eta))
 
 
 # ---------------------------------------------------------------------------

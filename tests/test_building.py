@@ -18,12 +18,11 @@ from normspace import (
     random_vertex,
     scale_norm,
 )
-from helpers import vertices_equal
+from helpers import reduce_mod_ppow, vertices_equal
 from normspace.building import (
     adjacency_json,
     graphml,
     hnf_dvr,
-    reduce_mod_ppow,
     submodule_generators,
 )
 

@@ -366,3 +366,37 @@ def test_determinism_across_subcommands(capsys):
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+def test_campaign_csv_writes_the_summary_on_stderr(monkeypatch, capsys):
+    verdicts = iter([True, False, True, True, False, True])
+    monkeypatch.setitem(cli.CAMPAIGN_SUITES, "apartment", lambda rng: next(verdicts))
+    args = ("campaign", "--suite", "apartment", "--count", "3", "--seed", "5")
+    code, out, err = run_cli(capsys, *args, "--format", "csv")
+    assert code == 1
+    assert out == "instance,passed\n0,1\n1,0\n2,1\n"
+    assert err.count("\n") == 1
+    summary = json.loads(err)
+    assert {k: summary[k] for k in ("suite", "seed", "instances", "passed")} == {
+        "suite": "apartment", "seed": 5, "instances": 3, "passed": 2}
+    assert summary["failures"] == [{"instance": 1, "kind": "violated", "type": None,
+                                    "message": "the property does not hold"}]
+    _, json_out, _ = run_cli(capsys, *args)  # the JSON format prints the same summary
+    assert json_out == err
+
+
+def test_helly_building_witness_escape_exits_4(monkeypatch, capsys):
+    # ball 1 holds only its center, which lies at distance 2 from the
+    # center of ball 0; a join that returns that center lands outside ball 1
+    far = json.dumps(DiagNorm.standard(PAdicContext(2), [2, 2]).to_json())
+    family = json.dumps({"centers": [json.loads(STD), json.loads(far)], "radii": [2, 0]})
+    monkeypatch.setattr(normspace.valued, "join_norms",
+                        lambda norms: DiagNorm.standard(PAdicContext(2), [0, 0]))
+    with pytest.raises(RuntimeError, match="escaped ball 1"):
+        normspace.helly_check_building(
+            [(normspace.LatticeVertex.from_json(json.loads(x)), r)
+             for x, r in ((STD, 2), (far, 0))])
+    code, out, err = run_cli(capsys, "helly-building", "--family", family)
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["error"] == "internal"

@@ -1,0 +1,70 @@
+"""Byte identity of the exact-side CLI payloads.
+
+Each digest is the sha256 of one subcommand's stdout in a fresh process,
+recorded from the Fraction-based implementation that preceded the integer
+core.  Canonical keys, their order, norms and distances must all print the
+same bytes.  The neighbour cache is emptied first: a cached neighbour keeps
+the basis it was built from, so an earlier call about the same lattice in
+another basis changes the printed norms.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+import helpers
+from normspace import PAdicContext, gi_distance, neighbors, random_vertex
+from normspace.cli import main
+
+
+def _ball_args(seed, n, p, r):
+    center = random_vertex(seed, 2, PAdicContext(p), n)
+    return ("ball", "--center", json.dumps(center.to_json()), "--radius", str(r))
+
+
+def _helly_na_args():
+    rng = helpers.rng_for(77)
+    ctx = PAdicContext(3)
+    family = [helpers.random_diag_norm(rng, ctx, 3) for _ in range(6)]
+    dmax = [max(gi_distance(a, b) for b in family) for a in family]
+    radii = [str(d / 2 + Fraction(1 + s, 7)) for s, d in enumerate(dmax)]
+    doc = {"norms": [eta.to_json() for eta in family], "radii": radii}
+    return ("helly-na", "--family", json.dumps(doc))
+
+
+def _helly_building_args():
+    centers = [random_vertex(90 + k, 2, PAdicContext(2), 3) for k in range(3)]
+    dmax = max(gi_distance(a.norm, b.norm) for a in centers for b in centers)
+    doc = {"centers": [c.to_json() for c in centers], "radii": [int(dmax)] * 3}
+    return ("helly-building", "--family", json.dumps(doc))
+
+
+GOLDEN = {
+    "ball-n3p2r1": (
+        lambda: _ball_args(11, 3, 2, 1),
+        "1be74620dfd9d63a96d8e3abfa67661de11cb04f9f6cd6cdd7e98ad340c3d535",
+    ),
+    "ball-n2p3r2": (
+        lambda: _ball_args(12, 2, 3, 2),
+        "bd41ab32692c9a5d8d66b256a36338d59b8e7ae9d2e0565709bd06e59068cdb7",
+    ),
+    "helly-na-6": (
+        _helly_na_args,
+        "04a27f4cf54f4e4af2fdddd92434e39e1b517c8e5bb0283a022a189cbf190a0a",
+    ),
+    "helly-building-witness": (
+        _helly_building_args,
+        "54e479c19771bc5f0539bcf16f53f6151d03cc880d2a5b939be16a460b65fba4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_payload_bytes_are_pinned(capsys, name):
+    make_args, digest = GOLDEN[name]
+    neighbors.cache_clear()
+    assert main(list(make_args())) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -21,6 +21,9 @@ from .errors import PairwiseRadiusError, UsageError
 
 STRUCT_TOL = 1e-9
 OPT_TOL = 1e-6
+# Frank-Wolfe stopping rule of the MVEE: eps <= MVEE_TOL or MVEE_MAX_ITER steps
+MVEE_TOL = 1e-9
+MVEE_MAX_ITER = 2_000_000
 
 # circumscribed-polytope approximation of an ellipsoid: number of antipodal
 # direction pairs per dimension and the worst-case log gauge ratio of the
@@ -225,7 +228,7 @@ def sampled_sup_ratio(k1, k2, n_samples, seed):
 # minimum-volume enclosing ellipsoid and the John ellipsoid
 # ---------------------------------------------------------------------------
 
-def mvee_certified(points, tol=1e-9, max_iter=2_000_000):
+def mvee_certified(points):
     """MVEE of a symmetric point set with its optimality certificate.
 
     Returns (SpdNorm, info) where info carries the achieved eps
@@ -239,7 +242,7 @@ def mvee_certified(points, tol=1e-9, max_iter=2_000_000):
     m, n = pts.shape
     if np.linalg.matrix_rank(pts, tol=1e-12) < n:
         raise UsageError("points do not span: degenerate MVEE input")
-    u, iters, eps = _kernels.mvee_weights(np.ascontiguousarray(pts), tol, max_iter)
+    u, iters, eps = _kernels.mvee_weights(np.ascontiguousarray(pts), MVEE_TOL, MVEE_MAX_ITER)
     if eps > OPT_TOL:
         raise RuntimeError(f"MVEE did not converge: eps={eps:.3e} after {iters} iterations")
     mmat = pts.T @ (pts * u[:, None])
@@ -249,9 +252,9 @@ def mvee_certified(points, tol=1e-9, max_iter=2_000_000):
     return SpdNorm(0.5 * (a + a.T)), {"eps": float(eps), "iterations": int(iters)}
 
 
-def mvee(points, tol=1e-9):
+def mvee(points):
     """Minimum-volume origin-centered ellipsoid containing +-points."""
-    return mvee_certified(points, tol=tol)[0]
+    return mvee_certified(points)[0]
 
 
 def john_ellipsoid(body):

@@ -6,7 +6,9 @@ Goldman-Iwahori distance exactly 1; its combinatorial balls are certified
 against the exact metric, and small Helly instances can be checked
 exhaustively.  Enumeration is limited to n <= 3 and p <= 3.
 Hermite forms and neighbour bases are computed on integers; Fractions are
-built only for the returned entries.
+built only for the returned entries.  The neighbours of every vertex come
+from one cached list per (n, p) of the integer Hermite forms between
+p^2 Z^n and Z^n, listed directly by diagonal and reduced entries.
 """
 
 from __future__ import annotations
@@ -153,49 +155,26 @@ class LatticeVertex:
         return cls(DiagNorm.from_json(obj))
 
 
-def _extend_subgroup(elems, gen, p2, n):
-    out = set()
-    for s in elems:
-        cur = s
-        for _ in range(p2):
-            out.add(cur)
-            cur = tuple((cur[i] + gen[i]) % p2 for i in range(n))
-    return frozenset(out)
-
-
-@functools.cache
-def submodule_generators(n, p):
-    """Generating sets (<= n generators) for every submodule of (Z/p^2)^n.
-
-    Built by closing one added generator at a time with deduplication; the
-    result is cached per (n, p).
-    """
-    p2 = p * p
-    elems = list(itertools.product(range(p2), repeat=n))
-    trivial = frozenset([(0,) * n])
-    found = {trivial: ()}
-    frontier = [trivial]
-    for _ in range(n):
-        new_frontier = []
-        for sub in frontier:
-            gens = found[sub]
-            for g in elems:
-                if g in sub:
-                    continue
-                bigger = _extend_subgroup(sub, g, p2, n)
-                if bigger not in found:
-                    found[bigger] = gens + (g,)
-                    new_frontier.append(bigger)
-        frontier = new_frontier
-    return sorted(found.values())
-
-
 @functools.cache
 def _standard_forms(n, p):
-    """Integer columns of p H_s, H_s the Hermite form of pZ^n + span(gens_s / p)."""
+    """Integer Hermite forms H (as column lists) with p^2 Z^n ⊆ H Z^n ⊆ Z^n.
+
+    Each is p H_s for one lattice pZ^n ⊆ H_s Z^n ⊆ p^{-1}Z^n, i.e. one
+    submodule of (Z/p^2)^n.  Such an H has diagonal p^{a_i}, a_i in {0, 1, 2},
+    and entries above pivot i in [0, p^{a_i}); a candidate is kept exactly
+    when it is the Hermite form of p^2 Z^n + H Z^n.
+    """
     eye = [[p * p * (i == j) for i in range(n)] for j in range(n)]
-    return [_hermite(eye + [list(g) for g in gens], p)
-            for gens in submodule_generators(n, p)]
+    above = [(i, j) for j in range(n) for i in range(j)]
+    forms = []
+    for exps in itertools.product(range(3), repeat=n):
+        for entries in itertools.product(*(range(p ** exps[i]) for i, _ in above)):
+            h = [[p ** exps[j] * (i == j) for i in range(n)] for j in range(n)]
+            for (i, j), x in zip(above, entries):
+                h[j][i] = x
+            if _hermite(eye + h, p) == h:
+                forms.append(h)
+    return forms
 
 
 @functools.lru_cache(maxsize=65536)
@@ -203,7 +182,7 @@ def neighbors(vertex):
     """All vertices at Goldman-Iwahori distance exactly 1.
 
     These are the lattices L' with pL ⊆ L' ⊆ p^{-1}L other than L itself,
-    one per submodule of p^{-1}L / pL ≅ (Z/p^2)^n.  With W = W_int / D the
+    one per listed form p H_s (see _standard_forms).  With W = W_int / D the
     lattice basis of L, neighbour s has basis W H_s = W_int (p H_s) / (D p).
     """
     n, p = vertex.dim, vertex.ctx.p

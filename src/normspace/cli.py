@@ -189,8 +189,7 @@ def _cmd_mvee(ns):
         pts = np.array(obj["points"] if isinstance(obj, dict) else obj, dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad points JSON: {exc}") from exc
-    tol = ns.tol if ns.tol is not None else 1e-9
-    ell, info = bod.mvee_certified(pts, tol=tol)
+    ell, info = bod.mvee_certified(pts)
     return EXIT_OK, {
         "schema_version": SCHEMA_VERSION,
         "ellipsoid": bod.body_to_json(ell),
@@ -348,6 +347,8 @@ CAMPAIGN_SUITES = {
 def _cmd_campaign(ns):
     if not 0 <= ns.seed < 2 ** 64:
         raise UsageError("--seed must fit in an unsigned 64-bit integer")
+    if ns.count < 0:
+        raise UsageError("--count must be nonnegative")
     if ns.suite not in CAMPAIGN_SUITES:
         raise UsageError(
             f"unknown suite {ns.suite!r}; choose from {sorted(CAMPAIGN_SUITES)}"
@@ -430,7 +431,6 @@ def build_parser():
 
     p = sub.add_parser("mvee", help="minimum-volume enclosing ellipsoid")
     p.add_argument("--points", required=True, help='[[x, y], ...] or {"points": ...}')
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=_cmd_mvee)
 
     p = sub.add_parser("helly-bodies", help="intersection witness for body balls")

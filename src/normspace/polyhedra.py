@@ -192,7 +192,10 @@ def _check_dim(n):
 
 
 def _rank_full(vectors, n):
-    return qlinalg.rank(qlinalg.mat(vectors)) == n
+    """The rational rows span R^n iff their integer Gram matrix is nonsingular."""
+    a, _ = qlinalg.clear_denominators(vectors)
+    gram = [[sum(r[i] * r[j] for r in a) for j in range(n)] for i in range(n)]
+    return qlinalg.bareiss(gram)[0] != 0
 
 
 def _hull_planes(points, n):
@@ -251,9 +254,10 @@ def facet_enum_exact(vertices):
         raise UsageError("no vertices")
     n = len(vertices[0])
     _check_dim(n)
-    if not _rank_full(list(vertices), n):
+    vertices = [tuple(_fr(x) for x in w) for w in vertices]
+    if not _rank_full(vertices, n):
         raise UsageError("vertices do not span: body has empty interior")
-    planes, keep = _hull_planes([tuple(_fr(x) for x in w) for w in vertices], n)
+    planes, keep = _hull_planes(vertices, n)
     out = {}
     for nrm, c in planes:
         a, b = _primitive(nrm, c)

@@ -1,15 +1,13 @@
 """Small exact linear algebra toolkit over the rationals.
 
 Matrices are tuples of tuples of ``fractions.Fraction`` in row-major order.
-Everything here is exact; sizes stay tiny (n <= 6), so Gaussian elimination
-with Fraction arithmetic is entirely adequate.  The ultrametric core uses
-the integer helpers ``clear_denominators`` and ``bareiss`` instead.
+The one exact elimination is ``bareiss`` on integer rows: callers clear
+denominators first (``clear_denominators``) and read determinants, ranks,
+inverses and solutions off one fraction-free pass.
 """
 
 import math
 from fractions import Fraction
-
-from .errors import UsageError
 
 
 def frac(x):
@@ -78,67 +76,3 @@ def bareiss(rows):
                 out[r] = [(d * x - f * y) // prev for x, y in zip(out[r], top)]
         prev = d
     return prev, out
-
-
-def _elim(a):
-    """Fraction-exact row echelon; returns (echelon rows, det, rank)."""
-    rows = [list(r) for r in a]
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    det = Fraction(1)
-    rank = 0
-    for col in range(m):
-        if rank == n:
-            break
-        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if piv is None:
-            det = Fraction(0)
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            det = -det
-        det *= rows[rank][col]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rows, det, rank
-
-
-def det(a):
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise UsageError("det expects a square matrix")
-    _, d, _ = _elim(a)
-    return d
-
-
-def rank(a):
-    _, _, r = _elim(a)
-    return r
-
-
-def inv(a):
-    """Exact inverse via Gauss-Jordan; raises UsageError on a singular input."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise UsageError("inv expects a square matrix")
-    aug = [list(row) + list(e) for row, e in zip(a, identity(n))]
-    red, d, _ = _elim(aug)
-    if d == 0:
-        raise UsageError("matrix is singular")
-    # a nonzero det puts every pivot in the left block, which _elim reduces to I
-    return tuple(tuple(red[i][n:]) for i in range(n))
-
-
-def solve(a, b):
-    """Solve a x = b exactly for a single right-hand side vector."""
-    n = len(a)
-    aug = [list(row) + [frac(bi)] for row, bi in zip(a, b)]
-    red, d, _ = _elim(aug)
-    if d == 0:
-        raise UsageError("singular system")
-    return tuple(red[i][n] for i in range(n))

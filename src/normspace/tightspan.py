@@ -184,30 +184,27 @@ def extremal_closure(f, space):
 
 def _solve_candidate(space, pairs):
     """Solve f(i)+f(j) = d(i,j) over the given tight pairs (i = j meaning
-    2 f(i) = 0); None when the system is singular."""
+    2 f(i) = 0); None when the system is singular.
+
+    Singularity is read off the integer Bareiss determinant of the 0/1/2
+    pair matrix A in both modes.  In exact mode the same Bareiss pass on
+    [A | D d] (D the common denominator) gives f_i = out[i][n] / (det D).
+    """
     n = space.n
+    rows = []
+    for i, j in pairs:
+        row = [0] * n
+        row[i] += 1
+        row[j] += 1
+        rows.append(row)
     if space.exact:
-        rows = []
-        rhs = []
-        for i, j in pairs:
-            row = [Fraction(0)] * n
-            row[i] += 1
-            row[j] += 1
-            rows.append(row)
-            rhs.append(space.d(i, j))
-        try:
-            return list(qlinalg.solve(qlinalg.mat(rows), rhs))
-        except UsageError:
-            return None
-    mat = np.zeros((n, n))
-    rhs = np.zeros(n)
-    for r, (i, j) in enumerate(pairs):
-        mat[r, i] += 1
-        mat[r, j] += 1
-        rhs[r] = space.dist[i, j]
-    if abs(np.linalg.det(mat)) < 1e-9:
+        (rhs,), den = qlinalg.clear_denominators([[space.d(i, j) for i, j in pairs]])
+        d, out = qlinalg.bareiss([row + [x] for row, x in zip(rows, rhs)])
+        return None if d == 0 else [Fraction(r[n], d * den) for r in out]
+    if qlinalg.bareiss(rows)[0] == 0:
         return None
-    return list(np.linalg.solve(mat, rhs))
+    return list(np.linalg.solve(np.array(rows, dtype=float),
+                                np.array([space.dist[i, j] for i, j in pairs])))
 
 
 def tight_span_vertices(space):

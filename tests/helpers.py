@@ -1,10 +1,11 @@
 """Shared generators and independent oracles for the test suite.
 
-The oracles here (integer Smith normal form, brute-force log-sup ratios,
-the Fraction Hermite form and Fraction distances, entrywise adapted-basis and
+The oracles here (integer Smith normal form, Fraction Gauss-Jordan
+elimination, brute-force log-sup ratios, the Fraction Hermite form and
+Fraction distances, submodule closures, entrywise adapted-basis and
 lattice-equality tests, loop-structured float kernels and closure sweeps,
-brute-force cube isometries and 3D hulls) deliberately do not share code with
-the library paths they check.
+the Fraction tight-pair solve, brute-force cube isometries and 3D hulls)
+deliberately do not share code with the library paths they check.
 """
 
 import itertools
@@ -135,6 +136,45 @@ def cartan_distance_oracle(g_int, p):
 # Fraction oracles of the integer exact core
 # ---------------------------------------------------------------------------
 
+def gauss_jordan(a):
+    """Fraction-exact reduced row echelon form; returns (rows, det, rank)."""
+    rows = [[Fraction(x) for x in r] for r in a]
+    n = len(rows)
+    m = len(rows[0]) if n else 0
+    det = Fraction(1)
+    rank = 0
+    for col in range(m):
+        if rank == n:
+            break
+        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            det = -det
+        det *= rows[rank][col]
+        scale = 1 / rows[rank][col]
+        rows[rank] = [x * scale for x in rows[rank]]
+        for r in range(n):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rows, det, rank
+
+
+def inv(a):
+    """Exact inverse of a square rational matrix; UsageError when singular."""
+    n = len(a)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    red, d, _ = gauss_jordan(aug)
+    if d == 0:
+        raise UsageError("matrix is singular")
+    # a nonzero det puts every pivot in the left block, which is reduced to I
+    return tuple(tuple(red[i][n:]) for i in range(n))
+
+
 def reduce_mod_ppow(x, k, p):
     """Canonical representative of x modulo p^k Z_(p), in [0, p^k) ∩ Z[1/p]."""
     if x == 0:
@@ -198,7 +238,7 @@ def hnf_dvr_fraction(columns, p):
 
 def eval_log_norm_fraction(eta, v):
     """log_q eta(v) from the Fraction inverse of the basis; None iff v = 0."""
-    x = [sum(a * b for a, b in zip(row, qlinalg.vec(v))) for row in qlinalg.inv(eta.basis)]
+    x = [sum(a * b for a, b in zip(row, qlinalg.vec(v))) for row in inv(eta.basis)]
     vals = [m - pval(xi, eta.ctx.p) for m, xi in zip(eta.weights, x) if xi != 0]
     return max(vals) if vals else None
 
@@ -227,7 +267,7 @@ def adapted_transition_check(u, m_from, m_to, p):
     mirrored condition for u^{-1}; together they force norm equality.
     """
     u = qlinalg.mat(u)
-    uinv = qlinalg.inv(u)
+    uinv = inv(u)
     n = len(u)
     for i in range(n):
         for k in range(n):
@@ -251,14 +291,47 @@ def vertices_equal(u, v):
     p = u.ctx.p
     wu = qlinalg.from_columns(u.lattice_basis())
     wv = qlinalg.from_columns(v.lattice_basis())
-    t = qlinalg.matmul(qlinalg.inv(wu), wv)
-    tinv = qlinalg.inv(t)
+    t = qlinalg.matmul(inv(wu), wv)
+    tinv = inv(t)
     for mtx in (t, tinv):
         for row in mtx:
             for x in row:
                 if x != 0 and pval(x, p) < 0:
                     return False
     return True
+
+
+def _extend_subgroup(elems, gen, p2, n):
+    out = set()
+    for s in elems:
+        cur = s
+        for _ in range(p2):
+            out.add(cur)
+            cur = tuple((cur[i] + gen[i]) % p2 for i in range(n))
+    return frozenset(out)
+
+
+def submodule_generators(n, p):
+    """Generating sets (<= n generators) for every submodule of (Z/p^2)^n,
+    found by closing frozensets of elements one added generator at a time."""
+    p2 = p * p
+    elems = list(itertools.product(range(p2), repeat=n))
+    trivial = frozenset([(0,) * n])
+    found = {trivial: ()}
+    frontier = [trivial]
+    for _ in range(n):
+        new_frontier = []
+        for sub in frontier:
+            gens = found[sub]
+            for g in elems:
+                if g in sub:
+                    continue
+                bigger = _extend_subgroup(sub, g, p2, n)
+                if bigger not in found:
+                    found[bigger] = gens + (g,)
+                    new_frontier.append(bigger)
+        frontier = new_frontier
+    return sorted(found.values())
 
 
 def sample_vectors(rng, n, count, lo=-6, hi=6):
@@ -413,6 +486,32 @@ def exact_closure_loops(rows, f):
     raise RuntimeError("exact closure did not stabilize")
 
 
+def solve_candidate_fraction(space, pairs):
+    """Tight-pair solve f(i) + f(j) = d(i, j) by Fraction Gauss-Jordan in
+    exact mode and numpy with a float determinant test otherwise; None when
+    the system is singular."""
+    n = space.n
+    if space.exact:
+        aug = []
+        for i, j in pairs:
+            row = [Fraction(0)] * (n + 1)
+            row[i] += 1
+            row[j] += 1
+            row[n] = space.d(i, j)
+            aug.append(row)
+        red, d, _ = gauss_jordan(aug)
+        return None if d == 0 else [red[i][n] for i in range(n)]
+    mat = np.zeros((n, n))
+    rhs = np.zeros(n)
+    for r, (i, j) in enumerate(pairs):
+        mat[r, i] += 1
+        mat[r, j] += 1
+        rhs[r] = space.dist[i, j]
+    if abs(np.linalg.det(mat)) < 1e-9:
+        return None
+    return list(np.linalg.solve(mat, rhs))
+
+
 def brute_hull3d(points):
     """Exact hull oracle in 3D by exhaustive triples, in integer arithmetic.
 
@@ -443,6 +542,6 @@ def brute_hull3d(points):
     vertices = []
     for i, w in enumerate(ints):
         touching = [n for n, c in found if sum(n[t] * w[t] for t in range(3)) == c]
-        if touching and qlinalg.rank(qlinalg.mat(touching)) == 3:
+        if touching and gauss_jordan(touching)[2] == 3:
             vertices.append(i)
     return planes, vertices

@@ -18,12 +18,13 @@ from normspace import (
     random_vertex,
     scale_norm,
 )
-from helpers import reduce_mod_ppow, vertices_equal
+from helpers import reduce_mod_ppow, submodule_generators, vertices_equal
 from normspace.building import (
+    _hermite,
+    _standard_forms,
     adjacency_json,
     graphml,
     hnf_dvr,
-    submodule_generators,
 )
 
 P2 = PAdicContext(2)
@@ -123,13 +124,33 @@ def _independent_subgroup_count(modulus, n=2):
 
 
 def test_submodule_counts():
-    assert len(submodule_generators(1, 2)) == 3
-    assert len(submodule_generators(2, 2)) == 15
-    assert len(submodule_generators(2, 3)) == 23
-    assert len(submodule_generators(3, 2)) == 129
+    assert len(_standard_forms(1, 2)) == 3
+    assert len(_standard_forms(2, 2)) == 15
+    assert len(_standard_forms(2, 3)) == 23
+    assert len(_standard_forms(3, 2)) == 129
+    assert len(_standard_forms(3, 3)) == 445
     # independent oracle for the two 2-dimensional cases
     assert _independent_subgroup_count(4) == 15
     assert _independent_subgroup_count(9) == 23
+
+
+@pytest.mark.parametrize("n,p", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
+def test_standard_forms_match_the_submodule_closure(n, p):
+    eye = [[p * p * (i == j) for i in range(n)] for j in range(n)]
+    closed = {tuple(map(tuple, _hermite(eye + [list(g) for g in gens], p)))
+              for gens in submodule_generators(n, p)}
+    listed = [tuple(map(tuple, h)) for h in _standard_forms(n, p)]
+    assert len(set(listed)) == len(listed)
+    assert set(listed) == closed
+    # every form contains p^2 Z^n: p^2 e_k is an integer combination of its columns
+    for h in _standard_forms(n, p):
+        for k in range(n):
+            x = [p * p * (i == k) for i in range(n)]
+            for j in range(n - 1, -1, -1):
+                q, r = divmod(x[j], h[j][j])
+                assert r == 0
+                x = [a - q * b for a, b in zip(x, h[j])]
+            assert not any(x)
 
 
 def test_neighbors_dimension_one():

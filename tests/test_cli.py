@@ -105,6 +105,15 @@ def test_ball_and_scale_error(capsys):
     assert json.loads(err)["error"] == "infeasible-scale"
 
 
+def test_ball_at_n3_p3(capsys):
+    center = json.dumps(DiagNorm.standard(PAdicContext(3), [0, 0, 0]).to_json())
+    code, out, _ = run_cli(capsys, "ball", "--center", center, "--radius", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == 445
+    assert [v["depth"] for v in doc["vertices"]] == [0] + [1] * 444
+
+
 def test_helly_building(capsys):
     for mode in ("witness", "exhaustive"):
         code, out, _ = run_cli(capsys, "helly-building", "--family", BALL_FAMILY, "--mode", mode)
@@ -131,6 +140,20 @@ def test_mvee(capsys):
     doc = json.loads(out)
     assert doc["epsilon"] <= 1e-6
     assert np.allclose(doc["ellipsoid"]["matrix"], np.eye(2) / 2, atol=1e-7)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e-3"])
+def test_mvee_refuses_a_tolerance(monkeypatch, capsys, tol):
+    def no_loop(*args):
+        raise AssertionError("the MVEE loop ran")
+
+    monkeypatch.setattr(normspace._kernels, "mvee_weights", no_loop)
+    with pytest.raises(SystemExit) as exc:
+        main(["mvee", "--points", "[[1, 1], [1, -1], [2, 0], [0, 2]]", "--tol", tol])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol" in captured.err
 
 
 def test_helly_bodies(capsys):
@@ -306,6 +329,16 @@ def test_campaign_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "campaign", "--suite", "nope")
     assert code == 2
     assert json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_campaign_negative_count(capsys, fmt):
+    code, out, err = run_cli(capsys, "campaign", "--suite", "apartment",
+                             "--count", "-3", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"schema_version": 1, "error": "usage",
+                               "message": "--count must be nonnegative"}
 
 
 def test_campaign_seed_out_of_range(capsys):

@@ -271,3 +271,14 @@ def test_dimension_guard():
 def test_unbounded_guard():
     with pytest.raises(UsageError):
         vertex_enum_exact([((F(1), F(0)), F(1))])
+
+
+def test_coplanar_3d_rows_do_not_span():
+    # 242 float rows on the plane z = x: the exact Gram determinant is 0
+    rng = helpers.rng_for(61)
+    xy = rng.standard_normal((242, 2))
+    rows = np.column_stack([xy[:, 0], xy[:, 1], xy[:, 0]])
+    with pytest.raises(UsageError, match="vertices do not span"):
+        PolyNorm.from_vertices(rows)
+    with pytest.raises(UsageError, match="facet normals do not span"):
+        PolyNorm.from_facets(rows, np.ones(len(rows)))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from normspace import qlinalg
 from normspace.errors import UsageError
 
@@ -18,22 +19,35 @@ def test_matmul_identity():
 
 
 def test_det_exact():
-    a = qlinalg.mat([["1/3", 2], [1, 6]])
-    assert qlinalg.det(a) == Fraction(0)
-    b = qlinalg.mat([[2, 1], [1, 1]])
-    assert qlinalg.det(b) == 1
+    # |d| = |det A|; d = 0 on a singular matrix
+    a, den = qlinalg.clear_denominators(qlinalg.mat([["1/3", 2], [1, 6]]))
+    assert den == 3
+    assert qlinalg.bareiss(a) == (0, None)
+    d, _ = qlinalg.bareiss([[2, 1], [1, 1]])
+    assert abs(d) == 1
+    for a in ([[0, 2, 1], [3, 1, 4], [1, 5, 9]], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]):
+        _, det, _ = helpers.gauss_jordan(a)
+        assert abs(qlinalg.bareiss(a)[0]) == abs(det) != 0
 
 
 def test_inv_roundtrip():
     a = qlinalg.mat([[2, 1, 0], [1, "1/2", 1], [0, 3, 1]])
-    ainv = qlinalg.inv(a)
+    ainv = helpers.inv(a)
     assert qlinalg.matmul(a, ainv) == qlinalg.identity(3)
     assert qlinalg.matmul(ainv, a) == qlinalg.identity(3)
+    # Bareiss on [A | I] gives M = d A^{-1}, so A M = d I and M / d is the inverse
+    a_int, den = qlinalg.clear_denominators(a)
+    d, out = qlinalg.bareiss([r + [int(i == j) for j in range(3)] for i, r in enumerate(a_int)])
+    m = [r[3:] for r in out]
+    am = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in a_int]
+    assert am == [[d * (i == j) for j in range(3)] for i in range(3)]
+    assert [[Fraction(x * den, d) for x in r] for r in m] == [list(r) for r in ainv]
 
 
 def test_inv_singular_raises():
     with pytest.raises(UsageError):
-        qlinalg.inv(qlinalg.mat([[1, 2], [2, 4]]))
+        helpers.inv(qlinalg.mat([[1, 2], [2, 4]]))
+    assert qlinalg.bareiss([[1, 2, 1, 0], [2, 4, 0, 1]]) == (0, None)
 
 
 def test_inv_singular_with_pivots_in_the_identity_block():
@@ -44,23 +58,23 @@ def test_inv_singular_with_pivots_in_the_identity_block():
               [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
               [[0, 0], [0, 1]]):
         with pytest.raises(UsageError):
-            qlinalg.inv(qlinalg.mat(a))
+            helpers.inv(qlinalg.mat(a))
+        n = len(a)
+        assert qlinalg.bareiss([r + [int(i == j) for j in range(n)]
+                                for i, r in enumerate(a)]) == (0, None)
 
 
 def test_solve():
-    a = qlinalg.mat([[1, 1], [1, -1]])
-    x = qlinalg.solve(a, [3, 1])
-    assert x == (Fraction(2), Fraction(1))
+    # x = out[:, n] / d from Bareiss on [A | b]
+    d, out = qlinalg.bareiss([[1, 1, 3], [1, -1, 1]])
+    assert [Fraction(r[2], d) for r in out] == [2, 1]
 
 
 def test_solve_singular_raises():
     # consistent and inconsistent right-hand sides alike
-    a = qlinalg.mat([[1, 2], [2, 4]])
-    for b in ([1, 2], [1, 0]):
-        with pytest.raises(UsageError):
-            qlinalg.solve(a, b)
-    with pytest.raises(UsageError):
-        qlinalg.solve(qlinalg.mat([[1, 0, 0], [0, 0, 0], [0, 0, 1]]), [1, 0, 1])
+    for b in (1, 0):
+        assert qlinalg.bareiss([[1, 2, 1], [2, 4, 2 * b]]) == (0, None)
+    assert qlinalg.bareiss([[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 1, 1]]) == (0, None)
 
 
 def test_columns_roundtrip():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,18 @@ def random_spd_metric(rng, k):
     for i in range(k):
         d[i][i] = 0.0
     return FiniteMetric(d)
+
+
+def random_l1_metric(rng, k, dens):
+    """L1 metric of k seeded planar points with coordinates in (1/den) Z."""
+    pts = [[Fraction(int(rng.integers(-12, 13)), int(rng.choice(dens))) for _ in range(2)]
+           for _ in range(k)]
+    return FiniteMetric([[sum(abs(a - b) for a, b in zip(p, q)) for q in pts] for p in pts])
+
+
+def random_euclidean_metric(rng, k):
+    pts = rng.standard_normal((k, 2))
+    return FiniteMetric([[float(np.linalg.norm(p - q)) for q in pts] for p in pts])
 
 
 def test_metric_validation():
@@ -282,3 +295,37 @@ def test_json_roundtrip():
     again = FiniteMetric.from_json(doc)
     assert again.exact
     assert again.rows == TRI.rows
+
+
+@pytest.mark.parametrize("dens", [(1,), (1, 2, 3)], ids=["integer", "rational"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_exact_tight_span_matches_the_fraction_oracle(monkeypatch, k, dens):
+    space = random_l1_metric(helpers.rng_for(600 + k), k, dens)
+    assert space.exact
+    got = tight_span_vertices(space)
+    monkeypatch.setattr(tightspan, "_solve_candidate", helpers.solve_candidate_fraction)
+    assert tight_span_vertices(space) == got
+
+
+@pytest.mark.parametrize("dens", [(1,), (1, 2, 3)], ids=["integer", "rational"])
+def test_exact_six_point_solves_match_the_fraction_oracle(dens):
+    # a seeded sample of the 54,264 six-pair systems, singular ones included
+    rng = helpers.rng_for(606)
+    space = random_l1_metric(rng, 6, dens)
+    pairs = [(i, j) for i in range(6) for j in range(i, 6)]
+    combos = list(itertools.combinations(pairs, 6))
+    singular = 0
+    for c in rng.choice(len(combos), size=400, replace=False):
+        want = helpers.solve_candidate_fraction(space, combos[c])
+        assert tightspan._solve_candidate(space, combos[c]) == want
+        singular += want is None
+    assert 0 < singular < 400
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_float_tight_span_is_bit_identical_to_the_oracle(monkeypatch, k):
+    space = random_euclidean_metric(helpers.rng_for(610 + k), k)
+    got = tight_span_vertices(space)
+    monkeypatch.setattr(tightspan, "_solve_candidate", helpers.solve_candidate_fraction)
+    want = tight_span_vertices(space)
+    assert np.array(got).tobytes() == np.array(want).tobytes()

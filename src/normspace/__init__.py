@@ -40,7 +40,6 @@ from .bodies import (
     SpdNorm,
     body_from_json,
     body_to_json,
-    coarse_helly_witness_bodies,
     facet_enum,
     gauge,
     gi_distance_bodies,

@@ -299,18 +299,20 @@ def _pair_directions(n):
 
 
 def spd_to_polytope(body):
-    """Circumscribed tangent polytope of an ellipsoid.
+    """Facets (a, b) of the circumscribed tangent polytope of an ellipsoid.
 
     Tangent planes are taken at contact points spread evenly in the
     ellipsoid's own geometry, so the gauge error is at most
-    SPD_APPROX_LOG_BOUND[n] regardless of conditioning.
+    SPD_APPROX_LOG_BOUND[n] regardless of conditioning.  Every offset is 1,
+    and every row is a facet: each contact point lies strictly inside all
+    other tangent halfspaces.  No vertices are enumerated here; the
+    intersection witness enumerates its pooled facets once.
     """
     n = body.dim
     lam, vecs = np.linalg.eigh(body.matrix)
     sqrt_a = (vecs * np.sqrt(lam)) @ vecs.T
-    dirs = _pair_directions(n)
-    normals = dirs @ sqrt_a.T
-    return PolyNorm.from_facets(normals, np.ones(len(normals)))
+    normals = _pair_directions(n) @ sqrt_a.T
+    return normals, np.ones(len(normals))
 
 
 def coarse_helly_details(bodies, radii):
@@ -335,19 +337,10 @@ def coarse_helly_details(bodies, radii):
                     f"bodies {s} and {t}: d = {d:.9g} exceeds "
                     f"{radii[s]:.9g} + {radii[t]:.9g}",
                 )
-    slack = []
-    poly_inputs = []
-    for b in bodies:
-        if isinstance(b, SpdNorm):
-            poly_inputs.append(spd_to_polytope(b))
-            slack.append(SPD_APPROX_LOG_BOUND[n])
-        else:
-            poly_inputs.append(b)
-            slack.append(0.0)
-    pooled_a = np.vstack([p.a for p in poly_inputs])
-    pooled_b = np.concatenate(
-        [p.b * math.exp(r) for p, r in zip(poly_inputs, radii)]
-    )
+    rows = [spd_to_polytope(b) if isinstance(b, SpdNorm) else (b.a, b.b) for b in bodies]
+    slack = [SPD_APPROX_LOG_BOUND[n] if isinstance(b, SpdNorm) else 0.0 for b in bodies]
+    pooled_a = np.vstack([a for a, _ in rows])
+    pooled_b = np.concatenate([bb * math.exp(r) for (_, bb), r in zip(rows, radii)])
     witness = PolyNorm.from_facets(pooled_a, pooled_b)
     dists = []
     for s, (b, r) in enumerate(zip(bodies, radii)):
@@ -364,12 +357,6 @@ def coarse_helly_details(bodies, radii):
         "allowed": [r + OPT_TOL + sl for r, sl in zip(radii, slack)],
         "approx_slack": slack,
     }
-
-
-def coarse_helly_witness_bodies(bodies, radii):
-    """The scaled intersection C = cap_s e^{r_s} K_s as a polytope norm;
-    satisfies d(C, K_s) <= r_s (+1e-6, +approximation slack for SPD inputs)."""
-    return coarse_helly_details(bodies, radii)["witness"]
 
 
 # ---------------------------------------------------------------------------

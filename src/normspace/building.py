@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import qlinalg
-from .errors import InfeasibleScaleError, PairwiseRadiusError, UsageError
+from .errors import InfeasibleScaleError, UsageError
 from .valued import DiagNorm, gi_distance, helly_witness_na, pval_int
 
 MAX_DIM = 3
@@ -276,6 +276,11 @@ def helly_check_building(family, mode="witness"):
     radii = [int(r) for _, r in family]
     if any(r < 0 for r in radii):
         raise UsageError("radii must be nonnegative integers")
+    if mode == "witness":
+        # helly_witness_na checks the pairs and raises PairwiseRadiusError
+        theta = helly_witness_na([c.norm for c in centers], radii)
+        return BallCertificate(centers, radii, mode, "witness", witness=LatticeVertex(theta))
+
     bad_pair = None
     for s in range(len(family)):
         for t in range(s + 1, len(family)):
@@ -285,13 +290,6 @@ def helly_check_building(family, mode="witness"):
                 break
         if bad_pair:
             break
-
-    if mode == "witness":
-        if bad_pair:
-            raise PairwiseRadiusError(bad_pair[:2], bad_pair[2])
-        theta = helly_witness_na([c.norm for c in centers], radii)
-        return BallCertificate(centers, radii, mode, "witness", witness=LatticeVertex(theta))
-
     balls = [ball_bfs(c, r) for c, r in zip(centers, radii)]
     sizes = [len(b) for b in balls]
     common = set(balls[0])

@@ -383,8 +383,15 @@ def _cmd_campaign(ns):
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse errors are usage errors: exit 2 with the JSON document."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="normspace",
         description="Goldman-Iwahori geometry: norms, buildings, bodies, "
         "tight spans, obstructions",
@@ -461,9 +468,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = build_parser().parse_args(argv)
         out = ns.func(ns)
     except PairwiseRadiusError as exc:
         _emit({

@@ -13,6 +13,7 @@ tight; later updates only lower other values, which can only raise the terms
 d(x, y) - f(y), and admissibility caps them at f(x), so x stays tight.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -40,13 +41,12 @@ class FiniteMetric:
 
     __slots__ = ("labels", "rows", "exact", "tol", "dist")
 
-    def __init__(self, d, labels=None, exact=None):
+    def __init__(self, d, labels=None):
         rows = [list(r) for r in d]
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise UsageError("distance matrix must be square")
-        if exact is None:
-            exact = all(_is_exact_scalar(x) for r in rows for x in r)
+        exact = all(_is_exact_scalar(x) for r in rows for x in r)
         if exact:
             rows = [[Fraction(x) for x in r] for r in rows]
         else:
@@ -182,27 +182,42 @@ def extremal_closure(f, space):
     return ff
 
 
-def _solve_candidate(space, pairs):
-    """Solve f(i)+f(j) = d(i,j) over the given tight pairs (i = j meaning
-    2 f(i) = 0); None when the system is singular.
-
-    Singularity is read off the integer Bareiss determinant of the 0/1/2
-    pair matrix A in both modes.  In exact mode the same Bareiss pass on
-    [A | D d] (D the common denominator) gives f_i = out[i][n] / (det D).
-    """
-    n = space.n
+def _pair_rows(pairs, n):
+    """The 0/1/2 matrix A of f(i) + f(j) over the pairs (i = j gives a 2)."""
     rows = []
     for i, j in pairs:
         row = [0] * n
         row[i] += 1
         row[j] += 1
         rows.append(row)
+    return rows
+
+
+@functools.cache
+def _pair_sets(n):
+    """The n-subsets of pairs (i <= j < n) with a nonsingular A, in
+    `combinations` order: singularity depends only on the set, so the
+    Bareiss determinant is taken once per set (only the pairs are kept)."""
+    all_pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    return tuple(
+        combo for combo in itertools.combinations(all_pairs, n)
+        if qlinalg.bareiss(_pair_rows(combo, n))[0] != 0
+    )
+
+
+def _solve_candidate(space, pairs):
+    """Solve f(i)+f(j) = d(i,j) over the given tight pairs.
+
+    In exact mode one integer Bareiss pass on [A | D d] (D the common
+    denominator) gives f_i = out[i][n] / (det D), or None when A is
+    singular.  Float mode takes its pairs from `_pair_sets`, so A is not.
+    """
+    n = space.n
+    rows = _pair_rows(pairs, n)
     if space.exact:
         (rhs,), den = qlinalg.clear_denominators([[space.d(i, j) for i, j in pairs]])
         d, out = qlinalg.bareiss([row + [x] for row, x in zip(rows, rhs)])
         return None if d == 0 else [Fraction(r[n], d * den) for r in out]
-    if qlinalg.bareiss(rows)[0] == 0:
-        return None
     return list(np.linalg.solve(np.array(rows, dtype=float),
                                 np.array([space.dist[i, j] for i, j in pairs])))
 
@@ -213,21 +228,13 @@ def tight_span_vertices(space):
     n = space.n
     if n > MAX_SPAN_POINTS:
         raise InfeasibleScaleError(f"tight span enumeration is limited to {MAX_SPAN_POINTS} points")
-    all_pairs = [(i, j) for i in range(n) for j in range(i, n)]
     found = []
     seen = set()
-    for combo in itertools.combinations(all_pairs, n):
+    for combo in _pair_sets(n):
         f = _solve_candidate(space, combo)
-        if f is None:
+        if not (is_admissible(f, space) and is_extremal(f, space)):
             continue
-        if not is_admissible(f, space):
-            continue
-        if not is_extremal(f, space):
-            continue
-        if space.exact:
-            key = tuple(f)
-        else:
-            key = tuple(round(x / TOL) for x in f)
+        key = tuple(f) if space.exact else tuple(round(x / TOL) for x in f)
         if key not in seen:
             seen.add(key)
             found.append(f)

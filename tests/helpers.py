@@ -4,7 +4,9 @@ The oracles here (integer Smith normal form, Fraction Gauss-Jordan
 elimination, brute-force log-sup ratios, the Fraction Hermite form and
 Fraction distances, submodule closures, entrywise adapted-basis and
 lattice-equality tests, loop-structured float kernels and closure sweeps,
-the Fraction tight-pair solve, brute-force cube isometries and 3D hulls)
+the Fraction tight-pair solve and pair-set filter, brute-force cube
+isometries and 3D hulls, the per-body tangent polytopes of the body
+intersection witness)
 deliberately do not share code with the library paths they check.
 """
 
@@ -15,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from normspace import DiagNorm, InfeasibleScaleError, UsageError, eval_log_norm, qlinalg
+from normspace import bodies
 from normspace.valued import pval
 
 
@@ -510,6 +513,47 @@ def solve_candidate_fraction(space, pairs):
     if abs(np.linalg.det(mat)) < 1e-9:
         return None
     return list(np.linalg.solve(mat, rhs))
+
+
+def nonsingular_pair_sets_fraction(n):
+    """The n-subsets of pairs (i <= j < n), in combinations order, whose
+    pair matrix has a nonzero Fraction Gauss-Jordan determinant."""
+    all_pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    out = []
+    for combo in itertools.combinations(all_pairs, n):
+        mat = [[0] * n for _ in combo]
+        for row, (i, j) in zip(mat, combo):
+            row[i] += 1
+            row[j] += 1
+        if gauss_jordan(mat)[1] != 0:
+            out.append(combo)
+    return out
+
+
+def coarse_helly_details_per_body(family, radii):
+    """The body intersection witness with one exact enumeration per SPD
+    body: each tangent polytope becomes a PolyNorm (dropping the rows its
+    own hull finds redundant) before the facets of all bodies are pooled
+    and enumerated again; returns the keys of coarse_helly_details."""
+    n = family[0].dim
+    polys, slack = [], []
+    for body in family:
+        if isinstance(body, bodies.SpdNorm):
+            polys.append(bodies.PolyNorm.from_facets(*bodies.spd_to_polytope(body)))
+            slack.append(bodies.SPD_APPROX_LOG_BOUND[n])
+        else:
+            polys.append(body)
+            slack.append(0.0)
+    witness = bodies.PolyNorm.from_facets(
+        np.vstack([p.a for p in polys]),
+        np.concatenate([p.b * math.exp(r) for p, r in zip(polys, radii)]),
+    )
+    return {
+        "witness": witness,
+        "distances": [bodies.gi_distance_bodies(witness, b) for b in family],
+        "allowed": [r + bodies.OPT_TOL + sl for r, sl in zip(radii, slack)],
+        "approx_slack": slack,
+    }
 
 
 def brute_hull3d(points):

@@ -12,7 +12,6 @@ from normspace import (
     UsageError,
     body_from_json,
     body_to_json,
-    coarse_helly_witness_bodies,
     gauge,
     gi_distance_bodies,
     is_invariant,
@@ -21,8 +20,10 @@ from normspace import (
     polar,
     sampled_sup_ratio,
 )
+from normspace import polyhedra
 from normspace.bodies import (
     SPD_APPROX_LOG_BOUND,
+    SPD_APPROX_PAIRS,
     coarse_helly_details,
     mvee_certified,
     spd_to_polytope,
@@ -324,13 +325,59 @@ def test_spd_to_polytope_error_bound():
     for n in (2, 3):
         for _ in range(3):
             ell = random_spd(rng, n)
-            poly = spd_to_polytope(ell)
+            poly = PolyNorm.from_facets(*spd_to_polytope(ell))
             d = gi_distance_bodies(poly, ell)
             assert d <= SPD_APPROX_LOG_BOUND[n]
 
 
+def conditioned_spd(rng, n, cond):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return SpdNorm((q * np.geomspace(1.0, cond, n)) @ q.T)
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e2, 1e4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_tangent_row_is_a_facet(n, cond):
+    ell = conditioned_spd(helpers.rng_for(416), n, cond)
+    a, b = spd_to_polytope(ell)
+    assert a.shape == (SPD_APPROX_PAIRS[n], n) and np.all(b == 1.0)
+    poly = PolyNorm.from_facets(a, b)
+    assert poly.a.tobytes() == a.tobytes() and poly.b.tobytes() == b.tobytes()
+
+
+def spd_families(n):
+    rng = helpers.rng_for(417 + n)
+    poly = random_polygon if n == 2 else random_symmetric_polytope3
+    count = 3 if n == 2 else 2
+    yield [random_spd(rng, n) for _ in range(count)]
+    yield [random_spd(rng, n), poly(rng), random_spd(rng, n)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_witness_matches_the_per_body_oracle(n):
+    for fam in spd_families(n):
+        dmat = [[gi_distance_bodies(a, b) for b in fam] for a in fam]
+        radii = [max(row) / 2 + 0.05 for row in dmat]
+        got = coarse_helly_details(fam, radii)
+        want = helpers.coarse_helly_details_per_body(fam, radii)
+        for attr in ("a", "b", "vertices"):
+            assert getattr(got["witness"], attr).tobytes() == getattr(want["witness"], attr).tobytes()
+        for key in ("distances", "allowed", "approx_slack"):
+            assert np.array(got[key]).tobytes() == np.array(want[key]).tobytes()
+
+
+def test_witness_runs_one_exact_enumeration(monkeypatch):
+    calls = []
+    enum = polyhedra.vertex_enum_exact
+    monkeypatch.setattr(polyhedra, "vertex_enum_exact", lambda f: calls.append(1) or enum(f))
+    fam = [random_spd(helpers.rng_for(419), 2) for _ in range(3)]
+    dmat = [[gi_distance_bodies(a, b) for b in fam] for a in fam]
+    coarse_helly_details(fam, [max(row) / 2 + 0.05 for row in dmat])
+    assert len(calls) == 1
+
+
 def test_witness_identical_bodies_radius_zero():
-    w = coarse_helly_witness_bodies([SQUARE, SQUARE], [0.0, 0.0])
+    w = coarse_helly_details([SQUARE, SQUARE], [0.0, 0.0])["witness"]
     assert gi_distance_bodies(w, SQUARE) <= 1e-6
 
 
@@ -407,7 +454,7 @@ def test_mvee_anisotropic_inputs():
 def test_witness_violation_reports_pair():
     far = PolyNorm.from_vertices(100.0 * np.asarray(SQUARE.vertices))
     with pytest.raises(PairwiseRadiusError) as exc:
-        coarse_helly_witness_bodies([SQUARE, far], [0.1, 0.1])
+        coarse_helly_details([SQUARE, far], [0.1, 0.1])
     assert exc.value.pair == (0, 1)
 
 
@@ -429,12 +476,12 @@ def test_invariance_square():
 def test_invariant_inputs_give_invariant_witness():
     act = LinearGroupAction([ROT90])
     k2 = PolyNorm.from_vertices(1.5 * np.asarray(SQUARE.vertices))
-    disc_poly = spd_to_polytope(SpdNorm(0.8 * np.eye(2)))
+    disc_poly = PolyNorm.from_facets(*spd_to_polytope(SpdNorm(0.8 * np.eye(2))))
     fam = [SQUARE, k2, disc_poly]
     assert all(is_invariant(k, act) for k in fam)
     dmat = [[gi_distance_bodies(a, b) for b in fam] for a in fam]
     radii = [max(row) / 2 + 0.01 for row in dmat]
-    w = coarse_helly_witness_bodies(fam, radii)
+    w = coarse_helly_details(fam, radii)["witness"]
     assert is_invariant(w, act)
 
 

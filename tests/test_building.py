@@ -262,6 +262,27 @@ def test_helly_witness_is_vertex_and_modes_agree():
         assert e.outcome == "witness"
 
 
+def test_witness_mode_measures_each_pair_once(monkeypatch):
+    import normspace.building
+    import normspace.valued
+
+    centers = [random_vertex(80 + k, 1, P2, 2) for k in range(3)]
+    dmax = max(gi_distance(a.norm, b.norm) for a in centers for b in centers)
+    family = [(c, int(-(-dmax // 2)) + 1) for c in centers]
+    norms = {id(c.norm): s for s, c in enumerate(centers)}
+    pairs = []
+
+    def counting(a, b):
+        if id(a) in norms and id(b) in norms:
+            pairs.append((norms[id(a)], norms[id(b)]))
+        return gi_distance(a, b)
+
+    monkeypatch.setattr(normspace.building, "gi_distance", counting)
+    monkeypatch.setattr(normspace.valued, "gi_distance", counting)
+    assert helly_check_building(family, mode="witness").outcome == "witness"
+    assert sorted(pairs) == [(0, 1), (0, 2), (1, 2)]
+
+
 def test_helly_pairwise_violation():
     far = LatticeVertex(scale_norm(STD2.norm, 5))
     with pytest.raises(PairwiseRadiusError) as exc:

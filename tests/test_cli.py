@@ -148,12 +148,35 @@ def test_mvee_refuses_a_tolerance(monkeypatch, capsys, tol):
         raise AssertionError("the MVEE loop ran")
 
     monkeypatch.setattr(normspace._kernels, "mvee_weights", no_loop)
+    code, out, err = run_cli(
+        capsys, "mvee", "--points", "[[1, 1], [1, -1], [2, 0], [0, 2]]", "--tol", tol)
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["schema_version"] == 1 and doc["error"] == "usage"
+    assert "unrecognized arguments: --tol" in doc["message"]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["dist", "--a", STD, "--b", STD, "--q", "2"], "unrecognized arguments: --q"),
+    (["mvee"], "required: --points"),
+    (["campaign", "--suite", "john", "--count", "x"], "invalid int value: 'x'"),
+    (["helly-building", "--family", BALL_FAMILY, "--mode", "all"], "invalid choice"),
+    ([], "required: subcommand"),
+])
+def test_argparse_errors_are_json_usage_errors(capsys, argv, needle):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert sorted(doc) == ["error", "message", "schema_version"]
+    assert (doc["schema_version"], doc["error"]) == (1, "usage")
+    assert needle in doc["message"]
+
+
+def test_help_still_prints_usage(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["mvee", "--points", "[[1, 1], [1, -1], [2, 0], [0, 2]]", "--tol", tol])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unrecognized arguments: --tol" in captured.err
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: normspace")
 
 
 def test_helly_bodies(capsys):

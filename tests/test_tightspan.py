@@ -329,3 +329,10 @@ def test_float_tight_span_is_bit_identical_to_the_oracle(monkeypatch, k):
     monkeypatch.setattr(tightspan, "_solve_candidate", helpers.solve_candidate_fraction)
     want = tight_span_vertices(space)
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 17), (4, 141), (5, 1548)])
+def test_pair_sets_are_the_nonsingular_combinations(n, count):
+    want = helpers.nonsingular_pair_sets_fraction(n)
+    assert list(tightspan._pair_sets(n)) == want
+    assert len(want) == count

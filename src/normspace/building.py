@@ -5,10 +5,11 @@ localization Z_(p).  The thickening graph puts an edge between vertices at
 Goldman-Iwahori distance exactly 1; its combinatorial balls are certified
 against the exact metric, and small Helly instances can be checked
 exhaustively.  Enumeration is limited to n <= 3 and p <= 3.
-Hermite forms and neighbour bases are computed on integers; Fractions are
-built only for the returned entries.  The neighbours of every vertex come
-from one cached list per (n, p) of the integer Hermite forms between
-p^2 Z^n and Z^n, listed directly by diagonal and reduced entries.
+Hermite forms, neighbour bases and vertex keys are integers; Fractions are
+built only for key strings and for the norms that are read.  The neighbours
+of every vertex come from one cached list per (n, p) of the integer Hermite
+forms between p^2 Z^n and Z^n, listed directly by diagonal and reduced
+entries.
 """
 
 from __future__ import annotations
@@ -87,24 +88,120 @@ def hnf_dvr(columns, p):
     canonical basis of the lattice spanned by the input columns.  With
     D = p^s u the common denominator, that lattice is p^{-s} lattice(D columns).
     """
+    rows, s = _hermite_rows(columns, p)
+    return tuple(tuple(Fraction(x, p ** s) for x in row) for row in rows)
+
+
+def _hermite_rows(columns, p):
+    """(rows, s): the Hermite form of the rational columns' lattice is rows / p^s."""
     cols, den = qlinalg.clear_denominators(columns)
-    h, scale = _hermite(cols, p), p ** pval_int(den, p)
-    return tuple(tuple(Fraction(col[i], scale) for col in h) for i in range(len(h)))
+    return tuple(zip(*_hermite(cols, p))), pval_int(den, p)
+
+
+@functools.total_ordering
+class LatticeKey:
+    """Canonical key of a Z_(p)-lattice: its Hermite form as integers over p^s.
+
+    `rows` are the row-major integers of the Hermite form times p^s, with s
+    the least exponent that makes them integral, so two lattices are equal
+    exactly when their (p, s, rows) are.  The hash is taken once.  Keys
+    order as the tuples (p, rows of rational entries) do.
+    """
+
+    __slots__ = ("p", "s", "rows", "_hash", "_text")
+
+    def __init__(self, p, rows, s):
+        """rows: integer Hermite form (row-major) of p^s times the lattice."""
+        t = pval_int(math.gcd(*itertools.chain.from_iterable(rows)), p)
+        if t:
+            rows, s = _scaled(rows, 1, p ** t), s - t
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_hash", hash((p, s, rows)))
+        object.__setattr__(self, "_text", None)
+
+    def __setattr__(self, *a):
+        raise AttributeError("LatticeKey is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, LatticeKey):
+            return NotImplemented
+        return self.p == other.p and self.s == other.s and self.rows == other.rows
+
+    def __hash__(self):
+        return self._hash
+
+    def __lt__(self, other):
+        if not isinstance(other, LatticeKey):
+            return NotImplemented
+        if self.p != other.p:
+            return self.p < other.p
+        # bring both to the larger exponent: x / p^s < y / p^s' iff x p^(s'-s) < y
+        d = other.s - self.s
+        a = _scaled(self.rows, self.p ** d, 1) if d > 0 else self.rows
+        b = _scaled(other.rows, self.p ** -d, 1) if d < 0 else other.rows
+        return a < b
+
+    def __str__(self):
+        if self._text is None:
+            mul, den = (1, self.p ** self.s) if self.s > 0 else (self.p ** -self.s, 1)
+            body = ";".join(",".join(_ratio_text(x * mul, den) for x in row)
+                            for row in self.rows)
+            object.__setattr__(self, "_text", f"p{self.p}:{body}")
+        return self._text
+
+    def __repr__(self):
+        return f"LatticeKey({self})"
+
+
+def _scaled(rows, mul, div):
+    return tuple(tuple(x * mul // div for x in row) for row in rows)
+
+
+def _ratio_text(x, den):
+    """str(Fraction(x, den)) for den > 0, without building the Fraction."""
+    g = math.gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
 class LatticeVertex:
-    """A norm with integer weights, canonicalized as a Z_(p)-lattice."""
+    """A norm with integer weights, canonicalized as a Z_(p)-lattice.
 
-    __slots__ = ("norm", "_key")
+    A vertex made by `neighbors` starts from its key and integer basis; its
+    norm is built the first time it is read.
+    """
+
+    __slots__ = ("_norm", "_key", "_ints")
 
     def __init__(self, norm):
         if not all(w.denominator == 1 for w in norm.weights):
             raise UsageError("vertex weights must be integers")
-        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "_norm", norm)
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_ints", None)
+
+    @classmethod
+    def _lazy(cls, key, ctx, cols, den):
+        """The vertex with key `key`, weights 0 and basis columns cols / den."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_norm", None)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_ints", (ctx, cols, den))
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("LatticeVertex is immutable")
+
+    @property
+    def norm(self):
+        if self._norm is None:
+            ctx, cols, den = self._ints
+            n = len(cols)
+            basis = [[Fraction(col[i], den) for col in cols] for i in range(n)]
+            object.__setattr__(self, "_norm", DiagNorm(ctx, basis, (Fraction(0),) * n))
+            object.__setattr__(self, "_ints", None)
+        return self._norm
 
     @property
     def ctx(self):
@@ -124,15 +221,14 @@ class LatticeVertex:
     @property
     def canonical_key(self):
         if self._key is None:
-            h = hnf_dvr(self.lattice_basis(), self.ctx.p)
-            object.__setattr__(self, "_key", (self.ctx.p, h))
+            p = self.ctx.p
+            key = LatticeKey(p, *_hermite_rows(self.lattice_basis(), p))
+            object.__setattr__(self, "_key", key)
         return self._key
 
     @property
     def key_string(self):
-        p, h = self.canonical_key
-        body = ";".join(",".join(str(x) for x in row) for row in h)
-        return f"p{p}:{body}"
+        return str(self.canonical_key)
 
     def __eq__(self, other):
         return isinstance(other, LatticeVertex) and self.canonical_key == other.canonical_key
@@ -183,23 +279,26 @@ def neighbors(vertex):
 
     These are the lattices L' with pL ⊆ L' ⊆ p^{-1}L other than L itself,
     one per listed form p H_s (see _standard_forms).  With W = W_int / D the
-    lattice basis of L, neighbour s has basis W H_s = W_int (p H_s) / (D p).
+    lattice basis of L, neighbour s has basis W H_s = W_int (p H_s) / (D p):
+    it is keyed from those integers, and its norm is built only when read.
     """
     n, p = vertex.dim, vertex.ctx.p
     _check_scale(n, p)
     w_cols, den = qlinalg.clear_denominators(vertex.lattice_basis())
     w_rows = list(zip(*w_cols))
+    exp = pval_int(den * p, p)
     self_key = vertex.canonical_key
-    zero_w = (Fraction(0),) * n
-    out = {}
+    out = []
     for form in _standard_forms(n, p):
-        basis = [[Fraction(sum(x * y for x, y in zip(wr, hc)), den * p) for hc in form]
-                 for wr in w_rows]
-        cand = LatticeVertex(DiagNorm(vertex.ctx, basis, zero_w))
-        k = cand.canonical_key
-        if k != self_key and k not in out:
-            out[k] = cand
-    return tuple(out[k] for k in sorted(out))
+        cols = [[sum(x * y for x, y in zip(wr, hc)) for wr in w_rows] for hc in form]
+        rows = tuple(zip(*_hermite(cols, p)))
+        key = LatticeKey(p, rows, exp)
+        if key != self_key:
+            out.append((rows, LatticeVertex._lazy(key, vertex.ctx, cols, den * p)))
+    # distinct forms give distinct lattices, and all rows share the exponent
+    # exp, so they sort as the keys do
+    out.sort(key=lambda e: e[0])
+    return tuple(v for _, v in out)
 
 
 def ball_bfs(center, radius):
@@ -278,7 +377,7 @@ def helly_check_building(family, mode="witness"):
         raise UsageError("radii must be nonnegative integers")
     if mode == "witness":
         # helly_witness_na checks the pairs and raises PairwiseRadiusError
-        theta = helly_witness_na([c.norm for c in centers], radii)
+        theta, _ = helly_witness_na([c.norm for c in centers], radii)
         return BallCertificate(centers, radii, mode, "witness", witness=LatticeVertex(theta))
 
     bad_pair = None

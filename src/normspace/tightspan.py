@@ -193,15 +193,47 @@ def _pair_rows(pairs, n):
     return rows
 
 
+def _nonsingular(pairs, n):
+    """Whether the pair matrix A of n pairs on n points is nonsingular.
+
+    A is the unsigned edge-vertex incidence matrix of the pair graph (i = j
+    a loop), which is nonsingular exactly when every connected component
+    has one cycle and that cycle is odd.  Union-find with parity: an edge
+    inside a component closes a cycle, odd when its ends have equal parity.
+    With n edges on n vertices, at most one cycle per component means
+    exactly one.
+    """
+    parent, parity, cyclic = list(range(n)), [0] * n, [False] * n
+
+    def find(x):
+        par = 0
+        while parent[x] != x:
+            par ^= parity[x]
+            x = parent[x]
+        return x, par
+
+    for i, j in pairs:
+        (ri, pi), (rj, pj) = find(i), find(j)
+        if ri == rj:
+            if cyclic[ri] or pi != pj:
+                return False
+            cyclic[ri] = True
+        elif cyclic[ri] and cyclic[rj]:
+            return False
+        else:
+            parent[ri], parity[ri] = rj, pi ^ pj ^ 1
+            cyclic[rj] = cyclic[rj] or cyclic[ri]
+    return True
+
+
 @functools.cache
 def _pair_sets(n):
     """The n-subsets of pairs (i <= j < n) with a nonsingular A, in
-    `combinations` order: singularity depends only on the set, so the
-    Bareiss determinant is taken once per set (only the pairs are kept)."""
+    `combinations` order: singularity depends only on the set, so it is
+    decided once per set, by a graph test (only the pairs are kept)."""
     all_pairs = [(i, j) for i in range(n) for j in range(i, n)]
     return tuple(
-        combo for combo in itertools.combinations(all_pairs, n)
-        if qlinalg.bareiss(_pair_rows(combo, n))[0] != 0
+        combo for combo in itertools.combinations(all_pairs, n) if _nonsingular(combo, n)
     )
 
 

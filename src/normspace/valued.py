@@ -317,9 +317,10 @@ def join_norms(norms):
 def helly_witness_na(norms, radii):
     """A norm inside every ball B(eta_s, a_s) of a pairwise-compatible family.
 
-    Checks the pairwise condition d(eta_s, eta_t) <= a_s + a_t, then returns
-    the join of the scaled-down norms q^{-a_s} eta_s, re-verifying the ball
-    memberships on the way out.
+    Checks the pairwise condition d(eta_s, eta_t) <= a_s + a_t, then builds
+    the join theta of the scaled-down norms q^{-a_s} eta_s and re-verifies
+    the ball memberships.  Returns (theta, [d(theta, eta_s)]), the distances
+    that the membership check measured.
     """
     norms = list(norms)
     radii = [frac(r) for r in radii]
@@ -339,7 +340,8 @@ def helly_witness_na(norms, radii):
                     f"d = {d} > {radii[s]} + {radii[t]}",
                 )
     theta = join_norms([scale_norm(eta, -a) for eta, a in zip(norms, radii)])
-    for s, (eta, a) in enumerate(zip(norms, radii)):
-        if gi_distance(theta, eta) > a:
+    dists = [gi_distance(theta, eta) for eta in norms]
+    for s, (d, a) in enumerate(zip(dists, radii)):
+        if d > a:
             raise RuntimeError(f"witness escaped ball {s}: join construction bug")
-    return theta
+    return theta, dists

@@ -4,9 +4,9 @@ The oracles here (integer Smith normal form, Fraction Gauss-Jordan
 elimination, brute-force log-sup ratios, the Fraction Hermite form and
 Fraction distances, submodule closures, entrywise adapted-basis and
 lattice-equality tests, loop-structured float kernels and closure sweeps,
-the Fraction tight-pair solve and pair-set filter, brute-force cube
-isometries and 3D hulls, the per-body tangent polytopes of the body
-intersection witness)
+the Fraction tight-pair solve, the Fraction and Bareiss pair-set filters,
+brute-force cube isometries and 3D hulls, the per-body tangent polytopes of
+the body intersection witness)
 deliberately do not share code with the library paths they check.
 """
 
@@ -515,9 +515,9 @@ def solve_candidate_fraction(space, pairs):
     return list(np.linalg.solve(mat, rhs))
 
 
-def nonsingular_pair_sets_fraction(n):
+def _pair_sets_with_nonzero(n, det):
     """The n-subsets of pairs (i <= j < n), in combinations order, whose
-    pair matrix has a nonzero Fraction Gauss-Jordan determinant."""
+    pair matrix has det(matrix) != 0."""
     all_pairs = [(i, j) for i in range(n) for j in range(i, n)]
     out = []
     for combo in itertools.combinations(all_pairs, n):
@@ -525,9 +525,19 @@ def nonsingular_pair_sets_fraction(n):
         for row, (i, j) in zip(mat, combo):
             row[i] += 1
             row[j] += 1
-        if gauss_jordan(mat)[1] != 0:
+        if det(mat) != 0:
             out.append(combo)
     return out
+
+
+def nonsingular_pair_sets_bareiss(n):
+    """Pair sets whose matrix has a nonzero integer Bareiss determinant."""
+    return _pair_sets_with_nonzero(n, lambda mat: qlinalg.bareiss(mat)[0])
+
+
+def nonsingular_pair_sets_fraction(n):
+    """Pair sets whose matrix has a nonzero Fraction Gauss-Jordan determinant."""
+    return _pair_sets_with_nonzero(n, lambda mat: gauss_jordan(mat)[1])
 
 
 def coarse_helly_details_per_body(family, radii):

@@ -81,7 +81,7 @@ def test_acceptance_2_helly_witness_na():
                 for a in family
             ]
             radii = [d / 2 + Fraction(1 + s, 7) for s, d in enumerate(dmax)]
-            theta = helly_witness_na(family, radii)
+            theta, _ = helly_witness_na(family, radii)
             for eta, r in zip(family, radii):
                 assert gi_distance(theta, eta) <= r
 

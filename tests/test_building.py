@@ -324,3 +324,20 @@ def test_graph_exports():
     xml = graphml(verts)
     assert xml.count("<node") == 15
     assert "<edge" in xml
+
+
+@pytest.mark.parametrize("p, n, r", [(2, 2, 2), (3, 2, 1), (2, 3, 1)])
+def test_a_ball_builds_one_norm_per_vertex(monkeypatch, p, n, r):
+    obj = random_vertex(707, 2, PAdicContext(p), n).to_json()
+    built = []
+    init = DiagNorm.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    neighbors.cache_clear()
+    monkeypatch.setattr(DiagNorm, "__init__", counted)
+    ball = ball_bfs(LatticeVertex.from_json(obj), r)
+    monkeypatch.undo()
+    assert len(built) == len(ball) == {(2, 2, 2): 83, (3, 2, 1): 23, (2, 3, 1): 129}[(p, n, r)]

@@ -424,6 +424,32 @@ def test_determinism_across_subcommands(capsys):
         assert out1 == out2
 
 
+def test_repeated_calls_in_one_process(capsys):
+    fam = json.dumps({"norms": [json.loads(x) for x in (STD, SHIFTED, LPRIME)],
+                      "radii": ["2", "2", "2"]})
+    metric = json.dumps({"d": [[0, 3, 4, 5], [3, 0, 5, 4], [4, 5, 0, 3], [5, 4, 3, 0]]})
+    outs = {}
+    for args in (
+        ("ball", "--center", LPRIME, "--radius", "2"),
+        ("helly-na", "--family", fam),
+        ("tight-span", "--metric", metric),
+    ):
+        code1, out1, _ = run_cli(capsys, *args)
+        code2, out2, _ = run_cli(capsys, *args)
+        assert (code1, code2) == (0, 0)
+        assert out1 and out1 == out2
+        outs[args[0]] = out1
+    # the printed distances are the witness's measured distances
+    doc = json.loads(outs["helly-na"])
+    witness = DiagNorm.from_json(doc["witness"])
+    norms = [DiagNorm.from_json(json.loads(x)) for x in (STD, SHIFTED, LPRIME)]
+    assert doc["distances"] == [str(normspace.gi_distance(witness, eta)) for eta in norms]
+    code, out, err = run_cli(capsys, "ball", "--center", STD)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "usage"
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_campaign_csv_writes_the_summary_on_stderr(monkeypatch, capsys):
     verdicts = iter([True, False, True, True, False, True])
     monkeypatch.setitem(cli.CAMPAIGN_SUITES, "apartment", lambda rng: next(verdicts))

@@ -14,10 +14,11 @@ from normspace import (
     eval_log_norm,
     gi_distance,
     neighbors,
+    qlinalg,
     random_vertex,
     scale_norm,
 )
-from normspace.building import hnf_dvr
+from normspace.building import _standard_forms, hnf_dvr
 from normspace.valued import log_sup_ratio
 
 PRIMES = (2, 3, 5, 7)
@@ -130,3 +131,55 @@ def test_neighbors_commute_with_unimodular_maps(p, n):
         moved = LatticeVertex(_moved(g, v.norm))
         want = sorted(LatticeVertex(_moved(g, u.norm)).canonical_key for u in neighbors(v))
         assert [u.canonical_key for u in neighbors(moved)] == want
+
+
+def _fraction_key(v):
+    """The Fraction-tuple key (p, Hermite form rows) of a vertex."""
+    return v.ctx.p, helpers.hnf_dvr_fraction(v.lattice_basis(), v.ctx.p)
+
+
+def test_integer_keys_order_hash_and_print_as_fraction_hermite_forms():
+    rng = helpers.rng_for(705)
+    verts = []
+    for trial in range(80):
+        p, n = (2, 3)[trial % 2], 1 + trial % 3
+        ctx = PAdicContext(p)
+        weights = [int(rng.integers(-2, 3)) for _ in range(n)]
+        v = LatticeVertex(DiagNorm(ctx, _rational_basis(rng, n, p), weights))
+        # the same lattice in another basis, and the same integers over p^(s+1)
+        w = qlinalg.from_columns(v.lattice_basis())
+        w = qlinalg.matmul(w, helpers.random_unimodular(rng, n))
+        verts += [v, LatticeVertex(DiagNorm(ctx, w, [0] * n)),
+                  LatticeVertex(scale_norm(v.norm, -1))]
+    keys = [v.canonical_key for v in verts]
+    olds = [_fraction_key(v) for v in verts]
+    for k, (p, h) in zip(keys, olds):
+        assert str(k) == f"p{p}:" + ";".join(",".join(str(x) for x in row) for row in h)
+    for a, old_a in zip(keys, olds):
+        for b, old_b in zip(keys, olds):
+            assert (a == b) == (old_a == old_b)
+            assert (a < b) == (old_a < old_b)
+            if a == b:
+                assert hash(a) == hash(b)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    assert [olds[i] for i in order] == sorted(olds)
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (2, 3)])
+def test_neighbour_norms_match_eagerly_built_ones(p, n):
+    ctx = PAdicContext(p)
+    v = random_vertex(706 + p + n, 2, ctx, n)
+    w = qlinalg.from_columns(v.lattice_basis())
+    eager = {}
+    for form in _standard_forms(n, p):
+        h_s = qlinalg.from_columns([[Fraction(x, p) for x in col] for col in form])
+        u = LatticeVertex(DiagNorm(ctx, qlinalg.matmul(w, h_s), [0] * n))
+        eager[u.canonical_key] = u
+    del eager[v.canonical_key]
+    neighbors.cache_clear()
+    got = neighbors(v)
+    assert [u.canonical_key for u in got] == sorted(eager)
+    for u in got:
+        e = eager[u.canonical_key]
+        assert (u.norm.basis, u.norm.weights) == (e.norm.basis, e.norm.weights)
+        assert u.key_string == e.key_string

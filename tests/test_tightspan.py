@@ -336,3 +336,8 @@ def test_pair_sets_are_the_nonsingular_combinations(n, count):
     want = helpers.nonsingular_pair_sets_fraction(n)
     assert list(tightspan._pair_sets(n)) == want
     assert len(want) == count
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pair_sets_match_the_bareiss_filter(n):
+    assert list(tightspan._pair_sets(n)) == helpers.nonsingular_pair_sets_bareiss(n)

@@ -407,14 +407,14 @@ def test_join_pointwise_identity_and_lub():
 
 def test_helly_single_ball():
     eta = std_norm([0, 0])
-    theta = helly_witness_na([eta], [2])
-    assert gi_distance(theta, eta) == 2
+    theta, dists = helly_witness_na([eta], [2])
+    assert dists == [gi_distance(theta, eta)] == [2]
 
 
 def test_helly_two_copies_radius_zero():
     eta = std_norm([1, -1])
-    theta = helly_witness_na([eta, eta], [0, 0])
-    assert gi_distance(theta, eta) == 0
+    theta, dists = helly_witness_na([eta, eta], [0, 0])
+    assert dists == [gi_distance(theta, eta)] * 2 == [0, 0]
 
 
 def test_helly_violation_reports_pair_and_gap():
@@ -435,9 +435,9 @@ def test_helly_random_families():
             for s in range(5)
         ]
         radii = [dmax[s] / 2 + Fraction(s, 7) for s in range(5)]
-        theta = helly_witness_na(family, radii)
-        for eta, a in zip(family, radii):
-            assert gi_distance(theta, eta) <= a
+        theta, dists = helly_witness_na(family, radii)
+        for eta, a, d in zip(family, radii, dists):
+            assert gi_distance(theta, eta) == d <= a
 
 
 # -- serialization --

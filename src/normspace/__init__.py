@@ -35,20 +35,16 @@ from .building import (
     random_vertex,
 )
 from .bodies import (
-    LinearGroupAction,
     PolyNorm,
     SpdNorm,
     body_from_json,
     body_to_json,
-    facet_enum,
     gauge,
     gi_distance_bodies,
-    is_invariant,
     john_ellipsoid,
     mvee,
     polar,
     sampled_sup_ratio,
-    vertex_enum,
 )
 from .tightspan import (
     FiniteMetric,

@@ -155,17 +155,6 @@ def gauge(body, v):
     return float(out[0]) if np.ndim(v) == 1 else out
 
 
-def vertex_enum(facets_a, facets_b):
-    """Exact vertex enumeration of {|<a_i,x>| <= b_i} (dim <= 3)."""
-    return PolyNorm.from_facets(facets_a, facets_b).vertices
-
-
-def facet_enum(vertices):
-    """Exact irredundant facet enumeration of conv(+-vertices) (dim <= 3)."""
-    body = PolyNorm.from_vertices(vertices)
-    return body.a, body.b
-
-
 def polar(body):
     """Polar polytope: facets and vertices swap ((a, b) <-> a/b)."""
     if not isinstance(body, PolyNorm):
@@ -237,8 +226,8 @@ def mvee_certified(points):
     within (1+eps)^{n/2} of optimal.
     """
     pts = _finite(np.atleast_2d(np.array(points, dtype=float)), "MVEE points")
-    if pts.ndim != 2:
-        raise UsageError("MVEE points must be a list of vectors")
+    if pts.ndim != 2 or pts.size == 0:
+        raise UsageError("MVEE points must be a nonempty list of vectors")
     m, n = pts.shape
     if np.linalg.matrix_rank(pts, tol=1e-12) < n:
         raise UsageError("points do not span: degenerate MVEE input")
@@ -323,8 +312,9 @@ def coarse_helly_details(bodies, radii):
         raise UsageError("bodies and radii must have equal length")
     if not bodies:
         raise UsageError("empty ball family")
-    if not all(0 <= r < math.inf for r in radii):
-        raise UsageError("radii must be finite and nonnegative")
+    # the witness scales ball i by e^{r_i}, which must be a finite float
+    if not all(0 <= r <= math.log(np.finfo(float).max) for r in radii):
+        raise UsageError("radii must be finite, nonnegative and at most log(max float) = 709.78")
     n = bodies[0].dim
     if any(b.dim != n for b in bodies):
         raise UsageError("dimension mismatch in the family")
@@ -340,7 +330,10 @@ def coarse_helly_details(bodies, radii):
     rows = [spd_to_polytope(b) if isinstance(b, SpdNorm) else (b.a, b.b) for b in bodies]
     slack = [SPD_APPROX_LOG_BOUND[n] if isinstance(b, SpdNorm) else 0.0 for b in bodies]
     pooled_a = np.vstack([a for a, _ in rows])
-    pooled_b = np.concatenate([bb * math.exp(r) for (_, bb), r in zip(rows, radii)])
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        pooled_b = np.concatenate([bb * math.exp(r) for (_, bb), r in zip(rows, radii)])
+    if not np.all(np.isfinite(pooled_b)):
+        raise UsageError("radii too large: a scaled facet offset b e^r overflows a float")
     witness = PolyNorm.from_facets(pooled_a, pooled_b)
     dists = []
     for s, (b, r) in enumerate(zip(bodies, radii)):
@@ -357,89 +350,6 @@ def coarse_helly_details(bodies, radii):
         "allowed": [r + OPT_TOL + sl for r, sl in zip(radii, slack)],
         "approx_slack": slack,
     }
-
-
-# ---------------------------------------------------------------------------
-# finite linear group invariance
-# ---------------------------------------------------------------------------
-
-class LinearGroupAction:
-    """A finite matrix group given by generators; closure computed lazily."""
-
-    CLOSURE_CAP = 10_000
-
-    def __init__(self, generators):
-        gens = [np.array(g, dtype=float) for g in generators]
-        if not gens:
-            raise UsageError("need at least one generator")
-        n = gens[0].shape[0]
-        for g in gens:
-            if g.shape != (n, n):
-                raise UsageError("generators must be square matrices of equal size")
-            if abs(np.linalg.det(g)) < 1e-12:
-                raise UsageError("generators must be invertible")
-        self.dim = n
-        self.generators = gens
-        self._elements = None
-
-    @staticmethod
-    def _key(g):
-        return np.round(g, 9).tobytes()
-
-    def elements(self):
-        if self._elements is not None:
-            return self._elements
-        eye = np.eye(self.dim)
-        found = {self._key(eye): eye}
-        frontier = [eye]
-        while frontier:
-            nxt = []
-            for g in self.generators:
-                for h in frontier:
-                    prod = g @ h
-                    k = self._key(prod)
-                    if k not in found:
-                        if len(found) >= self.CLOSURE_CAP:
-                            raise UsageError("group closure cap (10^4) exceeded")
-                        found[k] = prod
-                        nxt.append(prod)
-            frontier = nxt
-        self._elements = list(found.values())
-        return self._elements
-
-    def order(self):
-        return len(self.elements())
-
-
-def _invariance_sample(n, count=1000):
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([0xC0FFEE, n])))
-    dirs = rng.standard_normal((count, n))
-    return dirs / np.linalg.norm(dirs, axis=1)[:, None]
-
-
-def is_invariant(body, action):
-    """True iff gauge(K, g v) = gauge(K, v) within 1e-9 for all group
-    elements on a deterministic direction sample (plus vertex-set invariance
-    for polytopes)."""
-    if body.dim != action.dim:
-        raise UsageError("body/group dimension mismatch")
-    sample = _invariance_sample(body.dim)
-    base = gauge(body, sample)
-    for g in action.elements():
-        moved = gauge(body, sample @ g.T)
-        if np.max(np.abs(moved - base)) > STRUCT_TOL * max(1.0, float(np.max(base))):
-            return False
-    if isinstance(body, PolyNorm):
-        verts = body.vertices
-        full = np.vstack([verts, -verts])
-        for g in action.elements():
-            img = verts @ g.T
-            dist = np.min(
-                np.linalg.norm(img[:, None, :] - full[None, :, :], axis=2), axis=1
-            )
-            if np.max(dist) > 1e-6:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ Hermite forms, neighbour bases and vertex keys are integers; Fractions are
 built only for key strings and for the norms that are read.  The neighbours
 of every vertex come from one cached list per (n, p) of the integer Hermite
 forms between p^2 Z^n and Z^n, listed directly by diagonal and reduced
-entries.
+entries.  Neighbours themselves are not cached: each call builds them from
+the basis of the vertex it is given, so a result depends only on its
+arguments, never on earlier calls about the same lattice in another basis.
 """
 
 from __future__ import annotations
@@ -78,18 +80,6 @@ def _hermite(cols, p):
                 for r in range(i + 1):
                     col[r] -= q * placed[i][r]
     return placed
-
-
-def hnf_dvr(columns, p):
-    """Column Hermite form over Z_(p) of a full-rank rational column family.
-
-    Output is upper triangular with diagonal p^{a_i} and the entries above
-    each pivot reduced modulo p^{a_i} into [0, p^{a_i}) ∩ Z[1/p]; it is the
-    canonical basis of the lattice spanned by the input columns.  With
-    D = p^s u the common denominator, that lattice is p^{-s} lattice(D columns).
-    """
-    rows, s = _hermite_rows(columns, p)
-    return tuple(tuple(Fraction(x, p ** s) for x in row) for row in rows)
 
 
 def _hermite_rows(columns, p):
@@ -273,7 +263,6 @@ def _standard_forms(n, p):
     return forms
 
 
-@functools.lru_cache(maxsize=65536)
 def neighbors(vertex):
     """All vertices at Goldman-Iwahori distance exactly 1.
 
@@ -281,6 +270,7 @@ def neighbors(vertex):
     one per listed form p H_s (see _standard_forms).  With W = W_int / D the
     lattice basis of L, neighbour s has basis W H_s = W_int (p H_s) / (D p):
     it is keyed from those integers, and its norm is built only when read.
+    Uncached: the neighbour bases always come from this vertex's own basis.
     """
     n, p = vertex.dim, vertex.ctx.p
     _check_scale(n, p)
@@ -372,9 +362,10 @@ def helly_check_building(family, mode="witness"):
     if not family:
         raise UsageError("empty ball family")
     centers = [v for v, _ in family]
-    radii = [int(r) for _, r in family]
-    if any(r < 0 for r in radii):
+    radii = [Fraction(r) for _, r in family]
+    if any(r < 0 or r.denominator != 1 for r in radii):
         raise UsageError("radii must be nonnegative integers")
+    radii = [int(r) for r in radii]
     if mode == "witness":
         # helly_witness_na checks the pairs and raises PairwiseRadiusError
         theta, _ = helly_witness_na([c.norm for c in centers], radii)

@@ -151,8 +151,8 @@ def _cmd_helly_building(ns):
     fam = _load_json_arg(ns.family, "--family")
     try:
         centers = [bld.LatticeVertex.from_json(x) for x in fam["centers"]]
-        radii = [int(r) for r in fam["radii"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        radii = [_frac_arg(str(r)) for r in fam["radii"]]
+    except (KeyError, TypeError) as exc:
         raise UsageError(f"bad family JSON: {exc}") from exc
     cert = bld.helly_check_building(list(zip(centers, radii)), mode=ns.mode)
     code = EXIT_OK if cert.outcome == "witness" else EXIT_VIOLATION

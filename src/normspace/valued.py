@@ -65,7 +65,7 @@ def pval(x, p):
 class DiagNorm:
     """An ultrametric norm diagonal in an explicit rational basis."""
 
-    __slots__ = ("ctx", "basis", "weights", "_ints", "_adj")
+    __slots__ = ("ctx", "basis", "weights", "_ints")
 
     def __init__(self, ctx, basis, weights):
         if not isinstance(ctx, PAdicContext):
@@ -78,11 +78,14 @@ class DiagNorm:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "weights", weights)
+        # (B_int, D, M, d): basis = B_int / D and M = d * B_int^{-1}, d = +-det B_int,
+        # from one Bareiss pass on [B_int | I]
         b_int, den = qlinalg.clear_denominators(basis)
-        if qlinalg.bareiss(b_int)[0] == 0:
+        d, out = qlinalg.bareiss([r + [int(i == j) for j in range(n)]
+                                  for i, r in enumerate(b_int)])
+        if d == 0:
             raise UsageError("basis matrix is singular")
-        object.__setattr__(self, "_ints", (b_int, den))
-        object.__setattr__(self, "_adj", None)
+        object.__setattr__(self, "_ints", (b_int, den, [r[n:] for r in out], d))
 
     def __setattr__(self, *a):  # immutable by construction
         raise AttributeError("DiagNorm is immutable")
@@ -91,18 +94,9 @@ class DiagNorm:
     def dim(self):
         return len(self.weights)
 
-    def _view(self):
-        """(B_int, D, M, d): basis = B_int / D and M = d * B_int^{-1}, d = +-det B_int."""
-        if self._adj is None:
-            b_int, n = self._ints[0], self.dim
-            d, out = qlinalg.bareiss([r + [int(i == j) for j in range(n)]
-                                      for i, r in enumerate(b_int)])
-            object.__setattr__(self, "_adj", ([r[n:] for r in out], d))
-        return self._ints + self._adj
-
     @property
     def basis_inv(self):
-        _, den, m, d = self._view()
+        _, den, m, d = self._ints
         return tuple(tuple(Fraction(den * x, d) for x in row) for row in m)
 
     @classmethod
@@ -145,6 +139,8 @@ class DiagNorm:
             weights = [frac(x) for x in obj["weights"]]
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad DiagNorm JSON: {exc}") from exc
+        if not cols or any(len(col) != len(cols) for col in cols):
+            raise UsageError("bad DiagNorm JSON: basis must be n columns of length n >= 1")
         return cls(PAdicContext(p), qlinalg.from_columns(cols), weights)
 
 
@@ -165,7 +161,7 @@ def _log_max(eta, cols, shift, offsets):
     p = eta.ctx.p
     e = math.lcm(*(w.denominator for w in eta.weights + offsets))
     a = [w.numerator * (e // w.denominator) for w in eta.weights]
-    _, den, m, d = eta._view()
+    _, den, m, d = eta._ints
     best = None
     for col, off in zip(cols, offsets):
         o = off.numerator * (e // off.denominator)
@@ -196,7 +192,7 @@ def log_sup_ratio(eta, etap):
     inequality), so it is max_j (log eta(f_j) - m'_j), read off M B'_int.
     """
     _require_same_space(eta, etap)
-    b_int, den = etap._ints
+    b_int, den, _, _ = etap._ints
     return _log_max(eta, list(zip(*b_int)), pval_int(den, eta.ctx.p), etap.weights)
 
 

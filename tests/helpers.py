@@ -18,6 +18,7 @@ import numpy as np
 
 from normspace import DiagNorm, InfeasibleScaleError, UsageError, eval_log_norm, qlinalg
 from normspace import bodies
+from normspace.building import _hermite_rows
 from normspace.valued import pval
 
 
@@ -193,6 +194,18 @@ def reduce_mod_ppow(x, k, p):
     modulus = p ** (k - v)
     c = (num * pow(den, -1, modulus)) % modulus
     return Fraction(c) * Fraction(p) ** v
+
+
+def hnf_dvr(columns, p):
+    """The library's Z_(p) Hermite form of rational columns, as Fractions.
+
+    Output is upper triangular with diagonal p^{a_i} and the entries above
+    each pivot reduced modulo p^{a_i} into [0, p^{a_i}) ∩ Z[1/p]: the
+    integer form of `building._hermite_rows` over p^s, for comparison with
+    the Fraction oracle `hnf_dvr_fraction`.
+    """
+    rows, s = _hermite_rows(columns, p)
+    return tuple(tuple(Fraction(x, p ** s) for x in row) for row in rows)
 
 
 def hnf_dvr_fraction(columns, p):

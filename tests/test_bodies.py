@@ -5,7 +5,6 @@ import pytest
 
 import helpers
 from normspace import (
-    LinearGroupAction,
     PairwiseRadiusError,
     PolyNorm,
     SpdNorm,
@@ -14,7 +13,6 @@ from normspace import (
     body_to_json,
     gauge,
     gi_distance_bodies,
-    is_invariant,
     john_ellipsoid,
     mvee,
     polar,
@@ -458,37 +456,68 @@ def test_witness_violation_reports_pair():
     assert exc.value.pair == (0, 1)
 
 
-# -- invariance --
+# -- GL-equivariance: d(gK, gK') = d(K, K'), and witnesses move with g --
 
 ROT90 = [[0.0, -1.0], [1.0, 0.0]]
-ROT45 = [[math.cos(math.pi / 4), -math.sin(math.pi / 4)],
-         [math.sin(math.pi / 4), math.cos(math.pi / 4)]]
+ROT90_Z = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
 
 
-def test_invariance_square():
-    act = LinearGroupAction([ROT90])
-    assert act.order() == 4
-    assert is_invariant(SQUARE, act)
-    assert not is_invariant(SQUARE, LinearGroupAction([ROT45]))
-    assert is_invariant(DISC, LinearGroupAction([ROT45]))
+def moved(g, body):
+    """The image gK, whose gauge is y -> gauge_K(g^{-1} y)."""
+    g = np.asarray(g, dtype=float)
+    ginv = np.linalg.inv(g)
+    if isinstance(body, SpdNorm):
+        m = ginv.T @ body.matrix @ ginv
+        return SpdNorm(0.5 * (m + m.T))
+    return PolyNorm(body.a @ ginv, body.b, body.vertices @ g.T)
 
 
-def test_invariant_inputs_give_invariant_witness():
-    act = LinearGroupAction([ROT90])
-    k2 = PolyNorm.from_vertices(1.5 * np.asarray(SQUARE.vertices))
-    disc_poly = PolyNorm.from_facets(*spd_to_polytope(SpdNorm(0.8 * np.eye(2))))
-    fam = [SQUARE, k2, disc_poly]
-    assert all(is_invariant(k, act) for k in fam)
-    dmat = [[gi_distance_bodies(a, b) for b in fam] for a in fam]
-    radii = [max(row) / 2 + 0.01 for row in dmat]
+def seeded_maps(n, seed):
+    """A quarter turn plus three seeded maps in GL_n(R) with |det| >= 0.3."""
+    rng = helpers.rng_for(seed)
+    maps = [ROT90 if n == 2 else ROT90_Z]
+    while len(maps) < 4:
+        g = rng.standard_normal((n, n))
+        if abs(np.linalg.det(g)) >= 0.3:
+            maps.append(g)
+    return maps
+
+
+def random_polytope(rng, n):
+    return random_polygon(rng) if n == 2 else random_symmetric_polytope3(rng)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_distance_is_gl_equivariant(n):
+    rng = helpers.rng_for(470 + n)
+    spd = [random_spd(rng, n) for _ in range(2)]
+    poly = [random_polytope(rng, n) for _ in range(2)]
+    pairs = [(spd[0], spd[1]), (spd[0], poly[0]), (poly[1], spd[1]), (poly[0], poly[1])]
+    for g in seeded_maps(n, 472 + n):
+        for k1, k2 in pairs:
+            d = gi_distance_bodies(k1, k2)
+            assert gi_distance_bodies(moved(g, k1), moved(g, k2)) == pytest.approx(d, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_polytope_witness_is_gl_equivariant(n):
+    rng = helpers.rng_for(474 + n)
+    fam = [random_polytope(rng, n) for _ in range(3)]
+    radii = [max(gi_distance_bodies(a, b) for b in fam) / 2 + 0.05 for a in fam]
     w = coarse_helly_details(fam, radii)["witness"]
-    assert is_invariant(w, act)
+    for g in seeded_maps(n, 476 + n):
+        wg = coarse_helly_details([moved(g, k) for k in fam], radii)["witness"]
+        assert gi_distance_bodies(wg, moved(g, w)) <= 1e-9
 
 
-def test_group_closure_cap():
-    irrational = [[math.cos(0.1), -math.sin(0.1)], [math.sin(0.1), math.cos(0.1)]]
-    with pytest.raises(UsageError):
-        LinearGroupAction([irrational]).elements()
+def test_quarter_turn_invariant_family_has_invariant_witness():
+    disc_poly = PolyNorm.from_facets(*spd_to_polytope(SpdNorm(0.8 * np.eye(2))))
+    fam = [SQUARE, PolyNorm.from_vertices(1.5 * np.asarray(SQUARE.vertices)), disc_poly]
+    for k in fam:
+        assert gi_distance_bodies(moved(ROT90, k), k) <= 1e-12
+    radii = [max(gi_distance_bodies(a, b) for b in fam) / 2 + 0.01 for a in fam]
+    w = coarse_helly_details(fam, radii)["witness"]
+    assert gi_distance_bodies(moved(ROT90, w), w) <= 1e-9
 
 
 # -- serialization --

@@ -18,13 +18,12 @@ from normspace import (
     random_vertex,
     scale_norm,
 )
-from helpers import reduce_mod_ppow, submodule_generators, vertices_equal
+from helpers import hnf_dvr, reduce_mod_ppow, submodule_generators, vertices_equal
 from normspace.building import (
     _hermite,
     _standard_forms,
     adjacency_json,
     graphml,
-    hnf_dvr,
 )
 
 P2 = PAdicContext(2)
@@ -336,7 +335,6 @@ def test_a_ball_builds_one_norm_per_vertex(monkeypatch, p, n, r):
         built.append(self)
         init(self, *args)
 
-    neighbors.cache_clear()
     monkeypatch.setattr(DiagNorm, "__init__", counted)
     ball = ball_bfs(LatticeVertex.from_json(obj), r)
     monkeypatch.undo()

@@ -210,6 +210,7 @@ NAN_OFFSET_BODY = json.dumps({
     "vertices": [[1, 1], [1, -1]],
 })
 METRIC_2 = '{"d": [[0, 1], [1, 0]]}'
+WIDE_BODY = json.dumps(body_to_json(PolyNorm.from_vertices([[3, 3], [3, -3]])))
 
 
 @pytest.mark.parametrize("argv", [
@@ -228,9 +229,23 @@ METRIC_2 = '{"d": [[0, 1], [1, 0]]}'
     ("tight-span", "--metric", '{"d": [[0, NaN], [NaN, 0]]}'),
     ("extremal", "--metric", METRIC_2, "--f", "[NaN, 1]"),
     ("extremal", "--metric", METRIC_2, "--f", '["x", 1]'),
+    ("dist", "--a", '{"p": 2, "basis": [["1", "0"], ["1"]], "weights": ["0", "0"]}',
+     "--b", STD),
+    ("dist", "--a", '{"p": 2, "basis": [], "weights": []}', "--b", STD),
+    ("mvee", "--points", "[]"),
+    ("helly-bodies", "--family",
+     json.dumps({"bodies": [json.loads(SQUARE_BODY)] * 2, "radii": [1e308, 1]})),
+    ("helly-bodies", "--family",
+     json.dumps({"bodies": [json.loads(SQUARE_BODY), json.loads(WIDE_BODY)], "radii": [1, 709]})),
+    ("helly-building", "--family",
+     json.dumps({"centers": [json.loads(STD), json.loads(LPRIME)], "radii": [1.5, 1]})),
 ], ids=["body-nan-offset", "body-nan-spd", "body-string-spd", "john-inf-vertex",
         "mvee-nan", "mvee-missing-points", "mvee-string", "helly-bodies-nan-radius",
-        "tight-span-string", "tight-span-nan", "extremal-nan", "extremal-string"])
+        "tight-span-string", "tight-span-nan", "extremal-nan", "extremal-string",
+        "dist-ragged-basis", "dist-empty-basis", "mvee-empty",
+        "helly-bodies-overflowing-radius", "helly-bodies-overflowing-offset",
+        "helly-building-fractional-radius"])
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr before the JSON
 def test_non_finite_and_malformed_inputs_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

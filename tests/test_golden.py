@@ -3,9 +3,9 @@
 Each digest is the sha256 of one subcommand's stdout in a fresh process,
 recorded from the Fraction-based implementation that preceded the integer
 core.  Canonical keys, their order, norms and distances must all print the
-same bytes.  The neighbour cache is emptied first: a cached neighbour keeps
-the basis it was built from, so an earlier call about the same lattice in
-another basis changes the printed norms.
+same bytes, with these digests unedited, in whatever order the tests run:
+a payload depends only on its arguments, never on earlier calls in the
+process.
 """
 
 import hashlib
@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from normspace import PAdicContext, gi_distance, neighbors, random_vertex
+from normspace import DiagNorm, PAdicContext, gi_distance, random_vertex
 from normspace.cli import main
 
 
@@ -64,7 +64,21 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_payload_bytes_are_pinned(capsys, name):
     make_args, digest = GOLDEN[name]
-    neighbors.cache_clear()
     assert main(list(make_args())) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_ball_bytes_do_not_depend_on_earlier_balls(capsys):
+    """One lattice in two bases, one process: each ball prints its
+    fresh-process bytes, whichever basis asked about the lattice first."""
+    c = random_vertex(12, 2, PAdicContext(2), 2).norm
+    other = DiagNorm(c.ctx, [[row[0], row[0] + row[1]] for row in c.basis], c.weights)
+    fresh = {
+        "other": "815ad85a0076fa07776f937c79a4520d19ff0d05999bd6d23c923852a3d4e3ca",
+        "c": "175e0b67bdbc205cffea1574c4a6f9221ee311a8c6d6da8d896412f599a1adc5",
+    }
+    for name, norm in (("other", other), ("c", c), ("other", other)):
+        assert main(["ball", "--center", json.dumps(norm.to_json()), "--radius", "1"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == fresh[name], name

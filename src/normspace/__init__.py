@@ -35,6 +35,7 @@ from .building import (
     random_vertex,
 )
 from .bodies import (
+    MeetNorm,
     PolyNorm,
     SpdNorm,
     body_from_json,

@@ -1,11 +1,12 @@
 """Archimedean norms on R^n as symmetric convex bodies.
 
-Two representations: positive-definite quadratic forms (ellipsoid unit
-balls) and centrally symmetric polytopes (facets plus one vertex per
-antipodal pair).  Distances use closed forms: generalized eigenvalues for
-ellipsoid pairs, vertex/facet evaluations otherwise.  The John ellipsoid is
-the polar of the minimum-volume ellipsoid of the polar vertices, and
-intersection witnesses realize the Helly property constructively.
+Three representations: positive-definite quadratic forms (ellipsoid unit
+balls), centrally symmetric polytopes (facets plus one vertex per antipodal
+pair), and meets of scaled bodies (gauge max_k gauge(K_k) e^{-r_k}).
+Distances use closed forms: generalized eigenvalues for ellipsoid pairs,
+vertex/facet evaluations otherwise.  The John ellipsoid is the polar of the
+minimum-volume ellipsoid of the polar vertices, and the meet of a ball
+family, certified by its pairwise distances, realizes the Helly property.
 
 Structural tolerance is 1e-9, optimization tolerance 1e-6; exact rational
 arithmetic is confined to normspace.polyhedra.
@@ -24,12 +25,7 @@ OPT_TOL = 1e-6
 # Frank-Wolfe stopping rule of the MVEE: eps <= MVEE_TOL or MVEE_MAX_ITER steps
 MVEE_TOL = 1e-9
 MVEE_MAX_ITER = 2_000_000
-
-# circumscribed-polytope approximation of an ellipsoid: number of antipodal
-# direction pairs per dimension and the worst-case log gauge ratio of the
-# resulting tangent polytope (measured covering radius of the direction set)
-SPD_APPROX_PAIRS = {2: 64, 3: 242}
-SPD_APPROX_LOG_BOUND = {2: 3.1e-4, 3: 8.5e-3}
+MAX_LOG_SCALE = math.log(np.finfo(float).max)
 
 
 def _finite(arr, what):
@@ -138,17 +134,48 @@ class PolyNorm:
 Body = (SpdNorm, PolyNorm)
 
 
-def _as_dirs(v):
-    v = np.atleast_2d(np.array(v, dtype=float))
-    return v
+class MeetNorm:
+    """Meet of scaled bodies: unit ball the intersection of the e^{r_k} K_k,
+    gauge x -> max_k gauge(K_k, x) e^{-r_k}."""
+
+    __slots__ = ("parts", "log_scales")
+
+    def __init__(self, parts, log_scales):
+        parts = tuple(parts)
+        scales = tuple(float(r) for r in log_scales)
+        if not parts or len(parts) != len(scales):
+            raise UsageError("a meet needs at least one body and one radius per body")
+        # the meet scales body k by e^{r_k}, which must be a finite float
+        if not all(0 <= r <= MAX_LOG_SCALE for r in scales):
+            raise UsageError("radii (log scales) must be finite, nonnegative and at "
+                             f"most log(max float) = {MAX_LOG_SCALE:.2f}")
+        if not all(isinstance(p, Body) for p in parts):
+            raise UsageError("meet parts must be ellipsoids or polytopes")
+        if any(p.dim != parts[0].dim for p in parts):
+            raise UsageError("dimension mismatch among the meet's bodies")
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "log_scales", scales)
+
+    def __setattr__(self, *a):
+        raise AttributeError("MeetNorm is immutable")
+
+    @property
+    def dim(self):
+        return self.parts[0].dim
+
+    def __repr__(self):
+        return f"MeetNorm(n={self.dim}, parts={len(self.parts)})"
 
 
 def gauge(body, v):
     """Minkowski gauge of the body at v (vectorized over rows of v)."""
-    x = _as_dirs(v)
+    x = np.atleast_2d(np.array(v, dtype=float))
     if x.shape[1] != body.dim:
         raise UsageError("direction dimension mismatch")
-    if isinstance(body, SpdNorm):
+    if isinstance(body, MeetNorm):
+        out = np.max([gauge(p, x) * math.exp(-r)
+                      for p, r in zip(body.parts, body.log_scales)], axis=0)
+    elif isinstance(body, SpdNorm):
         out = _kernels.spd_gauge_batch(body.matrix, x)
     else:
         out = _kernels.poly_gauge_batch(body.a, 1.0 / body.b, x)
@@ -191,6 +218,8 @@ def gi_distance_bodies(k1, k2):
     """Goldman-Iwahori (log Banach-Mazur) distance between two bodies."""
     if k1.dim != k2.dim:
         raise UsageError("dimension mismatch")
+    if isinstance(k1, MeetNorm) or isinstance(k2, MeetNorm):
+        raise UsageError("no closed-form distance to a meet body")
     if isinstance(k1, SpdNorm) and isinstance(k2, SpdNorm):
         # one canonical order, so that d(a, b) and d(b, a) agree to the bit
         return _spd_pair_distance(*sorted((k1.matrix, k2.matrix), key=np.ndarray.tobytes))
@@ -269,55 +298,21 @@ def john_ellipsoid(body):
 
 
 # ---------------------------------------------------------------------------
-# ellipsoid -> circumscribed polytope, and the intersection witness
+# the intersection witness
 # ---------------------------------------------------------------------------
 
-def _pair_directions(n):
-    if n == 2:
-        k = SPD_APPROX_PAIRS[2]
-        th = np.arange(k) * math.pi / k
-        return np.stack([np.cos(th), np.sin(th)], axis=1)
-    if n == 3:
-        k = SPD_APPROX_PAIRS[3]
-        idx = np.arange(k)
-        z = (idx + 0.5) / k
-        r = np.sqrt(1.0 - z * z)
-        ang = math.pi * (3.0 - math.sqrt(5.0)) * idx
-        return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
-    raise UsageError("SPD polytope approximation supports dimensions 2 and 3")
-
-
-def spd_to_polytope(body):
-    """Facets (a, b) of the circumscribed tangent polytope of an ellipsoid.
-
-    Tangent planes are taken at contact points spread evenly in the
-    ellipsoid's own geometry, so the gauge error is at most
-    SPD_APPROX_LOG_BOUND[n] regardless of conditioning.  Every offset is 1,
-    and every row is a facet: each contact point lies strictly inside all
-    other tangent halfspaces.  No vertices are enumerated here; the
-    intersection witness enumerates its pooled facets once.
-    """
-    n = body.dim
-    lam, vecs = np.linalg.eigh(body.matrix)
-    sqrt_a = (vecs * np.sqrt(lam)) @ vecs.T
-    normals = _pair_directions(n) @ sqrt_a.T
-    return normals, np.ones(len(normals))
-
-
 def coarse_helly_details(bodies, radii):
-    """Intersection witness for balls of bodies, with verification data."""
-    bodies = list(bodies)
-    radii = [float(r) for r in radii]
-    if len(bodies) != len(radii):
-        raise UsageError("bodies and radii must have equal length")
-    if not bodies:
-        raise UsageError("empty ball family")
-    # the witness scales ball i by e^{r_i}, which must be a finite float
-    if not all(0 <= r <= math.log(np.finfo(float).max) for r in radii):
-        raise UsageError("radii must be finite, nonnegative and at most log(max float) = 709.78")
-    n = bodies[0].dim
-    if any(b.dim != n for b in bodies):
-        raise UsageError("dimension mismatch in the family")
+    """Intersection witness for balls of bodies, with verification data.
+
+    The witness is the meet W of the balls e^{r_i} K_i, so W lies in each.
+    As K_i lies in e^{d_ik} K_k, d(W, K_i) <= max(r_i, max_k d_ik - r_k),
+    which the pairwise check holds within r_i + STRUCT_TOL.  A polytope-only
+    meet is enumerated exactly into a polytope, and its distances measured
+    within r_i + OPT_TOL.
+    """
+    meet = MeetNorm(bodies, radii)  # checks the family and its radii
+    bodies, radii = meet.parts, meet.log_scales
+    dmat = np.zeros((len(bodies), len(bodies)))
     for s in range(len(bodies)):
         for t in range(s + 1, len(bodies)):
             d = gi_distance_bodies(bodies[s], bodies[t])
@@ -327,29 +322,24 @@ def coarse_helly_details(bodies, radii):
                     f"bodies {s} and {t}: d = {d:.9g} exceeds "
                     f"{radii[s]:.9g} + {radii[t]:.9g}",
                 )
-    rows = [spd_to_polytope(b) if isinstance(b, SpdNorm) else (b.a, b.b) for b in bodies]
-    slack = [SPD_APPROX_LOG_BOUND[n] if isinstance(b, SpdNorm) else 0.0 for b in bodies]
-    pooled_a = np.vstack([a for a, _ in rows])
-    with np.errstate(over="ignore"):  # an overflow is refused just below
-        pooled_b = np.concatenate([bb * math.exp(r) for (_, bb), r in zip(rows, radii)])
-    if not np.all(np.isfinite(pooled_b)):
-        raise UsageError("radii too large: a scaled facet offset b e^r overflows a float")
-    witness = PolyNorm.from_facets(pooled_a, pooled_b)
-    dists = []
-    for s, (b, r) in enumerate(zip(bodies, radii)):
-        d = gi_distance_bodies(witness, b)
-        allowed = r + OPT_TOL + slack[s]
-        if d > allowed:
-            raise RuntimeError(
-                f"intersection witness escaped ball {s}: {d:.9g} > {allowed:.9g}"
-            )
-        dists.append(d)
-    return {
-        "witness": witness,
-        "distances": dists,
-        "allowed": [r + OPT_TOL + sl for r, sl in zip(radii, slack)],
-        "approx_slack": slack,
-    }
+            dmat[s, t] = dmat[t, s] = d
+    if any(isinstance(b, SpdNorm) for b in bodies):
+        witness = meet
+        # the diagonal term -r_i never exceeds r_i
+        dists = np.maximum(radii, np.max(dmat - radii, axis=1)).tolist()
+        allowed = [r + STRUCT_TOL for r in radii]
+    else:
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            pooled_b = np.concatenate([b.b * math.exp(r) for b, r in zip(bodies, radii)])
+        if not np.all(np.isfinite(pooled_b)):
+            raise UsageError("radii too large: a scaled facet offset b e^r overflows a float")
+        witness = PolyNorm.from_facets(np.vstack([b.a for b in bodies]), pooled_b)
+        dists = [gi_distance_bodies(witness, b) for b in bodies]
+        allowed = [r + OPT_TOL for r in radii]
+    for s, (d, a) in enumerate(zip(dists, allowed)):
+        if d > a:
+            raise RuntimeError(f"intersection witness escaped ball {s}: {d:.9g} > {a:.9g}")
+    return {"witness": witness, "distances": dists, "allowed": allowed}
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +347,9 @@ def coarse_helly_details(bodies, radii):
 # ---------------------------------------------------------------------------
 
 def body_to_json(body):
+    if isinstance(body, MeetNorm):
+        return {"kind": "meet", "parts": [body_to_json(p) for p in body.parts],
+                "log_scales": list(body.log_scales)}
     if isinstance(body, SpdNorm):
         return {"kind": "spd", "matrix": [[float(x) for x in row] for row in body.matrix]}
     return {
@@ -378,6 +371,8 @@ def body_from_json(obj):
             fa = [f["a"] for f in obj["facets"]]
             fb = [f["b"] for f in obj["facets"]]
             return PolyNorm(fa, fb, obj["vertices"])
+        if kind == "meet":
+            return MeetNorm([body_from_json(p) for p in obj["parts"]], obj["log_scales"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad body JSON: {exc}") from exc
     raise UsageError(f"unknown body kind {obj.get('kind')!r}")

@@ -28,6 +28,8 @@ from . import valued as val
 from .errors import InfeasibleScaleError, PairwiseRadiusError, UsageError
 
 SCHEMA_VERSION = 1
+# helly-bodies results, whose witness became a meet body for ellipsoid families
+HELLY_BODIES_SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -208,7 +210,7 @@ def _cmd_helly_bodies(ns):
         raise UsageError(f"bad family JSON: {exc}") from exc
     details = bod.coarse_helly_details(family, radii)
     return EXIT_OK, {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": HELLY_BODIES_SCHEMA_VERSION,
         "witness": bod.body_to_json(details["witness"]),
         "distances": details["distances"],
         "allowed": details["allowed"],

@@ -5,8 +5,8 @@ elimination, brute-force log-sup ratios, the Fraction Hermite form and
 Fraction distances, submodule closures, entrywise adapted-basis and
 lattice-equality tests, loop-structured float kernels and closure sweeps,
 the Fraction tight-pair solve, the Fraction and Bareiss pair-set filters,
-brute-force cube isometries and 3D hulls, the per-body tangent polytopes of
-the body intersection witness)
+brute-force cube isometries and 3D hulls, the tangent-polytope witness of a
+body ball family)
 deliberately do not share code with the library paths they check.
 """
 
@@ -553,30 +553,50 @@ def nonsingular_pair_sets_fraction(n):
     return _pair_sets_with_nonzero(n, lambda mat: gauss_jordan(mat)[1])
 
 
-def coarse_helly_details_per_body(family, radii):
-    """The body intersection witness with one exact enumeration per SPD
-    body: each tangent polytope becomes a PolyNorm (dropping the rows its
-    own hull finds redundant) before the facets of all bodies are pooled
-    and enumerated again; returns the keys of coarse_helly_details."""
-    n = family[0].dim
-    polys, slack = [], []
-    for body in family:
-        if isinstance(body, bodies.SpdNorm):
-            polys.append(bodies.PolyNorm.from_facets(*bodies.spd_to_polytope(body)))
-            slack.append(bodies.SPD_APPROX_LOG_BOUND[n])
-        else:
-            polys.append(body)
-            slack.append(0.0)
-    witness = bodies.PolyNorm.from_facets(
-        np.vstack([p.a for p in polys]),
-        np.concatenate([p.b * math.exp(r) for p, r in zip(polys, radii)]),
+# circumscribed-polytope approximation of an ellipsoid: number of antipodal
+# direction pairs per dimension and the worst-case log gauge ratio of the
+# resulting tangent polytope (measured covering radius of the direction set)
+SPD_APPROX_PAIRS = {2: 64, 3: 242}
+SPD_APPROX_LOG_BOUND = {2: 3.1e-4, 3: 8.5e-3}
+
+
+def pair_directions(n):
+    """SPD_APPROX_PAIRS[n] unit directions, one per antipodal pair: evenly
+    spaced angles in 2D, a Fibonacci hemisphere in 3D."""
+    if n == 2:
+        k = SPD_APPROX_PAIRS[2]
+        th = np.arange(k) * math.pi / k
+        return np.stack([np.cos(th), np.sin(th)], axis=1)
+    k = SPD_APPROX_PAIRS[3]
+    idx = np.arange(k)
+    z = (idx + 0.5) / k
+    r = np.sqrt(1.0 - z * z)
+    ang = math.pi * (3.0 - math.sqrt(5.0)) * idx
+    return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
+
+
+def spd_to_polytope(body):
+    """Facets (a, b) of the circumscribed tangent polytope of an ellipsoid in
+    2D or 3D.  Tangent planes are taken at contact points spread evenly in
+    the ellipsoid's own geometry, so the gauge error is at most
+    SPD_APPROX_LOG_BOUND[n] regardless of conditioning; every offset is 1."""
+    lam, vecs = np.linalg.eigh(body.matrix)
+    sqrt_a = (vecs * np.sqrt(lam)) @ vecs.T
+    normals = pair_directions(body.dim) @ sqrt_a.T
+    return normals, np.ones(len(normals))
+
+
+def tangent_polytope_witness(family, radii):
+    """The pooled polytope of the balls e^{r_i} T_i, where T_i is body i
+    itself or, for an ellipsoid, its circumscribed tangent polytope.  It
+    contains the meet of the balls, and its gauge is within
+    SPD_APPROX_LOG_BOUND[n] of the meet's."""
+    rows = [spd_to_polytope(b) if isinstance(b, bodies.SpdNorm) else (b.a, b.b)
+            for b in family]
+    return bodies.PolyNorm.from_facets(
+        np.vstack([a for a, _ in rows]),
+        np.concatenate([b * math.exp(r) for (_, b), r in zip(rows, radii)]),
     )
-    return {
-        "witness": witness,
-        "distances": [bodies.gi_distance_bodies(witness, b) for b in family],
-        "allowed": [r + bodies.OPT_TOL + sl for r, sl in zip(radii, slack)],
-        "approx_slack": slack,
-    }
 
 
 def brute_hull3d(points):

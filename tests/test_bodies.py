@@ -5,6 +5,7 @@ import pytest
 
 import helpers
 from normspace import (
+    MeetNorm,
     PairwiseRadiusError,
     PolyNorm,
     SpdNorm,
@@ -19,13 +20,7 @@ from normspace import (
     sampled_sup_ratio,
 )
 from normspace import polyhedra
-from normspace.bodies import (
-    SPD_APPROX_LOG_BOUND,
-    SPD_APPROX_PAIRS,
-    coarse_helly_details,
-    mvee_certified,
-    spd_to_polytope,
-)
+from normspace.bodies import coarse_helly_details, mvee_certified
 
 SQUARE = PolyNorm.from_vertices([[1, 1], [1, -1]])
 DISC = SpdNorm(np.eye(2))
@@ -49,6 +44,11 @@ def random_symmetric_polytope3(rng, k=8):
 def random_spd(rng, n):
     g = rng.standard_normal((n, n))
     return SpdNorm(g.T @ g + 0.25 * np.eye(n))
+
+
+def helly_radii(fam, pad=0.05):
+    """Radii max_k d(K_i, K_k) / 2 + pad, which pass the pairwise check."""
+    return [max(gi_distance_bodies(a, b) for b in fam) / 2 + pad for a in fam]
 
 
 # -- construction guards --
@@ -316,61 +316,63 @@ def test_john_inscribed_facet_condition():
     assert np.all(vals <= body.b ** 2 * (1 + 1e-6))
 
 
-# -- spd approximation and intersection witness --
+# -- the meet of a ball family, certified by its pairwise distances --
 
 def test_spd_to_polytope_error_bound():
+    # the tangent-polytope oracle's own bound, which the comparison below uses
     rng = helpers.rng_for(410)
     for n in (2, 3):
         for _ in range(3):
             ell = random_spd(rng, n)
-            poly = PolyNorm.from_facets(*spd_to_polytope(ell))
+            poly = PolyNorm.from_facets(*helpers.spd_to_polytope(ell))
             d = gi_distance_bodies(poly, ell)
-            assert d <= SPD_APPROX_LOG_BOUND[n]
-
-
-def conditioned_spd(rng, n, cond):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return SpdNorm((q * np.geomspace(1.0, cond, n)) @ q.T)
-
-
-@pytest.mark.parametrize("cond", [1.0, 1e2, 1e4])
-@pytest.mark.parametrize("n", [2, 3])
-def test_every_tangent_row_is_a_facet(n, cond):
-    ell = conditioned_spd(helpers.rng_for(416), n, cond)
-    a, b = spd_to_polytope(ell)
-    assert a.shape == (SPD_APPROX_PAIRS[n], n) and np.all(b == 1.0)
-    poly = PolyNorm.from_facets(a, b)
-    assert poly.a.tobytes() == a.tobytes() and poly.b.tobytes() == b.tobytes()
+            assert d <= helpers.SPD_APPROX_LOG_BOUND[n]
 
 
 def spd_families(n):
+    """An SPD-only family and, in 2D and 3D, a mixed one."""
     rng = helpers.rng_for(417 + n)
-    poly = random_polygon if n == 2 else random_symmetric_polytope3
     count = 3 if n == 2 else 2
     yield [random_spd(rng, n) for _ in range(count)]
-    yield [random_spd(rng, n), poly(rng), random_spd(rng, n)]
+    if n <= 3:
+        yield [random_spd(rng, n), random_polytope(rng, n), random_spd(rng, n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_meet_distances_bound_the_sampled_ratios(n):
+    for fam in spd_families(n):
+        details = coarse_helly_details(fam, helly_radii(fam))
+        w = details["witness"]
+        assert isinstance(w, MeetNorm)
+        for i, body in enumerate(fam):
+            # the bound r_i is attained where part i is active; the sampled
+            # log(gauge_i e^{-r_i}) - log(gauge_i) reaches it up to rounding
+            low = sampled_sup_ratio(w, body, 20000, 430 + 10 * n + i)
+            assert low <= details["distances"][i] + 1e-12
+            assert details["distances"][i] <= details["allowed"][i]
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_witness_matches_the_per_body_oracle(n):
+    # the oracle replaces each ellipsoid by its tangent polytope: it contains
+    # the meet, and its gauge is within its log bound of the meet's
+    dirs = helpers.rng_for(420 + n).standard_normal((5000, n))
     for fam in spd_families(n):
-        dmat = [[gi_distance_bodies(a, b) for b in fam] for a in fam]
-        radii = [max(row) / 2 + 0.05 for row in dmat]
-        got = coarse_helly_details(fam, radii)
-        want = helpers.coarse_helly_details_per_body(fam, radii)
-        for attr in ("a", "b", "vertices"):
-            assert getattr(got["witness"], attr).tobytes() == getattr(want["witness"], attr).tobytes()
-        for key in ("distances", "allowed", "approx_slack"):
-            assert np.array(got[key]).tobytes() == np.array(want[key]).tobytes()
+        radii = helly_radii(fam)
+        w = coarse_helly_details(fam, radii)["witness"]
+        oracle = helpers.tangent_polytope_witness(fam, radii)
+        gap = np.log(gauge(w, dirs)) - np.log(gauge(oracle, dirs))
+        assert gap.min() >= -1e-12
+        assert gap.max() <= helpers.SPD_APPROX_LOG_BOUND[n]
 
 
 def test_witness_runs_one_exact_enumeration(monkeypatch):
+    rng = helpers.rng_for(419)
+    fam = [random_polygon(rng) for _ in range(3)]
     calls = []
     enum = polyhedra.vertex_enum_exact
     monkeypatch.setattr(polyhedra, "vertex_enum_exact", lambda f: calls.append(1) or enum(f))
-    fam = [random_spd(helpers.rng_for(419), 2) for _ in range(3)]
-    dmat = [[gi_distance_bodies(a, b) for b in fam] for a in fam]
-    coarse_helly_details(fam, [max(row) / 2 + 0.05 for row in dmat])
+    assert isinstance(coarse_helly_details(fam, helly_radii(fam))["witness"], PolyNorm)
     assert len(calls) == 1
 
 
@@ -407,7 +409,7 @@ def test_witness_mixed_spd_polytope():
     dmat = [[gi_distance_bodies(a, b) for b in fam] for a in fam]
     radii = [max(row) / 2 + 0.05 for row in dmat]
     details = coarse_helly_details(fam, radii)
-    assert details["approx_slack"][0] == SPD_APPROX_LOG_BOUND[2]
+    assert isinstance(details["witness"], MeetNorm)
     for d, allowed in zip(details["distances"], details["allowed"]):
         assert d <= allowed
 
@@ -433,7 +435,7 @@ def test_witness_3d_with_spd_input():
     dmat = [[gi_distance_bodies(a, b) for b in fam] for a in fam]
     radii = [max(row) / 2 + 0.05 for row in dmat]
     details = coarse_helly_details(fam, radii)
-    assert details["approx_slack"][0] == SPD_APPROX_LOG_BOUND[3]
+    assert isinstance(details["witness"], MeetNorm)
     for d, allowed in zip(details["distances"], details["allowed"]):
         assert d <= allowed
 
@@ -466,6 +468,8 @@ def moved(g, body):
     """The image gK, whose gauge is y -> gauge_K(g^{-1} y)."""
     g = np.asarray(g, dtype=float)
     ginv = np.linalg.inv(g)
+    if isinstance(body, MeetNorm):
+        return MeetNorm([moved(g, k) for k in body.parts], body.log_scales)
     if isinstance(body, SpdNorm):
         m = ginv.T @ body.matrix @ ginv
         return SpdNorm(0.5 * (m + m.T))
@@ -502,33 +506,73 @@ def test_distance_is_gl_equivariant(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_polytope_witness_is_gl_equivariant(n):
     rng = helpers.rng_for(474 + n)
-    fam = [random_polytope(rng, n) for _ in range(3)]
-    radii = [max(gi_distance_bodies(a, b) for b in fam) / 2 + 0.05 for a in fam]
-    w = coarse_helly_details(fam, radii)["witness"]
-    for g in seeded_maps(n, 476 + n):
-        wg = coarse_helly_details([moved(g, k) for k in fam], radii)["witness"]
-        assert gi_distance_bodies(wg, moved(g, w)) <= 1e-9
+    polys = [random_polytope(rng, n) for _ in range(3)]
+    x = rng.standard_normal((200, n))
+    spds = [random_spd(rng, n) for _ in range(3)]
+    for fam in (polys, spds, [spds[0], polys[0], polys[1]]):
+        radii = helly_radii(fam)
+        w = coarse_helly_details(fam, radii)["witness"]
+        for g in seeded_maps(n, 476 + n):
+            wg = coarse_helly_details([moved(g, k) for k in fam], radii)["witness"]
+            if isinstance(w, PolyNorm):
+                assert gi_distance_bodies(wg, moved(g, w)) <= 1e-9
+            else:  # gauge(W(gK), g x) = gauge(W(K), x)
+                assert gauge(wg, x @ np.asarray(g).T) == pytest.approx(gauge(w, x), rel=1e-12)
 
 
 def test_quarter_turn_invariant_family_has_invariant_witness():
-    disc_poly = PolyNorm.from_facets(*spd_to_polytope(SpdNorm(0.8 * np.eye(2))))
-    fam = [SQUARE, PolyNorm.from_vertices(1.5 * np.asarray(SQUARE.vertices)), disc_poly]
+    fam = [SQUARE, PolyNorm.from_vertices(1.5 * np.asarray(SQUARE.vertices)),
+           SpdNorm(0.8 * np.eye(2))]
     for k in fam:
         assert gi_distance_bodies(moved(ROT90, k), k) <= 1e-12
-    radii = [max(gi_distance_bodies(a, b) for b in fam) / 2 + 0.01 for a in fam]
-    w = coarse_helly_details(fam, radii)["witness"]
-    assert gi_distance_bodies(moved(ROT90, w), w) <= 1e-9
+    w = coarse_helly_details(fam, helly_radii(fam, pad=0.01))["witness"]
+    x = helpers.rng_for(478).standard_normal((200, 2))
+    assert gauge(moved(ROT90, w), x) == pytest.approx(gauge(w, x), rel=1e-12)
 
 
 # -- serialization --
 
+MEET = MeetNorm([SQUARE, DISC], [0.1, 0.2])
+
+
 def test_body_json_roundtrip():
-    for body in (SQUARE, DISC):
+    for body in (SQUARE, DISC, MEET):
         doc = body_to_json(body)
         again = body_from_json(doc)
-        assert gi_distance_bodies(body, again) <= 1e-12
+        assert body_to_json(again) == doc
+        if not isinstance(body, MeetNorm):
+            assert gi_distance_bodies(body, again) <= 1e-12
     with pytest.raises(UsageError):
         body_from_json({"kind": "mystery"})
+
+
+MEET_PARTS = [body_to_json(SQUARE), body_to_json(DISC)]
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "meet", "parts": MEET_PARTS, "log_scales": [0.1]},
+    {"kind": "meet", "parts": MEET_PARTS, "log_scales": [0.1, -0.2]},
+    {"kind": "meet", "parts": MEET_PARTS, "log_scales": [0.1, float("nan")]},
+    {"kind": "meet", "parts": MEET_PARTS, "log_scales": [0.1, float("inf")]},
+    {"kind": "meet", "parts": [MEET_PARTS[0], body_to_json(SpdNorm(np.eye(3)))],
+     "log_scales": [0.1, 0.2]},
+    {"kind": "meet", "parts": [body_to_json(MEET), MEET_PARTS[1]], "log_scales": [0.1, 0.2]},
+    {"kind": "meet", "parts": [], "log_scales": []},
+    {"kind": "meet", "parts": MEET_PARTS},
+    {"kind": "meet", "parts": MEET_PARTS, "log_scales": ["x", 0.2]},
+], ids=["unequal-lengths", "negative-scale", "nan-scale", "inf-scale", "mixed-dimensions",
+        "nested", "empty", "missing-scales", "string-scale"])
+def test_malformed_meet_json_is_usage_error(doc):
+    with pytest.raises(UsageError):
+        body_from_json(doc)
+
+
+def test_meet_has_no_closed_form_distance_and_no_john_ellipsoid():
+    for pair in ((MEET, DISC), (SQUARE, MEET)):
+        with pytest.raises(UsageError, match="meet"):
+            gi_distance_bodies(*pair)
+    with pytest.raises(UsageError):
+        john_ellipsoid(MEET)
 
 
 def test_json_floats_roundtrip_exactly():

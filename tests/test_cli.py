@@ -187,20 +187,24 @@ def test_helly_bodies(capsys):
     code, out, _ = run_cli(capsys, "helly-bodies", "--family", fam)
     assert code == 0
     doc = json.loads(out)
+    assert (doc["schema_version"], doc["witness"]["kind"]) == (2, "polytope")
     assert all(d <= a for d, a in zip(doc["distances"], doc["allowed"]))
 
 
+SPD_FAMILY = {
+    "bodies": [{"kind": "spd", "matrix": [[1.2, 0.1], [0.1, 0.9]]}, json.loads(SQUARE_BODY)],
+    "radii": [0.5, 0.5],
+}
+
+
 def test_helly_bodies_with_spd_input(capsys):
-    disc = {"kind": "spd", "matrix": [[1.2, 0.1], [0.1, 0.9]]}
-    fam = json.dumps({
-        "bodies": [disc, json.loads(SQUARE_BODY)],
-        "radii": [0.5, 0.5],
-    })
-    code, out, _ = run_cli(capsys, "helly-bodies", "--family", fam)
+    code, out, _ = run_cli(capsys, "helly-bodies", "--family", json.dumps(SPD_FAMILY))
     assert code == 0
     doc = json.loads(out)
-    # SPD input adds the circumscribed-approximation slack to its allowance
-    assert doc["allowed"][0] > doc["allowed"][1]
+    # the witness is the meet of the balls themselves
+    assert doc["schema_version"] == 2
+    assert doc["witness"] == {"kind": "meet", "parts": SPD_FAMILY["bodies"],
+                              "log_scales": SPD_FAMILY["radii"]}
     assert all(d <= a for d, a in zip(doc["distances"], doc["allowed"]))
 
 
@@ -210,6 +214,9 @@ NAN_OFFSET_BODY = json.dumps({
     "vertices": [[1, 1], [1, -1]],
 })
 METRIC_2 = '{"d": [[0, 1], [1, 0]]}'
+MEET_BODY = json.dumps({"kind": "meet", "parts": [json.loads(SQUARE_BODY)], "log_scales": [0.5]})
+NESTED_MEET_BODY = json.dumps({"kind": "meet", "parts": [json.loads(MEET_BODY)],
+                               "log_scales": [0.5]})
 WIDE_BODY = json.dumps(body_to_json(PolyNorm.from_vertices([[3, 3], [3, -3]])))
 
 
@@ -239,12 +246,16 @@ WIDE_BODY = json.dumps(body_to_json(PolyNorm.from_vertices([[3, 3], [3, -3]])))
      json.dumps({"bodies": [json.loads(SQUARE_BODY), json.loads(WIDE_BODY)], "radii": [1, 709]})),
     ("helly-building", "--family",
      json.dumps({"centers": [json.loads(STD), json.loads(LPRIME)], "radii": [1.5, 1]})),
+    ("body-dist", "--a", MEET_BODY, "--b", SQUARE_BODY),
+    ("body-dist", "--a", SQUARE_BODY, "--b", NESTED_MEET_BODY),
+    ("john", "--body", MEET_BODY),
 ], ids=["body-nan-offset", "body-nan-spd", "body-string-spd", "john-inf-vertex",
         "mvee-nan", "mvee-missing-points", "mvee-string", "helly-bodies-nan-radius",
         "tight-span-string", "tight-span-nan", "extremal-nan", "extremal-string",
         "dist-ragged-basis", "dist-empty-basis", "mvee-empty",
         "helly-bodies-overflowing-radius", "helly-bodies-overflowing-offset",
-        "helly-building-fractional-radius"])
+        "helly-building-fractional-radius", "body-dist-meet", "body-dist-nested-meet",
+        "john-meet"])
 @pytest.mark.filterwarnings("error")  # a warning would reach stderr before the JSON
 def test_non_finite_and_malformed_inputs_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -433,6 +444,7 @@ def test_determinism_across_subcommands(capsys):
         ("obstruction", "--n", "8"),
         ("helly-building", "--family", BALL_FAMILY, "--mode", "witness"),
         ("helly-building", "--family", BALL_FAMILY, "--mode", "exhaustive"),
+        ("helly-bodies", "--family", json.dumps(SPD_FAMILY)),
     ):
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)

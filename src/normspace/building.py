@@ -4,9 +4,10 @@ A vertex is an ultrametric norm with values in q^Z, i.e. a lattice over the
 localization Z_(p).  The thickening graph puts an edge between vertices at
 Goldman-Iwahori distance exactly 1; its combinatorial balls are certified
 against the exact metric, and small Helly instances can be checked
-exhaustively.  Enumeration is limited to n <= 3 and p <= 3.
-Hermite forms, neighbour bases and vertex keys are integers; Fractions are
-built only for key strings and for the norms that are read.  The neighbours
+exhaustively.  Enumeration is limited to n <= 3, p <= 3 and |weights| <= 100.
+Hermite forms, neighbour bases, vertex keys, the depth audit and the JSON of
+a neighbour are all computed on integers: a neighbour builds its Fraction
+norm only when something reads it, and a ball reads none.  The neighbours
 of every vertex come from one cached list per (n, p) of the integer Hermite
 forms between p^2 Z^n and Z^n, listed directly by diagonal and reduced
 entries.  Neighbours themselves are not cached: each call builds them from
@@ -30,6 +31,7 @@ from .valued import DiagNorm, gi_distance, helly_witness_na, pval_int
 
 MAX_DIM = 3
 MAX_PRIME = 3
+MAX_WEIGHT = 100  # lattice entries carry p^m, and pval_int is linear in the valuation
 
 
 def _check_scale(n, p):
@@ -80,12 +82,6 @@ def _hermite(cols, p):
                 for r in range(i + 1):
                     col[r] -= q * placed[i][r]
     return placed
-
-
-def _hermite_rows(columns, p):
-    """(rows, s): the Hermite form of the rational columns' lattice is rows / p^s."""
-    cols, den = qlinalg.clear_denominators(columns)
-    return tuple(zip(*_hermite(cols, p))), pval_int(den, p)
 
 
 @functools.total_ordering
@@ -158,18 +154,19 @@ def _ratio_text(x, den):
 class LatticeVertex:
     """A norm with integer weights, canonicalized as a Z_(p)-lattice.
 
-    A vertex made by `neighbors` starts from its key and integer basis; its
-    norm is built the first time it is read.
+    A vertex made by `neighbors` holds only its key and integer lattice
+    basis; its norm is built the first time it is read.
     """
 
-    __slots__ = ("_norm", "_key", "_ints")
+    __slots__ = ("_norm", "_key", "_ctx", "_lattice")
 
     def __init__(self, norm):
         if not all(w.denominator == 1 for w in norm.weights):
             raise UsageError("vertex weights must be integers")
         object.__setattr__(self, "_norm", norm)
         object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "_ctx", norm.ctx)
+        object.__setattr__(self, "_lattice", None)
 
     @classmethod
     def _lazy(cls, key, ctx, cols, den):
@@ -177,7 +174,8 @@ class LatticeVertex:
         self = object.__new__(cls)
         object.__setattr__(self, "_norm", None)
         object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_ints", (ctx, cols, den))
+        object.__setattr__(self, "_ctx", ctx)
+        object.__setattr__(self, "_lattice", (cols, den))
         return self
 
     def __setattr__(self, *a):
@@ -186,33 +184,35 @@ class LatticeVertex:
     @property
     def norm(self):
         if self._norm is None:
-            ctx, cols, den = self._ints
+            cols, den = self._lattice
             n = len(cols)
             basis = [[Fraction(col[i], den) for col in cols] for i in range(n)]
-            object.__setattr__(self, "_norm", DiagNorm(ctx, basis, (Fraction(0),) * n))
-            object.__setattr__(self, "_ints", None)
+            object.__setattr__(self, "_norm", DiagNorm(self._ctx, basis, (Fraction(0),) * n))
         return self._norm
 
     @property
     def ctx(self):
-        return self.norm.ctx
+        return self._ctx
 
     @property
     def dim(self):
-        return self.norm.dim
+        return self._norm.dim if self._lattice is None else len(self._lattice[0])
 
-    def lattice_basis(self):
-        """Weight-absorbed basis: column j is p^{m_j} times basis vector j."""
-        p = Fraction(self.ctx.p)
-        b, w = self.norm.basis, self.norm.weights
-        return [tuple(row[j] * p ** w[j] if w[j] else row[j] for row in b)
-                for j in range(self.dim)]
+    def lattice_ints(self):
+        """(cols, den): column j of cols / den is p^{m_j} times basis vector j."""
+        if self._lattice is None:
+            p, b, w = Fraction(self.ctx.p), self.norm.basis, self.norm.weights
+            if max(map(abs, w)) > MAX_WEIGHT:
+                raise InfeasibleScaleError(f"vertex weights are limited to |m| <= {MAX_WEIGHT}")
+            cols = [[row[j] * p ** w[j] for row in b] for j in range(self.dim)]
+            object.__setattr__(self, "_lattice", qlinalg.clear_denominators(cols))
+        return self._lattice
 
     @property
     def canonical_key(self):
         if self._key is None:
-            p = self.ctx.p
-            key = LatticeKey(p, *_hermite_rows(self.lattice_basis(), p))
+            p, (cols, den) = self.ctx.p, self.lattice_ints()
+            key = LatticeKey(p, tuple(zip(*_hermite(cols, p))), pval_int(den, p))
             object.__setattr__(self, "_key", key)
         return self._key
 
@@ -234,7 +234,11 @@ class LatticeVertex:
         return cls(DiagNorm.standard(ctx, [0] * n))
 
     def to_json(self):
-        return self.norm.to_json()
+        if self._norm is not None:
+            return self._norm.to_json()
+        cols, den = self._lattice
+        return {"p": self.ctx.p, "basis": [[_ratio_text(x, den) for x in col] for col in cols],
+                "weights": ["0"] * len(cols)}
 
     @classmethod
     def from_json(cls, obj):
@@ -274,7 +278,7 @@ def neighbors(vertex):
     """
     n, p = vertex.dim, vertex.ctx.p
     _check_scale(n, p)
-    w_cols, den = qlinalg.clear_denominators(vertex.lattice_basis())
+    w_cols, den = vertex.lattice_ints()
     w_rows = list(zip(*w_cols))
     exp = pval_int(den * p, p)
     self_key = vertex.canonical_key
@@ -291,11 +295,39 @@ def neighbors(vertex):
     return tuple(v for _, v in out)
 
 
+def _distance_from(center):
+    """V -> the exact Goldman-Iwahori distance d(center, V), on integers.
+
+    With lattice bases C = C_int / c, V = V_int / e and Bareiss giving
+    M_C = d_C C_int^{-1} and M_V C_int = d_V V_int^{-1} C_int, the distance is
+    the larger -v_p of C^{-1}V = c M_C V_int / (d_C e) and V^{-1}C =
+    e M_V C_int / (d_V c); v_p of a matrix is v_p of the gcd of its entries.
+    """
+    p = center.ctx.p
+    c_cols, c = center.lattice_ints()
+    n = len(c_cols)
+    c_rows = list(zip(*c_cols))
+    d_c, out = qlinalg.bareiss([list(r) + [int(i == j) for j in range(n)]
+                                for i, r in enumerate(c_rows)])
+    m_c = [r[n:] for r in out]
+    v_c, v_dc = pval_int(c, p), pval_int(d_c, p)
+
+    def dist(vertex):
+        cols, e = vertex.lattice_ints()
+        g = math.gcd(*(sum(x * y for x, y in zip(row, col)) for row in m_c for col in cols))
+        d_v, out = qlinalg.bareiss([list(r) + list(s) for r, s in zip(zip(*cols), c_rows)])
+        h = math.gcd(*(x for r in out for x in r[n:]))
+        v_e = pval_int(e, p)
+        return max(v_dc - v_c + v_e - pval_int(g, p), pval_int(d_v, p) - v_e + v_c - pval_int(h, p))
+
+    return dist
+
+
 def ball_bfs(center, radius):
     """BFS ball in the thickening graph, certified against the exact metric.
 
-    Every discovered vertex has its BFS depth compared with its
-    Goldman-Iwahori distance to the center; a mismatch is a fatal defect.
+    Every vertex found has its BFS depth checked against its exact distance
+    to the center, on integers (`_distance_from`); a mismatch is fatal.
     Returns {canonical_key: (vertex, depth)}.
     """
     if radius < 0:
@@ -311,8 +343,9 @@ def ball_bfs(center, radius):
                     found[k] = (u, depth)
                     nxt.append(u)
         frontier = nxt
+    dist = _distance_from(center)
     for v, depth in found.values():
-        if gi_distance(center.norm, v.norm) != depth:
+        if dist(v) != depth:
             raise RuntimeError(
                 "BFS depth disagrees with the metric at "
                 f"{v.key_string}: depth {depth}"

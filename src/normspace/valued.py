@@ -20,14 +20,21 @@ from .errors import PairwiseRadiusError, UsageError
 from .qlinalg import frac, mat, vec
 
 
+# Miller-Rabin on the prime bases up to 41 is exact below this bound
+# (Sorenson and Webster 2015); larger p are refused.
+MAX_P = 3317044064679887385961981
+
+
 def is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin, exact for p < MAX_P."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if p < 2 or p in bases:
+        return p in bases
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s d with d odd
+    for a in bases:
+        x = pow(a, (p - 1) >> s, p)
+        if x != 1 and all(pow(x, 2 ** r, p) != p - 1 for r in range(s)):
             return False
-        d += 1
     return True
 
 
@@ -38,8 +45,8 @@ class PAdicContext:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not is_prime(self.p):
-            raise UsageError(f"p must be a prime integer >= 2, got {self.p!r}")
+        if type(self.p) is not int or self.p >= MAX_P or not is_prime(self.p):
+            raise UsageError(f"p must be a prime integer below {MAX_P}, got {self.p!r}")
 
 
 def pval_int(n, p):
@@ -134,10 +141,10 @@ class DiagNorm:
     @classmethod
     def from_json(cls, obj):
         try:
-            p = int(obj["p"])
+            p = obj["p"]
             cols = [[frac(x) for x in col] for col in obj["basis"]]
             weights = [frac(x) for x in obj["weights"]]
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise UsageError(f"bad DiagNorm JSON: {exc}") from exc
         if not cols or any(len(col) != len(cols) for col in cols):
             raise UsageError("bad DiagNorm JSON: basis must be n columns of length n >= 1")

@@ -18,8 +18,8 @@ import numpy as np
 
 from normspace import DiagNorm, InfeasibleScaleError, UsageError, eval_log_norm, qlinalg
 from normspace import bodies
-from normspace.building import _hermite_rows
-from normspace.valued import pval
+from normspace.building import _hermite
+from normspace.valued import pval, pval_int
 
 
 def rng_for(seed):
@@ -201,11 +201,12 @@ def hnf_dvr(columns, p):
 
     Output is upper triangular with diagonal p^{a_i} and the entries above
     each pivot reduced modulo p^{a_i} into [0, p^{a_i}) ∩ Z[1/p]: the
-    integer form of `building._hermite_rows` over p^s, for comparison with
-    the Fraction oracle `hnf_dvr_fraction`.
+    integer form `building._hermite` of the cleared columns over p^{v_p(den)},
+    for comparison with the Fraction oracle `hnf_dvr_fraction`.
     """
-    rows, s = _hermite_rows(columns, p)
-    return tuple(tuple(Fraction(x, p ** s) for x in row) for row in rows)
+    cols, den = qlinalg.clear_denominators(columns)
+    ps = p ** pval_int(den, p)
+    return tuple(tuple(Fraction(x, ps) for x in row) for row in zip(*_hermite(cols, p)))
 
 
 def hnf_dvr_fraction(columns, p):
@@ -300,13 +301,19 @@ def stabilizer_check(u, m, ctx):
     return adapted_transition_check(u, m, m, ctx.p)
 
 
+def lattice_basis(v):
+    """A vertex's weight-absorbed lattice basis as Fraction columns."""
+    cols, den = v.lattice_ints()
+    return [tuple(Fraction(x, den) for x in col) for col in cols]
+
+
 def vertices_equal(u, v):
     """Exact lattice equality: both transition matrices are p-integral."""
     if u.ctx != v.ctx or u.dim != v.dim:
         raise UsageError("vertices live in different spaces")
     p = u.ctx.p
-    wu = qlinalg.from_columns(u.lattice_basis())
-    wv = qlinalg.from_columns(v.lattice_basis())
+    wu = qlinalg.from_columns(lattice_basis(u))
+    wv = qlinalg.from_columns(lattice_basis(v))
     t = qlinalg.matmul(inv(wu), wv)
     tinv = inv(t)
     for mtx in (t, tinv):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -19,12 +20,14 @@ from normspace import (
     scale_norm,
 )
 from helpers import hnf_dvr, reduce_mod_ppow, submodule_generators, vertices_equal
+from normspace import building
 from normspace.building import (
     _hermite,
     _standard_forms,
     adjacency_json,
     graphml,
 )
+from normspace.cli import main
 
 P2 = PAdicContext(2)
 P3 = PAdicContext(3)
@@ -326,7 +329,7 @@ def test_graph_exports():
 
 
 @pytest.mark.parametrize("p, n, r", [(2, 2, 2), (3, 2, 1), (2, 3, 1)])
-def test_a_ball_builds_one_norm_per_vertex(monkeypatch, p, n, r):
+def test_a_ball_builds_only_the_center_norm(monkeypatch, p, n, r):
     obj = random_vertex(707, 2, PAdicContext(p), n).to_json()
     built = []
     init = DiagNorm.__init__
@@ -337,5 +340,26 @@ def test_a_ball_builds_one_norm_per_vertex(monkeypatch, p, n, r):
 
     monkeypatch.setattr(DiagNorm, "__init__", counted)
     ball = ball_bfs(LatticeVertex.from_json(obj), r)
+    doc = [v.to_json() for v, _ in ball.values()]
     monkeypatch.undo()
-    assert len(built) == len(ball) == {(2, 2, 2): 83, (3, 2, 1): 23, (2, 3, 1): 129}[(p, n, r)]
+    assert len(ball) == {(2, 2, 2): 83, (3, 2, 1): 23, (2, 3, 1): 129}[(p, n, r)]
+    assert len(built) == 1
+    # the integer emission is the Fraction norm's, byte for byte
+    assert doc == [v.norm.to_json() for v, _ in ball.values()]
+
+
+def test_the_depth_audit_is_live(monkeypatch, capsys):
+    """A neighbour form at distance 3 makes the audit raise, and the CLI exit 4."""
+    forms = building._standard_forms
+
+    def with_a_far_form(n, p):
+        return forms(n, p) + [[[1, 0], [0, p ** 4]]]
+
+    monkeypatch.setattr(building, "_standard_forms", with_a_far_form)
+    with pytest.raises(RuntimeError, match="BFS depth disagrees"):
+        ball_bfs(STD2, 1)
+    code = main(["ball", "--center", json.dumps(STD2.to_json()), "--radius", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["error"] == "internal" and "BFS depth disagrees" in doc["message"]

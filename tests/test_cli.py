@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import normspace
 from normspace import DiagNorm, PAdicContext, body_to_json, PolyNorm, SpdNorm
@@ -509,3 +513,114 @@ def test_helly_building_witness_escape_exits_4(monkeypatch, capsys):
     assert code == 4
     assert out == ""
     assert json.loads(err)["error"] == "internal"
+
+
+def _norm_doc(p, weights=("0", "0")):
+    return json.dumps({"p": p, "basis": [["1", "0"], ["0", "1"]], "weights": list(weights)})
+
+
+@pytest.mark.parametrize("p", [2.5, 2.0, True, "2", 10 ** 30])
+def test_a_non_integer_bool_or_huge_p_is_a_usage_error(capsys, p):
+    # the parser used to truncate 2.5 to 2 and run the ball at p = 2
+    code, out, err = run_cli(capsys, "ball", "--center", _norm_doc(p), "--radius", "1")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "usage"
+
+
+def test_a_19_digit_prime_is_accepted_at_once(capsys):
+    # trial division took over 20 s on 2^61 - 1, before the ball's scale cap
+    p = 2 ** 61 - 1
+    code, _, err = run_cli(capsys, "ball", "--center", _norm_doc(p), "--radius", "1")
+    assert code == 3 and json.loads(err)["error"] == "infeasible-scale"
+    fam = json.dumps({"norms": [json.loads(_norm_doc(p)), json.loads(_norm_doc(p, ["1", "0"]))],
+                      "radii": [1, 0]})
+    code, out, _ = run_cli(capsys, "helly-na", "--family", fam)
+    assert code == 0 and json.loads(out)["witness"]["p"] == p
+
+
+@pytest.mark.parametrize("weight", ["101", "-1e400", 1e300])
+def test_a_ball_refuses_a_huge_weight(capsys, weight):
+    # p ** weight once ran without bound
+    code, out, err = run_cli(capsys, "ball", "--center", _norm_doc(2, [weight, "0"]),
+                             "--radius", "0")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "infeasible-scale"
+
+
+_ENTRY = st.one_of(
+    st.integers(-3, 3), st.sampled_from(["1/2", "-3/4", "2/9", "x", "", "1/0", "1e400"]),
+    st.floats(), st.booleans(), st.none(), st.lists(st.integers(-1, 1), max_size=2),
+)
+_P = st.one_of(
+    st.sampled_from([2, 3, 5, 0, 1, -3, 4, 2 ** 61 - 1, 2 ** 89 - 1, cli.val.MAX_P]),
+    st.integers(), st.floats(), st.booleans(), st.text(max_size=3), st.none(),
+)
+
+
+@st.composite
+def _fuzzed_norm(draw, n=None, p=None):
+    """A well-formed norm JSON with at most one defect."""
+    n = n or draw(st.integers(1, 3))
+    good = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-3/4", "2/9"]))
+    basis = [draw(st.lists(good, min_size=n, max_size=n)) for _ in range(n)]
+    obj = {"p": p or draw(st.sampled_from([2, 3])), "basis": basis,
+           "weights": draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))}
+    defect = draw(st.sampled_from(
+        [None] * 7 + ["p", "ragged", "empty", "entry", "weight", "length", "missing"]))
+    if defect == "p":
+        obj["p"] = draw(_P)
+    elif defect == "ragged":
+        basis[draw(st.integers(0, n - 1))].append(1)
+    elif defect == "empty":
+        obj["basis"] = draw(st.sampled_from([[], [[]], [[]] * n]))
+    elif defect == "entry":
+        basis[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_ENTRY)
+    elif defect == "weight":
+        obj["weights"][draw(st.integers(0, n - 1))] = draw(_ENTRY)
+    elif defect == "length":
+        obj["weights"] = draw(st.lists(st.integers(-2, 2), max_size=4).filter(
+            lambda w: len(w) != n))
+    elif defect == "missing":
+        del obj[draw(st.sampled_from(["p", "basis", "weights"]))]
+    return obj
+
+
+def _ends_in_one_document(argv, codes):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    out, err = out.getvalue(), err.getvalue()
+    assert code in codes
+    assert len([s for s in (out, err) if s]) == 1
+    json.loads(out or err)
+
+
+@given(center=st.one_of(_fuzzed_norm(), _fuzzed_norm(), _ENTRY),
+       radius=st.sampled_from([0, 1, 1, -1]))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@pytest.mark.filterwarnings("error")
+def test_fuzzed_ball_center_ends_in_one_document(center, radius):
+    _ends_in_one_document(("ball", "--center", json.dumps(center),
+                                   "--radius", str(radius)), (0, 2, 3))
+
+
+@st.composite
+def _fuzzed_family(draw):
+    """A helly-na family of one (n, p), with bad radii, lengths or shapes at times."""
+    n, p = draw(st.integers(1, 3)), draw(st.sampled_from([2, 3, 2 ** 61 - 1]))
+    norms = draw(st.lists(_fuzzed_norm(n, p), min_size=1, max_size=3))
+    good = st.one_of(st.integers(0, 3), st.sampled_from(["1/2", "5/2"]))
+    radii = draw(st.lists(st.one_of(good, good, good, _ENTRY), min_size=len(norms),
+                          max_size=len(norms) + draw(st.sampled_from([0, 0, 0, 1]))))
+    family = {"norms": norms, "radii": radii}
+    return draw(st.sampled_from([family] * 6 + [{"norms": norms}, norms, radii]))
+
+
+@given(family=st.one_of(_fuzzed_family(), _fuzzed_family(), _ENTRY))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@pytest.mark.filterwarnings("error")
+def test_fuzzed_helly_na_family_ends_in_one_document(family):
+    # exit 1 is a pairwise-radius violation, reported with its payload
+    _ends_in_one_document(("helly-na", "--family", json.dumps(family)), (0, 1, 2, 3))

@@ -1,6 +1,7 @@
 """The integer exact core against its Fraction oracles, plus the metric's
 invariances under GL_n(Z) and scaling."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from normspace import (
     random_vertex,
     scale_norm,
 )
-from normspace.building import _standard_forms
+from normspace.building import _distance_from, _standard_forms
 from normspace.valued import log_sup_ratio
 
 PRIMES = (2, 3, 5, 7)
@@ -135,7 +136,7 @@ def test_neighbors_commute_with_unimodular_maps(p, n):
 
 def _fraction_key(v):
     """The Fraction-tuple key (p, Hermite form rows) of a vertex."""
-    return v.ctx.p, helpers.hnf_dvr_fraction(v.lattice_basis(), v.ctx.p)
+    return v.ctx.p, helpers.hnf_dvr_fraction(helpers.lattice_basis(v), v.ctx.p)
 
 
 def test_integer_keys_order_hash_and_print_as_fraction_hermite_forms():
@@ -147,7 +148,7 @@ def test_integer_keys_order_hash_and_print_as_fraction_hermite_forms():
         weights = [int(rng.integers(-2, 3)) for _ in range(n)]
         v = LatticeVertex(DiagNorm(ctx, _rational_basis(rng, n, p), weights))
         # the same lattice in another basis, and the same integers over p^(s+1)
-        w = qlinalg.from_columns(v.lattice_basis())
+        w = qlinalg.from_columns(helpers.lattice_basis(v))
         w = qlinalg.matmul(w, helpers.random_unimodular(rng, n))
         verts += [v, LatticeVertex(DiagNorm(ctx, w, [0] * n)),
                   LatticeVertex(scale_norm(v.norm, -1))]
@@ -169,7 +170,7 @@ def test_integer_keys_order_hash_and_print_as_fraction_hermite_forms():
 def test_neighbour_norms_match_eagerly_built_ones(p, n):
     ctx = PAdicContext(p)
     v = random_vertex(706 + p + n, 2, ctx, n)
-    w = qlinalg.from_columns(v.lattice_basis())
+    w = qlinalg.from_columns(helpers.lattice_basis(v))
     eager = {}
     for form in _standard_forms(n, p):
         h_s = qlinalg.from_columns([[Fraction(x, p) for x in col] for col in form])
@@ -182,3 +183,32 @@ def test_neighbour_norms_match_eagerly_built_ones(p, n):
         e = eager[u.canonical_key]
         assert (u.norm.basis, u.norm.weights) == (e.norm.basis, e.norm.weights)
         assert u.key_string == e.key_string
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_integer_audit_distance_matches_gi_distance(p, n):
+    """The depth audit's integer distance equals gi_distance on Fraction norms."""
+    ctx = PAdicContext(p)
+    rng = helpers.rng_for(708 + 10 * p + n)
+    checked = unreduced = fractional = 0
+    for seed in range(6):
+        basis = _rational_basis(rng, n, p)
+        fractional += any(x.denominator > 1 for row in basis for x in row)
+        weights = helpers.random_weights(rng, n, den_choices=(1,))
+        weights[0] = weights[0] or Fraction(1)
+        center = LatticeVertex(DiagNorm(ctx, basis, weights))
+        dist = _distance_from(center)
+        others = [center, random_vertex(seed + 100, 3, ctx, n)]
+        # lazy vertices at depth 2, whose den = D p^2 need not be reduced
+        depth1 = neighbors(center)
+        for u in (depth1[i] for i in rng.choice(len(depth1), 2, replace=False)):
+            two = neighbors(u)
+            for v in (two[i] for i in rng.choice(len(two), 3, replace=False)):
+                cols, den = v.lattice_ints()
+                unreduced += math.gcd(den, *(x for col in cols for x in col)) > 1
+                others.append(v)
+        for v in others:
+            assert dist(v) == gi_distance(center.norm, v.norm)
+            checked += 1
+    assert checked == 48 and unreduced > 0 and fractional > 0

@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from normspace import (
     scale_norm,
 )
 from helpers import adapted_transition_check, stabilizer_check
-from normspace.valued import pval
+from normspace.valued import MAX_P, is_prime, pval
 
 P2 = PAdicContext(2)
 
@@ -42,6 +44,31 @@ def test_context_requires_prime():
     with pytest.raises(UsageError):
         PAdicContext(1)
     PAdicContext(2), PAdicContext(97)
+
+
+def test_is_prime_is_deterministic_miller_rabin():
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    assert [p for p in range(5000) if is_prime(p)] == [p for p in range(5000) if trial(p)]
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 89 - 1)
+    # Carmichael numbers and the least strong pseudoprime to the bases 2..37
+    for c in (561, 41041, 3215031751, 318665857834031151167461, (2 ** 61 - 1) ** 2):
+        assert not is_prime(c)
+
+
+@pytest.mark.parametrize("p", [2.5, 2.0, True, "2", None, MAX_P, 10 ** 30])
+def test_context_refuses_non_integer_bool_and_huge_p(p):
+    with pytest.raises(UsageError):
+        PAdicContext(p)
+    with pytest.raises(UsageError):
+        DiagNorm.from_json({"p": p, "basis": [["1"]], "weights": ["0"]})
+
+
+def test_a_19_digit_prime_is_checked_at_once():
+    start = time.perf_counter()
+    assert PAdicContext(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert time.perf_counter() - start < 1.0  # trial division took over 20 s
 
 
 def test_pval():

@@ -210,8 +210,7 @@ def _sup_gauge_over(body, other):
     ainv = np.linalg.inv(other.matrix)
     if isinstance(body, SpdNorm):
         raise AssertionError("spd/spd pairs use the eigenvalue route")
-    vals = np.sqrt(np.maximum(np.sum((body.a @ ainv) * body.a, axis=1), 0.0))
-    return float(np.max(vals / body.b))
+    return float(np.max(_kernels.spd_gauge_batch(ainv, body.a) / body.b))
 
 
 def gi_distance_bodies(k1, k2):

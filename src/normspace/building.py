@@ -5,14 +5,15 @@ localization Z_(p).  The thickening graph puts an edge between vertices at
 Goldman-Iwahori distance exactly 1; its combinatorial balls are certified
 against the exact metric, and small Helly instances can be checked
 exhaustively.  Enumeration is limited to n <= 3, p <= 3 and |weights| <= 100.
-Hermite forms, neighbour bases, vertex keys, the depth audit and the JSON of
-a neighbour are all computed on integers: a neighbour builds its Fraction
-norm only when something reads it, and a ball reads none.  The neighbours
-of every vertex come from one cached list per (n, p) of the integer Hermite
-forms between p^2 Z^n and Z^n, listed directly by diagonal and reduced
-entries.  Neighbours themselves are not cached: each call builds them from
-the basis of the vertex it is given, so a result depends only on its
-arguments, never on earlier calls about the same lattice in another basis.
+A vertex's key is the plain integer tuple (p, s, rows), rows / p^s being its
+Hermite form.  Keys, Hermite forms, neighbour bases, the depth audit and the
+JSON of a neighbour are all computed on integers: a neighbour builds its
+Fraction norm only when something reads it, and a ball reads none.  The
+neighbours of every vertex come from one cached list per (n, p) of the
+integer Hermite forms between p^2 Z^n and Z^n, listed directly by diagonal
+and reduced entries.  Neighbours themselves are not cached: each call builds
+them from the basis of the vertex it is given, so a result depends only on
+its arguments, never on earlier calls about the same lattice in another basis.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .valued import DiagNorm, gi_distance, helly_witness_na, pval_int
 
 MAX_DIM = 3
 MAX_PRIME = 3
-MAX_WEIGHT = 100  # lattice entries carry p^m, and pval_int is linear in the valuation
+MAX_WEIGHT = 100  # lattice entries carry p^m: the cap bounds their size
 
 
 def _check_scale(n, p):
@@ -84,65 +85,30 @@ def _hermite(cols, p):
     return placed
 
 
-@functools.total_ordering
-class LatticeKey:
-    """Canonical key of a Z_(p)-lattice: its Hermite form as integers over p^s.
+def _lattice_key(p, rows, s):
+    """Canonical key (p, s, rows) of the lattice whose Hermite form is rows / p^s.
 
-    `rows` are the row-major integers of the Hermite form times p^s, with s
-    the least exponent that makes them integral, so two lattices are equal
-    exactly when their (p, s, rows) are.  The hash is taken once.  Keys
-    order as the tuples (p, rows of rational entries) do.
+    `rows` are row-major integers and s is made the least exponent that keeps
+    them integral, so two lattices are equal exactly when their keys are.
     """
-
-    __slots__ = ("p", "s", "rows", "_hash", "_text")
-
-    def __init__(self, p, rows, s):
-        """rows: integer Hermite form (row-major) of p^s times the lattice."""
-        t = pval_int(math.gcd(*itertools.chain.from_iterable(rows)), p)
-        if t:
-            rows, s = _scaled(rows, 1, p ** t), s - t
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_hash", hash((p, s, rows)))
-        object.__setattr__(self, "_text", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LatticeKey is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, LatticeKey):
-            return NotImplemented
-        return self.p == other.p and self.s == other.s and self.rows == other.rows
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        if not isinstance(other, LatticeKey):
-            return NotImplemented
-        if self.p != other.p:
-            return self.p < other.p
-        # bring both to the larger exponent: x / p^s < y / p^s' iff x p^(s'-s) < y
-        d = other.s - self.s
-        a = _scaled(self.rows, self.p ** d, 1) if d > 0 else self.rows
-        b = _scaled(other.rows, self.p ** -d, 1) if d < 0 else other.rows
-        return a < b
-
-    def __str__(self):
-        if self._text is None:
-            mul, den = (1, self.p ** self.s) if self.s > 0 else (self.p ** -self.s, 1)
-            body = ";".join(",".join(_ratio_text(x * mul, den) for x in row)
-                            for row in self.rows)
-            object.__setattr__(self, "_text", f"p{self.p}:{body}")
-        return self._text
-
-    def __repr__(self):
-        return f"LatticeKey({self})"
+    t = pval_int(math.gcd(*itertools.chain.from_iterable(rows)), p)
+    if t:
+        rows, s = tuple(tuple(x // p ** t for x in row) for row in rows), s - t
+    return p, s, rows
 
 
-def _scaled(rows, mul, div):
-    return tuple(tuple(x * mul // div for x in row) for row in rows)
+def _key_text(key):
+    """The key as text: p, then the Hermite form's rational rows, e.g. p2:1,0;0,1/4."""
+    p, s, rows = key
+    mul, den = (1, p ** s) if s > 0 else (p ** -s, 1)
+    return f"p{p}:" + ";".join(",".join(_ratio_text(x * mul, den) for x in row) for row in rows)
+
+
+def _key_order(key):
+    """Sort key ordering lattice keys as (p, rational Hermite form rows)."""
+    p, s, rows = key
+    den = Fraction(p) ** s
+    return p, tuple(tuple(x / den for x in row) for row in rows)
 
 
 def _ratio_text(x, den):
@@ -212,13 +178,13 @@ class LatticeVertex:
     def canonical_key(self):
         if self._key is None:
             p, (cols, den) = self.ctx.p, self.lattice_ints()
-            key = LatticeKey(p, tuple(zip(*_hermite(cols, p))), pval_int(den, p))
+            key = _lattice_key(p, tuple(zip(*_hermite(cols, p))), pval_int(den, p))
             object.__setattr__(self, "_key", key)
         return self._key
 
     @property
     def key_string(self):
-        return str(self.canonical_key)
+        return _key_text(self.canonical_key)
 
     def __eq__(self, other):
         return isinstance(other, LatticeVertex) and self.canonical_key == other.canonical_key
@@ -286,11 +252,11 @@ def neighbors(vertex):
     for form in _standard_forms(n, p):
         cols = [[sum(x * y for x, y in zip(wr, hc)) for wr in w_rows] for hc in form]
         rows = tuple(zip(*_hermite(cols, p)))
-        key = LatticeKey(p, rows, exp)
+        key = _lattice_key(p, rows, exp)
         if key != self_key:
             out.append((rows, LatticeVertex._lazy(key, vertex.ctx, cols, den * p)))
     # distinct forms give distinct lattices, and all rows share the exponent
-    # exp, so they sort as the keys do
+    # exp, so this is the keys' rational order (_key_order)
     out.sort(key=lambda e: e[0])
     return tuple(v for _, v in out)
 
@@ -420,7 +386,7 @@ def helly_check_building(family, mode="witness"):
         common &= set(b)
     stats = {"ball_sizes": sizes}
     if common:
-        kmin = min(common)
+        kmin = min(common, key=_key_order)
         witness = balls[0][kmin][0]
         for s, (c, r) in enumerate(zip(centers, radii)):
             if gi_distance(witness.norm, c.norm) > r:
@@ -529,40 +495,3 @@ def random_vertex(seed, radius_bound, ctx, n):
                 w[r][j] = w[r][j] * f
     return LatticeVertex(DiagNorm(ctx, w, [0] * n))
 
-
-def adjacency_json(vertices):
-    """JSON adjacency list keyed by canonical key strings."""
-    verts = {v.canonical_key: v for v in vertices}
-    out = {}
-    for k in sorted(verts):
-        v = verts[k]
-        nbrs = [u.key_string for u in neighbors(v) if u.canonical_key in verts]
-        out[v.key_string] = {"norm": v.to_json(), "neighbors": sorted(nbrs)}
-    return {"schema_version": 1, "vertices": out}
-
-
-def graphml(vertices):
-    """Minimal GraphML export of the induced thickening subgraph."""
-    verts = {v.canonical_key: v for v in vertices}
-    ids = {k: f"v{i}" for i, k in enumerate(sorted(verts))}
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-        '<key id="key" for="node" attr.name="lattice" attr.type="string"/>',
-        '<graph edgedefault="undirected">',
-    ]
-    for k in sorted(verts):
-        lines.append(
-            f'<node id="{ids[k]}"><data key="key">{verts[k].key_string}</data></node>'
-        )
-    seen = set()
-    for k in sorted(verts):
-        for u in neighbors(verts[k]):
-            ku = u.canonical_key
-            if ku in verts:
-                edge = tuple(sorted((ids[k], ids[ku])))
-                if edge not in seen:
-                    seen.add(edge)
-                    lines.append(f'<edge source="{edge[0]}" target="{edge[1]}"/>')
-    lines.append("</graph></graphml>")
-    return "\n".join(lines)

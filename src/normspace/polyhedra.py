@@ -17,10 +17,6 @@ from . import qlinalg
 from .errors import InfeasibleScaleError, UsageError
 
 
-def _fr(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _canon_sign(vec):
     for x in vec:
         if x != 0:
@@ -254,7 +250,7 @@ def facet_enum_exact(vertices):
         raise UsageError("no vertices")
     n = len(vertices[0])
     _check_dim(n)
-    vertices = [tuple(_fr(x) for x in w) for w in vertices]
+    vertices = [qlinalg.vec(w) for w in vertices]
     if not _rank_full(vertices, n):
         raise UsageError("vertices do not span: body has empty interior")
     planes, keep = _hull_planes(vertices, n)

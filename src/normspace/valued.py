@@ -50,14 +50,25 @@ class PAdicContext:
 
 
 def pval_int(n, p):
-    """Exact p-adic valuation of a nonzero integer."""
+    """Exact p-adic valuation v of a nonzero integer, in O(log v) divisions:
+    by p, p^2, p^4, ... while they divide, then what is left bit by bit."""
     if n == 0:
         raise UsageError("valuation of zero is undefined")
-    v = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
+    if n % p:
+        return 0
+    n //= p
+    v, q, k = 1, p * p, 2
+    while n % q == 0:
+        n //= q
+        v += k
+        q *= q
+        k += k
+    while k > 1:
+        k >>= 1
+        q = p ** k
+        if n % q == 0:
+            n //= q
+            v += k
     return v
 
 
@@ -76,7 +87,7 @@ class DiagNorm:
 
     def __init__(self, ctx, basis, weights):
         if not isinstance(ctx, PAdicContext):
-            ctx = PAdicContext(int(ctx))
+            ctx = PAdicContext(ctx)
         basis = mat(basis)
         weights = vec(weights)
         n = len(weights)

@@ -21,12 +21,7 @@ from normspace import (
 )
 from helpers import hnf_dvr, reduce_mod_ppow, submodule_generators, vertices_equal
 from normspace import building
-from normspace.building import (
-    _hermite,
-    _standard_forms,
-    adjacency_json,
-    graphml,
-)
+from normspace.building import _hermite, _standard_forms
 from normspace.cli import main
 
 P2 = PAdicContext(2)
@@ -313,19 +308,6 @@ def test_certificate_json_roundtrip():
     assert doc["outcome"] == "witness"
     w = LatticeVertex.from_json(doc["witness"])
     assert vertices_equal(w, cert.witness)
-
-
-def test_graph_exports():
-    ball = ball_bfs(STD2, 1)
-    verts = [v for v, _ in ball.values()]
-    adj = adjacency_json(verts)
-    assert adj["schema_version"] == 1
-    assert len(adj["vertices"]) == 15
-    std_entry = adj["vertices"][STD2.key_string]
-    assert len(std_entry["neighbors"]) == 14
-    xml = graphml(verts)
-    assert xml.count("<node") == 15
-    assert "<edge" in xml
 
 
 @pytest.mark.parametrize("p, n, r", [(2, 2, 2), (3, 2, 1), (2, 3, 1)])

@@ -41,6 +41,14 @@ def _helly_building_args():
     return ("helly-building", "--family", json.dumps(doc))
 
 
+def _helly_building_exhaustive_args():
+    """The witness is the least of 37 common vertices in the rational order
+    of Hermite forms; plain integer-tuple order would pick another one."""
+    centers = [random_vertex(40 + k, 2, PAdicContext(2), 2) for k in range(3)]
+    doc = {"centers": [c.to_json() for c in centers], "radii": [2, 2, 2]}
+    return ("helly-building", "--mode", "exhaustive", "--family", json.dumps(doc))
+
+
 GOLDEN = {
     "ball-n3p2r1": (
         lambda: _ball_args(11, 3, 2, 1),
@@ -57,6 +65,10 @@ GOLDEN = {
     "helly-building-witness": (
         _helly_building_args,
         "54e479c19771bc5f0539bcf16f53f6151d03cc880d2a5b939be16a460b65fba4",
+    ),
+    "helly-building-exhaustive": (
+        _helly_building_exhaustive_args,
+        "d74c31f0f08187c056e306b61e8f8ac8571745666b981752ff1f4d71ef153c3b",
     ),
 }
 

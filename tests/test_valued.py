@@ -20,7 +20,7 @@ from normspace import (
     scale_norm,
 )
 from helpers import adapted_transition_check, stabilizer_check
-from normspace.valued import MAX_P, is_prime, pval
+from normspace.valued import MAX_P, is_prime, pval, pval_int
 
 P2 = PAdicContext(2)
 
@@ -63,6 +63,8 @@ def test_context_refuses_non_integer_bool_and_huge_p(p):
         PAdicContext(p)
     with pytest.raises(UsageError):
         DiagNorm.from_json({"p": p, "basis": [["1"]], "weights": ["0"]})
+    with pytest.raises(UsageError):
+        DiagNorm(p, [[1]], [0])
 
 
 def test_a_19_digit_prime_is_checked_at_once():
@@ -77,6 +79,23 @@ def test_pval():
     assert pval(Fraction(9, 5), 3) == 2
     with pytest.raises(UsageError):
         pval(Fraction(0), 2)
+
+
+def test_pval_int_is_exact_for_random_and_huge_valuations():
+    rng = helpers.rng_for(120)
+    cases = [(3, 100_000), (2, 4096), (2, 4095)]
+    for _ in range(300):
+        p = (2, 3, 5, 7, 97)[rng.integers(0, 5)]
+        cases.append((p, int(rng.integers(0, (9, 2000)[rng.integers(0, 2)]))))
+    for p, v in cases:
+        unit = int(rng.integers(1, 10 ** 6)) * p + int(rng.integers(1, p))
+        n = (-1) ** int(rng.integers(0, 2)) * unit * p ** v
+        assert pval_int(n, p) == v
+    with pytest.raises(UsageError):
+        pval_int(0, 2)
+    start = time.perf_counter()
+    pval_int(3 ** 100_000, 3)
+    assert time.perf_counter() - start < 1.0  # one division per unit of v took seconds
 
 
 # -- eval_log_norm: definition arithmetic --

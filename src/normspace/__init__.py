@@ -43,7 +43,6 @@ from .bodies import (
     gauge,
     gi_distance_bodies,
     john_ellipsoid,
-    mvee,
     polar,
     sampled_sup_ratio,
 )
@@ -60,7 +59,6 @@ from .obstruction import (
     ObstructionReport,
     SignedPerm,
     cube_isometries,
-    group_order_tools,
     injective_hom_decision,
 )
 

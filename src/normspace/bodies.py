@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels, polyhedra
-from .errors import PairwiseRadiusError, UsageError
+from .errors import MALFORMED, PairwiseRadiusError, UsageError
 
 STRUCT_TOL = 1e-9
 OPT_TOL = 1e-6
@@ -256,6 +256,8 @@ def mvee_certified(points):
     pts = _finite(np.atleast_2d(np.array(points, dtype=float)), "MVEE points")
     if pts.ndim != 2 or pts.size == 0:
         raise UsageError("MVEE points must be a nonempty list of vectors")
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        _finite(pts.T @ pts, "products of MVEE point coordinates")
     m, n = pts.shape
     if np.linalg.matrix_rank(pts, tol=1e-12) < n:
         raise UsageError("points do not span: degenerate MVEE input")
@@ -267,11 +269,6 @@ def mvee_certified(points):
     w = np.sum((pts @ minv) * pts, axis=1)
     a = minv / float(np.max(w))
     return SpdNorm(0.5 * (a + a.T)), {"eps": float(eps), "iterations": int(iters)}
-
-
-def mvee(points):
-    """Minimum-volume origin-centered ellipsoid containing +-points."""
-    return mvee_certified(points)[0]
 
 
 def john_ellipsoid(body):
@@ -372,6 +369,6 @@ def body_from_json(obj):
             return PolyNorm(fa, fb, obj["vertices"])
         if kind == "meet":
             return MeetNorm([body_from_json(p) for p in obj["parts"]], obj["log_scales"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except MALFORMED as exc:
         raise UsageError(f"bad body JSON: {exc}") from exc
     raise UsageError(f"unknown body kind {obj.get('kind')!r}")

@@ -3,8 +3,9 @@
 Every subcommand wraps exactly one library operation and emits a single
 JSON document (schema_version included) on stdout.  Exit codes: 0 success /
 property holds; 1 property violated, verdict "exists", or counterexample
-(payload still emitted); 2 usage or parse error; 3 infeasible scale; 4 an
-internal check failed (a RuntimeError, such as an exact hull certificate).
+(payload still emitted); 2 usage or parse error; 3 infeasible scale; 4 any
+other failure, one that is not the input's fault (such as a broken exact hull
+certificate).
 
 Determinism contract: identical arguments (including --seed) produce
 byte-identical output.  Seeded randomness uses numpy's PCG64, instance i of
@@ -25,7 +26,7 @@ from . import building as bld
 from . import obstruction as obs
 from . import tightspan as ts
 from . import valued as val
-from .errors import InfeasibleScaleError, PairwiseRadiusError, UsageError
+from .errors import MALFORMED, InfeasibleScaleError, PairwiseRadiusError, UsageError
 
 SCHEMA_VERSION = 1
 # helly-bodies results, whose witness became a meet body for ellipsoid families
@@ -45,11 +46,11 @@ def _load_json_arg(value, what="input"):
         try:
             with open(value, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, *MALFORMED) as exc:
             raise UsageError(f"cannot read {what} file {value!r}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except MALFORMED as exc:
         raise UsageError(f"bad JSON for {what}: {exc}") from exc
 
 
@@ -65,15 +66,18 @@ def _emit_csv(rows, header, stream=None):
         stream.write(",".join(str(x) for x in row) + "\n")
 
 
-def _frac_arg(s):
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational {s!r}") from exc
-
-
 def _norm_arg(value, what="norm"):
     return val.DiagNorm.from_json(_load_json_arg(value, what))
+
+
+def _family(ns, key, read_item, read_radius):
+    """The items under `key` of the --family document, and its radii read
+    from their JSON text, so that an exact reader takes 0.1 as 1/10."""
+    fam = _load_json_arg(ns.family, "--family")
+    try:
+        return [read_item(x) for x in fam[key]], [read_radius(str(r)) for r in fam["radii"]]
+    except MALFORMED as exc:
+        raise UsageError(f"bad family JSON: {exc}") from exc
 
 
 def _check_p(norms, p):
@@ -117,12 +121,7 @@ def _cmd_common_basis(ns):
 
 
 def _cmd_helly_na(ns):
-    fam = _load_json_arg(ns.family, "--family")
-    try:
-        norms = [val.DiagNorm.from_json(x) for x in fam["norms"]]
-        radii = [_frac_arg(str(r)) for r in fam["radii"]]
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"bad family JSON: {exc}") from exc
+    norms, radii = _family(ns, "norms", val.DiagNorm.from_json, Fraction)
     theta, dists = val.helly_witness_na(norms, radii)
     return EXIT_OK, {
         "schema_version": SCHEMA_VERSION,
@@ -150,12 +149,7 @@ def _cmd_ball(ns):
 
 
 def _cmd_helly_building(ns):
-    fam = _load_json_arg(ns.family, "--family")
-    try:
-        centers = [bld.LatticeVertex.from_json(x) for x in fam["centers"]]
-        radii = [_frac_arg(str(r)) for r in fam["radii"]]
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"bad family JSON: {exc}") from exc
+    centers, radii = _family(ns, "centers", bld.LatticeVertex.from_json, Fraction)
     cert = bld.helly_check_building(list(zip(centers, radii)), mode=ns.mode)
     code = EXIT_OK if cert.outcome == "witness" else EXIT_VIOLATION
     return code, cert.to_json()
@@ -190,7 +184,7 @@ def _cmd_mvee(ns):
     obj = _load_json_arg(ns.points, "--points")
     try:
         pts = np.array(obj["points"] if isinstance(obj, dict) else obj, dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except MALFORMED as exc:
         raise UsageError(f"bad points JSON: {exc}") from exc
     ell, info = bod.mvee_certified(pts)
     return EXIT_OK, {
@@ -202,12 +196,7 @@ def _cmd_mvee(ns):
 
 
 def _cmd_helly_bodies(ns):
-    fam = _load_json_arg(ns.family, "--family")
-    try:
-        family = [bod.body_from_json(x) for x in fam["bodies"]]
-        radii = [float(r) for r in fam["radii"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad family JSON: {exc}") from exc
+    family, radii = _family(ns, "bodies", bod.body_from_json, float)
     details = bod.coarse_helly_details(family, radii)
     return EXIT_OK, {
         "schema_version": HELLY_BODIES_SCHEMA_VERSION,
@@ -492,7 +481,7 @@ def main(argv=None):
         _emit({"schema_version": SCHEMA_VERSION, "error": "usage",
                "message": str(exc)}, sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
+    except Exception as exc:  # not the input's fault: a check or the program failed
         _emit({"schema_version": SCHEMA_VERSION, "error": "internal",
                "message": str(exc)}, sys.stderr)
         return EXIT_INTERNAL

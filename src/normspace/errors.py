@@ -1,6 +1,12 @@
 """Shared exception types, mapped to CLI exit codes by normspace.cli."""
 
 
+# what reading a malformed outside document raises: every reader of JSON
+# input turns exactly these into a UsageError
+MALFORMED = (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError,
+             OverflowError, RecursionError)
+
+
 class NormspaceError(Exception):
     """Base class for all library errors."""
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import qlinalg
-from .errors import InfeasibleScaleError, UsageError
+from .errors import MALFORMED, InfeasibleScaleError, UsageError
 
 TOL = 1e-9
 MAX_SPAN_POINTS = 6
@@ -95,7 +95,7 @@ class FiniteMetric:
     def from_json(cls, obj):
         try:
             return cls(obj["d"], labels=obj.get("labels"))
-        except (KeyError, TypeError, ValueError) as exc:
+        except MALFORMED as exc:
             raise UsageError(f"bad FiniteMetric JSON: {exc}") from exc
 
     def __repr__(self):
@@ -103,13 +103,13 @@ class FiniteMetric:
 
 
 def _coerce_f(f, space):
-    if len(f) != space.n:
-        raise UsageError("function length does not match the space")
     try:
+        if len(f) != space.n:
+            raise UsageError("function length does not match the space")
         if space.exact:
             return [Fraction(x) if _is_exact_scalar(x) else Fraction(float(x)) for x in f]
         ff = [float(x) for x in f]
-    except (TypeError, ValueError, OverflowError) as exc:
+    except MALFORMED as exc:
         raise UsageError(f"function values must be finite numbers: {exc}") from exc
     if not all(map(math.isfinite, ff)):
         raise UsageError("function values must be finite numbers")

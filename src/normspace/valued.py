@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import qlinalg
-from .errors import PairwiseRadiusError, UsageError
+from .errors import MALFORMED, PairwiseRadiusError, UsageError
 from .qlinalg import frac, mat, vec
 
 
@@ -155,7 +155,7 @@ class DiagNorm:
             p = obj["p"]
             cols = [[frac(x) for x in col] for col in obj["basis"]]
             weights = [frac(x) for x in obj["weights"]]
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        except MALFORMED as exc:
             raise UsageError(f"bad DiagNorm JSON: {exc}") from exc
         if not cols or any(len(col) != len(cols) for col in cols):
             raise UsageError("bad DiagNorm JSON: basis must be n columns of length n >= 1")

@@ -5,7 +5,8 @@ elimination, brute-force log-sup ratios, the Fraction Hermite form and
 Fraction distances, submodule closures, entrywise adapted-basis and
 lattice-equality tests, loop-structured float kernels and closure sweeps,
 the Fraction tight-pair solve, the Fraction and Bareiss pair-set filters,
-brute-force cube isometries and 3D hulls, the tangent-polytope witness of a
+brute-force cube isometries, signed permutation matrices and inverses, 3D
+hulls, the tangent-polytope witness of a
 body ball family)
 deliberately do not share code with the library paths they check.
 """
@@ -16,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from normspace import DiagNorm, InfeasibleScaleError, UsageError, eval_log_norm, qlinalg
+from normspace import (DiagNorm, InfeasibleScaleError, SignedPerm, UsageError,
+                       eval_log_norm, qlinalg)
 from normspace import bodies
 from normspace.building import _hermite
 from normspace.valued import pval, pval_int
@@ -468,6 +470,39 @@ def matrix_isometry_enumeration(k):
         if ok:
             found.append(m)
     return found
+
+
+def signed_perm_matrix(g):
+    """The matrix of g: column i is signs[i] e_{perm[i]}."""
+    m = [[0] * g.k for _ in range(g.k)]
+    for i in range(g.k):
+        m[g.perm[i]][i] = g.signs[i]
+    return m
+
+
+def signed_perm_from_matrix(m):
+    """The SignedPerm of a signed permutation matrix; UsageError otherwise."""
+    k = len(m)
+    perm = [None] * k
+    signs = [0] * k
+    for i in range(k):
+        hits = [(r, m[r][i]) for r in range(k) if m[r][i] != 0]
+        if len(hits) != 1 or hits[0][1] not in (1, -1):
+            raise UsageError("not a signed permutation matrix")
+        perm[i], signs[i] = hits[0]
+    out = SignedPerm(tuple(perm), tuple(signs))
+    if signed_perm_matrix(out) != [list(r) for r in m]:
+        raise UsageError("not a signed permutation matrix")
+    return out
+
+
+def signed_perm_inverse(g):
+    ip = [0] * g.k
+    isg = [1] * g.k
+    for i in range(g.k):
+        ip[g.perm[i]] = i
+        isg[g.perm[i]] = g.signs[i]
+    return SignedPerm(tuple(ip), tuple(isg))
 
 
 def closure_sweeps_loops(dmat, f, tol, max_sweeps):

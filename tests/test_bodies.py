@@ -15,7 +15,6 @@ from normspace import (
     gauge,
     gi_distance_bodies,
     john_ellipsoid,
-    mvee,
     polar,
     sampled_sup_ratio,
 )
@@ -223,7 +222,8 @@ def test_polar_duality_preserves_distance(n):
 # -- mvee --
 
 def test_mvee_square_vertices():
-    ell = mvee([[1, 1], [1, -1]])
+    ell, info = mvee_certified([[1, 1], [1, -1]])
+    assert info["eps"] <= 1e-6
     # disc of radius sqrt(2): matrix I/2
     assert np.allclose(ell.matrix, np.eye(2) / 2, atol=1e-7)
 
@@ -248,7 +248,7 @@ def test_mvee_random_certificate():
 
 def test_mvee_degenerate_raises():
     with pytest.raises(UsageError):
-        mvee([[1, 0], [2, 0], [-1, 0]])
+        mvee_certified([[1, 0], [2, 0], [-1, 0]])
 
 
 def test_mvee_matches_sdp_oracle():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -585,9 +586,16 @@ def _fuzzed_norm(draw, n=None, p=None):
     return obj
 
 
+_FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
 def _ends_in_one_document(argv, codes):
+    # a warning would reach stderr before the JSON: raised here, it exits 4
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(list(argv))
     out, err = out.getvalue(), err.getvalue()
     assert code in codes
@@ -597,9 +605,7 @@ def _ends_in_one_document(argv, codes):
 
 @given(center=st.one_of(_fuzzed_norm(), _fuzzed_norm(), _ENTRY),
        radius=st.sampled_from([0, 1, 1, -1]))
-@settings(max_examples=150, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@pytest.mark.filterwarnings("error")
+@_FUZZ
 def test_fuzzed_ball_center_ends_in_one_document(center, radius):
     _ends_in_one_document(("ball", "--center", json.dumps(center),
                                    "--radius", str(radius)), (0, 2, 3))
@@ -618,9 +624,207 @@ def _fuzzed_family(draw):
 
 
 @given(family=st.one_of(_fuzzed_family(), _fuzzed_family(), _ENTRY))
-@settings(max_examples=150, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@pytest.mark.filterwarnings("error")
+@_FUZZ
 def test_fuzzed_helly_na_family_ends_in_one_document(family):
     # exit 1 is a pairwise-radius violation, reported with its payload
     _ends_in_one_document(("helly-na", "--family", json.dumps(family)), (0, 1, 2, 3))
+
+
+# -- documents that no reader can parse, and an operation that breaks --
+
+BIG = "1" * 400  # parses, but beyond float range
+HUGE = "1" * 5000  # beyond the 4300-digit limit of integer parsing
+DEEP = "[" * 50_000 + "]" * 50_000
+BIG_METRIC = '{"d": [[0, %s], [%s, 0]]}' % (BIG, BIG)
+
+
+@pytest.mark.parametrize("argv", [
+    ("body-dist", "--a", '{"kind": "spd", "matrix": [[%s, 0], [0, 1]]}' % BIG,
+     "--b", SQUARE_BODY),
+    ("john", "--body", SQUARE_BODY.replace("[1.0, -1.0]", "[1.0, -%s]" % BIG)),
+    ("mvee", "--points", "[[%s, 0], [0, 1]]" % BIG),
+    ("helly-bodies", "--family",
+     '{"bodies": [%s, %s], "radii": [%s, 0]}' % (SQUARE_BODY, SQUARE_BODY, BIG)),
+    ("tight-span", "--metric", BIG_METRIC),
+    ("extremal", "--metric", BIG_METRIC, "--f", "[%s, %s]" % (BIG, BIG)),
+], ids=["body-dist", "john", "mvee", "helly-bodies", "tight-span", "extremal"])
+@pytest.mark.filterwarnings("error")
+def test_a_400_digit_number_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "usage"
+
+
+# every subcommand that reads a JSON document; X marks the document
+JSON_READERS = {
+    "dist": ("dist", "--a", "X", "--b", STD),
+    "join": ("join", "--inputs", STD, "X"),
+    "common-basis": ("common-basis", "--a", STD, "--b", "X"),
+    "helly-na": ("helly-na", "--family", "X"),
+    "ball": ("ball", "--center", "X", "--radius", "1"),
+    "helly-building": ("helly-building", "--family", "X"),
+    "body-dist": ("body-dist", "--a", SQUARE_BODY, "--b", "X"),
+    "john": ("john", "--body", "X"),
+    "mvee": ("mvee", "--points", "X"),
+    "helly-bodies": ("helly-bodies", "--family", "X"),
+    "tight-span": ("tight-span", "--metric", "X"),
+    "extremal": ("extremal", "--metric", METRIC_2, "--f", "X"),
+}
+
+
+@pytest.mark.parametrize("kind", ["5000-digits", "non-utf8-file", "50000-deep"])
+@pytest.mark.parametrize("name", sorted(JSON_READERS))
+def test_an_unreadable_document_is_one_usage_error(capsys, tmp_path, name, kind):
+    if kind == "non-utf8-file":
+        path = tmp_path / "doc.json"
+        path.write_bytes(b'{"d": "\xff\xfe"}')
+        doc = str(path)
+    else:
+        doc = {"5000-digits": "[%s]" % HUGE, "50000-deep": DEEP}[kind]
+    argv = [doc if x == "X" else x for x in JSON_READERS[name]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] == "usage"
+
+
+def test_an_unexpected_value_error_in_an_operation_exits_4(monkeypatch, capsys):
+    def broken(*args):
+        raise ValueError("a bug, not a bad input")
+
+    monkeypatch.setattr(normspace.bodies, "gi_distance_bodies", broken)
+    code, out, err = run_cli(capsys, "body-dist", "--a", SQUARE_BODY, "--b", SQUARE_BODY)
+    assert (code, out) == (4, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"schema_version": 1, "error": "internal",
+                               "message": "a bug, not a bad input"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("dist", "--a", STD, "--b", '{"p": 2, "basis": [["1", "0"], ["0", "1"]]}'),
+    ("join", "--inputs", STD, json.dumps(DiagNorm.standard(PAdicContext(3), [0, 0]).to_json())),
+    ("common-basis", "--a", STD, "--b", '{"p": 2, "basis": [["1", "0"], ["2", "0"]], '
+     '"weights": ["0", "0"]}'),
+    ("helly-na", "--family", json.dumps({"norms": [json.loads(STD)], "radii": ["1/0"]})),
+    ("ball", "--center", STD, "--radius", "-1"),
+    ("helly-building", "--family", json.dumps({"centers": [json.loads(STD)]})),
+    ("body-dist", "--a", SQUARE_BODY, "--b", '{"kind": "ball"}'),
+    ("john", "--body", '{"kind": "spd", "matrix": [[1, 0], [0, 1]]}'),
+    ("mvee", "--points", "[[1, 0], [0, 1, 2]]"),
+    ("helly-bodies", "--family", json.dumps({"bodies": [json.loads(SQUARE_BODY)],
+                                             "radii": ["wide"]})),
+    ("tight-span", "--metric", '{"d": [[0, 1], [2, 0]]}'),
+    ("extremal", "--metric", METRIC_2, "--f", "[0.25, 0.25]"),
+    ("obstruction", "--n", "13"),
+    ("campaign", "--suite", "apartment", "--seed", "-1"),
+], ids=["dist-missing-weights", "join-mixed-p", "common-basis-singular",
+        "helly-na-zero-denominator", "ball-negative-radius", "helly-building-no-radii",
+        "body-dist-unknown-kind", "john-ellipsoid", "mvee-ragged", "helly-bodies-word-radius",
+        "tight-span-asymmetric", "extremal-inadmissible", "obstruction-n13",
+        "campaign-negative-seed"])
+def test_every_subcommand_refuses_a_malformed_argument(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert json.loads(err)["error"] == "usage"
+
+
+# -- fuzzed bodies, metrics, functions and points --
+
+def _nest(depth):
+    return [] if depth == 0 else [_nest(depth - 1)]
+
+
+# marker strings that _fuzz_text swaps for JSON text json.dumps cannot write
+_RAW = {"<5000 digits>": HUGE, "<1e400>": "1e400", "<50000 deep>": DEEP}
+_BAD = st.one_of(_ENTRY, st.sampled_from(
+    [10 ** 400, -10 ** 400, float("nan"), [], {}, [[]], _nest(300), *_RAW]))
+
+
+def _fuzz_text(doc):
+    text = json.dumps(doc)
+    for marker, raw in _RAW.items():
+        text = text.replace(json.dumps(marker), raw)
+    return text
+
+
+def _nodes(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def _defective(draw, doc):
+    """A deep copy of the well-formed `doc` with at most one defect: a node
+    replaced by a bad value, or a dict entry deleted."""
+    doc = json.loads(json.dumps(doc))
+    defect = draw(st.sampled_from([None, None, "replace", "replace", "delete"]))
+    if defect is None:
+        return doc
+    path = draw(st.sampled_from(list(_nodes(doc))))
+    if not path:
+        return draw(_BAD)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if defect == "delete" and isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_BAD)
+    return doc
+
+
+_BODIES = [
+    body_to_json(PolyNorm.from_vertices([[1, 1], [1, -1]])),
+    body_to_json(PolyNorm.from_vertices([[2, 1], [0, 1], [1, -1]])),
+    body_to_json(PolyNorm.from_vertices(np.eye(3))),
+    {"kind": "spd", "matrix": [[1.2, 0.1], [0.1, 0.9]]},
+    {"kind": "spd", "matrix": [[2, 0, 0], [0, 1, 0], [0, 0, 3]]},
+    {"kind": "meet", "parts": [body_to_json(PolyNorm.from_vertices([[1, 1], [1, -1]]))],
+     "log_scales": [0.5]},
+]
+_fuzzed_body = st.sampled_from(_BODIES).flatmap(_defective)
+
+
+@given(a=_fuzzed_body, b=_fuzzed_body)
+@_FUZZ
+def test_fuzzed_bodies_end_in_one_document(a, b):
+    _ends_in_one_document(("body-dist", "--a", _fuzz_text(a), "--b", _fuzz_text(b)), (0, 2))
+    _ends_in_one_document(("john", "--body", _fuzz_text(a)), (0, 2))
+
+
+@given(family=st.sampled_from([[_BODIES[0], _BODIES[1]], [_BODIES[0], _BODIES[3]],
+                               [_BODIES[2], _BODIES[4], _BODIES[2]]]).flatmap(
+    lambda bodies: _defective({"bodies": bodies, "radii": [1.5] * len(bodies)})))
+@_FUZZ
+def test_fuzzed_helly_bodies_family_ends_in_one_document(family):
+    # exit 1 is a pairwise-radius violation, reported with its payload
+    _ends_in_one_document(("helly-bodies", "--family", _fuzz_text(family)), (0, 1, 2))
+
+
+_METRICS = [
+    {"d": [[0, 1], [1, 0]]},
+    {"labels": ["a", "b", "c"], "d": [[0, 3, 4], [3, 0, 5], [4, 5, 0]]},
+    {"d": [[0, 0.5, 1.25], [0.5, 0, 1.0], [1.25, 1.0, 0]]},
+    {"d": [[0, 3, 4, 5], [3, 0, 5, 4], [4, 5, 0, 3], [5, 4, 3, 0]]},
+]
+
+
+@given(pair=st.sampled_from(_METRICS).flatmap(lambda m: st.tuples(
+    _defective(m), _defective([max(row) for row in m["d"]]))))
+@_FUZZ
+def test_fuzzed_metric_and_function_end_in_one_document(pair):
+    metric, f = map(_fuzz_text, pair)
+    _ends_in_one_document(("tight-span", "--metric", metric), (0, 2))
+    _ends_in_one_document(("extremal", "--metric", metric, "--f", f), (0, 2))
+
+
+@given(points=st.sampled_from([
+    [[1, 1], [1, -1]],
+    {"points": [[3, 0], [0, 0.5], [1, 1]]},
+    [[1, 0, 0], [0, 2, 0], [0, 0, 1], [1, 1, 1]],
+]).flatmap(_defective))
+@_FUZZ
+def test_fuzzed_points_end_in_one_document(points):
+    _ends_in_one_document(("mvee", "--points", _fuzz_text(points)), (0, 2))

@@ -94,3 +94,25 @@ def test_ball_bytes_do_not_depend_on_earlier_balls(capsys):
         assert main(["ball", "--center", json.dumps(norm.to_json()), "--radius", "1"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == fresh[name], name
+
+
+OBSTRUCTION = {
+    3: "02165ed0aa999e371f3ed19ac27b2c8f828e57c3735a82b8e83314c817cd8cf5",
+    4: "5630fc15dbfdcffc724b05d5577e2e83fe0e7691c5577e600b1dd940ded19d1b",
+    5: "372466adf712edc92a1a2f22800ba214b212ec1db35b84a608e517a47435298f",
+    6: "5e80210d629c766fcb8c63f718b7feba7ded8cc23f4090dea81915422ff58608",
+    7: "63cbeda4c3747f4a28e0fc6338487bccb87deb21bda03b0a91543b529be9076f",
+    8: "a1836bcecf75cef4a2c74cf0325fa3466ebe2893c122806ae782140c9b1c82e7",
+    9: "83c21784f154ff8916a0a4b0ec294dadff9fcb5ee9b82934377463e8e37aa2ff",
+    10: "bb2a950189895870065f48db78d48a4bec5ebad36a7b61c650893da777fdf83b",
+    11: "bda9e2ddf645fe0e86190b3e68e365970271d90495f775602725c5d9122d5b6c",
+    12: "e85e285eac05747c4aebf1781f5d14ef8cccefa91e4276ab43cd0a901c112b52",
+}
+
+
+@pytest.mark.parametrize("n", sorted(OBSTRUCTION))
+def test_obstruction_bytes_are_pinned(capsys, n):
+    """Every `obstruction --n` report, the certificate of n = 4 included."""
+    assert main(["obstruction", "--n", str(n)]) == (1 if n == 4 else 0)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == OBSTRUCTION[n]

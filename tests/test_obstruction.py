@@ -1,34 +1,37 @@
+import json
 import math
 
 import pytest
 
+import normspace.obstruction
 from normspace import (
     InfeasibleScaleError,
     SignedPerm,
     UsageError,
     cube_isometries,
-    group_order_tools,
     injective_hom_decision,
 )
-from helpers import matrix_isometry_enumeration
-from normspace.obstruction import (
-    alternating_order_spectrum,
-    signed_perm_order_spectrum,
-    verify_embedding_certificate,
+from helpers import (
+    matrix_isometry_enumeration,
+    signed_perm_from_matrix,
+    signed_perm_inverse,
+    signed_perm_matrix,
 )
+from normspace.cli import main
+from normspace.obstruction import verify_embedding_certificate
 
 
 def test_signed_perm_composition_matches_matrices():
     a = SignedPerm((1, 2, 0), (1, -1, 1))
     b = SignedPerm((0, 2, 1), (-1, 1, -1))
     ab = a * b
-    ma = a.matrix()
-    mb = b.matrix()
+    ma = signed_perm_matrix(a)
+    mb = signed_perm_matrix(b)
     prod = [[sum(ma[i][k] * mb[k][j] for k in range(3)) for j in range(3)]
             for i in range(3)]
-    assert ab.matrix() == prod
-    assert (a * a.inverse()) == SignedPerm.identity(3)
-    assert SignedPerm.from_matrix(prod) == ab
+    assert signed_perm_matrix(ab) == prod
+    assert (a * signed_perm_inverse(a)) == SignedPerm.identity(3)
+    assert signed_perm_from_matrix(prod) == ab
 
 
 def test_signed_perm_validation():
@@ -49,7 +52,7 @@ def test_cube_isometries_match_matrix_enumeration():
     for k in (2, 3):
         mats = matrix_isometry_enumeration(k)
         assert len(mats) == len(cube_isometries(k))
-        abstract = {tuple(map(tuple, g.matrix())) for g in cube_isometries(k)}
+        abstract = {tuple(map(tuple, signed_perm_matrix(g))) for g in cube_isometries(k)}
         assert {tuple(map(tuple, m)) for m in mats} == abstract
 
 
@@ -68,35 +71,9 @@ def test_matrix_isometries_preserve_cube_vertices():
 def test_group_closed_under_product_and_inverse():
     g2 = set(cube_isometries(2))
     for a in g2:
-        assert a.inverse() in g2
+        assert signed_perm_inverse(a) in g2
         for b in g2:
             assert a * b in g2
-
-
-def test_spectra():
-    assert alternating_order_spectrum(3) == (1, 3)
-    assert alternating_order_spectrum(5) == (1, 2, 3, 5)
-    assert signed_perm_order_spectrum(2) == (1, 2, 4)
-    tools = group_order_tools(3)
-    assert tools["target_spectrum_enumerated"] == (1, 2, 4)
-    assert tools["target_spectrum"] == (1, 2, 4)
-
-
-def test_spectrum_enumeration_cross_check():
-    for n in (3, 4, 5):
-        tools = group_order_tools(n)
-        assert tools["target_spectrum_enumerated"] == tools["target_spectrum"]
-
-
-def test_group_order_tools_values():
-    t5 = group_order_tools(5)
-    assert (t5["alternating_order"], t5["target_order"]) == (60, 384)
-    assert not t5["divides"]
-    t8 = group_order_tools(8)
-    assert (t8["alternating_order"], t8["target_order"]) == (20160, 645120)
-    assert t8["divides"]
-    with pytest.raises(UsageError):
-        group_order_tools(25)
 
 
 def test_decision_n3_element_order():
@@ -110,6 +87,16 @@ def test_decision_n4_exists_with_certificate():
     assert rep.verdict == "exists"
     assert rep.reason == "exhaustive-search"
     assert verify_embedding_certificate(4, rep.certificate)
+
+
+def test_a_missed_n4_search_is_an_internal_error(monkeypatch, capsys):
+    # A_4 embeds, so a search that finds nothing is a broken search, not a verdict
+    monkeypatch.setattr(normspace.obstruction, "_exhaustive_search", lambda n: None)
+    with pytest.raises(RuntimeError, match="no valid embedding of A_4"):
+        injective_hom_decision(4)
+    assert main(["obstruction", "--n", "4"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "internal"
 
 
 def test_decision_lagrange_cases():

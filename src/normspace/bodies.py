@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels, polyhedra
-from .errors import MALFORMED, PairwiseRadiusError, UsageError
+from .errors import MALFORMED, PairwiseRadiusError, UsageError, malformed
 
 STRUCT_TOL = 1e-9
 OPT_TOL = 1e-6
@@ -253,7 +253,7 @@ def mvee_certified(points):
     returned ellipsoid exactly (up to float roundoff) and its volume is
     within (1+eps)^{n/2} of optimal.
     """
-    pts = _finite(np.atleast_2d(np.array(points, dtype=float)), "MVEE points")
+    pts = _finite(np.array(points, dtype=float), "MVEE points")
     if pts.ndim != 2 or pts.size == 0:
         raise UsageError("MVEE points must be a nonempty list of vectors")
     with np.errstate(over="ignore"):  # an overflow is refused just below
@@ -370,5 +370,5 @@ def body_from_json(obj):
         if kind == "meet":
             return MeetNorm([body_from_json(p) for p in obj["parts"]], obj["log_scales"])
     except MALFORMED as exc:
-        raise UsageError(f"bad body JSON: {exc}") from exc
+        raise malformed("bad body JSON", exc) from exc
     raise UsageError(f"unknown body kind {obj.get('kind')!r}")

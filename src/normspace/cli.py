@@ -13,6 +13,7 @@ a campaign drawing from SeedSequence([seed, i]).
 """
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -26,7 +27,8 @@ from . import building as bld
 from . import obstruction as obs
 from . import tightspan as ts
 from . import valued as val
-from .errors import MALFORMED, InfeasibleScaleError, PairwiseRadiusError, UsageError
+from .errors import (MALFORMED, InfeasibleScaleError, PairwiseRadiusError, UsageError,
+                     malformed)
 
 SCHEMA_VERSION = 1
 # helly-bodies results, whose witness became a meet body for ellipsoid families
@@ -40,18 +42,22 @@ EXIT_INTERNAL = 4
 
 
 def _load_json_arg(value, what="input"):
-    """Accept inline JSON (starts with '{' or '[') or a file path."""
-    text = value
-    if not value.lstrip().startswith(("{", "[")):
+    """An argument that parses as JSON is inline JSON; anything else is the
+    path of a JSON file, unless it starts like JSON or names no file, when
+    its JSON error, with the position, is the one reported."""
+    try:
+        return json.loads(value)
+    except MALFORMED as exc:
+        bad = exc
+    if isinstance(bad, json.JSONDecodeError) and not value.lstrip().startswith(("{", "[")):
         try:
             with open(value, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                return json.loads(fh.read())
         except (OSError, *MALFORMED) as exc:
-            raise UsageError(f"cannot read {what} file {value!r}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except MALFORMED as exc:
-        raise UsageError(f"bad JSON for {what}: {exc}") from exc
+            if getattr(exc, "errno", None) not in (errno.ENOENT, errno.ENAMETOOLONG):
+                raise malformed(f"cannot read {what} file {value!r}", exc) from exc
+            what += " (no such file)"
+    raise malformed(f"bad JSON for {what}", bad) from bad
 
 
 def _emit(doc, stream=None):
@@ -77,7 +83,7 @@ def _family(ns, key, read_item, read_radius):
     try:
         return [read_item(x) for x in fam[key]], [read_radius(str(r)) for r in fam["radii"]]
     except MALFORMED as exc:
-        raise UsageError(f"bad family JSON: {exc}") from exc
+        raise malformed("bad family JSON", exc) from exc
 
 
 def _check_p(norms, p):
@@ -185,7 +191,7 @@ def _cmd_mvee(ns):
     try:
         pts = np.array(obj["points"] if isinstance(obj, dict) else obj, dtype=float)
     except MALFORMED as exc:
-        raise UsageError(f"bad points JSON: {exc}") from exc
+        raise malformed("bad points JSON", exc) from exc
     ell, info = bod.mvee_certified(pts)
     return EXIT_OK, {
         "schema_version": SCHEMA_VERSION,

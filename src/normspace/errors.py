@@ -2,7 +2,7 @@
 
 
 # what reading a malformed outside document raises: every reader of JSON
-# input turns exactly these into a UsageError
+# input turns exactly these into a UsageError, through `malformed`
 MALFORMED = (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError,
              OverflowError, RecursionError)
 
@@ -29,3 +29,10 @@ class PairwiseRadiusError(NormspaceError):
             message
             or f"balls {pair[0]} and {pair[1]} do not intersect: gap {gap}"
         )
+
+
+def malformed(what, exc):
+    """The UsageError for an outside document whose reading raised exc."""
+    missing = isinstance(exc, KeyError)
+    return UsageError(f"{what}: missing key {exc.args[0]!r}" if missing
+                      else f"{what}: {type(exc).__name__}: {exc}")

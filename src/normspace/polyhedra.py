@@ -1,20 +1,24 @@
-"""Exact vertex/facet enumeration for centrally symmetric polytopes, dim <= 3.
+"""The one exact enumerator: extreme rays of integer cones, and through
+them the vertices and facets of centrally symmetric polytopes in any
+dimension.
 
-Everything runs on Fractions.  Both enumerations share one polar hull route:
-the facets of conv(+-w_i) are found directly, and the vertices of
-{x : |<a_i, x>| <= b_i} are the facets (n, c) of conv(+-a_i/b_i) mapped to
-n/c.  In 2D the hull is a monotone chain; in 3D it is gift wrapping, each
-pivot proposed in float and certified in Fraction, and the finished hull is
-certified complete.  Repeated and antipodal inputs are kept once, at their
-first index.
+`extreme_rays` is a fraction-free double description (Fukuda-Prodon 1996)
+of a pointed cone {x : A x >= 0}, certified before it returns.  The facets
+(a, b) of conv(+-w_i) are the rays of {(b, a) : b >= |<a, w_i>|}, and the
+vertices of {x : |<a_i, x>| <= b_i} are the facets (n, c) of
+conv(+-a_i/b_i) mapped to n/c; tight spans (normspace.tightspan) are the
+rays of one more cone.  Outputs are sorted; repeated and antipodal inputs
+are kept once, at their first index.
 """
 
+import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
 from . import qlinalg
-from .errors import InfeasibleScaleError, UsageError
+from .errors import UsageError
 
 
 def _canon_sign(vec):
@@ -24,200 +28,214 @@ def _canon_sign(vec):
     return vec
 
 
-def _primitive(normal, offset):
-    """Canonical scaling of a rational plane: divide by max |entry| of the
-    normal, so entries land in [-1, 1] with at least one equal to +-1.
-    (Float-safe, unlike clearing denominators, which can explode.)"""
-    mx = max(abs(x) for x in normal)
-    return tuple(x / mx for x in normal), offset / mx
-
-
 # ---------------------------------------------------------------------------
-# 2D: exact monotone chain
+# the kernel: extreme rays of {x : A x >= 0}
 # ---------------------------------------------------------------------------
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _dot(row, v):
+    return sum(map(operator.mul, row, v))
 
 
-def hull2d(points):
-    """Indices of hull vertices in CCW order (collinear points dropped)."""
-    idx = sorted(range(len(points)), key=lambda i: points[i])
-    if len(idx) < 3:
-        return idx
-    lower = []
-    for i in idx:
-        while len(lower) >= 2 and _cross(points[lower[-2]], points[lower[-1]], points[i]) <= 0:
-            lower.pop()
-        lower.append(i)
-    upper = []
-    for i in reversed(idx):
-        while len(upper) >= 2 and _cross(points[upper[-2]], points[upper[-1]], points[i]) <= 0:
-            upper.pop()
-        upper.append(i)
-    return lower[:-1] + upper[:-1]
+def _bits(mask):  # the set bits, lowest first
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-# ---------------------------------------------------------------------------
-# 3D: exact gift wrapping
-# ---------------------------------------------------------------------------
-
-def _plane_through(p, q, r):
-    u = tuple(q[i] - p[i] for i in range(3))
-    v = tuple(r[i] - p[i] for i in range(3))
-    n = (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-    c = sum(n[i] * p[i] for i in range(3))
-    if c < 0:
-        n, c = tuple(-x for x in n), -c
-    if c == 0:
-        return None  # collinear points, or a plane through the origin
-    return _primitive(tuple(Fraction(x) for x in n), Fraction(c))
+def _reduced(v):
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
 
 
-def _exact_violations(points, arr, normal, offset):
-    """Indices of points with <n, x> > c, and of points with <n, x> = c.
+FILTER_MIN = 64  # rows from which numpy signs beat exact integer dots
 
-    A float prefilter with a conservative guard band skips points that are
-    strictly inside by a wide margin; only near-boundary points are checked
-    with exact arithmetic, so both lists are still exact.
+
+def _image(vecs):
+    """Floats of integer vectors for the sign filter; inf past the float range."""
+    try:
+        return np.array(vecs, dtype=float)
+    except OverflowError:
+        return np.array([[float(x) if x.bit_length() < 1024 else math.inf for x in v] for v in vecs])
+
+
+def _split(w, fw, vs, ids, fvs):
+    """The t in ids with <vs[t], w> < 0, = 0 and >= 0, decided exactly.  With
+    float images (fvs is None below FILTER_MIN rows) a float product
+    settles a sign when it exceeds (d + 4) 2^-50 |fvs| @ |fw|, a bound on
+    its rounding error; an exact dot decides the rest."""
+    if fvs is None:
+        vals = [_dot(vs[t], w) for t in ids]
+    else:
+        ids = np.asarray(ids, dtype=np.intp)
+        f = fvs[ids]
+        with np.errstate(invalid="ignore", over="ignore"):  # an inf or a NaN settles nothing
+            fx = f @ fw
+            vals = np.where(np.abs(fx) > (len(w) + 4) * 2.0**-50 * (np.abs(f) @ np.abs(fw)), fx, 0.0)
+        for k in np.flatnonzero(vals == 0):
+            x = _dot(vs[ids[k]], w)
+            vals[k] = (x > 0) - (x < 0)
+        return ids[vals < 0].tolist(), ids[vals == 0].tolist(), ids[vals >= 0].tolist()
+    return ([t for t, x in zip(ids, vals) if x < 0], [t for t, x in zip(ids, vals) if x == 0],
+            [t for t, x in zip(ids, vals) if x >= 0])
+
+
+def _double_description(rows):
+    """The extreme rays of the pointed cone {x : rows x >= 0} with their zero
+    sets, or None when the rows do not span.
+
+    The first independent rows B, found by one `qlinalg.echelon` pass on
+    [A^T | I], cut out a simplicial cone with rays +-det A_B^{-1} e_k.  Each
+    further row keeps the rays on its side and joins each adjacent pair it
+    separates: no third ray is tight at every row the two share (the
+    combinatorial test).  holders[i] masks the live rays tight at row i.
+    From FILTER_MIN rows on, `_split` reads signs off float images.
     """
-    nf = np.array([float(x) for x in normal])
-    cf = float(offset)
-    vals = arr @ nf
-    guard = 1e-9 * max(1.0, abs(cf), float(np.max(np.abs(vals))))
-    over, on = [], []
-    for i in np.nonzero(vals > cf - guard)[0]:
-        v = sum(normal[t] * points[i][t] for t in range(3))
-        if v > offset:
-            over.append(int(i))
-        elif v == offset:
-            on.append(int(i))
-    return over, on
+    m, d = len(rows), len(rows[0])
+    det, out, basis = qlinalg.echelon(
+        [list(col) + [int(i == j) for j in range(d)] for i, col in enumerate(zip(*rows))], m)
+    if len(basis) < d:
+        return None
+    sign = 1 if det > 0 else -1
+    done = sum(1 << i for i in basis)
+    vecs = [_reduced([sign * x for x in out[k][m:]]) for k in range(d)]
+    zs = [done & ~(1 << b) for b in basis]
+    holders = [sum(1 << t for t in range(d) if zs[t] >> i & 1) for i in range(m)]
+    live, alive = list(range(d)), (1 << d) - 1
+    fr, fv = (_image(rows), _image(vecs)) if m >= FILTER_MIN else (None, None)
+    for i in range(m):
+        if done >> i & 1:
+            continue
+        row = rows[i]
+        neg, zero, live = _split(row, fr if fr is None else fr[i], vecs, live, fv)
+        negs, zeros, born = sum(1 << t for t in neg), sum(1 << t for t in zero), len(vecs)
+        for q in neg:
+            near = alive
+            if d > 2:  # an adjacent ray shares d - 2 >= 1 rows with q
+                near = 0
+                for j in _bits(zs[q]):
+                    near |= holders[j]
+            for p in _bits(near & ~negs & ~zeros):  # the rays on the positive side
+                common, share = zs[p] & zs[q], alive
+                for j in _bits(common):
+                    share &= holders[j]
+                if common.bit_count() >= d - 2 and share.bit_count() == 2:  # p, q alone
+                    a, b = _dot(row, vecs[p]), _dot(row, vecs[q])
+                    vecs.append(_reduced([a * y - b * x for x, y in zip(vecs[p], vecs[q])]))
+                    zs.append(common | 1 << i)
+        for t in zero:
+            zs[t] |= 1 << i
+        holders[i] |= zeros
+        alive &= ~negs
+        for t in neg:
+            for j in _bits(zs[t]):
+                holders[j] &= ~(1 << t)
+        live += range(born, len(vecs))
+        for t in range(born, len(vecs)):
+            alive |= 1 << t
+            for j in _bits(zs[t]):
+                holders[j] |= 1 << t
+        if fv is not None and len(vecs) > born:
+            fv = np.vstack([fv, _image(vecs[born:])])
+    return [(vecs[t], zs[t]) for t in live]
 
 
-def _wrap(points, arr, a, b, normal, inside):
-    """Turn a supporting plane about the line ab as far as the points allow.
+def _certify(rows, rays, ids, memo):
+    """The zero sets of the rays, once they are shown to be exactly the
+    extreme rays of the full-dimensional pointed cone {x : rows x >= 0}.
 
-    normal is the outward normal of the known supporting plane through the
-    line, inside (float) a point of it off the line on the side the plane
-    turns away from.  The pivot of largest rotation angle is proposed in
-    float; its exact plane is certified, and each exact violator turns the
-    plane strictly further.  Returns (plane, indices of the points on it).
+    1. Valid: every row is >= 0 at every ray; the rays are distinct,
+       primitive and at least one.
+    2. Extreme: the rows tight at each ray have rank d - 1.
+    3. Closed under edges: each edge at a ray v, an extreme ray of the
+       tangent cone at v (its tight rows, v projected out by dropping a
+       coordinate where v is nonzero), ends at another ray whose zero set
+       holds the edge's.  With d - 1 tight rows each edge drops one of
+       them; otherwise the tangent cone's rays are enumerated and certified.
+    The graph of a pointed cone is connected, so rays closed under edges
+    are all of them.  Any failure raises RuntimeError.  Zero sets are masks
+    over ids[i], the name of row i in the outermost cone; memo keeps the
+    edges of each tangent cone by its tight rows, met again on other paths.
     """
-    pa = np.array([float(x) for x in a])
-    u = np.array([float(x) for x in b]) - pa
-    v = np.asarray(inside) - pa
-    v -= (v @ u) / (u @ u) * u
-    nf = np.array([float(x) for x in normal])
-    d = arr - pa
-    x, y = d @ (v / np.linalg.norm(v)), d @ (nf / np.linalg.norm(nf))
-    off_line = np.hypot(x, y) > 1e-12 * np.max(np.abs(arr))
-    # the angle turned is pi/2 - arctan2(x, -y), continuous where -y = +-0
-    q = int(np.argmin(np.where(off_line, np.arctan2(x, -y), np.inf)))
-    while True:
-        plane = _plane_through(a, b, points[q])
-        if plane is None:
-            raise RuntimeError("exact 3D hull: degenerate wrap pivot")
-        over, on = _exact_violations(points, arr, *plane)
-        if not over:
-            return plane, on
-        q = over[0]
+    d = len(rows[0])
+    tights, zs, holders = [], [], {}  # holders: row id -> mask of the rays tight there
+    fr = _image(rows) if len(rows) >= FILTER_MIN else None
+    for t, v in enumerate(rays):
+        neg, tight, _ = _split(v, fr if fr is None else _image([v])[0], rows, range(len(rows)), fr)
+        if neg or math.gcd(*v) != 1:
+            raise RuntimeError("exact extreme rays: a ray is invalid")
+        tights.append(tight)
+        zs.append(sum(1 << ids[i] for i in tights[-1]))
+        for i in tights[-1]:
+            holders[ids[i]] = holders.get(ids[i], 0) | 1 << t
+    if not rays or len(set(rays)) < len(rays):
+        raise RuntimeError("exact extreme rays: no rays, or a repeated ray")
+    for t, (v, z, idx) in enumerate(zip(rays, zs, tights)):
+        tight = [rows[i] for i in idx]
+        if len(qlinalg.echelon(tight, d)[2]) != d - 1:
+            raise RuntimeError("exact extreme rays: a ray is not extreme")
+        if len(idx) == d - 1:
+            edges = [z & ~(1 << ids[i]) for i in idx]
+        elif z in memo:
+            edges = memo[z]
+        else:
+            k = next(j for j, x in enumerate(v) if x)
+            sub = [r[:k] + r[k + 1:] for r in tight]
+            edges = memo[z] = [e for _, e in _certify(
+                sub, [r for r, _ in _double_description(sub)], [ids[i] for i in idx], memo)]
+        for e in edges:
+            ends = (1 << len(rays)) - 1 & ~(1 << t)
+            for j in _bits(e):
+                ends &= holders[j]
+            if not ends:
+                raise RuntimeError("exact extreme rays: an edge leaves the rays")
+    return list(zip(rays, zs))
 
 
-def hull3d_planes(points):
-    """Exact facet planes (n, c) with <n, x> <= c of conv(points), 0 interior,
-    and the sorted indices of the hull's vertices.
-
-    Gift wrapping (Chand-Kapur 1970): two wraps about lines through the point
-    s with the largest first coordinate turn the plane x = x_s into a first
-    facet, then each edge with one known face is wrapped to its other face.
-    A face is the exact 2D hull of the points exactly on its plane, seen
-    along the normal's largest coordinate.  The hull is certified complete:
-    every edge lies in exactly two faces and V - E + F = 2.
-    """
-    arr = np.array([[float(x) for x in p] for p in points], dtype=float)
-    faces = {}  # plane -> face vertex indices in cyclic order
-    edges = {}  # (i, j) with i < j -> set of the planes of the faces through it
-    todo = []
-
-    def add(plane, on):
-        if plane in faces:
-            raise RuntimeError("exact 3D hull: a wrap returned a known face")
-        if len(on) > 3:  # three points off one line are already a face
-            drop = max(range(3), key=lambda t: abs(plane[0][t]))
-            on = [on[h] for h in hull2d(
-                [tuple(points[i][t] for t in range(3) if t != drop) for i in on])]
-        faces[plane] = on
-        for i, j in zip(on, on[1:] + on[:1]):
-            edge = (min(i, j), max(i, j))
-            edges.setdefault(edge, set()).add(plane)
-            todo.append(edge)
-
-    s = max(range(len(points)), key=points.__getitem__)
-    a = points[s]
-    plane, on = _wrap(points, arr, a, (a[0], a[1], a[2] + 1), (1, 0, 0),
-                      arr[s] + (0, 1, 0))
-    q = next(i for i in on if points[i][:2] != a[:2])  # off the first line
-    add(*_wrap(points, arr, a, points[q], plane[0], arr[s] + (0, 0, 1)))
-    while todo:
-        i, j = todo.pop()
-        if len(edges[i, j]) == 1:
-            (plane,) = edges[i, j]
-            add(*_wrap(points, arr, points[i], points[j], plane[0],
-                       arr[faces[plane]].mean(axis=0)))
-    verts = sorted({i for face in faces.values() for i in face})
-    if (any(len(planes) != 2 for planes in edges.values())
-            or len(verts) - len(edges) + len(faces) != 2):
-        raise RuntimeError("exact 3D hull: the faces do not close up")
-    return list(faces), verts
+def extreme_rays(rows):
+    """Primitive integer extreme rays of {x : rows x >= 0}, each with its
+    zero set (bit i set when row i vanishes at the ray), certified by
+    `_certify`; None when the rows do not span R^d.  The cone must be
+    full-dimensional; the integer rows must all have length d."""
+    rays = _double_description(rows)
+    if rays is None:
+        return None
+    return _certify(rows, [v for v, _ in rays], range(len(rows)), {})
 
 
 # ---------------------------------------------------------------------------
 # polytope enumeration via polarity
 # ---------------------------------------------------------------------------
 
-def _check_dim(n):
-    if n not in (2, 3):
-        raise InfeasibleScaleError(
-            f"exact enumeration supports dimension 2 and 3, got {n}"
-        )
-
-
-def _rank_full(vectors, n):
-    """The rational rows span R^n iff their integer Gram matrix is nonsingular."""
-    a, _ = qlinalg.clear_denominators(vectors)
-    gram = [[sum(r[i] * r[j] for r in a) for j in range(n)] for i in range(n)]
-    return qlinalg.bareiss(gram)[0] != 0
-
-
-def _hull_planes(points, n):
-    """Facet planes of conv(+-points) and the inputs that are hull vertices.
-
-    points must span R^n, so the origin is interior and every plane (a, b)
-    with <a, x> <= b on the hull has b > 0.  In 2D a plane is the outward
-    normal of a CCW edge p -> q with b = det(p, q); in 3D it comes certified
-    from hull3d_planes.  keep lists, in increasing order, the inputs whose
-    point is a hull vertex; an input that repeats an earlier point or its
-    antipode is never kept.
+def _hull_planes(points, flat):
+    """Integer facet planes (a, b) with <a, x> <= b of conv(+-points), the
+    rays (b, a) of {b - <q, a> >= 0 : q = +-points}, each row cleared of its
+    own denominators; UsageError(flat) when the points do not span.  keep
+    lists in increasing order the inputs whose row is a facet of the cone:
+    its rays lie in no other row's strictly larger set.  An input that
+    repeats an earlier point or its antipode is never kept.
     """
     seen = {}  # each point -> its first index, input i at 2i and -input i at 2i + 1
     for idx, p in enumerate(q for p in points for q in (p, tuple(-x for x in p))):
         seen.setdefault(p, idx)
     uniq, back = list(seen), list(seen.values())  # back[h] // 2 is the input of uniq[h]
-
-    if n == 2:
-        hull = hull2d(uniq)
-        planes = []
-        for t, h in enumerate(hull):
-            p, q = uniq[h], uniq[hull[(t + 1) % len(hull)]]
-            planes.append(((q[1] - p[1], p[0] - q[0]), p[0] * q[1] - p[1] * q[0]))
-    else:
-        planes, hull = hull3d_planes(uniq)
-    return planes, sorted({back[h] // 2 for h in hull})
+    rows = []
+    for q in uniq:
+        ([den, *p],), _ = qlinalg.clear_denominators([(Fraction(1), *q)])
+        rows.append([den] + [-x for x in p])
+    rays = extreme_rays(rows)
+    if rays is None:
+        raise UsageError(flat)
+    on = [0] * len(uniq)  # on[h]: the rays tight at row h; a larger set holds its first ray
+    for r, (_, z) in enumerate(rays):
+        for h in _bits(z):
+            on[h] |= 1 << r
+    keep = {back[h] // 2 for h, s in enumerate(on) if s and not any(
+        s & on[u] == s != on[u] for u in _bits(rays[(s & -s).bit_length() - 1][1]))}
+    planes = [(v[1:], v[0]) for v, _ in rays]
+    return planes, sorted(keep)
 
 
 def vertex_enum_exact(facets):
@@ -225,37 +243,30 @@ def vertex_enum_exact(facets):
 
     facets: list of (a, b) with a a Fraction tuple (one per antipodal pair)
     and b > 0.  Returns (vertices, keep) where vertices hold one
-    representative per antipodal pair and keep indexes the facets that
-    actually support the body.  By polarity, the hull facet (n, c) of the
-    points a_i/b_i is the vertex n/c.
+    representative per antipodal pair, in increasing order, and keep indexes
+    the facets that actually support the body.  By polarity, the hull facet
+    (n, c) of the points a_i/b_i is the vertex n/c.
     """
     if not facets:
         raise UsageError("no facets")
-    n = len(facets[0][0])
-    _check_dim(n)
-    for a, b in facets:
-        if b <= 0:
-            raise UsageError("facet offsets must be positive")
-    if not _rank_full([a for a, _ in facets], n):
-        raise UsageError("facet normals do not span: body is unbounded")
-    planes, keep = _hull_planes([tuple(x / b for x in a) for a, b in facets], n)
-    verts = {_canon_sign(tuple(x / c for x in nrm)): True for nrm, c in planes}
-    return list(verts), keep
+    if any(b <= 0 for _, b in facets):
+        raise UsageError("facet offsets must be positive")
+    planes, keep = _hull_planes([tuple(x / b for x in a) for a, b in facets],
+                                "facet normals do not span: body is unbounded")
+    verts = {_canon_sign(tuple(Fraction(x, c) for x in nrm)) for nrm, c in planes}
+    return sorted(verts), keep
 
 
 def facet_enum_exact(vertices):
-    """Irredundant facets (a, b) of conv(+-vertices), one per antipodal pair,
-    plus the indices of the input vertices that are extreme."""
+    """Irredundant facets (a, b) of conv(+-vertices), one per antipodal pair
+    and in increasing order, plus the indices of the input vertices that are
+    extreme."""
     if not vertices:
         raise UsageError("no vertices")
-    n = len(vertices[0])
-    _check_dim(n)
-    vertices = [qlinalg.vec(w) for w in vertices]
-    if not _rank_full(vertices, n):
-        raise UsageError("vertices do not span: body has empty interior")
-    planes, keep = _hull_planes(vertices, n)
-    out = {}
-    for nrm, c in planes:
-        a, b = _primitive(nrm, c)
-        out[(_canon_sign(a), b)] = True
-    return list(out), keep
+    planes, keep = _hull_planes([qlinalg.vec(w) for w in vertices],
+                                "vertices do not span: body has empty interior")
+    out = set()
+    for nrm, c in planes:  # scaled to max |a_i| = 1
+        m = max(map(abs, nrm))
+        out.add((_canon_sign(tuple(Fraction(x, m) for x in nrm)), Fraction(c, m)))
+    return sorted(out), keep

@@ -1,9 +1,10 @@
 """Small exact linear algebra toolkit over the rationals.
 
 Matrices are tuples of tuples of ``fractions.Fraction`` in row-major order.
-The one exact elimination is ``bareiss`` on integer rows: callers clear
-denominators first (``clear_denominators``) and read determinants, ranks,
-inverses and solutions off one fraction-free pass.
+The one exact elimination is ``echelon`` on integer rows, with ``bareiss``
+its square case: callers clear denominators first (``clear_denominators``)
+and read determinants, ranks, pivots, inverses and solutions off one
+fraction-free pass.
 """
 
 import math
@@ -54,25 +55,37 @@ def clear_denominators(rows):
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
-def bareiss(rows):
-    """Fraction-free Gauss-Jordan (Bareiss 1968) on integer rows [A | C].
+def echelon(rows, ncols):
+    """Fraction-free reduced row echelon form (Bareiss 1968) of integer rows
+    [A | C], A their first ncols columns.
 
-    Returns (d, d A^{-1} [A | C]) with d = +-det(A), or (0, None) if A is
-    singular; every division is exact.
+    A column with no pivot left is skipped, so the pivot columns are the
+    first independent columns of A and their number is its rank.  Returns
+    (d, out, pivots): out = d A_P^{-1} [A | C] on its first rank rows, A_P
+    the pivot columns of the pivot rows and d = +-det(A_P); every division
+    is exact.
     """
     out = [list(r) for r in rows]
-    n = len(out)
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if out[r][k]), None)
+    prev, pivots = 1, []
+    for c in range(ncols):
+        k = len(pivots)
+        piv = next((r for r in range(k, len(out)) if out[r][c]), None)
         if piv is None:
-            return 0, None
+            continue
         out[k], out[piv] = out[piv], out[k]
         top = out[k]
-        d = top[k]
-        for r in range(n):
+        d = top[c]
+        for r in range(len(out)):
             if r != k:
-                f = out[r][k]
+                f = out[r][c]
                 out[r] = [(d * x - f * y) // prev for x, y in zip(out[r], top)]
         prev = d
-    return prev, out
+        pivots.append(c)
+    return prev, out, pivots
+
+
+def bareiss(rows):
+    """`echelon` with A square: (d, d A^{-1} [A | C]) with d = +-det(A), or
+    (0, None) if A is singular."""
+    d, out, pivots = echelon(rows, len(rows))
+    return (d, out) if len(pivots) == len(rows) else (0, None)

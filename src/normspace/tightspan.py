@@ -6,6 +6,12 @@ extremal functions form the tight span, the smallest hyperconvex space
 containing X.  Two arithmetic modes share each operation: binary64 with a
 1e-9 tolerance, and exact Fractions when the input matrix is rational.
 
+The 0-cells of the tight span are the vertices of {f : f(i) + f(j) >=
+d(i, j)} (Dress 1984), so f = g / t for the rays (g, t) with t > 0 of the
+cone q g(i) + q g(j) - p t >= 0, t >= 0, where d(i, j) = p / q; a float
+metric enters on its binary-rational entries.  One certified
+`polyhedra.extreme_rays` call gives them exactly, up to MAX_SPAN_POINTS.
+
 The extremal closure is one ascending sweep f(x) <- max(0, max_{y != x}
 (d(x, y) - f(y))).  Each update sets f(x) to the least value that keeps f
 admissible, so f stays admissible and never rises.  Once x is updated it is
@@ -13,18 +19,16 @@ tight; later updates only lower other values, which can only raise the terms
 d(x, y) - f(y), and admissibility caps them at f(x), so x stays tight.
 """
 
-import functools
-import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from . import qlinalg
-from .errors import MALFORMED, InfeasibleScaleError, UsageError
+from . import polyhedra
+from .errors import MALFORMED, InfeasibleScaleError, UsageError, malformed
 
 TOL = 1e-9
-MAX_SPAN_POINTS = 6
+MAX_SPAN_POINTS = 8
 
 
 def _is_exact_scalar(x):
@@ -96,7 +100,7 @@ class FiniteMetric:
         try:
             return cls(obj["d"], labels=obj.get("labels"))
         except MALFORMED as exc:
-            raise UsageError(f"bad FiniteMetric JSON: {exc}") from exc
+            raise malformed("bad FiniteMetric JSON", exc) from exc
 
     def __repr__(self):
         return f"FiniteMetric(n={self.n}, exact={self.exact})"
@@ -110,7 +114,7 @@ def _coerce_f(f, space):
             return [Fraction(x) if _is_exact_scalar(x) else Fraction(float(x)) for x in f]
         ff = [float(x) for x in f]
     except MALFORMED as exc:
-        raise UsageError(f"function values must be finite numbers: {exc}") from exc
+        raise malformed("function values must be finite numbers", exc) from exc
     if not all(map(math.isfinite, ff)):
         raise UsageError("function values must be finite numbers")
     return ff
@@ -182,96 +186,21 @@ def extremal_closure(f, space):
     return ff
 
 
-def _pair_rows(pairs, n):
-    """The 0/1/2 matrix A of f(i) + f(j) over the pairs (i = j gives a 2)."""
-    rows = []
-    for i, j in pairs:
-        row = [0] * n
-        row[i] += 1
-        row[j] += 1
-        rows.append(row)
-    return rows
-
-
-def _nonsingular(pairs, n):
-    """Whether the pair matrix A of n pairs on n points is nonsingular.
-
-    A is the unsigned edge-vertex incidence matrix of the pair graph (i = j
-    a loop), which is nonsingular exactly when every connected component
-    has one cycle and that cycle is odd.  Union-find with parity: an edge
-    inside a component closes a cycle, odd when its ends have equal parity.
-    With n edges on n vertices, at most one cycle per component means
-    exactly one.
-    """
-    parent, parity, cyclic = list(range(n)), [0] * n, [False] * n
-
-    def find(x):
-        par = 0
-        while parent[x] != x:
-            par ^= parity[x]
-            x = parent[x]
-        return x, par
-
-    for i, j in pairs:
-        (ri, pi), (rj, pj) = find(i), find(j)
-        if ri == rj:
-            if cyclic[ri] or pi != pj:
-                return False
-            cyclic[ri] = True
-        elif cyclic[ri] and cyclic[rj]:
-            return False
-        else:
-            parent[ri], parity[ri] = rj, pi ^ pj ^ 1
-            cyclic[rj] = cyclic[rj] or cyclic[ri]
-    return True
-
-
-@functools.cache
-def _pair_sets(n):
-    """The n-subsets of pairs (i <= j < n) with a nonsingular A, in
-    `combinations` order: singularity depends only on the set, so it is
-    decided once per set, by a graph test (only the pairs are kept)."""
-    all_pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    return tuple(
-        combo for combo in itertools.combinations(all_pairs, n) if _nonsingular(combo, n)
-    )
-
-
-def _solve_candidate(space, pairs):
-    """Solve f(i)+f(j) = d(i,j) over the given tight pairs.
-
-    In exact mode one integer Bareiss pass on [A | D d] (D the common
-    denominator) gives f_i = out[i][n] / (det D), or None when A is
-    singular.  Float mode takes its pairs from `_pair_sets`, so A is not.
-    """
-    n = space.n
-    rows = _pair_rows(pairs, n)
-    if space.exact:
-        (rhs,), den = qlinalg.clear_denominators([[space.d(i, j) for i, j in pairs]])
-        d, out = qlinalg.bareiss([row + [x] for row, x in zip(rows, rhs)])
-        return None if d == 0 else [Fraction(r[n], d * den) for r in out]
-    return list(np.linalg.solve(np.array(rows, dtype=float),
-                                np.array([space.dist[i, j] for i, j in pairs])))
-
-
 def tight_span_vertices(space):
-    """All 0-cells of the tight span (extremal functions pinned by a
-    full-rank set of tight pairs); includes every Kuratowski image."""
+    """All 0-cells of the tight span (see the module docstring), sorted by
+    their floats; float mode rounds each correctly and keeps one per 1e-9
+    grid cell."""
     n = space.n
     if n > MAX_SPAN_POINTS:
         raise InfeasibleScaleError(f"tight span enumeration is limited to {MAX_SPAN_POINTS} points")
-    found = []
-    seen = set()
-    for combo in _pair_sets(n):
-        f = _solve_candidate(space, combo)
-        if not (is_admissible(f, space) and is_extremal(f, space)):
-            continue
-        key = tuple(f) if space.exact else tuple(round(x / TOL) for x in f)
-        if key not in seen:
-            seen.add(key)
-            found.append(f)
-    for e in kuratowski_embed(space):
-        if not any(ts_distance(e, f) <= 10 * space.tol for f in found):
-            raise RuntimeError("tight span enumeration missed a Kuratowski image")
-    found.sort(key=lambda f: [float(x) for x in f])
-    return found
+    rows = [[0] * n + [1]]
+    for i in range(n):
+        for j in range(i, n):
+            p, q = Fraction(space.d(i, j)).as_integer_ratio()
+            rows.append([q * ((k == i) + (k == j)) for k in range(n)] + [-p])
+    found = {}
+    for v, _ in polyhedra.extreme_rays(rows):
+        if v[n]:  # int / int rounds correctly
+            f = [Fraction(x, v[n]) if space.exact else x / v[n] for x in v[:n]]
+            found.setdefault(tuple(f) if space.exact else tuple(round(x / TOL) for x in f), f)
+    return sorted(found.values(), key=lambda f: [float(x) for x in f])

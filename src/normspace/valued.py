@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import qlinalg
-from .errors import MALFORMED, PairwiseRadiusError, UsageError
+from .errors import MALFORMED, PairwiseRadiusError, UsageError, malformed
 from .qlinalg import frac, mat, vec
 
 
@@ -156,7 +156,7 @@ class DiagNorm:
             cols = [[frac(x) for x in col] for col in obj["basis"]]
             weights = [frac(x) for x in obj["weights"]]
         except MALFORMED as exc:
-            raise UsageError(f"bad DiagNorm JSON: {exc}") from exc
+            raise malformed("bad DiagNorm JSON", exc) from exc
         if not cols or any(len(col) != len(cols) for col in cols):
             raise UsageError("bad DiagNorm JSON: basis must be n columns of length n >= 1")
         return cls(PAdicContext(p), qlinalg.from_columns(cols), weights)

@@ -4,13 +4,14 @@ The oracles here (integer Smith normal form, Fraction Gauss-Jordan
 elimination, brute-force log-sup ratios, the Fraction Hermite form and
 Fraction distances, submodule closures, entrywise adapted-basis and
 lattice-equality tests, loop-structured float kernels and closure sweeps,
-the Fraction tight-pair solve, the Fraction and Bareiss pair-set filters,
-brute-force cube isometries, signed permutation matrices and inverses, 3D
-hulls, the tangent-polytope witness of a
-body ball family)
+the Fraction tight-pair solve, the Fraction and Bareiss pair-set filters
+and the subset-search tight span, brute-force cube isometries, signed
+permutation matrices and inverses, hulls in any dimension, the
+tangent-polytope witness of a body ball family)
 deliberately do not share code with the library paths they check.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from normspace import (DiagNorm, InfeasibleScaleError, SignedPerm, UsageError,
-                       eval_log_norm, qlinalg)
+                       eval_log_norm, is_admissible, is_extremal, qlinalg)
 from normspace import bodies
 from normspace.building import _hermite
 from normspace.valued import pval, pval_int
@@ -570,7 +571,7 @@ def solve_candidate_fraction(space, pairs):
     return list(np.linalg.solve(mat, rhs))
 
 
-def _pair_sets_with_nonzero(n, det):
+def pair_sets_with_nonzero(n, det):
     """The n-subsets of pairs (i <= j < n), in combinations order, whose
     pair matrix has det(matrix) != 0."""
     all_pairs = [(i, j) for i in range(n) for j in range(i, n)]
@@ -585,14 +586,16 @@ def _pair_sets_with_nonzero(n, det):
     return out
 
 
-def nonsingular_pair_sets_bareiss(n):
-    """Pair sets whose matrix has a nonzero integer Bareiss determinant."""
-    return _pair_sets_with_nonzero(n, lambda mat: qlinalg.bareiss(mat)[0])
+@functools.cache
+def nonsingular_pair_sets_float(n):
+    """Pair sets whose integer matrix has a float determinant that rounds
+    to a nonzero integer."""
+    return pair_sets_with_nonzero(n, lambda mat: round(np.linalg.det(np.array(mat, dtype=float))))
 
 
 def nonsingular_pair_sets_fraction(n):
     """Pair sets whose matrix has a nonzero Fraction Gauss-Jordan determinant."""
-    return _pair_sets_with_nonzero(n, lambda mat: gauss_jordan(mat)[1])
+    return pair_sets_with_nonzero(n, lambda mat: gauss_jordan(mat)[1])
 
 
 # circumscribed-polytope approximation of an ellipsoid: number of antipodal
@@ -641,36 +644,75 @@ def tangent_polytope_witness(family, radii):
     )
 
 
-def brute_hull3d(points):
-    """Exact hull oracle in 3D by exhaustive triples, in integer arithmetic.
+def _det(m):
+    """Integer determinant by Laplace expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j, x in enumerate(m[0]) if x)
 
-    Returns (planes, vertices): the facet planes (n, c) with <n, x> <= c in
-    polyhedra's canonical form (max |n_i| = 1, c > 0; the origin must be
-    interior) and the sorted indices of the points whose facets' normals
-    span R^3, i.e. the hull vertices.
+
+def brute_hull(points):
+    """Exact hull oracle in any dimension n by exhaustive n-subsets, in
+    integer arithmetic.
+
+    A facet misses the origin, which must be interior, so it passes through
+    n linearly independent points p and is the plane <a, x> = c with
+    a = adj(P) 1 and c = det P (Cramer's rule).  Returns (planes, vertices):
+    the sorted facet planes (a, c) with <a, x> <= c in polyhedra's canonical
+    form (max |a_i| = 1, c > 0) and the sorted indices of the points whose
+    facets' normals span R^n, i.e. the hull vertices.
     """
+    n = len(points[0])
     den = math.lcm(*(Fraction(x).denominator for p in points for x in p))
-    ints = [tuple(int(x * den) for x in p) for p in points]
+    ints = [[int(x * den) for x in p] for p in points]
     found = set()
-    for p, q, r in itertools.combinations(ints, 3):
-        u = [q[t] - p[t] for t in range(3)]
-        v = [r[t] - p[t] for t in range(3)]
-        n = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-             u[0] * v[1] - u[1] * v[0]]
-        c = sum(n[t] * p[t] for t in range(3))
-        if c < 0:
-            n, c = [-x for x in n], -c
-        if c == 0 or any(sum(n[t] * w[t] for t in range(3)) > c for w in ints):
+    for combo in itertools.combinations(ints, n):
+        c = _det(combo)
+        if c == 0:
             continue
-        g = math.gcd(*n, c)
-        found.add((tuple(x // g for x in n), c // g))
+        a = [_det([r[:j] + [1] + r[j + 1:] for r in combo]) for j in range(n)]
+        if c < 0:
+            a, c = [-x for x in a], -c
+        if any(sum(x * y for x, y in zip(a, w)) > c for w in ints):
+            continue
+        g = math.gcd(*a, c)
+        found.add((tuple(x // g for x in a), c // g))
     planes = []
-    for n, c in found:
-        m = max(abs(x) for x in n)
-        planes.append((tuple(Fraction(x, m) for x in n), Fraction(c, m * den)))
+    for a, c in found:
+        m = max(abs(x) for x in a)
+        planes.append((tuple(Fraction(x, m) for x in a), Fraction(c, m * den)))
     vertices = []
     for i, w in enumerate(ints):
-        touching = [n for n, c in found if sum(n[t] * w[t] for t in range(3)) == c]
-        if touching and gauss_jordan(touching)[2] == 3:
+        touching = [a for a, c in found if sum(x * y for x, y in zip(a, w)) == c]
+        if touching and gauss_jordan(touching)[2] == n:
             vertices.append(i)
-    return planes, vertices
+    return sorted(planes), vertices
+
+
+def tight_span_oracle(space):
+    """Tight span vertices by subset search: the admissible and extremal
+    solutions of the nonsingular sets of n tight pairs, sorted by their
+    floats, one per 1e-9 grid cell in float mode.  A batched float solve
+    proposes the sets whose solution is admissible within 1e-6 of the
+    largest distance; `solve_candidate_fraction` solves those (exactly in
+    exact mode) and the library's admissibility and extremality tests
+    accept them."""
+    n = space.n
+    sets = nonsingular_pair_sets_float(n)
+    mats = np.zeros((len(sets), n, n))
+    rhs = np.zeros((len(sets), n))
+    for s, pairs in enumerate(sets):
+        for r, (i, j) in enumerate(pairs):
+            mats[s, r, i] += 1
+            mats[s, r, j] += 1
+            rhs[s, r] = space.dist[i, j]
+    f = np.linalg.solve(mats, rhs[..., None])[..., 0]
+    slack = f[:, :, None] + f[:, None, :] - space.dist
+    near = np.nonzero(slack.min(axis=(1, 2)) >= -1e-6 * max(1.0, space.dist.max()))[0]
+    found = {}
+    for s in near:
+        f = solve_candidate_fraction(space, sets[s])
+        if f is not None and is_admissible(f, space) and is_extremal(f, space):
+            found.setdefault(tuple(f) if space.exact else tuple(round(x / 1e-9) for x in f), f)
+    return sorted(found.values(), key=lambda f: [float(x) for x in f])

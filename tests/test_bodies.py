@@ -267,6 +267,30 @@ def test_mvee_matches_sdp_oracle():
         assert np.max(np.abs(amat.value - ours.matrix)) < 1e-4
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_mvee_meets_johns_optimality_condition(n):
+    # John (1948): {x^T A x <= 1} is the least-volume centred ellipsoid
+    # around the points iff A^{-1} = n sum_i u_i x_i x_i^T for some u >= 0
+    # with sum u = 1, supported on the contact points x_i^T A x_i = 1
+    from scipy.optimize import nnls
+
+    rng = helpers.rng_for(430 + n)
+    for k in (2 * n, 12, 60):
+        pts = rng.standard_normal((k, n))
+        ell, _ = mvee_certified(pts)
+        amat = ell.matrix
+        contact = pts[np.sum((pts @ amat) * pts, axis=1) >= 1 - 1e-6]
+        target = np.linalg.inv(amat)
+        lhs = np.vstack([n * np.einsum("ki,kj->ijk", contact, contact).reshape(n * n, -1),
+                         np.ones(len(contact))])
+        rhs = np.append(target.ravel(), 1.0)
+        _, residual = nnls(lhs, rhs)
+        assert residual <= 1e-5 * np.linalg.norm(rhs)
+        # the same test refuses a slightly shrunk ellipsoid's inverse
+        _, off = nnls(lhs, np.append(1.01 * target.ravel(), 1.0))
+        assert off > 1e-4
+
+
 def test_spd_distance_matches_lapack_generalized_eig():
     from scipy.linalg import eigh as scipy_eigh
 

@@ -341,21 +341,47 @@ def test_helly_bodies_on_3d_polytope_families(capsys, seed):
 
 def test_internal_check_failure_exits_4(monkeypatch, capsys):
     family = _family_3d(0)
-    real = normspace.polyhedra._wrap
-    seen = []
+    real = normspace.polyhedra._double_description
+    calls = []
 
-    def repeating(*args):  # the two wraps to the first facet, then that facet again
-        seen.append(real(*args))
-        return seen[min(len(seen), 2) - 1]
+    def dropping(rows):  # the witness's polytope loses one vertex
+        rays = real(rows)
+        calls.append(rows)
+        return rays[1:] if len(calls) == 1 else rays
 
-    monkeypatch.setattr(normspace.polyhedra, "_wrap", repeating)
+    monkeypatch.setattr(normspace.polyhedra, "_double_description", dropping)
     code, out, err = run_cli(capsys, "helly-bodies", "--family", family)
     assert code == 4
     assert out == ""
     doc = json.loads(err)
     assert set(doc) == {"schema_version", "error", "message"}
     assert doc["error"] == "internal"
-    assert doc["message"] == "exact 3D hull: a wrap returned a known face"
+    assert doc["message"] == "exact extreme rays: an edge leaves the rays"
+
+
+def test_a_4d_polytope_runs_through_john_and_body_dist(capsys):
+    rng = np.random.Generator(np.random.PCG64(44))
+    a, b = (json.dumps(body_to_json(PolyNorm.from_vertices(rng.standard_normal((9, 4)))))
+            for _ in range(2))
+    code, out, _ = run_cli(capsys, "john", "--body", a)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bound_check"] is True and len(doc["ellipsoid"]["matrix"]) == 4
+    code, out, _ = run_cli(capsys, "body-dist", "--a", a, "--b", b)
+    assert code == 0
+    assert json.loads(out)["distance"] > 0
+
+
+@pytest.mark.parametrize("k, code", [(8, 0), (9, 3)])
+def test_tight_span_takes_up_to_eight_points(capsys, k, code):
+    pts = np.random.Generator(np.random.PCG64(k)).integers(-5, 6, size=(k, 2))
+    metric = json.dumps({"d": [[int(np.abs(p - q).sum()) for q in pts] for p in pts]})
+    got, out, err = run_cli(capsys, "tight-span", "--metric", metric)
+    assert got == code
+    if code:
+        assert out == "" and json.loads(err)["error"] == "infeasible-scale"
+    else:
+        assert len(json.loads(out)["vertices"]) >= k
 
 
 def test_campaign_records_a_violated_property(monkeypatch, capsys):
@@ -828,3 +854,53 @@ def test_fuzzed_metric_and_function_end_in_one_document(pair):
 @_FUZZ
 def test_fuzzed_points_end_in_one_document(points):
     _ends_in_one_document(("mvee", "--points", _fuzz_text(points)), (0, 2))
+
+
+@pytest.mark.parametrize("points", ["[3]", '{"points": 2.0}', "[1, 2]", "5"])
+def test_mvee_refuses_anything_but_a_list_of_vectors(capsys, points):
+    code, out, err = run_cli(capsys, "mvee", "--points", points)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == "MVEE points must be a nonempty list of vectors"
+
+
+def test_an_argument_that_parses_as_json_is_never_a_path(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "0").write_text("[[1, 0], [0, 1]]")
+    code, out, err = run_cli(capsys, "mvee", "--points", "0")
+    assert (code, out) == (2, "")  # the scalar 0, not the file named 0
+    assert json.loads(err)["message"] == "MVEE points must be a nonempty list of vectors"
+    code, out, _ = run_cli(capsys, "mvee", "--points", "./0")
+    assert code == 0 and json.loads(out)["ellipsoid"]["kind"] == "spd"
+    code, out, err = run_cli(capsys, "mvee", "--points", "missing.json")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == (
+        "bad JSON for --points (no such file): JSONDecodeError: Expecting value: line 1 column 1 (char 0)")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"d": [[0, 1], [1, 0]]', "bad JSON for --metric: JSONDecodeError: Expecting ',' delimiter: "
+                               "line 1 column 23 (char 22)"),
+    ("[" * 300, "bad JSON for --metric: JSONDecodeError: Expecting value: line 1 column 301 (char 300)"),
+    ("x" * 300, "bad JSON for --metric (no such file): JSONDecodeError: Expecting value: "
+                "line 1 column 1 (char 0)"),
+], ids=["unclosed", "long-json", "long-name"])
+def test_malformed_inline_json_reports_its_position(capsys, doc, message):
+    code, out, err = run_cli(capsys, "tight-span", "--metric", doc)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("body-dist", "--a", SQUARE_BODY, "--b",
+      '{"kind": "polytope", "facets": [{"b": 1}], "vertices": [[1, 0]]}'),
+     "bad body JSON: missing key 'a'"),
+    (("tight-span", "--metric", '{"dist": [[0]]}'), "bad FiniteMetric JSON: missing key 'd'"),
+    (("helly-na", "--family", json.dumps({"norms": [json.loads(STD)]})),
+     "bad family JSON: missing key 'radii'"),
+    (("dist", "--a", STD, "--b", '{"p": 2, "basis": [["1", "0"], ["0", "1"]]}'),
+     "bad DiagNorm JSON: missing key 'weights'"),
+], ids=["body", "metric", "family", "norm"])
+def test_a_missing_key_is_named_as_missing(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == message

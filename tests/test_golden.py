@@ -49,6 +49,14 @@ def _helly_building_exhaustive_args():
     return ("helly-building", "--mode", "exhaustive", "--family", json.dumps(doc))
 
 
+def _tight_span_args():
+    """An exact 5-point metric whose tight span has 15 vertices, half-integer
+    ones among them; its digest was recorded from the subset-search
+    enumeration that preceded the double description."""
+    d = [[0, 7, 9, 4, 6], [7, 0, 5, 8, 3], [9, 5, 0, 6, 7], [4, 8, 6, 0, 5], [6, 3, 7, 5, 0]]
+    return ("tight-span", "--metric", json.dumps({"d": d}))
+
+
 GOLDEN = {
     "ball-n3p2r1": (
         lambda: _ball_args(11, 3, 2, 1),
@@ -69,6 +77,10 @@ GOLDEN = {
     "helly-building-exhaustive": (
         _helly_building_exhaustive_args,
         "d74c31f0f08187c056e306b61e8f8ac8571745666b981752ff1f4d71ef153c3b",
+    ),
+    "tight-span-exact5": (
+        _tight_span_args,
+        "e91e39f9bff0b90d3b061700f68e7f452c898e6a3c7d65d53f091d26478a146a",
     ),
 }
 

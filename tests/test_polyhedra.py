@@ -6,11 +6,10 @@ import pytest
 from scipy.optimize import linprog
 
 import helpers
-from normspace import InfeasibleScaleError, PolyNorm, UsageError, polyhedra
+from normspace import FiniteMetric, PolyNorm, UsageError, polyhedra, tight_span_vertices
 from normspace.polyhedra import (
+    extreme_rays,
     facet_enum_exact,
-    hull2d,
-    hull3d_planes,
     vertex_enum_exact,
     _canon_sign,
 )
@@ -18,11 +17,48 @@ from normspace.polyhedra import (
 F = Fraction
 
 
+def _signed(points):
+    """Input i at index 2i and its antipode at 2i + 1, as _hull_planes does."""
+    return [q for p in points for q in (p, tuple(-x for x in p))]
+
+
+def _pair_planes(planes):
+    """One plane (a, b) per antipodal pair, as the enumerations return them."""
+    return sorted({(_canon_sign(a), b) for a, b in planes})
+
+
 def test_hull2d_square_with_interior_points():
     pts = [(F(1), F(1)), (F(-1), F(1)), (F(-1), F(-1)), (F(1), F(-1)),
            (F(0), F(0)), (F(1), F(0)), (F(1, 2), F(1, 2))]
-    hull = hull2d(pts)
-    assert sorted(hull) == [0, 1, 2, 3]  # collinear boundary point dropped too
+    facets, keep = facet_enum_exact(pts)
+    # repeated antipodes keep inputs 0 and 1; the collinear boundary point is dropped too
+    assert keep == [0, 1]
+    assert facets == [((F(0), F(1)), F(1)), ((F(1), F(0)), F(1))]
+    assert facets == _pair_planes(helpers.brute_hull(pts)[0])
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_hulls_match_the_brute_force_oracle_in_2d_and_4d(n):
+    rng = helpers.rng_for(302 + n)
+    for _ in range(4):
+        pts = [tuple(F(float(x)) for x in p) for p in rng.standard_normal((8, n))]
+        facets, keep = facet_enum_exact(pts)
+        planes, verts = helpers.brute_hull(_signed(pts))
+        assert facets == _pair_planes(planes)
+        assert keep == [i for i in range(len(pts)) if 2 * i in verts]
+        dual, dual_keep = vertex_enum_exact(facets)
+        assert dual_keep == list(range(len(facets)))
+        assert dual == sorted(_canon_sign(p) for p in (pts[i] for i in keep))
+
+
+def test_outputs_are_sorted_whatever_the_input_order():
+    rng = helpers.rng_for(305)
+    pts = [tuple(F(float(x)) for x in p) for p in rng.standard_normal((9, 3))]
+    facets, _ = facet_enum_exact(pts)
+    assert facets == sorted(facets)
+    assert facet_enum_exact(pts[::-1])[0] == facets
+    verts, _ = vertex_enum_exact(facets[::-1])
+    assert verts == sorted(verts) == vertex_enum_exact(facets)[0]
 
 
 def test_vertex_enum_square():
@@ -106,10 +142,12 @@ def test_hull3d_cube_planes():
     pts = [tuple(F(x) for x in p)
            for p in [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
                      (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1)]]
-    planes, verts = hull3d_planes(pts)
-    assert len(planes) == 6
-    assert verts == list(range(8))
-    assert sorted(planes) == sorted(helpers.brute_hull3d(pts)[0])
+    facets, keep = facet_enum_exact(pts)
+    assert len(facets) == 3
+    assert keep == [0, 1, 2, 3]  # the other four are antipodes of these
+    planes, verts = helpers.brute_hull(pts)
+    assert len(planes) == 6 and verts == list(range(8))
+    assert facets == _pair_planes(planes)
 
 
 def test_vertex_enum_cube_and_octahedron():
@@ -141,10 +179,9 @@ def test_vertex_enum_3d_matches_brute_force_random():
         verts, keep = vertex_enum_exact(facets)
         polar_pts = [tuple(x / b for x in a) for a, b in facets]
         signed = polar_pts + [tuple(-x for x in p) for p in polar_pts]
-        brute_planes, brute_verts = helpers.brute_hull3d(signed)
-        assert sorted(brute_planes) == sorted(hull3d_planes(signed)[0])
+        brute_planes, brute_verts = helpers.brute_hull(signed)
         # polarity: the vertices are the brute-force planes (n, c) as n/c ...
-        assert sorted(verts) == sorted(
+        assert verts == sorted(
             {_canon_sign(tuple(x / c for x in nrm)) for nrm, c in brute_planes})
         # ... and facet i is kept iff its polar point is a hull vertex
         assert keep == [i for i in brute_verts if i < len(polar_pts)]
@@ -179,20 +216,13 @@ def test_repeated_and_antipodal_inputs_are_kept_once(n, route):
 CUBE = [tuple(F(x) for x in p) for p in itertools.product((1, -1), repeat=3)]
 
 
-def _signed(points):
-    """Input i at index 2i and its antipode at 2i + 1, as _hull_planes does."""
-    return [q for p in points for q in (p, tuple(-x for x in p))]
-
-
 def _assert_hull_matches_oracle(points, keep):
-    """Planes and vertices of conv(+-points) equal the brute-force oracle's,
-    and keep lists the inputs that are hull vertices."""
-    signed = _signed(points)
-    planes, verts = hull3d_planes(signed)
-    brute_planes, brute_verts = helpers.brute_hull3d(signed)
-    assert sorted(planes) == sorted(brute_planes)
-    assert verts == brute_verts
-    assert keep == [i for i in range(len(points)) if 2 * i in brute_verts]
+    """The facets of conv(+-points) equal the brute-force oracle's, and keep
+    lists the inputs that are hull vertices."""
+    facets, got_keep = facet_enum_exact(points)
+    brute_planes, brute_verts = helpers.brute_hull(_signed(points))
+    assert facets == _pair_planes(brute_planes)
+    assert got_keep == keep == [i for i in range(len(points)) if 2 * i in brute_verts]
 
 
 def _half_grid(ranges):
@@ -229,43 +259,144 @@ def test_hull3d_matches_the_oracle_on_round_trips(seed):
     body = PolyNorm.from_vertices(rng.standard_normal((10, 3)))
     facets = [(tuple(F(float(x)) for x in a), F(float(b)))
               for a, b in zip(body.a, body.b)]
-    _, keep = vertex_enum_exact(facets)
-    _assert_hull_matches_oracle([tuple(x / b for x in a) for a, b in facets], keep)
+    verts, keep = vertex_enum_exact(facets)
+    polar_pts = [tuple(x / b for x in a) for a, b in facets]
+    _assert_hull_matches_oracle(polar_pts, keep)
+    assert verts == sorted({_canon_sign(tuple(x / c for x in nrm))
+                            for nrm, c in helpers.brute_hull(_signed(polar_pts))[0]})
     assert len(PolyNorm.from_facets(body.a, body.b).a) == len(keep)
 
 
-TOP = ((F(0), F(0), F(1)), F(1))
+def _metric(pts):
+    return FiniteMetric([[sum(abs(a - b) for a, b in zip(p, q)) for q in pts] for p in pts])
+
+
+def _float_metric(seed, k):
+    pts = helpers.rng_for(seed).standard_normal((k, 2))
+    return FiniteMetric([[float(np.linalg.norm(p - q)) for q in pts] for p in pts])
+
+
+def _polytope(seed, n, k):
+    return [tuple(F(float(x)) for x in p) for p in helpers.rng_for(seed).standard_normal((k, n))]
+
+
+# one call per case, each running extreme_rays once at its top level: tight
+# spans of exact and float metrics from 4 to 8 points, polytopes in 2D to 4D
+# (both routes, one with enough rows for the float sign filter), and
+# degenerate 3D polytopes
+FAULT_CASES = {
+    "span-exact4": lambda: tight_span_vertices(_metric([(0, 0), (3, 1), (1, 5), (4, 4)])),
+    "span-float5": lambda: tight_span_vertices(_float_metric(310, 5)),
+    "span-l1-6": lambda: tight_span_vertices(
+        _metric([(0, 0, 0), (3, 1, 4), (1, 5, 9), (2, 6, 5), (5, 3, 5), (8, 9, 7)])),
+    "span-float8": lambda: tight_span_vertices(_float_metric(311, 8)),
+    "facets-3d-filtered": lambda: facet_enum_exact(_polytope(316, 3, 40)),
+    "facets-2d": lambda: facet_enum_exact(_polytope(312, 2, 7)),
+    "facets-3d": lambda: facet_enum_exact(_polytope(313, 3, 8)),
+    "facets-4d": lambda: facet_enum_exact(_polytope(314, 4, 7)),
+    "vertices-3d": lambda: vertex_enum_exact([(p, F(1)) for p in _polytope(315, 3, 7)]),
+    "cube": lambda: facet_enum_exact(CUBE),
+    "grid-3x3x3": lambda: facet_enum_exact(HULL_INPUTS["grid-3x3x3"]),
+}
+
+
+def _faulty_kernel(monkeypatch, fault):
+    """Make the top-level double description return fault(rays); calls
+    inside the certificate run unchanged.  Returns the list of top-level
+    ray counts."""
+    real = polyhedra._double_description
+    counts = []
+
+    def faulty(rows):
+        rays = real(rows)
+        if not counts:
+            counts.append(len(rays))
+            return fault(rays)
+        return rays
+
+    monkeypatch.setattr(polyhedra, "_double_description", faulty)
+    return counts
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_CASES))
+def test_certificate_rejects_every_dropped_ray(monkeypatch, case):
+    counts = _faulty_kernel(monkeypatch, lambda rays: rays)
+    FAULT_CASES[case]()
+    (total,) = counts
+    # every ray of the small cases, four spread over the larger ones
+    drops = range(total) if total <= 30 else range(0, total, total // 3)
+    for k in drops:
+        _faulty_kernel(monkeypatch, lambda rays: rays[:k] + rays[k + 1:])
+        with pytest.raises(RuntimeError, match="an edge leaves the rays"):
+            FAULT_CASES[case]()
 
 
 @pytest.mark.parametrize("fault, message", [
-    ("lost", "do not close up"),   # every edge of the top face keeps one face
-    ("extra", "do not close up"),  # edges close up, but V - E + F = 3
-    ("repeated", "known face"),
-])
-def test_hull3d_certificate_rejects_a_faulty_wrap(monkeypatch, fault, message):
-    real = polyhedra._wrap
-    seen = []
-
-    def faulty(*args):
-        plane, on = real(*args)
-        seen.append(plane)
-        if plane != TOP:
-            return plane, on
-        if fault == "lost":  # the top face comes back empty, under a new plane
-            return (plane[0], plane[1] + len(seen)), []
-        if fault == "extra":  # one empty face before the real top face
-            return ((plane[0], plane[1] + 1), []) if seen.count(TOP) == 1 else (plane, on)
-        return seen[0], on  # an earlier face in place of the top one
-
-    monkeypatch.setattr(polyhedra, "_wrap", faulty)
+    (lambda rays: rays + rays[:1], "a repeated ray"),
+    (lambda rays: rays + [(polyhedra._reduced([x + y for x, y in zip(rays[0][0], rays[1][0])]), 0)],
+     "not extreme"),
+    (lambda rays: rays + [(tuple(-x for x in rays[0][0]), 0)], "invalid"),
+    (lambda rays: [], "no rays"),
+], ids=["repeated", "inner", "outside", "empty"])
+@pytest.mark.parametrize("points", [CUBE, _polytope(317, 3, 40)], ids=["cube", "filtered"])
+def test_certificate_rejects_extra_and_missing_rays(monkeypatch, fault, message, points):
+    _faulty_kernel(monkeypatch, fault)
     with pytest.raises(RuntimeError, match=message):
-        hull3d_planes(CUBE)
-    assert TOP in seen
+        facet_enum_exact(points)
+
+
+FILTER_INPUTS = {  # (points, the largest share of signs left to exact dots)
+    "random-3d": (_polytope(318, 3, 60), 0.25),
+    "random-4d": (_polytope(319, 4, 33), 0.25),
+    # coplanar grid points: many signs are exact zeros, never settled by a float
+    "grid-5x5x5": (_half_grid([(-2, -1, 0, 1, 2)] * 3), 0.75),
+    # entries past the float range: every image is inf, every sign exact
+    "beyond-floats": ([tuple(x * F(1, 2 ** 1100) for x in p) for p in _polytope(320, 3, 40)], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_INPUTS))
+def test_the_float_sign_filter_changes_no_output(monkeypatch, name):
+    points, share = FILTER_INPUTS[name]
+    dots = []
+    real = polyhedra._dot
+    monkeypatch.setattr(polyhedra, "_dot", lambda row, v: dots.append(1) or real(row, v))
+    facets, keep = facet_enum_exact(points)
+    with_filter = len(dots)
+    verts = vertex_enum_exact(facets)
+    monkeypatch.setattr(polyhedra, "FILTER_MIN", 10 ** 9)
+    dots.clear()
+    assert facet_enum_exact(points) == (facets, keep)
+    assert with_filter <= share * len(dots)
+    assert with_filter < len(dots) or share == 1
+    assert vertex_enum_exact(facets) == verts
+    assert verts[1] == list(range(len(facets)))
+
+
+def test_extreme_rays_of_small_cones():
+    # the orthant: the unit vectors, each tight at the other two rows
+    assert extreme_rays([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == [
+        ((1, 0, 0), 0b110), ((0, 1, 0), 0b101), ((0, 0, 1), 0b011)]
+    # a square cone: x +- y >= 0 and x +- z >= 0 in R^3, primitive rays
+    rays = extreme_rays([[1, 1, 0], [1, -1, 0], [2, 0, 2], [2, 0, -2]])
+    assert sorted(v for v, _ in rays) == [(1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 1, 1)]
+    assert all(z.bit_count() == 2 for _, z in rays)
+    # rows that do not span leave the cone without a vertex
+    assert extreme_rays([[1, 0, 0], [0, 1, 0], [1, 1, 0]]) is None
 
 
 def test_dimension_guard():
-    with pytest.raises(InfeasibleScaleError):
+    # no dimension cap: one facet in R^4 is refused as unbounded, and the
+    # cube and cross-polytope of R^1 and R^4 are enumerated
+    with pytest.raises(UsageError, match="unbounded"):
         vertex_enum_exact([((F(1), F(0), F(0), F(0)), F(1))])
+    assert vertex_enum_exact([((F(2),), F(1))]) == ([(F(1, 2),)], [0])
+    unit = [tuple(F(int(i == j)) for j in range(4)) for i in range(4)]
+    verts, keep = vertex_enum_exact([(e, F(1)) for e in unit])
+    assert keep == [0, 1, 2, 3] and len(verts) == 8
+    facets, keep = facet_enum_exact(unit)
+    assert keep == [0, 1, 2, 3] and len(facets) == 8
+    assert all(b == 1 and all(abs(x) == 1 for x in a) for a, b in facets)
 
 
 def test_unbounded_guard():

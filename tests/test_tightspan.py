@@ -1,11 +1,10 @@
-import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import helpers
-from normspace import tightspan
+from normspace import qlinalg, tightspan
 from normspace import (
     FiniteMetric,
     InfeasibleScaleError,
@@ -255,9 +254,27 @@ def test_extremal_functions_are_lipschitz():
 
 
 def test_size_guard():
-    d = np.zeros((7, 7))
+    d = np.zeros((9, 9))
     with pytest.raises(InfeasibleScaleError):
         tight_span_vertices(FiniteMetric(d))
+
+
+def test_eight_point_tight_span():
+    # 8 points: every vertex is extremal and pinned by n tight pairs of full
+    # rank, every Kuratowski image is one, and float mode agrees
+    pts = helpers.rng_for(620).integers(-9, 10, size=(8, 3))
+    d = [[int(np.abs(a - b).sum()) for b in pts] for a in pts]
+    space = FiniteMetric(d)
+    verts = tight_span_vertices(space)
+    for f in verts:
+        assert is_extremal(f, space)
+        tight = [[(k == i) + (k == j) for k in range(8)]
+                 for i in range(8) for j in range(i, 8) if f[i] + f[j] == d[i][j]]
+        assert helpers.gauss_jordan(tight)[2] == 8
+    assert all(e in verts for e in kuratowski_embed(space))
+    assert len(verts) > 8
+    floats = FiniteMetric([[float(x) for x in r] for r in d])
+    assert tight_span_vertices(floats) == [[float(x) for x in f] for f in verts]
 
 
 def test_extremal_radii_feed_the_intersection_witness():
@@ -299,45 +316,44 @@ def test_json_roundtrip():
 
 @pytest.mark.parametrize("dens", [(1,), (1, 2, 3)], ids=["integer", "rational"])
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_exact_tight_span_matches_the_fraction_oracle(monkeypatch, k, dens):
+def test_exact_tight_span_matches_the_fraction_oracle(k, dens):
     space = random_l1_metric(helpers.rng_for(600 + k), k, dens)
     assert space.exact
-    got = tight_span_vertices(space)
-    monkeypatch.setattr(tightspan, "_solve_candidate", helpers.solve_candidate_fraction)
-    assert tight_span_vertices(space) == got
+    assert tight_span_vertices(space) == helpers.tight_span_oracle(space)
 
 
 @pytest.mark.parametrize("dens", [(1,), (1, 2, 3)], ids=["integer", "rational"])
 def test_exact_six_point_solves_match_the_fraction_oracle(dens):
-    # a seeded sample of the 54,264 six-pair systems, singular ones included
-    rng = helpers.rng_for(606)
-    space = random_l1_metric(rng, 6, dens)
-    pairs = [(i, j) for i in range(6) for j in range(i, 6)]
-    combos = list(itertools.combinations(pairs, 6))
-    singular = 0
-    for c in rng.choice(len(combos), size=400, replace=False):
-        want = helpers.solve_candidate_fraction(space, combos[c])
-        assert tightspan._solve_candidate(space, combos[c]) == want
-        singular += want is None
-    assert 0 < singular < 400
+    # the oracle solves all 21,169 nonsingular six-pair systems
+    space = random_l1_metric(helpers.rng_for(606), 6, dens)
+    assert tight_span_vertices(space) == helpers.tight_span_oracle(space)
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
-def test_float_tight_span_is_bit_identical_to_the_oracle(monkeypatch, k):
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_float_tight_span_is_bit_identical_to_the_oracle(k):
+    # float mode returns the exact vertices of the metric's binary-rational
+    # entries, correctly rounded, and these lie within 1e-9 of float solves
     space = random_euclidean_metric(helpers.rng_for(610 + k), k)
     got = tight_span_vertices(space)
-    monkeypatch.setattr(tightspan, "_solve_candidate", helpers.solve_candidate_fraction)
-    want = tight_span_vertices(space)
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    exact = FiniteMetric([[Fraction(x) for x in r] for r in space.rows])
+    want = helpers.tight_span_oracle(exact)
+    assert np.array(got).tobytes() == np.array([[float(x) for x in f] for f in want]).tobytes()
+    near = helpers.tight_span_oracle(space)
+    assert len(near) == len(got)
+    assert np.max(np.abs(np.array(near) - np.array(got))) <= 1e-9
 
 
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 17), (4, 141), (5, 1548)])
 def test_pair_sets_are_the_nonsingular_combinations(n, count):
+    # the tight span oracle's float filter against the Fraction one
     want = helpers.nonsingular_pair_sets_fraction(n)
-    assert list(tightspan._pair_sets(n)) == want
+    assert helpers.nonsingular_pair_sets_float(n) == want
     assert len(want) == count
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_pair_sets_match_the_bareiss_filter(n):
-    assert list(tightspan._pair_sets(n)) == helpers.nonsingular_pair_sets_bareiss(n)
+    # qlinalg.bareiss, a square echelon pass, calls singular exactly the
+    # pair matrices whose float determinant rounds to 0
+    bareiss_sets = helpers.pair_sets_with_nonzero(n, lambda mat: qlinalg.bareiss(mat)[0])
+    assert helpers.nonsingular_pair_sets_float(n) == bareiss_sets

@@ -22,9 +22,13 @@ from .errors import MALFORMED, PairwiseRadiusError, UsageError, malformed
 
 STRUCT_TOL = 1e-9
 OPT_TOL = 1e-6
-# Frank-Wolfe stopping rule of the MVEE: eps <= MVEE_TOL or MVEE_MAX_ITER steps
+# Stopping rule of the MVEE kernel: eps <= MVEE_TOL or MVEE_MAX_ITER outer
+# steps.  At m = 2000 points in R^4 on one core of a 2-core Xeon, an outer
+# step (a line-search step, a support cut and a Newton solve) took at most
+# 5.7 ms and a step of the Frank-Wolfe kernel this one replaced 0.13 ms, so
+# the cap costs no more than the 2,000,000 steps that kernel was allowed.
 MVEE_TOL = 1e-9
-MVEE_MAX_ITER = 2_000_000
+MVEE_MAX_ITER = 40_000
 MAX_LOG_SCALE = math.log(np.finfo(float).max)
 
 
@@ -249,9 +253,9 @@ def mvee_certified(points):
     """MVEE of a symmetric point set with its optimality certificate.
 
     Returns (SpdNorm, info) where info carries the achieved eps
-    (max_i w_i / n - 1) and iteration count.  All points are inside the
-    returned ellipsoid exactly (up to float roundoff) and its volume is
-    within (1+eps)^{n/2} of optimal.
+    (max_i w_i / n - 1, from the returned weights) and the kernel's outer
+    step count.  All points are inside the returned ellipsoid exactly (up to
+    float roundoff) and its volume is within (1+eps)^{n/2} of optimal.
     """
     pts = _finite(np.array(points, dtype=float), "MVEE points")
     if pts.ndim != 2 or pts.size == 0:
@@ -261,14 +265,17 @@ def mvee_certified(points):
     m, n = pts.shape
     if np.linalg.matrix_rank(pts, tol=1e-12) < n:
         raise UsageError("points do not span: degenerate MVEE input")
-    u, iters, eps = _kernels.mvee_weights(np.ascontiguousarray(pts), MVEE_TOL, MVEE_MAX_ITER)
+    u, iters, _ = _kernels.mvee_weights(np.ascontiguousarray(pts), MVEE_TOL, MVEE_MAX_ITER)
+    # M(u) = R^T R from the weighted support, so w_i = |x_i^T R^{-1}|^2 is
+    # accurate to cond(R), not cond(M), times the unit roundoff
+    on = u > 0.0
+    rinv = np.linalg.inv(np.linalg.qr(pts[on] * np.sqrt(u[on])[:, None], mode="r"))
+    w = np.sum((pts @ rinv) ** 2, axis=1)
+    eps = float(np.max(w)) / n - 1.0
     if eps > OPT_TOL:
         raise RuntimeError(f"MVEE did not converge: eps={eps:.3e} after {iters} iterations")
-    mmat = pts.T @ (pts * u[:, None])
-    minv = np.linalg.inv(mmat)
-    w = np.sum((pts @ minv) * pts, axis=1)
-    a = minv / float(np.max(w))
-    return SpdNorm(0.5 * (a + a.T)), {"eps": float(eps), "iterations": int(iters)}
+    a = rinv @ rinv.T / float(np.max(w))
+    return SpdNorm(0.5 * (a + a.T)), {"eps": eps, "iterations": int(iters)}
 
 
 def john_ellipsoid(body):

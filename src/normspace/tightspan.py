@@ -198,9 +198,13 @@ def tight_span_vertices(space):
         for j in range(i, n):
             p, q = Fraction(space.d(i, j)).as_integer_ratio()
             rows.append([q * ((k == i) + (k == j)) for k in range(n)] + [-p])
+    tol_p, tol_q = TOL.as_integer_ratio()
     found = {}
     for v, _ in polyhedra.extreme_rays(rows):
         if v[n]:  # int / int rounds correctly
             f = [Fraction(x, v[n]) if space.exact else x / v[n] for x in v[:n]]
-            found.setdefault(tuple(f) if space.exact else tuple(round(x / TOL) for x in f), f)
+            # the grid cell round(f_i / TOL), in integers: no float overflow
+            key = tuple(f) if space.exact else tuple(
+                (2 * x * tol_q + v[n] * tol_p) // (2 * v[n] * tol_p) for x in v[:n])
+            found.setdefault(key, f)
     return sorted(found.values(), key=lambda f: [float(x) for x in f])

@@ -19,7 +19,7 @@ from normspace import (
     sampled_sup_ratio,
 )
 from normspace import polyhedra
-from normspace.bodies import coarse_helly_details, mvee_certified
+from normspace.bodies import MVEE_TOL, coarse_helly_details, mvee_certified
 
 SQUARE = PolyNorm.from_vertices([[1, 1], [1, -1]])
 DISC = SpdNorm(np.eye(2))
@@ -244,6 +244,17 @@ def test_mvee_random_certificate():
         assert info["eps"] <= 1e-6
         g = gauge(ell, pts)
         assert np.max(g) <= 1 + 1e-9  # containment is exact after rescaling
+
+
+def test_mvee_jittered_polygon_converges_in_few_steps():
+    # near-ties among 100 almost-active points: Frank-Wolfe with away steps
+    # took 751,372 steps on this input
+    th = 2 * np.pi * np.arange(100) / 100
+    pts = np.stack([np.cos(th), np.sin(th)], axis=1)
+    pts += 1e-6 * helpers.rng_for(431).standard_normal(pts.shape)
+    ell, info = mvee_certified(pts)
+    assert info["eps"] <= MVEE_TOL and info["iterations"] <= 50
+    assert np.max(gauge(ell, pts)) <= 1 + 1e-9
 
 
 def test_mvee_degenerate_raises():

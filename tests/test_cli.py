@@ -284,6 +284,18 @@ def test_tight_span_and_extremal(capsys):
     assert doc["is_extremal"] is True
 
 
+def test_float_tight_span_near_the_top_of_the_float_range(capsys):
+    # the dedup key f_i / 1e-9 once overflowed to infinity and exited 4
+    metric = json.dumps({"d": [[0.0, 1e300, 1.5e300], [1e300, 0.0, 1e300],
+                               [1.5e300, 1e300, 0.0]]})
+    code, out, _ = run_cli(capsys, "tight-span", "--metric", metric)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["exact_mode"] is False
+    assert doc["vertices"] == [[0.0, 1e300, 1.5e300], [7.5e299, 2.5e299, 7.5e299],
+                               [1e300, 0.0, 1e300], [1.5e300, 1e300, 0.0]]
+
+
 def test_obstruction_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "obstruction", "--n", "5")
     assert code == 0
@@ -469,9 +481,14 @@ def test_3d_hulls_leave_scipy_unloaded():
 
 
 def test_determinism_across_subcommands(capsys):
+    rng = np.random.Generator(np.random.PCG64(17))
+    body3 = json.dumps(body_to_json(PolyNorm.from_vertices(rng.standard_normal((10, 3)))))
+    cloud = json.dumps(rng.standard_normal((60, 3)).tolist())
     for args in (
         ("dist", "--a", STD, "--b", LPRIME),
         ("john", "--body", SQUARE_BODY),
+        ("john", "--body", body3),
+        ("mvee", "--points", cloud),
         ("obstruction", "--n", "8"),
         ("helly-building", "--family", BALL_FAMILY, "--mode", "witness"),
         ("helly-building", "--family", BALL_FAMILY, "--mode", "exhaustive"),

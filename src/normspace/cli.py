@@ -114,15 +114,13 @@ def _cmd_join(ns):
 def _cmd_common_basis(ns):
     a = _norm_arg(ns.a, "--a")
     b = _norm_arg(ns.b, "--b")
-    basis, mm, mmp = val.common_adapted_basis(a, b)
-    n = len(mm)
-    cols = [[str(basis[i][j]) for i in range(n)] for j in range(n)]
+    theta, thetap = val.common_adapted_basis(a, b)
     return EXIT_OK, {
         "schema_version": SCHEMA_VERSION,
-        "basis": cols,
-        "weights_a": [str(x) for x in mm],
-        "weights_b": [str(x) for x in mmp],
-        "distance": str(max(abs(x - y) for x, y in zip(mm, mmp))),
+        "basis": theta.to_json()["basis"],
+        "weights_a": [str(x) for x in theta.weights],
+        "weights_b": [str(x) for x in thetap.weights],
+        "distance": str(max(abs(x - y) for x, y in zip(theta.weights, thetap.weights))),
     }
 
 

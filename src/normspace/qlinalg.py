@@ -41,10 +41,6 @@ def matmul(a, b):
     )
 
 
-def column(a, j):
-    return tuple(row[j] for row in a)
-
-
 def from_columns(cols):
     return tuple(tuple(col[i] for col in cols) for i in range(len(cols[0])))
 

@@ -188,8 +188,8 @@ def extremal_closure(f, space):
 
 def tight_span_vertices(space):
     """All 0-cells of the tight span (see the module docstring), sorted by
-    their floats; float mode rounds each correctly and keeps one per 1e-9
-    grid cell."""
+    their floats; float mode rounds each correctly and keeps one per grid
+    cell of TOL times the largest distance."""
     n = space.n
     if n > MAX_SPAN_POINTS:
         raise InfeasibleScaleError(f"tight span enumeration is limited to {MAX_SPAN_POINTS} points")
@@ -198,12 +198,15 @@ def tight_span_vertices(space):
         for j in range(i, n):
             p, q = Fraction(space.d(i, j)).as_integer_ratio()
             rows.append([q * ((k == i) + (k == j)) for k in range(n)] + [-p])
+    # float cells are TOL times the largest distance (1 for a zero metric) wide
+    big_p, big_q = max((abs(x) for r in space.rows for x in r), default=0).as_integer_ratio()
     tol_p, tol_q = TOL.as_integer_ratio()
+    tol_p, tol_q = tol_p * (big_p or 1), tol_q * big_q
     found = {}
     for v, _ in polyhedra.extreme_rays(rows):
         if v[n]:  # int / int rounds correctly
             f = [Fraction(x, v[n]) if space.exact else x / v[n] for x in v[:n]]
-            # the grid cell round(f_i / TOL), in integers: no float overflow
+            # the cell round(f_i / cell width), in integers: no float overflow
             key = tuple(f) if space.exact else tuple(
                 (2 * x * tol_q + v[n] * tol_p) // (2 * v[n] * tol_p) for x in v[:n])
             found.setdefault(key, f)

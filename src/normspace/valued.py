@@ -3,9 +3,10 @@
 A norm is stored as an invertible rational basis matrix (column j = j-th
 basis vector in standard coordinates) together with a rational weight
 vector m.  Writing x for the coordinates of v in that basis, the norm value
-is q^max_i(m_i - v_p(x_i)) with q = p.  Values and distances are computed
-on integers (basis = B_int / D, inverse = D M / d with M = d B_int^{-1});
-Fractions appear only at the boundary: inputs, weights and returned values.
+is q^max_i(m_i - v_p(x_i)) with q = p.  Values, distances and the pivoting
+of common adapted bases are computed on integers (basis = B_int / D,
+inverse = D M / d with M = d B_int^{-1}); Fractions appear only at the
+boundary: inputs, weights, returned values and returned bases.
 No floating point enters this module.
 """
 
@@ -50,14 +51,20 @@ class PAdicContext:
 
 
 def pval_int(n, p):
-    """Exact p-adic valuation v of a nonzero integer, in O(log v) divisions:
-    by p, p^2, p^4, ... while they divide, then what is left bit by bit."""
+    """Exact p-adic valuation v of a nonzero integer: one bit operation for
+    p = 2; otherwise a few divisions by p, then O(log v) divisions by p,
+    p^2, p^4, ... while they divide, then what is left bit by bit."""
     if n == 0:
         raise UsageError("valuation of zero is undefined")
-    if n % p:
-        return 0
-    n //= p
-    v, q, k = 1, p * p, 2
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    v = 0
+    while v < 4:  # most valuations are small: plain division is cheapest
+        if n % p:
+            return v
+        n //= p
+        v += 1
+    q, k = p, 1
     while n % q == 0:
         n //= q
         v += k
@@ -112,10 +119,14 @@ class DiagNorm:
     def dim(self):
         return len(self.weights)
 
-    @property
-    def basis_inv(self):
-        _, den, m, d = self._ints
-        return tuple(tuple(Fraction(den * x, d) for x in row) for row in m)
+    def _reweighted(self, weights):
+        """The norm on this basis with other weights; it shares the integer
+        data, so no elimination runs."""
+        out = object.__new__(DiagNorm)
+        for name, value in (("ctx", self.ctx), ("basis", self.basis),
+                            ("weights", vec(weights)), ("_ints", self._ints)):
+            object.__setattr__(out, name, value)
+        return out
 
     @classmethod
     def standard(cls, ctx, weights):
@@ -174,16 +185,21 @@ def _log_max(eta, cols, shift, offsets):
 
     c_j / E has coordinates D (M c_j) / (d E) in eta's basis, so only
     valuations of integer products enter; the result is the only Fraction
-    built, and None iff every M c_j is 0.
+    built, and None iff every M c_j is 0.  A term a_i - o_j - v_p(y) is at
+    most a_i - o_j, so the rows run in decreasing weight and stop once that
+    bound cannot beat the best term.
     """
     p = eta.ctx.p
     e = math.lcm(*(w.denominator for w in eta.weights + offsets))
-    a = [w.numerator * (e // w.denominator) for w in eta.weights]
     _, den, m, d = eta._ints
+    rows = sorted(zip((w.numerator * (e // w.denominator) for w in eta.weights), m),
+                  key=lambda r: -r[0])
     best = None
     for col, off in zip(cols, offsets):
         o = off.numerator * (e // off.denominator)
-        for row, ai in zip(m, a):
+        for ai, row in rows:
+            if best is not None and ai - o <= best:
+                break
             y = sum(x * c for x, c in zip(row, col))
             if y:
                 t = ai - o - e * pval_int(y, p)
@@ -222,7 +238,7 @@ def leq_norms(eta, etap):
 def scale_norm(eta, a):
     """The norm q^a * eta: all weights shifted by a."""
     a = frac(a)
-    return DiagNorm(eta.ctx, eta.basis, tuple(w + a for w in eta.weights))
+    return eta._reweighted(tuple(w + a for w in eta.weights))
 
 
 def gi_distance(eta, etap):
@@ -236,72 +252,81 @@ def gi_distance(eta, etap):
 
 
 def common_adapted_basis(eta, etap):
-    """A basis diagonalizing both norms, with their weights in that basis.
+    """eta and eta' rewritten on one basis that diagonalizes both.
 
-    Returns (basis, m, m') with basis an invertible rational matrix whose
-    columns are the common basis vectors in standard coordinates.  The
-    algorithm is weighted Smith pivoting on the transition matrix: the pivot
-    (i, j) maximizes m_i - m'_j - v_p(g_ij), which makes every elementary
-    multiplier pass the stabilizer valuation test, so each side keeps its
-    norm while the matrix is reduced to a scaled permutation.  The output is
-    verified before returning; a pivoting bug cannot escape silently.
+    Returns (theta, theta') with theta = eta and theta' = eta' as norms,
+    both on the same invertible rational basis; theta' keeps eta''s weights
+    in their positions.  The basis comes from weighted Smith pivoting on the
+    transition matrix: the pivot (i, j) maximizes m_i - m'_j - v_p(g_ij),
+    which makes every elementary multiplier pass the stabilizer valuation
+    test, so each side keeps its norm while the matrix is reduced to a
+    scaled permutation.  The output is verified before returning; a
+    pivoting bug cannot escape silently.
     """
     _require_same_space(eta, etap)
-    n = eta.dim
-    p = eta.ctx.p
-    m = list(eta.weights)
-    mp = list(etap.weights)
-    # g[i][j] = coordinate i of eta'-basis vector j, in eta's (current) basis
-    g = [list(row) for row in qlinalg.matmul(eta.basis_inv, etap.basis)]
-    f_cols = [list(qlinalg.column(etap.basis, j)) for j in range(n)]  # std coords
-    rows = list(range(n))
-    cols = list(range(n))
-    sigma = {}
-    pivots = {}
+    return _verify_common_basis(eta, etap, *_smith_pivot(eta, etap))
+
+
+def _smith_pivot(eta, etap):
+    """The pivoting of `common_adapted_basis` on integers: (basis, m, m').
+
+    The transition matrix is (D / (d D')) M B'_int.  Its row i is kept as
+    s_i g_i with g_i integer and only off_i = v_p(s_i) tracked, so the pivot
+    weights are a_i - a'_j - e (v_p(g_ij) + off_i), all weights scaled by e.
+    The fraction-free row update g_i <- piv g_i - g_ij0 g_i0 lowers off_i by
+    v_p(piv).  Column j0 is then clear outside row i0, which leaves with the
+    pivot, so column clearing only updates the eta'-basis vectors, kept as
+    (integer column, denominator) in standard coordinates.
+    """
+    n, p = eta.dim, eta.ctx.p
+    e = math.lcm(*(w.denominator for w in eta.weights + etap.weights))
+    a = [w.numerator * (e // w.denominator) for w in eta.weights]
+    ap = [w.numerator * (e // w.denominator) for w in etap.weights]
+    _, den, m, d = eta._ints
+    b_int, denp, _, _ = etap._ints
+    f_cols, f_dens = [list(col) for col in zip(*b_int)], [denp] * n
+    g = [[sum(x * y for x, y in zip(row, col)) for col in f_cols] for row in m]
+    off = [pval_int(den, p) - pval_int(d, p) - pval_int(denp, p)] * n
+    rows, cols = list(range(n)), list(range(n))
+    mm = [None] * n
     for _ in range(n):
         best = None
         for i in rows:
             for j in cols:
-                if g[i][j] == 0:
-                    continue
-                w = m[i] - mp[j] - pval(g[i][j], p)
-                if best is None or w > best[0]:
-                    best = (w, i, j)
+                if g[i][j]:
+                    w = a[i] - ap[j] - e * (pval_int(g[i][j], p) + off[i])
+                    if best is None or w > best[0]:
+                        best = (w, i, j)
         _, i0, j0 = best
-        piv = g[i0][j0]
-        # Row clearing absorbs f_{j0} into the eta-adapted basis; pivot
-        # maximality makes the multipliers pass the stabilizer test, so the
-        # positional weights m stay valid.
+        top = g[i0]
+        piv = top[j0]
+        v = pval_int(piv, p)
+        # pivot maximality makes every multiplier pass the stabilizer test,
+        # so row clearing keeps eta's weights and column clearing keeps eta'
         for i in rows:
-            if i == i0 or g[i][j0] == 0:
-                continue
-            c = g[i][j0] / piv
-            for j in cols:
-                g[i][j] -= c * g[i0][j]
-        # Column clearing runs elementary operations on the eta'-adapted
-        # basis (tracked in standard coordinates), preserving eta'.
+            c = g[i][j0]
+            if i != i0 and c:
+                g[i] = [piv * x - c * y for x, y in zip(g[i], top)]
+                off[i] -= v
+        f0, e0 = f_cols[j0], f_dens[j0]
         for j in cols:
-            if j == j0 or g[i0][j] == 0:
-                continue
-            c = g[i0][j] / piv
-            for i in range(n):
-                g[i][j] -= c * g[i][j0]
-            for i in range(n):
-                f_cols[j][i] -= c * f_cols[j0][i]
-        sigma[j0] = i0
-        pivots[j0] = piv
+            c = top[j]
+            if j != j0 and c:  # f_j <- f_j - (c / piv) f_j0
+                num = [piv * e0 * x - c * f_dens[j] * y for x, y in zip(f_cols[j], f0)]
+                den_j = piv * e0 * f_dens[j]
+                q = math.gcd(*num, den_j)
+                f_cols[j], f_dens[j] = [x // q for x in num], den_j // q
+        mm[j0] = a[i0] - e * (v + off[i0])
         rows.remove(i0)
         cols.remove(j0)
-    basis = qlinalg.from_columns(f_cols)
-    mm = tuple(m[sigma[j]] - pval(pivots[j], p) for j in range(n))
-    mmp = tuple(mp[j] for j in range(n))
-    _verify_common_basis(eta, etap, basis, mm, mmp)
-    return basis, mm, mmp
+    basis = tuple(tuple(Fraction(col[i], fd) for col, fd in zip(f_cols, f_dens))
+                  for i in range(n))
+    return basis, tuple(Fraction(x, e) for x in mm), etap.weights
 
 
 def _verify_common_basis(eta, etap, basis, mm, mmp):
     cand = DiagNorm(eta.ctx, basis, mm)
-    candp = DiagNorm(eta.ctx, basis, mmp)
+    candp = cand._reweighted(mmp)
     if not (leq_norms(cand, eta) and leq_norms(eta, cand)):
         raise RuntimeError("common basis does not reproduce the first norm")
     if not (leq_norms(candp, etap) and leq_norms(etap, candp)):
@@ -309,6 +334,7 @@ def _verify_common_basis(eta, etap, basis, mm, mmp):
     gap = max(abs(a - b) for a, b in zip(mm, mmp))
     if gap != gi_distance(eta, etap):
         raise RuntimeError("weight gap does not match the distance")
+    return cand, candp
 
 
 def join_norms(norms):
@@ -323,8 +349,8 @@ def join_norms(norms):
         raise UsageError("join of an empty family")
     out = norms[0]
     for other in norms[1:]:
-        basis, mm, mmp = common_adapted_basis(out, other)
-        out = DiagNorm(out.ctx, basis, tuple(max(a, b) for a, b in zip(mm, mmp)))
+        theta, thetap = common_adapted_basis(out, other)
+        out = theta._reweighted(tuple(max(a, b) for a, b in zip(theta.weights, thetap.weights)))
     return out
 
 

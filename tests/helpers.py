@@ -1,7 +1,8 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here (integer Smith normal form, Fraction Gauss-Jordan
-elimination, brute-force log-sup ratios, the Fraction Hermite form and
+elimination, Fraction basis inverses and common-basis pivoting,
+brute-force log-sup ratios, the Fraction Hermite form and
 Fraction distances, submodule closures, entrywise adapted-basis and
 lattice-equality tests, loop-structured float kernels and closure sweeps,
 the Fraction tight-pair solve, the Fraction and Bareiss pair-set filters
@@ -65,6 +66,18 @@ def random_diag_norm(rng, ctx, n, integer_weights=False):
     return DiagNorm(ctx, basis, weights)
 
 
+def nasty_norm(rng, ctx, n):
+    """Unimodular mixing plus p-power column scalings and rational weights:
+    transitions with spread valuations exercise every pivoting branch."""
+    u = random_unimodular(rng, n)
+    exps = [int(rng.integers(-2, 3)) for _ in range(n)]
+    cols = [
+        [Fraction(u[i][j]) * Fraction(ctx.p) ** exps[j] for j in range(n)]
+        for i in range(n)
+    ]
+    return DiagNorm(ctx, cols, random_weights(rng, n, den_choices=(1, 2, 3, 4)))
+
+
 def brute_force_log_sup(eta, etap, box):
     """max over integer vectors in [-box, box]^n of log eta(v) - log eta'(v)."""
     n = eta.dim
@@ -76,6 +89,76 @@ def brute_force_log_sup(eta, etap, box):
         if best is None or r > best:
             best = r
     return best
+
+
+def basis_inv(eta):
+    """The inverse of a norm's basis as Fractions, D M / d."""
+    _, den, m, d = eta._ints
+    return tuple(tuple(Fraction(den * x, d) for x in row) for row in m)
+
+
+def common_adapted_basis_fraction(eta, etap):
+    """Weighted Smith pivoting on the Fraction transition matrix, unverified:
+    (basis, m, m') with the library's scan order and tie-break."""
+    n = eta.dim
+    p = eta.ctx.p
+    m = list(eta.weights)
+    mp = list(etap.weights)
+    # g[i][j] = coordinate i of eta'-basis vector j, in eta's (current) basis
+    g = [list(row) for row in qlinalg.matmul(basis_inv(eta), etap.basis)]
+    f_cols = [list(col) for col in zip(*etap.basis)]  # std coords
+    rows = list(range(n))
+    cols = list(range(n))
+    sigma = {}
+    pivots = {}
+    for _ in range(n):
+        best = None
+        for i in rows:
+            for j in cols:
+                if g[i][j] == 0:
+                    continue
+                w = m[i] - mp[j] - pval(g[i][j], p)
+                if best is None or w > best[0]:
+                    best = (w, i, j)
+        _, i0, j0 = best
+        piv = g[i0][j0]
+        for i in rows:
+            if i == i0 or g[i][j0] == 0:
+                continue
+            c = g[i][j0] / piv
+            for j in cols:
+                g[i][j] -= c * g[i0][j]
+        for j in cols:
+            if j == j0 or g[i0][j] == 0:
+                continue
+            c = g[i0][j] / piv
+            for i in range(n):
+                g[i][j] -= c * g[i][j0]
+            for i in range(n):
+                f_cols[j][i] -= c * f_cols[j0][i]
+        sigma[j0] = i0
+        pivots[j0] = piv
+        rows.remove(i0)
+        cols.remove(j0)
+    basis = qlinalg.from_columns(f_cols)
+    mm = tuple(m[sigma[j]] - pval(pivots[j], p) for j in range(n))
+    return basis, mm, tuple(mp)
+
+
+def log_max_unpruned(eta, cols, shift, offsets):
+    """`valued._log_max` visiting every row of every column, no early stop."""
+    p = eta.ctx.p
+    e = math.lcm(*(w.denominator for w in eta.weights + tuple(offsets)))
+    _, den, m, d = eta._ints
+    terms = [
+        w * e - o * e - e * pval_int(y, p)
+        for col, o in zip(cols, offsets)
+        for row, w in zip(m, eta.weights)
+        if (y := sum(x * c for x, c in zip(row, col)))
+    ]
+    if not terms:
+        return None
+    return Fraction(max(terms) + e * (shift + pval_int(d, p) - pval_int(den, p)), e)
 
 
 def smith_divisors(mat):
@@ -266,8 +349,7 @@ def eval_log_norm_fraction(eta, v):
 def log_sup_ratio_fraction(eta, etap):
     """max_j (log eta(f_j) - m'_j) over the basis vectors f_j of eta'."""
     return max(
-        eval_log_norm_fraction(eta, qlinalg.column(etap.basis, j)) - etap.weights[j]
-        for j in range(etap.dim)
+        eval_log_norm_fraction(eta, col) - w for col, w in zip(zip(*etap.basis), etap.weights)
     )
 
 

@@ -34,6 +34,22 @@ def _helly_na_args():
     return ("helly-na", "--family", json.dumps(doc))
 
 
+def _join_args():
+    """Three norms whose bases carry p-power column scalings: every pairwise
+    join pivots on transitions with spread valuations."""
+    rng = helpers.rng_for(78)
+    ctx = PAdicContext(3)
+    norms = [helpers.nasty_norm(rng, ctx, 3) for _ in range(3)]
+    return ("join", "--inputs", *(json.dumps(eta.to_json()) for eta in norms))
+
+
+def _common_basis_args():
+    rng = helpers.rng_for(79)
+    ctx = PAdicContext(2)
+    a, b = (helpers.nasty_norm(rng, ctx, 4) for _ in range(2))
+    return ("common-basis", "--a", json.dumps(a.to_json()), "--b", json.dumps(b.to_json()))
+
+
 def _helly_building_args():
     centers = [random_vertex(90 + k, 2, PAdicContext(2), 3) for k in range(3)]
     dmax = max(gi_distance(a.norm, b.norm) for a in centers for b in centers)
@@ -69,6 +85,14 @@ GOLDEN = {
     "helly-na-6": (
         _helly_na_args,
         "04a27f4cf54f4e4af2fdddd92434e39e1b517c8e5bb0283a022a189cbf190a0a",
+    ),
+    "join-3": (
+        _join_args,
+        "e4cc1ff10aeb428aee4372f000efa7a4bcc8bbea7cc67f44d16a24b9dbed5dd0",
+    ),
+    "common-basis-n4p2": (
+        _common_basis_args,
+        "93f1f9644cfa563abf61470e34cc0625899d8945c2537b3643b1d8fbe24b332d",
     ),
     "helly-building-witness": (
         _helly_building_args,

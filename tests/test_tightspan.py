@@ -216,6 +216,19 @@ def test_tight_span_tripod():
         [0, 3, 4], [1, 2, 3], [3, 0, 5], [4, 5, 0]]
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_float_tight_span_cells_scale_with_the_metric(scale):
+    """Three points on a line have three vertices, the Kuratowski rows, at
+    any scale: the float grid cell is relative to the largest distance."""
+    space = FiniteMetric([[0.0, scale, 2 * scale], [scale, 0.0, scale],
+                          [2 * scale, scale, 0.0]])
+    assert tight_span_vertices(space) == kuratowski_embed(space)
+
+
+def test_float_tight_span_of_a_zero_metric_is_one_point():
+    assert tight_span_vertices(FiniteMetric([[0.0, 0.0], [0.0, 0.0]])) == [[0.0, 0.0]]
+
+
 def test_tight_span_linf_square_sample():
     # four points at the corners of a side-2 sup-norm square
     pts = [(0, 0), (2, 0), (0, 2), (2, 2)]

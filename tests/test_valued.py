@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 from fractions import Fraction
@@ -20,6 +21,8 @@ from normspace import (
     scale_norm,
 )
 from helpers import adapted_transition_check, stabilizer_check
+from normspace import valued
+from normspace.cli import main
 from normspace.valued import MAX_P, is_prime, pval, pval_int
 
 P2 = PAdicContext(2)
@@ -96,6 +99,28 @@ def test_pval_int_is_exact_for_random_and_huge_valuations():
     start = time.perf_counter()
     pval_int(3 ** 100_000, 3)
     assert time.perf_counter() - start < 1.0  # one division per unit of v took seconds
+
+
+def _pval_naive(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def test_pval_int_matches_the_division_loop():
+    """Small valuations (the p = 2 bit trick and the first plain divisions),
+    the switch to doubling, and 10^4-digit integers."""
+    rng = helpers.rng_for(121)
+    cases = [(p, u * p ** v) for p in (2, 3, 5, 7, 97) for v in range(40)
+             for u in (1, -1, 3 * p + 1, -(10 ** 20 * p + 1))]
+    for p in (2, 3, 5):
+        digits = int.from_bytes(rng.bytes(4152)) | 1 << 33_218  # 10^4 digits
+        cases += [(p, digits), (p, -digits), (p, digits * p ** 4000),
+                  (p, p ** int(10_000 / math.log10(p)))]
+    for p, n in cases:
+        assert pval_int(n, p) == _pval_naive(n, p), (p, n % 10 ** 12)
 
 
 # -- eval_log_norm: definition arithmetic --
@@ -324,17 +349,24 @@ def test_stabilizer_matches_evaluation_on_random_inputs():
 
 # -- common_adapted_basis --
 
+def _adapted(eta, etap):
+    """(basis, m, m') of the two returned norms, which share one basis."""
+    theta, thetap = common_adapted_basis(eta, etap)
+    assert theta.basis is thetap.basis
+    return theta.basis, theta.weights, thetap.weights
+
+
 def test_common_basis_shared_basis_is_fixed():
     eta = std_norm([0, 2])
     etap = std_norm([1, 0])
-    basis, mm, mmp = common_adapted_basis(eta, etap)
+    basis, mm, mmp = _adapted(eta, etap)
     assert sorted(mm) == [0, 2]
     assert sorted(mmp) == [0, 1]
     assert max(abs(a - b) for a, b in zip(mm, mmp)) == gi_distance(eta, etap)
 
 
 def test_common_basis_standard_vs_sublattice():
-    basis, mm, mmp = common_adapted_basis(std_norm([0, 0]), L_PRIME)
+    basis, mm, mmp = _adapted(std_norm([0, 0]), L_PRIME)
     gaps = sorted(b - a for a, b in zip(mm, mmp))
     assert gaps == [-1, 0] or gaps == [0, 1] or sorted(
         abs(b - a) for a, b in zip(mm, mmp)
@@ -348,7 +380,7 @@ def test_common_basis_unimodular_precompose_keeps_weights():
         eta = std_norm(m + [])
         u = helpers.random_unimodular(rng, 3)
         etap = DiagNorm(P2, u, eta.weights)
-        _, mm, mmp = common_adapted_basis(eta, etap)
+        _, mm, mmp = _adapted(eta, etap)
         assert sorted(mmp) == sorted(eta.weights)
         assert gi_distance(eta, etap) == max(abs(a - b) for a, b in zip(mm, mmp))
 
@@ -360,9 +392,9 @@ def test_common_basis_self_verification_data():
     for _ in range(15):
         eta = helpers.random_diag_norm(rng, P2, 3)
         etap = helpers.random_diag_norm(rng, P2, 3)
-        basis, mm, mmp = common_adapted_basis(eta, etap)
-        u = qlinalg.matmul(eta.basis_inv, basis)
-        up = qlinalg.matmul(etap.basis_inv, basis)
+        basis, mm, mmp = _adapted(eta, etap)
+        u = qlinalg.matmul(helpers.basis_inv(eta), basis)
+        up = qlinalg.matmul(helpers.basis_inv(etap), basis)
         assert adapted_transition_check(u, eta.weights, mm, 2)
         assert adapted_transition_check(up, etap.weights, mmp, 2)
         # the eta' transition keeps its weights positionally, so the plain
@@ -377,20 +409,8 @@ def test_common_basis_rational_weights():
     for _ in range(10):
         eta = helpers.random_diag_norm(rng, PAdicContext(3), 2)
         etap = helpers.random_diag_norm(rng, PAdicContext(3), 2)
-        basis, mm, mmp = common_adapted_basis(eta, etap)
+        basis, mm, mmp = _adapted(eta, etap)
         assert max(abs(a - b) for a, b in zip(mm, mmp)) == gi_distance(eta, etap)
-
-
-def _nasty_norm(rng, ctx, n):
-    # unimodular mixing plus p-power column scalings: transitions with
-    # spread valuations exercise every pivoting branch
-    u = helpers.random_unimodular(rng, n)
-    exps = [int(rng.integers(-2, 3)) for _ in range(n)]
-    cols = [
-        [Fraction(u[i][j]) * Fraction(ctx.p) ** exps[j] for j in range(n)]
-        for i in range(n)
-    ]
-    return DiagNorm(ctx, cols, helpers.random_weights(rng, n, den_choices=(1, 2, 3, 4)))
 
 
 def test_common_basis_stress_mixed_valuations():
@@ -400,7 +420,87 @@ def test_common_basis_stress_mixed_valuations():
         p = (2, 3, 5)[trial % 3]
         n = 2 + trial % 3
         ctx = PAdicContext(p)
-        common_adapted_basis(_nasty_norm(rng, ctx, n), _nasty_norm(rng, ctx, n))
+        common_adapted_basis(helpers.nasty_norm(rng, ctx, n), helpers.nasty_norm(rng, ctx, n))
+
+
+def test_integer_pivoting_matches_the_fraction_pivoting():
+    """Same scan order and tie-break: the integer kernel returns the basis and
+    weights of the Fraction pivoting it replaced, entry for entry."""
+    rng = helpers.rng_for(9001)
+    pairs = []
+    for trial in range(300):  # the stress pairs above
+        ctx = PAdicContext((2, 3, 5)[trial % 3])
+        n = 2 + trial % 3
+        pairs.append((helpers.nasty_norm(rng, ctx, n), helpers.nasty_norm(rng, ctx, n)))
+    rng = helpers.rng_for(9003)
+    for p, n in itertools.product((2, 3, 5), (2, 3, 4)):
+        ctx = PAdicContext(p)
+        for _ in range(8):
+            pairs.append((helpers.random_diag_norm(rng, ctx, n),
+                          helpers.random_diag_norm(rng, ctx, n)))
+    for eta, etap in pairs:
+        assert _adapted(eta, etap) == helpers.common_adapted_basis_fraction(eta, etap)
+
+
+def test_log_max_pruning_matches_every_row():
+    rng = helpers.rng_for(9004)
+    for trial in range(200):
+        ctx = PAdicContext((2, 3, 5)[trial % 3])
+        n = 2 + trial % 3
+        eta = helpers.nasty_norm(rng, ctx, n)
+        cols = [[int(x) * ctx.p ** int(rng.integers(0, 3)) for x in rng.integers(-9, 10, n)]
+                for _ in range(int(rng.integers(1, 4)))]
+        if trial % 10 == 0:
+            cols = [[0] * n for _ in cols]  # v = 0: no term at all
+        offsets = tuple(helpers.random_weights(rng, len(cols), den_choices=(1, 2, 5)))
+        shift = int(rng.integers(-3, 4))
+        want = helpers.log_max_unpruned(eta, cols, shift, offsets)
+        assert valued._log_max(eta, cols, shift, offsets) == want
+        assert (want is None) == (trial % 10 == 0)
+
+
+def _corrupt(kind, p):
+    real_pivot = valued._smith_pivot
+
+    def corrupted(eta, etap):
+        basis, mm, mmp = real_pivot(eta, etap)
+        if kind == "weight":
+            mm = (mm[0] + 1,) + mm[1:]
+        elif kind == "weight-b":
+            mmp = mmp[:-1] + (mmp[-1] - 1,)
+        else:  # one basis column scaled by p
+            basis = tuple((row[0] * p,) + row[1:] for row in basis)
+        return basis, mm, mmp
+    return corrupted
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("weight", "reproduce the first norm"),
+    ("weight-b", "reproduce the second norm"),
+    ("column", "does not reproduce"),
+    ("distance", "weight gap does not match the distance"),
+])
+def test_a_wrong_common_basis_is_an_internal_error(monkeypatch, capsys, kind, message):
+    """Every check of `_verify_common_basis` fires: a corrupted pivot (or a
+    distance off by one) raises in the library and exits 4 in the CLI."""
+    rng = helpers.rng_for(9005)
+    ctx = PAdicContext(3)
+    a, b = (helpers.nasty_norm(rng, ctx, 3) for _ in range(2))
+    if kind == "distance":
+        real = valued.gi_distance
+        monkeypatch.setattr(valued, "gi_distance", lambda x, y: real(x, y) + 1)
+    else:
+        monkeypatch.setattr(valued, "_smith_pivot", _corrupt(kind, ctx.p))
+    with pytest.raises(RuntimeError, match=message):
+        common_adapted_basis(a, b)
+    family = {"norms": [a.to_json(), b.to_json()], "radii": ["100", "100"]}
+    for argv in (["common-basis", "--a", json.dumps(a.to_json()), "--b", json.dumps(b.to_json())],
+                 ["helly-na", "--family", json.dumps(family)]):
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "internal" and message in doc["message"]
 
 
 def test_join_associativity():

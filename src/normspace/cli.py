@@ -315,7 +315,10 @@ def _campaign_helly_bodies(rng):
 
 def _campaign_tight_span(rng):
     pts = [_random_spd(rng, 2) for _ in range(4)]
-    dmat = [[bod.gi_distance_bodies(x, y) for y in pts] for x in pts]
+    dmat = [[0.0] * 4 for _ in range(4)]  # gi_distance_bodies(K, K) may not be 0.0
+    for i in range(4):
+        for j in range(i + 1, 4):
+            dmat[i][j] = dmat[j][i] = bod.gi_distance_bodies(pts[i], pts[j])
     space = ts.FiniteMetric(dmat)
     start = [max(row) for row in dmat]
     ts.extremal_closure(start, space)  # raises unless the closure is extremal

@@ -46,9 +46,12 @@ def from_columns(cols):
 
 
 def clear_denominators(rows):
-    """(integer rows, d) with rows = integer rows / d, d the least common denominator."""
-    d = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+    """(integer rows, d) with rows = integer rows / d, d the least common
+    denominator; entries are ints, Fractions or floats, a float read as its
+    binary rational."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    d = math.lcm(*(q for row in ratios for _, q in row))
+    return [[p * (d // q) for p, q in row] for row in ratios], d
 
 
 def echelon(rows, ncols):

@@ -3,14 +3,19 @@
 A function f is admissible when f(x) + f(y) >= d(x, y) for all pairs, and
 extremal when additionally f(x) = max_y (d(x, y) - f(y)) for every x: the
 extremal functions form the tight span, the smallest hyperconvex space
-containing X.  Two arithmetic modes share each operation: binary64 with a
-1e-9 tolerance, and exact Fractions when the input matrix is rational.
+containing X.
+
+There is one arithmetic, exact.  Distances and function values are ints,
+Fractions or floats, a float read as the binary rational it denotes.  A
+metric keeps its matrix once, as integers over one common denominator L;
+each check brings f onto a common denominator with it and compares
+integers, with no tolerance.  Results are Fractions.
 
 The 0-cells of the tight span are the vertices of {f : f(i) + f(j) >=
 d(i, j)} (Dress 1984), so f = g / t for the rays (g, t) with t > 0 of the
-cone q g(i) + q g(j) - p t >= 0, t >= 0, where d(i, j) = p / q; a float
-metric enters on its binary-rational entries.  One certified
-`polyhedra.extreme_rays` call gives them exactly, up to MAX_SPAN_POINTS.
+cone L g(i) + L g(j) - D(i, j) t >= 0, t >= 0, where d = D / L.  One
+certified `polyhedra.extreme_rays` call gives them exactly, up to
+MAX_SPAN_POINTS.
 
 The extremal closure is one ascending sweep f(x) <- max(0, max_{y != x}
 (d(x, y) - f(y))).  Each update sets f(x) to the least value that keeps f
@@ -19,80 +24,77 @@ tight; later updates only lower other values, which can only raise the terms
 d(x, y) - f(y), and admissibility caps them at f(x), so x stays tight.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
-
-from . import polyhedra
+from . import polyhedra, qlinalg
 from .errors import MALFORMED, InfeasibleScaleError, UsageError, malformed
 
-TOL = 1e-9
 MAX_SPAN_POINTS = 8
 
 
-def _is_exact_scalar(x):
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+def _number(x):
+    """x itself if it is an int, Fraction or float of finite value within
+    the float range (results print as floats); anything else, bools
+    included, is refused."""
+    # math.isfinite raises OverflowError beyond the float range
+    if isinstance(x, bool) or not isinstance(x, (float, int, Fraction)) or not math.isfinite(x):
+        raise UsageError("distances and function values must be finite numbers")
+    return x
 
 
 class FiniteMetric:
-    """A finite (pseudo)metric space with validated axioms.
+    """A finite (pseudo)metric space, its axioms checked exactly.
 
-    Construction from ints/Fractions selects the exact mode; floats select
-    the binary64 mode.  `tol` is the mode's comparison tolerance (0 or TOL)
-    and `dist` is always available as a float array.
+    The matrix is kept as integers `num` over the common denominator `den`.
+    `exact` records that no entry was a float: the JSON form then writes
+    integral distances as integers.
     """
 
-    __slots__ = ("labels", "rows", "exact", "tol", "dist")
+    __slots__ = ("labels", "num", "den", "exact")
 
     def __init__(self, d, labels=None):
-        rows = [list(r) for r in d]
+        rows = [[_number(x) for x in r] for r in d]
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise UsageError("distance matrix must be square")
-        exact = all(_is_exact_scalar(x) for r in rows for x in r)
-        if exact:
-            rows = [[Fraction(x) for x in r] for r in rows]
-        else:
-            rows = [[float(x) for x in r] for r in rows]
-            if not np.all(np.isfinite(rows)):
-                raise UsageError("distances must be finite")
         if labels is None:
             labels = [str(i) for i in range(n)]
         labels = [str(x) for x in labels]
         if len(labels) != n:
             raise UsageError("labels must match the matrix size")
-        self.tol = tol = 0 if exact else TOL
-        for i in range(n):
-            if abs(rows[i][i]) > tol:
-                raise UsageError("nonzero diagonal")
-            for j in range(n):
-                if rows[i][j] < -tol:
-                    raise UsageError("negative distance")
-                if abs(rows[i][j] - rows[j][i]) > tol:
-                    raise UsageError("asymmetric matrix")
-                for k in range(n):
-                    if rows[i][j] > rows[i][k] + rows[k][j] + tol:
-                        raise UsageError(
-                            f"triangle inequality fails at ({i},{j},{k})"
-                        )
+        num, den = qlinalg.clear_denominators(rows)
+        if any(r[i] for i, r in enumerate(num)):
+            raise UsageError("nonzero diagonal")
+        if any(x < 0 for r in num for x in r):
+            raise UsageError("negative distance")
+        if num != [list(c) for c in zip(*num)]:
+            raise UsageError("asymmetric matrix")
+        for i, j in itertools.combinations(range(n), 2):
+            x = num[i][j]
+            if any(x > a + b for a, b in zip(num[i], num[j])):
+                raise UsageError(f"triangle inequality fails at d({i}, {j})")
         self.labels = tuple(labels)
-        self.rows = tuple(tuple(r) for r in rows)
-        self.exact = exact
-        self.dist = np.array([[float(x) for x in r] for r in rows])
+        self.num = tuple(map(tuple, num))
+        self.den = den
+        self.exact = not any(isinstance(x, float) for r in rows for x in r)
 
     @property
     def n(self):
         return len(self.labels)
 
-    def d(self, i, j):
-        return self.rows[i][j]
+    @property
+    def rows(self):
+        """The distances as Fractions."""
+        return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.num)
 
     def to_json(self):
+        den = self.den
         return {
             "labels": list(self.labels),
-            "d": [[int(x) if self.exact and Fraction(x).denominator == 1
-                   else float(x) for x in r] for r in self.rows],
+            "d": [[x // den if self.exact and x % den == 0 else x / den for x in r]
+                  for r in self.num],
         }
 
     @classmethod
@@ -106,48 +108,37 @@ class FiniteMetric:
         return f"FiniteMetric(n={self.n}, exact={self.exact})"
 
 
-def _coerce_f(f, space):
+def _on_common_denominator(f, space):
+    """(F, D, L): f = F / L and d = D / L with F and D integers."""
     try:
         if len(f) != space.n:
             raise UsageError("function length does not match the space")
-        if space.exact:
-            return [Fraction(x) if _is_exact_scalar(x) else Fraction(float(x)) for x in f]
-        ff = [float(x) for x in f]
+        (num,), q = qlinalg.clear_denominators([[_number(x) for x in f]])
     except MALFORMED as exc:
         raise malformed("function values must be finite numbers", exc) from exc
-    if not all(map(math.isfinite, ff)):
-        raise UsageError("function values must be finite numbers")
-    return ff
+    big = math.lcm(q, space.den)
+    a, b = big // q, big // space.den
+    dmat = space.num if b == 1 else [[x * b for x in r] for r in space.num]
+    return [x * a for x in num], dmat, big
+
+
+def _admissible(fi, dmat):
+    return all(x >= 0 for x in fi) and all(
+        fi[i] + fi[j] >= dmat[i][j] for i in range(len(fi)) for j in range(i + 1, len(fi)))
 
 
 def is_admissible(f, space):
     """f(x) + f(y) >= d(x, y) for all pairs, and f >= 0."""
-    ff = _coerce_f(f, space)
-    tol = space.tol
-    if any(x < -tol for x in ff):
-        return False
-    n = space.n
-    return all(
-        ff[i] + ff[j] >= space.d(i, j) - tol
-        for i in range(n)
-        for j in range(i, n)
-    )
+    fi, dmat, _ = _on_common_denominator(f, space)
+    return _admissible(fi, dmat)
 
 
 def is_extremal(f, space):
     """The fixed-point identity f(x) = max_y (d(x, y) - f(y)) for every x."""
-    ff = _coerce_f(f, space)
-    if not is_admissible(ff, space):
+    fi, dmat, _ = _on_common_denominator(f, space)
+    if not _admissible(fi, dmat):
         raise UsageError("function is not admissible")
-    tol = space.tol
-    n = space.n
-    if n == 1:
-        return abs(ff[0]) <= tol
-    for x in range(n):
-        sup = max(space.d(x, y) - ff[y] for y in range(n))
-        if abs(ff[x] - sup) > tol:
-            return False
-    return True
+    return all(fx == max(a - b for a, b in zip(row, fi)) for fx, row in zip(fi, dmat))
 
 
 def ts_distance(f, g):
@@ -160,7 +151,7 @@ def ts_distance(f, g):
 def kuratowski_embed(space):
     """The canonical embedding x -> d(x, .); each image is extremal and the
     embedding is isometric for the sup distance."""
-    out = [list(space.rows[i]) for i in range(space.n)]
+    out = [list(r) for r in space.rows]
     for row in out:
         if not is_extremal(row, space):
             raise RuntimeError("kuratowski image failed the extremal identity")
@@ -170,44 +161,33 @@ def kuratowski_embed(space):
 def extremal_closure(f, space):
     """A minimal admissible function below f, certified extremal.
 
-    One ascending sweep of f(x) <- max(0, max_{y != x} (d(x, y) - f(y))) in
-    the space's own arithmetic reaches the fixed point (see the module
-    docstring); the result is checked with `is_extremal` before it returns.
+    One ascending sweep of f(x) <- max(0, max_{y != x} (d(x, y) - f(y))) on
+    integers over a common denominator reaches the fixed point (see the
+    module docstring); the result is checked with `is_extremal` before it
+    returns.
     """
-    ff = _coerce_f(f, space)
-    if not is_admissible(ff, space):
+    fi, dmat, big = _on_common_denominator(f, space)
+    if not _admissible(fi, dmat):
         raise UsageError("closure input must be admissible")
-    zero = Fraction(0) if space.exact else 0.0
-    for x in range(space.n):
-        ff[x] = max([zero] + [space.d(x, y) - ff[y] for y in range(space.n) if y != x])
+    for x, row in enumerate(dmat):
+        # the term y = x is -f(x) <= 0
+        fi[x] = max(0, *(a - b for a, b in zip(row, fi)))
+    out = [Fraction(x, big) for x in fi]
     # is_extremal calls an inadmissible f a usage error; here it would be ours
-    if not (is_admissible(ff, space) and is_extremal(ff, space)):
+    if not (_admissible(fi, dmat) and is_extremal(out, space)):
         raise RuntimeError("extremal closure failed the extremal identity")
-    return ff
+    return out
 
 
 def tight_span_vertices(space):
-    """All 0-cells of the tight span (see the module docstring), sorted by
-    their floats; float mode rounds each correctly and keeps one per grid
-    cell of TOL times the largest distance."""
+    """All 0-cells of the tight span (see the module docstring), as exact
+    Fractions in lexicographic order."""
     n = space.n
     if n > MAX_SPAN_POINTS:
         raise InfeasibleScaleError(f"tight span enumeration is limited to {MAX_SPAN_POINTS} points")
     rows = [[0] * n + [1]]
-    for i in range(n):
+    for i, r in enumerate(space.num):
         for j in range(i, n):
-            p, q = Fraction(space.d(i, j)).as_integer_ratio()
-            rows.append([q * ((k == i) + (k == j)) for k in range(n)] + [-p])
-    # float cells are TOL times the largest distance (1 for a zero metric) wide
-    big_p, big_q = max((abs(x) for r in space.rows for x in r), default=0).as_integer_ratio()
-    tol_p, tol_q = TOL.as_integer_ratio()
-    tol_p, tol_q = tol_p * (big_p or 1), tol_q * big_q
-    found = {}
-    for v, _ in polyhedra.extreme_rays(rows):
-        if v[n]:  # int / int rounds correctly
-            f = [Fraction(x, v[n]) if space.exact else x / v[n] for x in v[:n]]
-            # the cell round(f_i / cell width), in integers: no float overflow
-            key = tuple(f) if space.exact else tuple(
-                (2 * x * tol_q + v[n] * tol_p) // (2 * v[n] * tol_p) for x in v[:n])
-            found.setdefault(key, f)
-    return sorted(found.values(), key=lambda f: [float(x) for x in f])
+            rows.append([space.den * ((k == i) + (k == j)) for k in range(n)] + [-r[j]])
+    return sorted([Fraction(x, v[n]) for x in v[:n]]
+                  for v, _ in polyhedra.extreme_rays(rows) if v[n])

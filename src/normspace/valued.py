@@ -181,13 +181,14 @@ def _require_same_space(a, b):
 
 
 def _log_max(eta, cols, shift, offsets):
-    """max_j (log_q eta(c_j / E) - offsets_j) for integer columns c_j, v_p(E) = shift.
+    """max_j (log_q eta(c_j / E) - offsets_j) for integer columns c_j, v_p(E) = shift,
+    as (numerator, denominator).
 
     c_j / E has coordinates D (M c_j) / (d E) in eta's basis, so only
-    valuations of integer products enter; the result is the only Fraction
-    built, and None iff every M c_j is 0.  A term a_i - o_j - v_p(y) is at
-    most a_i - o_j, so the rows run in decreasing weight and stop once that
-    bound cannot beat the best term.
+    valuations of integer products enter and no Fraction is built; None iff
+    every M c_j is 0.  A term a_i - o_j - v_p(y) is at most a_i - o_j, so
+    the rows run in decreasing weight and stop once that bound cannot beat
+    the best term.
     """
     p = eta.ctx.p
     e = math.lcm(*(w.denominator for w in eta.weights + offsets))
@@ -207,7 +208,7 @@ def _log_max(eta, cols, shift, offsets):
                     best = t
     if best is None:
         return None
-    return Fraction(best + e * (shift + pval_int(d, p) - pval_int(den, p)), e)
+    return best + e * (shift + pval_int(d, p) - pval_int(den, p)), e
 
 
 def eval_log_norm(eta, v):
@@ -216,7 +217,8 @@ def eval_log_norm(eta, v):
     if len(v) != eta.dim:
         raise UsageError(f"vector has dimension {len(v)}, norm expects {eta.dim}")
     (v_int,), e = qlinalg.clear_denominators([v])
-    return _log_max(eta, [v_int], pval_int(e, eta.ctx.p), (Fraction(0),))
+    top = _log_max(eta, [v_int], pval_int(e, eta.ctx.p), (Fraction(0),))
+    return None if top is None else Fraction(*top)
 
 
 def log_sup_ratio(eta, etap):
@@ -225,6 +227,11 @@ def log_sup_ratio(eta, etap):
     The sup is attained at a basis vector f_j of eta' (ultrametric
     inequality), so it is max_j (log eta(f_j) - m'_j), read off M B'_int.
     """
+    return Fraction(*_log_sup(eta, etap))
+
+
+def _log_sup(eta, etap):
+    """`log_sup_ratio` as (numerator, denominator)."""
     _require_same_space(eta, etap)
     b_int, den, _, _ = etap._ints
     return _log_max(eta, list(zip(*b_int)), pval_int(den, eta.ctx.p), etap.weights)
@@ -232,7 +239,7 @@ def log_sup_ratio(eta, etap):
 
 def leq_norms(eta, etap):
     """True iff eta(v) <= eta'(v) for all v (exact)."""
-    return log_sup_ratio(eta, etap) <= 0
+    return _log_sup(eta, etap)[0] <= 0
 
 
 def scale_norm(eta, a):

@@ -4,7 +4,7 @@ The oracles here (integer Smith normal form, Fraction Gauss-Jordan
 elimination, Fraction basis inverses and common-basis pivoting,
 brute-force log-sup ratios, the Fraction Hermite form and
 Fraction distances, submodule closures, entrywise adapted-basis and
-lattice-equality tests, loop-structured float kernels and closure sweeps,
+lattice-equality tests, loop-structured float kernels, exact closure sweeps,
 the Fraction tight-pair solve, the Fraction and Bareiss pair-set filters
 and the subset-search tight span, brute-force cube isometries, signed
 permutation matrices and inverses, hulls in any dimension, the
@@ -146,7 +146,8 @@ def common_adapted_basis_fraction(eta, etap):
 
 
 def log_max_unpruned(eta, cols, shift, offsets):
-    """`valued._log_max` visiting every row of every column, no early stop."""
+    """`valued._log_max` visiting every row of every column, no early stop:
+    (numerator, denominator) of the maximum, or None."""
     p = eta.ctx.p
     e = math.lcm(*(w.denominator for w in eta.weights + tuple(offsets)))
     _, den, m, d = eta._ints
@@ -158,7 +159,7 @@ def log_max_unpruned(eta, cols, shift, offsets):
     ]
     if not terms:
         return None
-    return Fraction(max(terms) + e * (shift + pval_int(d, p) - pval_int(den, p)), e)
+    return max(terms) + e * (shift + pval_int(d, p) - pval_int(den, p)), e
 
 
 def smith_divisors(mat):
@@ -588,28 +589,6 @@ def signed_perm_inverse(g):
     return SignedPerm(tuple(ip), tuple(isg))
 
 
-def closure_sweeps_loops(dmat, f, tol, max_sweeps):
-    """Float closure oracle: ascending sweeps until no value moves by more
-    than tol; returns (f, sweeps)."""
-    k = dmat.shape[0]
-    f = f.copy()
-    sweeps = 0
-    while sweeps < max_sweeps:
-        move = 0.0
-        for x in range(k):
-            best = 0.0
-            row = dmat[x] - f
-            for y in range(k):
-                if y != x and row[y] > best:
-                    best = row[y]
-            move = max(move, abs(f[x] - best))
-            f[x] = best
-        sweeps += 1
-        if move <= tol:
-            break
-    return f, sweeps
-
-
 def exact_closure_loops(rows, f):
     """Exact closure oracle: ascending sweeps over Fraction rows until a
     whole sweep leaves f unchanged (at most 4n + 8 sweeps)."""
@@ -627,30 +606,19 @@ def exact_closure_loops(rows, f):
     raise RuntimeError("exact closure did not stabilize")
 
 
-def solve_candidate_fraction(space, pairs):
-    """Tight-pair solve f(i) + f(j) = d(i, j) by Fraction Gauss-Jordan in
-    exact mode and numpy with a float determinant test otherwise; None when
-    the system is singular."""
-    n = space.n
-    if space.exact:
-        aug = []
-        for i, j in pairs:
-            row = [Fraction(0)] * (n + 1)
-            row[i] += 1
-            row[j] += 1
-            row[n] = space.d(i, j)
-            aug.append(row)
-        red, d, _ = gauss_jordan(aug)
-        return None if d == 0 else [red[i][n] for i in range(n)]
-    mat = np.zeros((n, n))
-    rhs = np.zeros(n)
-    for r, (i, j) in enumerate(pairs):
-        mat[r, i] += 1
-        mat[r, j] += 1
-        rhs[r] = space.dist[i, j]
-    if abs(np.linalg.det(mat)) < 1e-9:
-        return None
-    return list(np.linalg.solve(mat, rhs))
+def solve_candidate_fraction(rows, pairs):
+    """Tight-pair solve f(i) + f(j) = d(i, j) by Fraction Gauss-Jordan on
+    the Fraction distance rows; None when the system is singular."""
+    n = len(rows)
+    aug = []
+    for i, j in pairs:
+        row = [Fraction(0)] * (n + 1)
+        row[i] += 1
+        row[j] += 1
+        row[n] = rows[i][j]
+        aug.append(row)
+    red, d, _ = gauss_jordan(aug)
+    return None if d == 0 else [red[i][n] for i in range(n)]
 
 
 def pair_sets_with_nonzero(n, det):
@@ -774,13 +742,14 @@ def brute_hull(points):
 
 def tight_span_oracle(space):
     """Tight span vertices by subset search: the admissible and extremal
-    solutions of the nonsingular sets of n tight pairs, sorted by their
-    floats, one per 1e-9 grid cell in float mode.  A batched float solve
-    proposes the sets whose solution is admissible within 1e-6 of the
-    largest distance; `solve_candidate_fraction` solves those (exactly in
-    exact mode) and the library's admissibility and extremality tests
-    accept them."""
+    solutions of the nonsingular sets of n tight pairs, as Fractions in
+    lexicographic order.  A batched float solve proposes the sets whose
+    solution is admissible within 1e-6 of the largest distance;
+    `solve_candidate_fraction` solves those exactly and the library's
+    admissibility and extremality tests accept them."""
     n = space.n
+    rows = space.rows
+    dist = np.array([[float(x) for x in r] for r in rows])
     sets = nonsingular_pair_sets_float(n)
     mats = np.zeros((len(sets), n, n))
     rhs = np.zeros((len(sets), n))
@@ -788,13 +757,13 @@ def tight_span_oracle(space):
         for r, (i, j) in enumerate(pairs):
             mats[s, r, i] += 1
             mats[s, r, j] += 1
-            rhs[s, r] = space.dist[i, j]
+            rhs[s, r] = dist[i, j]
     f = np.linalg.solve(mats, rhs[..., None])[..., 0]
-    slack = f[:, :, None] + f[:, None, :] - space.dist
-    near = np.nonzero(slack.min(axis=(1, 2)) >= -1e-6 * max(1.0, space.dist.max()))[0]
-    found = {}
+    slack = f[:, :, None] + f[:, None, :] - dist
+    near = np.nonzero(slack.min(axis=(1, 2)) >= -1e-6 * max(1.0, dist.max()))[0]
+    found = set()
     for s in near:
-        f = solve_candidate_fraction(space, sets[s])
+        f = solve_candidate_fraction(rows, sets[s])
         if f is not None and is_admissible(f, space) and is_extremal(f, space):
-            found.setdefault(tuple(f) if space.exact else tuple(round(x / 1e-9) for x in f), f)
-    return sorted(found.values(), key=lambda f: [float(x) for x in f])
+            found.add(tuple(f))
+    return sorted(map(list, found))

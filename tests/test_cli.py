@@ -771,6 +771,23 @@ def test_every_subcommand_refuses_a_malformed_argument(capsys, argv):
     assert json.loads(err)["error"] == "usage"
 
 
+@pytest.mark.parametrize("metric", [
+    '{"d": [[0.0, 3e-10, 1e-10], [3e-10, 0.0, 1e-10], [1e-10, 1e-10, 0.0]]}',
+    '{"d": [[0.0, 1e-10], [3e-10, 0.0]]}',
+    '{"d": [[0, true], [true, 0]]}',
+], ids=["triangle-3e-10", "asymmetric-2e-10", "boolean"])
+@pytest.mark.parametrize("subcommand", ["tight-span", "extremal"])
+def test_a_float_metric_off_by_any_amount_is_refused(capsys, subcommand, metric):
+    # float entries are read as the binary rationals they denote, and the
+    # axioms are checked exactly, with no tolerance
+    f = json.dumps([1] * len(json.loads(metric)["d"]))
+    argv = ("tight-span", "--metric", metric) if subcommand == "tight-span" else (
+        "extremal", "--metric", metric, "--f", f)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert json.loads(err)["error"] == "usage"
+
+
 # -- fuzzed bodies, metrics, functions and points --
 
 def _nest(depth):

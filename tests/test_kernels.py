@@ -7,7 +7,7 @@ from normspace import FiniteMetric, extremal_closure
 from normspace import _kernels as K
 
 
-# Each agreement test compares a float path with its plain-Python loop
+# Each agreement test compares a library path with its plain-Python loop
 # oracle in helpers.py.
 
 def test_poly_gauge_paths_agree():
@@ -73,19 +73,19 @@ def test_mvee_paths_agree():
 
 
 def test_closure_paths_agree():
-    # extremal_closure (one sweep, no kernel) against the multi-sweep loop
-    # oracle, on an exactly symmetric float metric
+    # extremal_closure (one sweep, no kernel) against the multi-sweep exact
+    # loop oracle, on a float metric read as its binary rationals
     rng = helpers.rng_for(603)
     pts = rng.standard_normal((5, 2))
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    f0 = d.max(axis=1) + rng.uniform(0, 1, size=5)
-    out = np.array(extremal_closure(list(f0), FiniteMetric(d.tolist())))
-    ref, _ = helpers.closure_sweeps_loops(d, f0, 1e-12, 1000)
-    assert np.array_equal(out, ref)
-    # the fixed point: out[x] = max_{y != x} d[x, y] - out[y]
-    off_diagonal = ~np.eye(5, dtype=bool)
-    expected = np.max(np.where(off_diagonal, d - out[None, :], -np.inf), axis=1)
-    assert np.allclose(out, expected, rtol=0, atol=1e-12)
-    # admissible and below the start, so an extremal closure of f0
-    assert np.all(out[:, None] + out[None, :] >= d - 1e-12)
-    assert np.all(out <= f0 + 1e-12)
+    f0 = (d.max(axis=1) + rng.uniform(0, 1, size=5)).tolist()
+    space = FiniteMetric(d.tolist())
+    out = extremal_closure(f0, space)
+    rows = space.rows
+    assert out == helpers.exact_closure_loops(rows, f0)
+    for x in range(5):
+        # the fixed point: out[x] = max_{y != x} d[x, y] - out[y]
+        assert out[x] == max(rows[x][y] - out[y] for y in range(5) if y != x)
+        # admissible and below the start, so an extremal closure of f0
+        assert all(out[x] + out[y] >= rows[x][y] for y in range(5))
+        assert out[x] <= f0[x]

@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from normspace import qlinalg, tightspan
@@ -53,7 +56,20 @@ def test_metric_validation():
         FiniteMetric([[1, 0], [0, 0]])  # nonzero diagonal
     with pytest.raises(UsageError):
         FiniteMetric([[0, 1, 9], [1, 0, 1], [9, 1, 0]])  # triangle fails
+    with pytest.raises(UsageError):
+        FiniteMetric([[0, True], [True, 0]])
     assert TWO.exact and not random_spd_metric(helpers.rng_for(1), 3).exact
+
+
+@pytest.mark.parametrize("d", [
+    [[0.0, 3e-10, 1e-10], [3e-10, 0.0, 1e-10], [1e-10, 1e-10, 0.0]],
+    [[0.0, 1e-10], [3e-10, 0.0]],
+    [[0.0, 1.0], [math.nextafter(1.0, 2.0), 0.0]],
+    [[5e-324, 1.0], [1.0, 0.0]],
+], ids=["triangle-3e-10", "asymmetric-2e-10", "asymmetric-1-ulp", "diagonal-subnormal"])
+def test_a_float_metric_failing_an_axiom_by_any_amount_is_refused(d):
+    with pytest.raises(UsageError):
+        FiniteMetric(d)
 
 
 def test_admissible_examples():
@@ -92,7 +108,7 @@ def test_kuratowski_isometric_on_body_metric():
     e = kuratowski_embed(space)
     for i in range(6):
         for j in range(6):
-            assert abs(ts_distance(e[i], e[j]) - space.dist[i, j]) <= 1e-9
+            assert ts_distance(e[i], e[j]) == space.rows[i][j]
 
 
 def test_closure_trace_example():
@@ -109,11 +125,11 @@ def test_closure_random_inputs_become_extremal():
     rng = helpers.rng_for(501)
     for trial in range(20):
         space = random_spd_metric(rng, 4)
-        start = [float(np.max(space.dist[i]) + rng.uniform(0, 2)) for i in range(4)]
+        start = [float(max(r)) + float(rng.uniform(0, 2)) for r in space.rows]
         assert is_admissible(start, space)
         out = extremal_closure(start, space)
         assert is_extremal(out, space)
-        assert all(a <= b + 1e-12 for a, b in zip(out, start))
+        assert all(a <= b for a, b in zip(out, start))
 
 
 def test_closure_exact_mode():
@@ -123,14 +139,14 @@ def test_closure_exact_mode():
 
 
 def _oracle_starts(rng, space, count):
-    """Admissible starts above the row maxima: integers and Fractions in
-    exact mode, relative offsets in float mode."""
-    for _ in range(count):
-        if space.exact:
+    """Admissible starts above the row maxima of a metric with float row
+    maxima: Fraction offsets and float relative offsets in turn."""
+    for t in range(count):
+        if t % 2:
+            yield [float(max(r)) * (1 + float(rng.uniform(0, 1))) for r in space.rows]
+        else:
             yield [max(r) + Fraction(int(rng.integers(0, 20)), int(rng.integers(1, 4)))
                    for r in space.rows]
-        else:
-            yield [max(r) * (1 + float(rng.uniform(0, 1))) for r in space.rows]
 
 
 def test_exact_closure_matches_the_sweep_oracle():
@@ -146,8 +162,9 @@ def test_exact_closure_matches_the_sweep_oracle():
 
 
 def test_float_closure_matches_the_sweep_oracle_bit_for_bit():
-    # exactly symmetric float metrics (Euclidean and body metrics) at scales
-    # from 1e-6 to 1e12: one sweep returns the oracle's converged floats
+    # float metrics (Euclidean and body metrics) at scales from 1e-6 to
+    # 1e12: one sweep returns the exact oracle's converged values on the
+    # same binary rationals
     rng = helpers.rng_for(507)
     for scale in (1e-6, 1.0, 1e6, 1e9, 1e12):
         for trial in range(12):
@@ -165,23 +182,25 @@ def test_float_closure_matches_the_sweep_oracle_bit_for_bit():
             space = FiniteMetric(d)
             for start in _oracle_starts(rng, space, 2):
                 out = extremal_closure(start, space)
-                ref, _ = helpers.closure_sweeps_loops(space.dist, np.array(start), 1e-12, 10_000)
-                assert out == ref.tolist()
+                assert out == helpers.exact_closure_loops(space.rows, start)
                 assert is_extremal(out, space)
 
 
 def test_float_closure_on_a_nearly_symmetric_metric():
-    # gi_distance_bodies(a, b) and (b, a) can differ in the last bits; the
-    # oracle's extra sweeps then move values by rounding-sized steps, so the
-    # two agree to a few ulps of the largest distance instead of exactly
+    # gi_distance_bodies(a, b) and (b, a) are bit-symmetric, so a body metric
+    # read from both orders is a metric and its closure is the exact
+    # oracle's; one ulp of asymmetry makes the matrix no metric at all
     rng = helpers.rng_for(508)
     for trial in range(20):
         space = random_spd_metric(rng, int(rng.integers(2, 6)))
         for start in _oracle_starts(rng, space, 2):
             out = extremal_closure(start, space)
-            ref, _ = helpers.closure_sweeps_loops(space.dist, np.array(start), 1e-12, 10_000)
-            assert np.allclose(out, ref, rtol=0, atol=64 * np.spacing(space.dist.max()))
+            assert out == helpers.exact_closure_loops(space.rows, start)
             assert is_extremal(out, space)
+        d = [[float(x) for x in r] for r in space.rows]
+        d[0][1] = math.nextafter(d[0][1], math.inf)
+        with pytest.raises(UsageError):
+            FiniteMetric(d)
 
 
 def test_closure_certificate_failure_raises(monkeypatch):
@@ -199,10 +218,10 @@ def test_closure_nonexpansive_on_samples():
     rng = helpers.rng_for(502)
     space = random_spd_metric(rng, 4)
     for _ in range(10):
-        f = [float(np.max(space.dist[i]) + rng.uniform(0, 1)) for i in range(4)]
-        g = [float(np.max(space.dist[i]) + rng.uniform(0, 1)) for i in range(4)]
+        f = [Fraction(max(r)) + Fraction(rng.uniform(0, 1)) for r in space.rows]
+        g = [Fraction(max(r)) + Fraction(rng.uniform(0, 1)) for r in space.rows]
         cf, cg = extremal_closure(f, space), extremal_closure(g, space)
-        assert ts_distance(cf, cg) <= ts_distance(f, g) + 1e-9
+        assert ts_distance(cf, cg) <= ts_distance(f, g)
 
 
 def test_tight_span_two_points():
@@ -216,13 +235,23 @@ def test_tight_span_tripod():
         [0, 3, 4], [1, 2, 3], [3, 0, 5], [4, 5, 0]]
 
 
+def _line(scale):
+    return FiniteMetric([[0.0, scale, 2 * scale], [scale, 0.0, scale], [2 * scale, scale, 0.0]])
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
 def test_float_tight_span_cells_scale_with_the_metric(scale):
     """Three points on a line have three vertices, the Kuratowski rows, at
-    any scale: the float grid cell is relative to the largest distance."""
-    space = FiniteMetric([[0.0, scale, 2 * scale], [scale, 0.0, scale],
-                          [2 * scale, scale, 0.0]])
-    assert tight_span_vertices(space) == kuratowski_embed(space)
+    any scale, exactly."""
+    assert tight_span_vertices(_line(scale)) == kuratowski_embed(_line(scale))
+
+
+def test_no_tolerance_at_a_small_scale():
+    # f misses the identity at x = 0 by 5e-10, far above every distance
+    space = _line(1e-300)
+    f = [5e-10, 0, 4e-10]
+    assert is_admissible(f, space) and not is_extremal(f, space)
+    assert extremal_closure(f, space) == [Fraction(1e-300), 0, Fraction(1e-300)]
 
 
 def test_float_tight_span_of_a_zero_metric_is_one_point():
@@ -250,20 +279,19 @@ def test_tight_span_coverage_identity():
     verts = tight_span_vertices(space)
     e = kuratowski_embed(space)
     for x in range(4):
-        best = min(v[x] for v in verts)
-        assert abs(best) <= 1e-9
-        assert any(ts_distance(v, e[x]) <= 1e-9 for v in verts if abs(v[x]) <= 1e-9)
+        assert min(v[x] for v in verts) == 0
+        assert e[x] in verts
 
 
 def test_extremal_functions_are_lipschitz():
     rng = helpers.rng_for(504)
     space = random_spd_metric(rng, 5)
     for trial in range(10):
-        start = [float(np.max(space.dist[i]) + rng.uniform(0, 1)) for i in range(5)]
+        start = [float(max(r)) + float(rng.uniform(0, 1)) for r in space.rows]
         f = extremal_closure(start, space)
         for x in range(5):
             for y in range(5):
-                assert abs(f[x] - f[y]) <= space.dist[x, y] + 1e-9
+                assert abs(f[x] - f[y]) <= space.rows[x][y]
 
 
 def test_size_guard():
@@ -274,7 +302,8 @@ def test_size_guard():
 
 def test_eight_point_tight_span():
     # 8 points: every vertex is extremal and pinned by n tight pairs of full
-    # rank, every Kuratowski image is one, and float mode agrees
+    # rank, every Kuratowski image is one, and the same distances read as
+    # floats give the same vertices
     pts = helpers.rng_for(620).integers(-9, 10, size=(8, 3))
     d = [[int(np.abs(a - b).sum()) for b in pts] for a in pts]
     space = FiniteMetric(d)
@@ -286,8 +315,7 @@ def test_eight_point_tight_span():
         assert helpers.gauss_jordan(tight)[2] == 8
     assert all(e in verts for e in kuratowski_embed(space))
     assert len(verts) > 8
-    floats = FiniteMetric([[float(x) for x in r] for r in d])
-    assert tight_span_vertices(floats) == [[float(x) for x in f] for f in verts]
+    assert tight_span_vertices(FiniteMetric([[float(x) for x in r] for r in d])) == verts
 
 
 def test_extremal_radii_feed_the_intersection_witness():
@@ -311,10 +339,10 @@ def test_extremal_radii_feed_the_intersection_witness():
         for i in range(4):
             d[i][i] = 0.0
         space = FiniteMetric(d)
-        start = [float(np.max(space.dist[i]) + rng.uniform(0, 1)) for i in range(4)]
+        start = [float(max(r)) + float(rng.uniform(0, 1)) for r in space.rows]
         f = extremal_closure(start, space)
         assert is_extremal(f, space)
-        details = coarse_helly_details(fam, f)
+        details = coarse_helly_details(fam, [float(x) for x in f])
         for dist, r in zip(details["distances"], f):
             assert dist <= r + 1e-6
 
@@ -344,16 +372,14 @@ def test_exact_six_point_solves_match_the_fraction_oracle(dens):
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_float_tight_span_is_bit_identical_to_the_oracle(k):
-    # float mode returns the exact vertices of the metric's binary-rational
-    # entries, correctly rounded, and these lie within 1e-9 of float solves
+    # a float metric has the exact vertices of its binary-rational entries,
+    # the same as the metric given as those Fractions
     space = random_euclidean_metric(helpers.rng_for(610 + k), k)
     got = tight_span_vertices(space)
-    exact = FiniteMetric([[Fraction(x) for x in r] for r in space.rows])
-    want = helpers.tight_span_oracle(exact)
-    assert np.array(got).tobytes() == np.array([[float(x) for x in f] for f in want]).tobytes()
-    near = helpers.tight_span_oracle(space)
-    assert len(near) == len(got)
-    assert np.max(np.abs(np.array(near) - np.array(got))) <= 1e-9
+    assert got == helpers.tight_span_oracle(space)
+    exact = FiniteMetric(space.rows)
+    assert exact.exact and not space.exact
+    assert tight_span_vertices(exact) == got
 
 
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 17), (4, 141), (5, 1548)])
@@ -370,3 +396,64 @@ def test_pair_sets_match_the_bareiss_filter(n):
     # pair matrices whose float determinant rounds to 0
     bareiss_sets = helpers.pair_sets_with_nonzero(n, lambda mat: qlinalg.bareiss(mat)[0])
     assert helpers.nonsingular_pair_sets_float(n) == bareiss_sets
+
+
+# -- exact symmetries: relabelling the points and scaling by 2^k --
+
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _metric_and_start(draw, euclidean):
+    """Float Euclidean or integer L1 distances of 2 to 5 integer points in
+    the plane, and an admissible start above the row maxima."""
+    k = draw(st.integers(2, 5))
+    pts = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=k, max_size=k))
+    if euclidean:
+        d = [[math.dist(p, q) for q in pts] for p in pts]
+    else:
+        d = [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in pts] for p in pts]
+    try:
+        FiniteMetric(d)
+    except UsageError:  # Euclidean distances whose roundings break a triangle
+        assume(False)
+    start = [max(r) + Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 4))) for r in d]
+    return d, start
+
+
+@pytest.mark.parametrize("euclidean", [True, False], ids=["float", "integer"])
+@given(data=st.data())
+@_PROPERTY
+def test_relabelling_permutes_vertices_and_closure_fixed_points(euclidean, data):
+    # the one-sweep closure visits the points in label order, so a relabelled
+    # start may close to another extremal function; it is extremal, below the
+    # start, and every relabelled vertex is closed to itself
+    d, start = data.draw(_metric_and_start(euclidean))
+    perm = data.draw(st.permutations(range(len(d))))
+    space = FiniteMetric(d)
+    moved = FiniteMetric([[d[i][j] for j in perm] for i in perm])
+    verts = tight_span_vertices(space)
+    moved_verts = tight_span_vertices(moved)
+    assert moved_verts == sorted([v[i] for i in perm] for v in verts)
+    assert all(extremal_closure(v, moved) == v for v in moved_verts)
+    out = extremal_closure([start[i] for i in perm], moved)
+    back = [None] * len(d)
+    for a, i in enumerate(perm):
+        back[i] = out[a]
+    assert is_extremal(back, space) and all(x <= y for x, y in zip(back, start))
+
+
+@pytest.mark.parametrize("euclidean", [True, False], ids=["float", "integer"])
+@given(data=st.data(), k=st.integers(-60, 60))
+@_PROPERTY
+def test_scaling_by_a_power_of_two_scales_vertices_and_closure(euclidean, data, k):
+    d, start = data.draw(_metric_and_start(euclidean))
+    scale = Fraction(2) ** k
+    scaled = FiniteMetric([[math.ldexp(x, k) if isinstance(x, float) else x * scale for x in r]
+                           for r in d])
+    space = FiniteMetric(d)
+    assert scaled.exact == space.exact
+    assert tight_span_vertices(scaled) == [[x * scale for x in v]
+                                           for v in tight_span_vertices(space)]
+    assert extremal_closure([x * scale for x in start], scaled) == [
+        x * scale for x in extremal_closure(start, space)]

@@ -15,7 +15,10 @@ The 0-cells of the tight span are the vertices of {f : f(i) + f(j) >=
 d(i, j)} (Dress 1984), so f = g / t for the rays (g, t) with t > 0 of the
 cone L g(i) + L g(j) - D(i, j) t >= 0, t >= 0, where d = D / L.  One
 certified `polyhedra.extreme_rays` call gives them exactly, up to
-MAX_SPAN_POINTS.
+MAX_SPAN_POINTS.  Its row 0, t >= 0, cuts out the recession orthant: the n
+rays (e_k, 0), each off the row g(k) >= 0 and on the other n - 1.  That
+face is simplicial, so the certificate skips the edge check there and
+enumerates no tangent cone at those rays, which lie on most rows.
 
 The extremal closure is one ascending sweep f(x) <- max(0, max_{y != x}
 (d(x, y) - f(y))).  Each update sets f(x) to the least value that keeps f

@@ -413,3 +413,132 @@ def test_coplanar_3d_rows_do_not_span():
         PolyNorm.from_vertices(rows)
     with pytest.raises(UsageError, match="facet normals do not span"):
         PolyNorm.from_facets(rows, np.ones(len(rows)))
+
+
+def _certify_calls(monkeypatch):
+    """Count `_certify` calls, the top level and every tangent cone."""
+    calls = []
+    real = polyhedra._certify
+    monkeypatch.setattr(polyhedra, "_certify", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["span-l1-6", "span-float8"])
+def test_certificate_rejects_every_dropped_recession_ray(monkeypatch, case):
+    # the rays (e_k, t = 0) make the face of row 0 (t >= 0) simplicial; without
+    # one of them the face is not certified and the full check must catch it
+    rays = []
+    _faulty_kernel(monkeypatch, lambda r: rays.extend(r) or r)
+    FAULT_CASES[case]()
+    flat = [k for k, (v, _) in enumerate(rays) if v[-1] == 0]
+    assert len(flat) == len(rays[0][0]) - 1
+    for k in flat:
+        _faulty_kernel(monkeypatch, lambda r: r[:k] + r[k + 1:])
+        with pytest.raises(RuntimeError, match="an edge leaves the rays"):
+            FAULT_CASES[case]()
+    # the face alone, with no ray off it, is not certified either
+    _faulty_kernel(monkeypatch, lambda r: [r[k] for k in flat])
+    with pytest.raises(RuntimeError, match="an edge leaves the rays"):
+        FAULT_CASES[case]()
+
+
+def _cone_over(facets):
+    """The rows (b, -a) of the cone {(t, x) : b t - <a, x> >= 0} over the
+    polytope {x : <a, x> <= b}."""
+    return [[b] + [-x for x in a] for a, b in facets]
+
+
+# (rows, _certify calls with the rule, without it).  The apex of the square
+# pyramid and every cuboctahedron vertex lie on four facets in R^3, so their
+# tangent cones are certified by recursion unless the rule skips them.
+SQUARE_PYRAMID_SIDES = [((1, 0, 1), 1), ((-1, 0, 1), 1), ((0, 1, 1), 1), ((0, -1, 1), 1)]
+CUBOCTAHEDRON_SQUARES = [(tuple(s * int(i == j) for j in range(3)), 1) for i in range(3) for s in (1, -1)]
+CUBOCTAHEDRON_TRIANGLES = [(s, 2) for s in itertools.product((1, -1), repeat=3)]
+FACE_CONES = {
+    # row 0 on the base: four rays on the face, the rule does not apply
+    "pyramid-base": (_cone_over([((0, 0, -1), 0)] + SQUARE_PYRAMID_SIDES), 2, 2),
+    # row 0 on a side: a certified triangle holding the apex
+    "pyramid-side": (_cone_over(SQUARE_PYRAMID_SIDES + [((0, 0, -1), 0)]), 1, 2),
+    # row 0 on a square: its four degenerate vertices still recurse
+    "cuboctahedron-square": (_cone_over(CUBOCTAHEDRON_SQUARES + CUBOCTAHEDRON_TRIANGLES), 13, 13),
+    # row 0 on a triangle: its three vertices are skipped
+    "cuboctahedron-triangle": (_cone_over(CUBOCTAHEDRON_TRIANGLES + CUBOCTAHEDRON_SQUARES), 10, 13),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACE_CONES))
+def test_the_face_rule_fires_only_on_a_certified_simplicial_face(monkeypatch, name):
+    rows, with_rule, without = FACE_CONES[name]
+    calls = _certify_calls(monkeypatch)
+    rays = extreme_rays(rows)
+    assert len(calls) == with_rule
+    assert len(rays) == (5 if name.startswith("pyramid") else 12)
+    assert all(v[0] == 1 for v, _ in rays)
+    calls.clear()
+    monkeypatch.setattr(polyhedra, "_simplicial_face", lambda *a: 0)
+    assert extreme_rays(rows) == rays
+    assert len(calls) == without
+
+
+def test_simplicial_face_needs_every_condition():
+    # d = 4 and four rays: rows 0..3 hold rays {0, 1, 2}, {1, 2, 3}, {0, 2, 3}
+    # and {0, 1, 3}, so rows 1, 2 and 3 each cut one ray off the face of row 0
+    holders = {0: 0b0111, 1: 0b1110, 2: 0b1101, 3: 0b1011}
+    assert polyhedra._simplicial_face(4, range(4), holders, 4) == 0b0111
+    # no row cuts ray 2 off the face
+    assert polyhedra._simplicial_face(4, range(3), holders, 4) == 0
+    # no ray lies off the face
+    assert polyhedra._simplicial_face(4, range(4), holders, 3) == 0
+    # d - 2 or d rays on the face
+    assert polyhedra._simplicial_face(5, range(4), holders, 5) == 0
+    assert polyhedra._simplicial_face(3, range(4), holders, 4) == 0
+
+
+def _l1_metric(seed, n, repeat):
+    """An integer L1 metric on n seeded points of a small grid; with repeat,
+    the last point copies the first, a zero off the diagonal."""
+    pts = helpers.rng_for(seed).integers(0, 6, size=(n, 3))
+    if repeat and n > 1:
+        pts[-1] = pts[0]
+    return _metric([tuple(int(x) for x in p) for p in pts])
+
+
+def _float_pseudometric(seed, n):
+    pts = helpers.rng_for(seed).standard_normal((n, 2))
+    pts[-1] = pts[0]
+    return FiniteMetric([[float(np.linalg.norm(p - q)) for q in pts] for p in pts])
+
+
+SPAN_METRICS = {
+    "float": lambda n: _float_metric(330 + n, n),
+    "float-zero": lambda n: _float_pseudometric(340 + n, n),
+    "l1": lambda n: _l1_metric(350 + n, n, False),
+    "l1-zero": lambda n: _l1_metric(350 + n, n, True),
+}
+RULE_SPANS = {f"{kind}-{n}": lambda make=make, n=n: tight_span_vertices(make(n))
+              for kind, make in SPAN_METRICS.items() for n in range(1, 9)}
+RULE_HULLS = {name: case for name, case in FAULT_CASES.items() if not name.startswith("span")}
+
+
+@pytest.mark.parametrize("case", sorted(RULE_SPANS) + sorted(RULE_HULLS))
+def test_the_face_rule_changes_no_output(monkeypatch, case):
+    # with the rule off, _certify runs the full edge check at every ray
+    run = {**RULE_SPANS, **RULE_HULLS}[case]
+    outputs, faces = [], []
+    real, real_face = polyhedra.extreme_rays, polyhedra._simplicial_face
+    monkeypatch.setattr(polyhedra, "extreme_rays", lambda rows: outputs.append(real(rows)) or outputs[-1])
+    monkeypatch.setattr(polyhedra, "_simplicial_face", lambda *a: faces.append(real_face(*a)) or faces[-1])
+    result = run()
+    assert faces[0] or case in RULE_HULLS  # every span's recession face is skipped
+    monkeypatch.setattr(polyhedra, "_simplicial_face", lambda *a: 0)
+    assert run() == result
+    assert len(outputs) == 2 and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("case", ["span-float5", "span-float8"])
+def test_generic_float_spans_certify_without_recursion(monkeypatch, case):
+    # every vertex of a generic span is simple and the recession rays are
+    # skipped, so no tangent cone is enumerated
+    calls = _certify_calls(monkeypatch)
+    FAULT_CASES[case]()
+    assert len(calls) == 1

@@ -318,6 +318,25 @@ def test_eight_point_tight_span():
     assert tight_span_vertices(FiniteMetric([[float(x) for x in r] for r in d])) == verts
 
 
+def test_eight_point_float_body_span():
+    # 8 SPD bodies under the float GI distance: a generic span, every vertex
+    # extremal and pinned by n tight pairs of full rank, every Kuratowski
+    # image a vertex, and a relabelling of the points permutes the vertices
+    space = random_spd_metric(helpers.rng_for(621), 8)
+    d = space.rows
+    verts = tight_span_vertices(space)
+    assert len(verts) == 128
+    for f in verts:
+        assert is_extremal(f, space)
+        tight = [[(k == i) + (k == j) for k in range(8)]
+                 for i in range(8) for j in range(i, 8) if f[i] + f[j] == d[i][j]]
+        assert helpers.gauss_jordan(tight)[2] == 8
+    assert all(e in verts for e in kuratowski_embed(space))
+    perm = [3, 7, 0, 5, 1, 6, 2, 4]
+    moved = FiniteMetric([[d[i][j] for j in perm] for i in perm])
+    assert tight_span_vertices(moved) == sorted([f[i] for i in perm] for f in verts)
+
+
 def test_extremal_radii_feed_the_intersection_witness():
     # an extremal function on a 4-point body metric gives exactly-compatible
     # radii (f(s) + f(t) >= d(s, t)), so the intersection witness must land

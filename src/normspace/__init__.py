@@ -5,6 +5,9 @@ joins, Helly witnesses, building graphs), Archimedean norms as convex
 bodies (closed-form distances, John ellipsoids, intersection witnesses),
 tight spans of finite metric spaces, and the signed-permutation
 obstruction for alternating groups.
+
+The body names (PolyNorm, SpdNorm, ...) are served on first access from
+normspace.bodies, so that `import normspace` loads no numpy.
 """
 
 from .errors import (
@@ -34,18 +37,6 @@ from .building import (
     neighbors,
     random_vertex,
 )
-from .bodies import (
-    MeetNorm,
-    PolyNorm,
-    SpdNorm,
-    body_from_json,
-    body_to_json,
-    gauge,
-    gi_distance_bodies,
-    john_ellipsoid,
-    polar,
-    sampled_sup_ratio,
-)
 from .tightspan import (
     FiniteMetric,
     extremal_closure,
@@ -63,3 +54,20 @@ from .obstruction import (
 )
 
 __version__ = "0.1.0"
+
+_BODIES = frozenset({
+    "MeetNorm", "PolyNorm", "SpdNorm", "body_from_json", "body_to_json", "gauge",
+    "gi_distance_bodies", "john_ellipsoid", "polar", "sampled_sup_ratio",
+})
+
+
+def __getattr__(name):  # PEP 562: import normspace.bodies, and numpy, on first use
+    if name in _BODIES:
+        from . import bodies
+
+        return getattr(bodies, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _BODIES)

@@ -200,6 +200,9 @@ def _spd_pair_distance(a1, a2):
     ell = np.linalg.cholesky(a2)
     s = np.linalg.solve(ell, a1)
     mid = np.linalg.solve(ell, s.T).T
+    if not np.all(np.isfinite(mid)):  # eigvalsh would turn an overflow into NaN
+        raise UsageError("the SPD pencil must be finite: the two forms differ in "
+                         "scale beyond the float range")
     lam = np.linalg.eigvalsh(0.5 * (mid + mid.T))
     if lam.min() <= 0:
         raise UsageError("singular pencil: inputs are not both SPD")
@@ -295,7 +298,7 @@ def john_ellipsoid(body):
         raise RuntimeError("inscribed ellipsoid escapes a facet")
     b_mat = np.linalg.inv(a_out)
     john = SpdNorm(0.5 * (b_mat + b_mat.T))
-    if gi_distance_bodies(john, body) > math.log(math.sqrt(n)) + OPT_TOL:
+    if not gi_distance_bodies(john, body) <= math.log(math.sqrt(n)) + OPT_TOL:
         raise RuntimeError("John bound violated: MVEE certificate broken")
     return john
 
@@ -319,7 +322,7 @@ def coarse_helly_details(bodies, radii):
     for s in range(len(bodies)):
         for t in range(s + 1, len(bodies)):
             d = gi_distance_bodies(bodies[s], bodies[t])
-            if d > radii[s] + radii[t] + STRUCT_TOL:
+            if not d <= radii[s] + radii[t] + STRUCT_TOL:  # NaN fails too
                 raise PairwiseRadiusError(
                     (s, t), d - radii[s] - radii[t],
                     f"bodies {s} and {t}: d = {d:.9g} exceeds "
@@ -340,7 +343,7 @@ def coarse_helly_details(bodies, radii):
         dists = [gi_distance_bodies(witness, b) for b in bodies]
         allowed = [r + OPT_TOL for r in radii]
     for s, (d, a) in enumerate(zip(dists, allowed)):
-        if d > a:
+        if not d <= a:
             raise RuntimeError(f"intersection witness escaped ball {s}: {d:.9g} > {a:.9g}")
     return {"witness": witness, "distances": dists, "allowed": allowed}
 

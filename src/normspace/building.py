@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import qlinalg
 from .errors import InfeasibleScaleError, UsageError
 from .valued import DiagNorm, gi_distance, helly_witness_na, pval_int
@@ -476,8 +474,11 @@ def random_vertex(seed, radius_bound, ctx, n):
 
     A walk alternating random integral unimodular basis changes (which fix
     the current vertex) with weight shifts of sup-norm <= 1; entries stay in
-    Z[1/p].  PRNG: numpy PCG64 seeded with SeedSequence([seed]).
+    Z[1/p].  PRNG: numpy PCG64 seeded with SeedSequence([seed]); numpy is
+    imported here, so the rest of the building runs without it.
     """
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed)])))
     w = [list(row) for row in qlinalg.identity(n)]
     for _ in range(int(radius_bound)):

@@ -9,7 +9,14 @@ certificate).
 
 Determinism contract: identical arguments (including --seed) produce
 byte-identical output.  Seeded randomness uses numpy's PCG64, instance i of
-a campaign drawing from SeedSequence([seed, i]).
+a campaign drawing from SeedSequence([seed, i]).  Output is strict JSON: a
+non-finite number in a payload is an internal error (exit 4), never NaN.
+
+Import cost: `import normspace.cli` loads neither numpy nor
+`normspace.bodies`.  The handlers of body-dist, john, mvee and helly-bodies,
+and the campaign helpers, import them when they run, so the exact
+subcommands (dist, join, common-basis, helly-na, ball, helly-building,
+tight-span, extremal, obstruction) run in a fresh process without numpy.
 """
 
 import argparse
@@ -20,9 +27,6 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import bodies as bod
 from . import building as bld
 from . import obstruction as obs
 from . import tightspan as ts
@@ -62,7 +66,7 @@ def _load_json_arg(value, what="input"):
 
 def _emit(doc, stream=None):
     stream = stream or sys.stdout
-    stream.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    stream.write(json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 def _emit_csv(rows, header, stream=None):
@@ -160,6 +164,8 @@ def _cmd_helly_building(ns):
 
 
 def _cmd_body_dist(ns):
+    from . import bodies as bod
+
     a = bod.body_from_json(_load_json_arg(ns.a, "--a"))
     b = bod.body_from_json(_load_json_arg(ns.b, "--b"))
     return EXIT_OK, {
@@ -169,6 +175,8 @@ def _cmd_body_dist(ns):
 
 
 def _cmd_john(ns):
+    from . import bodies as bod
+
     body = bod.body_from_json(_load_json_arg(ns.body, "--body"))
     if not isinstance(body, bod.PolyNorm):
         raise UsageError("john expects a polytope body")
@@ -185,6 +193,10 @@ def _cmd_john(ns):
 
 
 def _cmd_mvee(ns):
+    import numpy as np
+
+    from . import bodies as bod
+
     obj = _load_json_arg(ns.points, "--points")
     try:
         pts = np.array(obj["points"] if isinstance(obj, dict) else obj, dtype=float)
@@ -200,6 +212,8 @@ def _cmd_mvee(ns):
 
 
 def _cmd_helly_bodies(ns):
+    from . import bodies as bod
+
     family, radii = _family(ns, "bodies", bod.body_from_json, float)
     details = bod.coarse_helly_details(family, radii)
     return EXIT_OK, {
@@ -242,6 +256,8 @@ def _cmd_obstruction(ns):
 # ---------------------------------------------------------------------------
 
 def _rng(seed, index):
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
 
 
@@ -259,6 +275,10 @@ def _random_norm(rng, ctx, n):
 
 
 def _random_polygon(rng, k=None):
+    import numpy as np
+
+    from . import bodies as bod
+
     k = k or int(rng.integers(4, 9))
     angles = np.sort(rng.uniform(0, math.pi, size=k))
     radii = rng.uniform(0.5, 2.0, size=k)
@@ -267,6 +287,10 @@ def _random_polygon(rng, k=None):
 
 
 def _random_spd(rng, n):
+    import numpy as np
+
+    from . import bodies as bod
+
     g = rng.standard_normal((n, n))
     return bod.SpdNorm(g.T @ g + 0.25 * np.eye(n))
 
@@ -290,12 +314,16 @@ def _campaign_helly_na(rng):
 
 
 def _campaign_john(rng):
+    from . import bodies as bod
+
     body = _random_polygon(rng)
     ell = bod.john_ellipsoid(body)
     return bod.gi_distance_bodies(ell, body) <= math.log(math.sqrt(2)) + bod.OPT_TOL
 
 
 def _campaign_spd_formula(rng):
+    from . import bodies as bod
+
     a = _random_spd(rng, 2)
     b = _random_spd(rng, 2)
     d = bod.gi_distance_bodies(a, b)
@@ -304,6 +332,8 @@ def _campaign_spd_formula(rng):
 
 
 def _campaign_helly_bodies(rng):
+    from . import bodies as bod
+
     fam = [_random_polygon(rng) for _ in range(int(rng.integers(3, 6)))]
     dmat = [[bod.gi_distance_bodies(x, y) for y in fam] for x in fam]
     radii = [max(row) / 2 + 0.05 for row in dmat]
@@ -314,6 +344,8 @@ def _campaign_helly_bodies(rng):
 
 
 def _campaign_tight_span(rng):
+    from . import bodies as bod
+
     pts = [_random_spd(rng, 2) for _ in range(4)]
     dmat = [[0.0] * 4 for _ in range(4)]  # gi_distance_bodies(K, K) may not be 0.0
     for i in range(4):
@@ -472,6 +504,14 @@ def main(argv=None):
     try:
         ns = build_parser().parse_args(argv)
         out = ns.func(ns)
+        if len(out) == 3:
+            code, doc, rows = out
+            _emit_csv(rows, ("instance", "passed"))
+            _emit(doc, sys.stderr)
+        else:
+            code, doc = out
+            _emit(doc)  # a non-finite number in doc raises before any output
+        return code
     except PairwiseRadiusError as exc:
         _emit({
             "schema_version": SCHEMA_VERSION,
@@ -492,14 +532,6 @@ def main(argv=None):
         _emit({"schema_version": SCHEMA_VERSION, "error": "internal",
                "message": str(exc)}, sys.stderr)
         return EXIT_INTERNAL
-    if len(out) == 3:
-        code, doc, rows = out
-        _emit_csv(rows, ("instance", "passed"))
-        _emit(doc, sys.stderr)
-        return code
-    code, doc = out
-    _emit(doc)
-    return code
 
 
 if __name__ == "__main__":

@@ -19,8 +19,6 @@ import math
 import operator
 from fractions import Fraction
 
-import numpy as np
-
 from . import qlinalg
 from .errors import UsageError
 
@@ -57,7 +55,17 @@ def _reduced(v):
 FILTER_MIN = 64  # rows from which numpy signs beat exact integer dots
 
 
-def _image(vecs):
+def _filter(rows):
+    """numpy and the float image of rows when the sign filter is on (from
+    FILTER_MIN rows), else (None, None): smaller cones never import numpy."""
+    if len(rows) < FILTER_MIN:
+        return None, None
+    import numpy as np
+
+    return np, _image(np, rows)
+
+
+def _image(np, vecs):
     """Floats of integer vectors for the sign filter; inf past the float range."""
     try:
         return np.array(vecs, dtype=float)
@@ -65,9 +73,9 @@ def _image(vecs):
         return np.array([[float(x) if x.bit_length() < 1024 else math.inf for x in v] for v in vecs])
 
 
-def _split(w, fw, vs, ids, fvs):
+def _split(np, w, fw, vs, ids, fvs):
     """The t in ids with <vs[t], w> < 0, = 0 and >= 0, decided exactly.  With
-    float images (fvs is None below FILTER_MIN rows) a float product
+    float images (np and fvs are None below FILTER_MIN rows) a float product
     settles a sign when it exceeds (d + 4) 2^-50 |fvs| @ |fw|, a bound on
     its rounding error; an exact dot decides the rest."""
     if fvs is None:
@@ -108,12 +116,13 @@ def _double_description(rows):
     zs = [done & ~(1 << b) for b in basis]
     holders = [sum(1 << t for t in range(d) if zs[t] >> i & 1) for i in range(m)]
     live, alive = list(range(d)), (1 << d) - 1
-    fr, fv = (_image(rows), _image(vecs)) if m >= FILTER_MIN else (None, None)
+    np, fr = _filter(rows)
+    fv = None if np is None else _image(np, vecs)
     for i in range(m):
         if done >> i & 1:
             continue
         row = rows[i]
-        neg, zero, live = _split(row, fr if fr is None else fr[i], vecs, live, fv)
+        neg, zero, live = _split(np, row, fr if fr is None else fr[i], vecs, live, fv)
         negs, zeros, born = sum(1 << t for t in neg), sum(1 << t for t in zero), len(vecs)
         for q in neg:
             near = alive
@@ -142,7 +151,7 @@ def _double_description(rows):
             for j in _bits(zs[t]):
                 holders[j] |= 1 << t
         if fv is not None and len(vecs) > born:
-            fv = np.vstack([fv, _image(vecs[born:])])
+            fv = np.vstack([fv, _image(np, vecs[born:])])
     return [(vecs[t], zs[t]) for t in live]
 
 
@@ -189,9 +198,10 @@ def _certify(rows, rays, ids, memo):
     """
     d = len(rows[0])
     tights, zs, holders = [], [], {}  # holders: row id -> mask of the rays tight there
-    fr = _image(rows) if len(rows) >= FILTER_MIN else None
+    np, fr = _filter(rows)
     for t, v in enumerate(rays):
-        neg, tight, _ = _split(v, fr if fr is None else _image([v])[0], rows, range(len(rows)), fr)
+        neg, tight, _ = _split(np, v, fr if fr is None else _image(np, [v])[0], rows,
+                               range(len(rows)), fr)
         if neg or math.gcd(*v) != 1:
             raise RuntimeError("exact extreme rays: a ray is invalid")
         tights.append(tight)

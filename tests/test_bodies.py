@@ -278,6 +278,21 @@ def test_mvee_matches_sdp_oracle():
         assert np.max(np.abs(amat.value - ours.matrix)) < 1e-4
 
 
+def test_mvee_matches_the_frank_wolfe_oracle():
+    # the same clouds as the SDP oracle above, against the loop oracle in
+    # helpers, which needs no solver: A = M(u)^{-1} / max_i w_i
+    rng = helpers.rng_for(417)
+    for n in (2, 3):
+        pts = rng.standard_normal((12, n))
+        u, _, eps = helpers.mvee_weights_loops(pts, 1e-9, 100000)
+        assert eps <= 1e-9
+        minv = np.linalg.inv(pts.T @ (pts * u[:, None]))
+        oracle = minv / np.max(np.sum((pts @ minv) * pts, axis=1))
+        ours, info = mvee_certified(pts)
+        assert info["eps"] <= 1e-6
+        assert np.max(np.abs(oracle - ours.matrix)) < 1e-4
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_mvee_meets_johns_optimality_condition(n):
     # John (1948): {x^T A x <= 1} is the least-volume centred ellipsoid
@@ -617,3 +632,31 @@ def test_json_floats_roundtrip_exactly():
     doc = json.loads(json.dumps(body_to_json(body)))
     again = body_from_json(doc)
     assert np.array_equal(again.matrix, body.matrix)
+
+
+TINY_SPD = SpdNorm([[1e-310, 0.0], [0.0, 1.0]])
+
+
+def test_an_spd_pencil_beyond_the_float_range_is_a_usage_error():
+    # the distance, about 357, is finite, but the whitened pencil overflows
+    # and eigvalsh would turn the overflow into NaN
+    for a, b in ((DISC, TINY_SPD), (TINY_SPD, DISC)):
+        with pytest.raises(UsageError, match="pencil must be finite"):
+            gi_distance_bodies(a, b)
+    with pytest.raises(UsageError, match="pencil must be finite"):
+        coarse_helly_details([DISC, TINY_SPD], [400.0, 400.0])
+
+
+def test_a_nan_distance_fails_both_witness_certificates(monkeypatch):
+    from normspace import bodies
+
+    fam = [SQUARE, SQUARE]
+    monkeypatch.setattr(bodies, "gi_distance_bodies", lambda k1, k2: math.nan)
+    with pytest.raises(PairwiseRadiusError):
+        coarse_helly_details(fam, [0.0, 0.0])
+    # NaN only from the witness: the pairwise check passes, the final one must not
+    real = gi_distance_bodies
+    monkeypatch.setattr(bodies, "gi_distance_bodies", lambda k1, k2: (
+        real(k1, k2) if any(k1 is b for b in fam) else math.nan))
+    with pytest.raises(RuntimeError, match="escaped ball 0"):
+        coarse_helly_details(fam, [0.0, 0.0])

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -478,6 +479,113 @@ def test_3d_hulls_leave_scipy_unloaded():
                           env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 []"
+
+
+# One run of every subcommand; campaign twice, in JSON and in CSV.
+EXAMPLES = (
+    ("dist", "--a", STD, "--b", LPRIME),
+    ("join", "--inputs", STD, SHIFTED),
+    ("common-basis", "--a", STD, "--b", LPRIME),
+    ("helly-na", "--family", json.dumps({
+        "norms": [json.loads(x) for x in (STD, SHIFTED, LPRIME)], "radii": ["2", "2", "2"]})),
+    ("ball", "--center", LPRIME, "--radius", "2"),
+    ("helly-building", "--family", BALL_FAMILY),
+    ("body-dist", "--a", SQUARE_BODY, "--b", '{"kind": "spd", "matrix": [[1.2, 0.1], [0.1, 0.9]]}'),
+    ("john", "--body", SQUARE_BODY),
+    ("mvee", "--points", "[[1, 0], [0, 1], [0.5, 0.5], [0.25, -1.5]]"),
+    ("helly-bodies", "--family", json.dumps({
+        "bodies": [{"kind": "spd", "matrix": [[1.2, 0.1], [0.1, 0.9]]}, json.loads(SQUARE_BODY)],
+        "radii": [0.5, 0.5]})),
+    ("tight-span", "--metric", '{"d": [[0, 0.5, 1], [0.5, 0, 0.75], [1, 0.75, 0]]}'),
+    ("extremal", "--metric", '{"d": [[0, 0.5, 1], [0.5, 0, 0.75], [1, 0.75, 0]]}',
+     "--f", "[1, 1, 1]"),
+    ("obstruction", "--n", "5"),
+    ("campaign", "--suite", "building", "--count", "3", "--seed", "11"),
+    ("campaign", "--suite", "helly-bodies", "--count", "2", "--seed", "11", "--format", "csv"),
+)
+# The subcommands that may import numpy (and normspace.bodies) in a fresh process.
+NUMPY_SUBCOMMANDS = {"body-dist", "john", "mvee", "helly-bodies", "campaign"}
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return set(sub.choices)
+
+
+def test_every_subcommand_prints_the_same_bytes_in_fresh_processes(capsys):
+    assert {argv[0] for argv in EXAMPLES} == _subcommands()
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for argv in EXAMPLES:
+        runs = [subprocess.Popen([sys.executable, "-m", "normspace", *argv], env=env,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                for _ in range(2)]
+        fresh = [(proc.returncode, out, err)
+                 for proc, (out, err) in ((proc, proc.communicate()) for proc in runs)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1), (argv[0], err)
+        assert fresh[0] == fresh[1] == (code, out.encode(), err.encode()), argv[0]
+
+
+def test_exact_subcommands_leave_numpy_unloaded():
+    examples = [argv for argv in EXAMPLES if argv[0] not in NUMPY_SUBCOMMANDS]
+    missing = _subcommands() - NUMPY_SUBCOMMANDS - {argv[0] for argv in examples}
+    assert not missing, f"add an example run of {sorted(missing)} to EXAMPLES"
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from normspace import cli\n"
+        "heavy = ('numpy', 'normspace.bodies', 'normspace._kernels')\n"
+        "for argv in json.loads(sys.stdin.read()):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(json.dumps([argv[0], code, [m for m in heavy if m in sys.modules]]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], input=json.dumps(examples),
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [row[0] for row in rows] == [argv[0] for argv in examples]
+    for name, code, loaded in rows:
+        assert (code, loaded) == (0, []), name
+
+
+def test_the_package_serves_body_names_on_first_use():
+    script = (
+        "import sys, normspace\n"
+        "names = {'PolyNorm', 'SpdNorm', 'gi_distance_bodies', 'john_ellipsoid'}\n"
+        "print(names <= set(dir(normspace)), 'numpy' in sys.modules)\n"
+        "print(normspace.PolyNorm is sys.modules['normspace.bodies'].PolyNorm)\n"
+        "print(hasattr(normspace, 'no_such_name'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False", "True", "False"]
+
+
+def test_a_non_finite_payload_is_an_internal_error(monkeypatch, capsys):
+    # strict JSON: NaN never reaches stdout, and no traceback either
+    monkeypatch.setattr(normspace.bodies, "gi_distance_bodies", lambda a, b: float("nan"))
+    code, out, err = run_cli(capsys, "body-dist", "--a", SQUARE_BODY, "--b", SQUARE_BODY)
+    assert (code, out) == (4, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "internal"
+
+
+TINY_SPD_BODY = '{"kind": "spd", "matrix": [[1e-310, 0], [0, 1]]}'
+UNIT_SPD_BODY = '{"kind": "spd", "matrix": [[1, 0], [0, 1]]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ("body-dist", "--a", UNIT_SPD_BODY, "--b", TINY_SPD_BODY),
+    ("body-dist", "--a", TINY_SPD_BODY, "--b", UNIT_SPD_BODY),
+    ("helly-bodies", "--family", json.dumps({
+        "bodies": [json.loads(UNIT_SPD_BODY), json.loads(TINY_SPD_BODY)], "radii": [400, 400]})),
+], ids=["body-dist", "body-dist-swapped", "helly-bodies"])
+def test_an_overflowing_spd_pencil_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "pencil must be finite" in json.loads(err)["message"]
 
 
 def test_determinism_across_subcommands(capsys):

@@ -197,10 +197,15 @@ def polar(body):
 
 
 def _spd_pair_distance(a1, a2):
-    ell = np.linalg.cholesky(a2)
-    s = np.linalg.solve(ell, a1)
-    mid = np.linalg.solve(ell, s.T).T
-    if not np.all(np.isfinite(mid)):  # eigvalsh would turn an overflow into NaN
+    """0.5 max |log lam| over the pencil a1 - lam a2, whitened by a2, or by
+    a1 when that overflows: the eigenvalues invert and the distance stays."""
+    for a, b in ((a1, a2), (a2, a1)):
+        ell = np.linalg.cholesky(b)
+        s = np.linalg.solve(ell, a)
+        mid = np.linalg.solve(ell, s.T).T
+        if np.all(np.isfinite(mid)):  # eigvalsh would turn an overflow into NaN
+            break
+    else:
         raise UsageError("the SPD pencil must be finite: the two forms differ in "
                          "scale beyond the float range")
     lam = np.linalg.eigvalsh(0.5 * (mid + mid.T))

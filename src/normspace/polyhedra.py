@@ -4,10 +4,9 @@ dimension.
 
 `extreme_rays` is a fraction-free double description (Fukuda-Prodon 1996)
 of a pointed cone {x : A x >= 0}, certified before it returns: every ray
-is valid, primitive, distinct and extreme, and closed under the edges of
-the cone.  The edge check skips the rays on the face of row 0 once that
-face is certified simplicial, since the bounded edges of the polyhedron
-{x : A x >= 0, A_0 x = 1} already connect every ray off it.  The facets
+is valid, primitive, distinct and extreme, no nonzero row vanishes at
+every ray, and the rays are closed under the edges of the cone, checked at
+the rays off the face of row 0 (at all rays when none is off it).  The facets
 (a, b) of conv(+-w_i) are the rays of {(b, a) : b >= |<a, w_i>|}, and the
 vertices of {x : |<a_i, x>| <= b_i} are the facets (n, c) of
 conv(+-a_i/b_i) mapped to n/c; tight spans (normspace.tightspan) are the
@@ -155,46 +154,32 @@ def _double_description(rows):
     return [(vecs[t], zs[t]) for t in live]
 
 
-def _simplicial_face(d, ids, holders, count):
-    """The mask of the rays on the face of row 0 when that face is certified
-    simplicial and some ray lies off it, else 0.
-
-    Simplicial: exactly d - 1 rays r_k lie on the face, and for each k some
-    other row is tight at every r_j, j != k, and not at r_k.  Those rows
-    restricted to {row_0 x = 0} are then positive multiples of the dual
-    basis of the r_k, which makes the r_k independent and the face their
-    cone, with no other ray.  holders maps each row id to the mask of the
-    rays tight there.
-    """
-    face = holders.get(ids[0], 0)
-    if face.bit_count() != d - 1 or face == (1 << count) - 1:
-        return 0
-    cuts = {holders.get(i, 0) & face for i in ids[1:]}
-    return face if all(face & ~(1 << k) in cuts for k in _bits(face)) else 0
-
-
 def _certify(rows, rays, ids, memo):
     """The zero sets of the rays, once they are shown to be exactly the
-    extreme rays of the full-dimensional pointed cone {x : rows x >= 0}.
+    extreme rays of the pointed cone {x : rows x >= 0}.
 
     1. Valid: every row is >= 0 at every ray; the rays are distinct,
        primitive and at least one.
-    2. Extreme: the rows tight at each ray have rank d - 1.
-    3. Closed under edges: each edge at a ray v, an extreme ray of the
+    2. Full-dimensional: no nonzero row vanishes at every ray, as an
+       implicit equality of a flat cone would.
+    3. Extreme: the rows tight at each ray have rank d - 1.  For d >= 2
+       this and step 2 make the cone pointed: each such ray would lie on
+       the lineality line, where every row vanishes.
+    4. Closed under edges: each edge at a ray v, an extreme ray of the
        tangent cone at v (its tight rows, v projected out by dropping a
        coordinate where v is nonzero), ends at another ray whose zero set
        holds the edge's.  With d - 1 tight rows each edge drops one of
        them; otherwise the tangent cone's rays are enumerated and certified.
     The graph of a pointed cone is connected, so rays closed under edges
-    are all of them.  Step 3 skips the rays on the face of row 0 when
-    `_simplicial_face` certifies that face: those are then all its rays,
-    and the rays off it, the vertices of the pointed polyhedron
-    {x : rows x >= 0, row_0 x = 1}, are joined by its bounded edges (simplex
-    method: a cost inside one vertex's normal cone is positive on the
-    recession cone, so every improving edge is bounded).  Any failure
-    raises RuntimeError.  Zero sets are masks over ids[i], the name of row
-    i in the outermost cone; memo keeps the edges of each tangent cone by
-    its tight rows, met again on other paths.
+    are all of them.  Step 4 skips the rays on the face of row 0 whenever
+    some ray lies off it.  The rays off it are the vertices of the
+    polyhedron P = {x : rows x >= 0, row_0 x = 1}, joined by its bounded
+    edges; each ray r on it, an extreme ray of P's recession cone, is the
+    direction of an unbounded edge at some vertex v, the edge cone(v, r)
+    that step 4 at v enumerates.  Any failure raises RuntimeError.  Zero
+    sets are masks over ids[i], the name of row i in the outermost cone;
+    memo keeps the edges of each tangent cone by its tight rows, met again
+    on other paths.
     """
     d = len(rows[0])
     tights, zs, holders = [], [], {}  # holders: row id -> mask of the rays tight there
@@ -210,7 +195,12 @@ def _certify(rows, rays, ids, memo):
             holders[ids[i]] = holders.get(ids[i], 0) | 1 << t
     if not rays or len(set(rays)) < len(rays):
         raise RuntimeError("exact extreme rays: no rays, or a repeated ray")
-    face = _simplicial_face(d, ids, holders, len(rays))
+    every = (1 << len(rays)) - 1
+    if any(holders.get(i) == every and any(row) for i, row in zip(ids, rows)):
+        raise RuntimeError("exact extreme rays: the rays do not span")
+    face = holders.get(ids[0], 0)
+    if face == every:  # no ray off the face: row 0 is zero
+        face = 0
     for t, (v, z, idx) in enumerate(zip(rays, zs, tights)):
         tight = [rows[i] for i in idx]
         if len(qlinalg.echelon(tight, d)[2]) != d - 1:

@@ -16,9 +16,10 @@ d(i, j)} (Dress 1984), so f = g / t for the rays (g, t) with t > 0 of the
 cone L g(i) + L g(j) - D(i, j) t >= 0, t >= 0, where d = D / L.  One
 certified `polyhedra.extreme_rays` call gives them exactly, up to
 MAX_SPAN_POINTS.  Its row 0, t >= 0, cuts out the recession orthant: the n
-rays (e_k, 0), each off the row g(k) >= 0 and on the other n - 1.  That
-face is simplicial, so the certificate skips the edge check there and
-enumerates no tangent cone at those rays, which lie on most rows.
+rays (e_k, 0), which lie on most rows.  The vertex rays lie off that face,
+so the certificate skips the edge check at the orthant's rays and
+enumerates a tangent cone only at a degenerate vertex, one tight at more
+than n pairs.
 
 The extremal closure is one ascending sweep f(x) <- max(0, max_{y != x}
 (d(x, y) - f(y))).  Each update sets f(x) to the least value that keeps f
@@ -34,7 +35,7 @@ from fractions import Fraction
 from . import polyhedra, qlinalg
 from .errors import MALFORMED, InfeasibleScaleError, UsageError, malformed
 
-MAX_SPAN_POINTS = 8
+MAX_SPAN_POINTS = 10  # 56 rows, below polyhedra.FILTER_MIN: a span never loads numpy
 
 
 def _number(x):

@@ -635,16 +635,23 @@ def test_json_floats_roundtrip_exactly():
 
 
 TINY_SPD = SpdNorm([[1e-310, 0.0], [0.0, 1.0]])
+FLIPPED_SPD = SpdNorm([[1.0, 0.0], [0.0, 1e-310]])
 
 
 def test_an_spd_pencil_beyond_the_float_range_is_a_usage_error():
-    # the distance, about 357, is finite, but the whitened pencil overflows
-    # and eigvalsh would turn the overflow into NaN
-    for a, b in ((DISC, TINY_SPD), (TINY_SPD, DISC)):
+    # the distance, about 357, is finite, but the pencil overflows whitened
+    # by either form, and eigvalsh would turn the overflow into NaN
+    for a, b in ((FLIPPED_SPD, TINY_SPD), (TINY_SPD, FLIPPED_SPD)):
         with pytest.raises(UsageError, match="pencil must be finite"):
             gi_distance_bodies(a, b)
     with pytest.raises(UsageError, match="pencil must be finite"):
-        coarse_helly_details([DISC, TINY_SPD], [400.0, 400.0])
+        coarse_helly_details([FLIPPED_SPD, TINY_SPD], [400.0, 400.0])
+
+
+def test_an_spd_pencil_overflowing_one_way_is_whitened_the_other():
+    # whitened by TINY_SPD the pencil overflows, by DISC it does not
+    want = 0.5 * abs(math.log(1e-310))
+    assert gi_distance_bodies(DISC, TINY_SPD) == gi_distance_bodies(TINY_SPD, DISC) == want
 
 
 def test_a_nan_distance_fails_both_witness_certificates(monkeypatch):

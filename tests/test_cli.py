@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -385,8 +386,8 @@ def test_a_4d_polytope_runs_through_john_and_body_dist(capsys):
     assert json.loads(out)["distance"] > 0
 
 
-@pytest.mark.parametrize("k, code", [(8, 0), (9, 3)])
-def test_tight_span_takes_up_to_eight_points(capsys, k, code):
+@pytest.mark.parametrize("k, code", [(10, 0), (11, 3)])
+def test_tight_span_takes_up_to_ten_points(capsys, k, code):
     pts = np.random.Generator(np.random.PCG64(k)).integers(-5, 6, size=(k, 2))
     metric = json.dumps({"d": [[int(np.abs(p - q).sum()) for q in pts] for p in pts]})
     got, out, err = run_cli(capsys, "tight-span", "--metric", metric)
@@ -574,18 +575,36 @@ def test_a_non_finite_payload_is_an_internal_error(monkeypatch, capsys):
 
 TINY_SPD_BODY = '{"kind": "spd", "matrix": [[1e-310, 0], [0, 1]]}'
 UNIT_SPD_BODY = '{"kind": "spd", "matrix": [[1, 0], [0, 1]]}'
+# whitened by either form, the pencil of these two has an entry near 1e310
+FLIPPED_SPD_BODY = '{"kind": "spd", "matrix": [[1, 0], [0, 1e-310]]}'
 
 
 @pytest.mark.parametrize("argv", [
-    ("body-dist", "--a", UNIT_SPD_BODY, "--b", TINY_SPD_BODY),
-    ("body-dist", "--a", TINY_SPD_BODY, "--b", UNIT_SPD_BODY),
+    ("body-dist", "--a", FLIPPED_SPD_BODY, "--b", TINY_SPD_BODY),
+    ("body-dist", "--a", TINY_SPD_BODY, "--b", FLIPPED_SPD_BODY),
     ("helly-bodies", "--family", json.dumps({
-        "bodies": [json.loads(UNIT_SPD_BODY), json.loads(TINY_SPD_BODY)], "radii": [400, 400]})),
+        "bodies": [json.loads(FLIPPED_SPD_BODY), json.loads(TINY_SPD_BODY)], "radii": [400, 400]})),
 ], ids=["body-dist", "body-dist-swapped", "helly-bodies"])
 def test_an_overflowing_spd_pencil_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert "pencil must be finite" in json.loads(err)["message"]
+
+
+def test_a_pencil_that_overflows_one_way_is_whitened_the_other(capsys):
+    # whitening by the tiny form overflows, by the identity it does not; the
+    # distance is 0.5 |log 1e-310| in both argument orders, to the bit
+    outs = {run_cli(capsys, "body-dist", "--a", a, "--b", b)
+            for a, b in ((UNIT_SPD_BODY, TINY_SPD_BODY), (TINY_SPD_BODY, UNIT_SPD_BODY))}
+    ((code, out, err),) = outs
+    assert (code, err) == (0, "")
+    assert json.loads(out)["distance"] == 0.5 * abs(math.log(1e-310))
+    family = json.dumps({"bodies": [json.loads(UNIT_SPD_BODY), json.loads(TINY_SPD_BODY)],
+                         "radii": [400, 400]})
+    code, out, err = run_cli(capsys, "helly-bodies", "--family", family)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert all(d <= r for d, r in zip(doc["distances"], doc["allowed"]))
 
 
 def test_determinism_across_subcommands(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -423,75 +424,55 @@ def _certify_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("case", ["span-l1-6", "span-float8"])
-def test_certificate_rejects_every_dropped_recession_ray(monkeypatch, case):
-    # the rays (e_k, t = 0) make the face of row 0 (t >= 0) simplicial; without
-    # one of them the face is not certified and the full check must catch it
-    rays = []
-    _faulty_kernel(monkeypatch, lambda r: rays.extend(r) or r)
-    FAULT_CASES[case]()
-    flat = [k for k, (v, _) in enumerate(rays) if v[-1] == 0]
-    assert len(flat) == len(rays[0][0]) - 1
-    for k in flat:
-        _faulty_kernel(monkeypatch, lambda r: r[:k] + r[k + 1:])
-        with pytest.raises(RuntimeError, match="an edge leaves the rays"):
-            FAULT_CASES[case]()
-    # the face alone, with no ray off it, is not certified either
-    _faulty_kernel(monkeypatch, lambda r: [r[k] for k in flat])
-    with pytest.raises(RuntimeError, match="an edge leaves the rays"):
-        FAULT_CASES[case]()
-
-
 def _cone_over(facets):
     """The rows (b, -a) of the cone {(t, x) : b t - <a, x> >= 0} over the
     polytope {x : <a, x> <= b}."""
     return [[b] + [-x for x in a] for a, b in facets]
 
 
-# (rows, _certify calls with the rule, without it).  The apex of the square
-# pyramid and every cuboctahedron vertex lie on four facets in R^3, so their
-# tangent cones are certified by recursion unless the rule skips them.
+# (rows, _certify calls).  The apex of the square pyramid and every
+# cuboctahedron vertex lie on four facets in R^3, so their tangent cones are
+# enumerated, unless they lie on the face of row 0 and the rule skips them.
 SQUARE_PYRAMID_SIDES = [((1, 0, 1), 1), ((-1, 0, 1), 1), ((0, 1, 1), 1), ((0, -1, 1), 1)]
 CUBOCTAHEDRON_SQUARES = [(tuple(s * int(i == j) for j in range(3)), 1) for i in range(3) for s in (1, -1)]
 CUBOCTAHEDRON_TRIANGLES = [(s, 2) for s in itertools.product((1, -1), repeat=3)]
 FACE_CONES = {
-    # row 0 on the base: four rays on the face, the rule does not apply
-    "pyramid-base": (_cone_over([((0, 0, -1), 0)] + SQUARE_PYRAMID_SIDES), 2, 2),
-    # row 0 on a side: a certified triangle holding the apex
-    "pyramid-side": (_cone_over(SQUARE_PYRAMID_SIDES + [((0, 0, -1), 0)]), 1, 2),
-    # row 0 on a square: its four degenerate vertices still recurse
-    "cuboctahedron-square": (_cone_over(CUBOCTAHEDRON_SQUARES + CUBOCTAHEDRON_TRIANGLES), 13, 13),
-    # row 0 on a triangle: its three vertices are skipped
-    "cuboctahedron-triangle": (_cone_over(CUBOCTAHEDRON_TRIANGLES + CUBOCTAHEDRON_SQUARES), 10, 13),
+    # row 0 on the base: the apex lies off the face and recurses
+    "pyramid-base": (_cone_over([((0, 0, -1), 0)] + SQUARE_PYRAMID_SIDES), 2),
+    # row 0 on a side: the apex lies on the face and is skipped
+    "pyramid-side": (_cone_over(SQUARE_PYRAMID_SIDES + [((0, 0, -1), 0)]), 1),
+    # row 0 on a square: its four vertices are skipped, the other eight recurse
+    "cuboctahedron-square": (_cone_over(CUBOCTAHEDRON_SQUARES + CUBOCTAHEDRON_TRIANGLES), 9),
+    # row 0 on a triangle: its three vertices are skipped, the other nine recurse
+    "cuboctahedron-triangle": (_cone_over(CUBOCTAHEDRON_TRIANGLES + CUBOCTAHEDRON_SQUARES), 10),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FACE_CONES))
-def test_the_face_rule_fires_only_on_a_certified_simplicial_face(monkeypatch, name):
-    rows, with_rule, without = FACE_CONES[name]
+def test_the_face_rule_recurses_only_off_the_face_of_row_0(monkeypatch, name):
+    rows, count = FACE_CONES[name]
     calls = _certify_calls(monkeypatch)
     rays = extreme_rays(rows)
-    assert len(calls) == with_rule
     assert len(rays) == (5 if name.startswith("pyramid") else 12)
     assert all(v[0] == 1 for v, _ in rays)
-    calls.clear()
-    monkeypatch.setattr(polyhedra, "_simplicial_face", lambda *a: 0)
-    assert extreme_rays(rows) == rays
-    assert len(calls) == without
+    # one tangent cone at each degenerate ray off the face, none on it
+    assert len(calls) == count == 1 + sum(1 for _, z in rays if not z & 1 and z.bit_count() > 3)
 
 
-def test_simplicial_face_needs_every_condition():
-    # d = 4 and four rays: rows 0..3 hold rays {0, 1, 2}, {1, 2, 3}, {0, 2, 3}
-    # and {0, 1, 3}, so rows 1, 2 and 3 each cut one ray off the face of row 0
-    holders = {0: 0b0111, 1: 0b1110, 2: 0b1101, 3: 0b1011}
-    assert polyhedra._simplicial_face(4, range(4), holders, 4) == 0b0111
-    # no row cuts ray 2 off the face
-    assert polyhedra._simplicial_face(4, range(3), holders, 4) == 0
-    # no ray lies off the face
-    assert polyhedra._simplicial_face(4, range(4), holders, 3) == 0
-    # d - 2 or d rays on the face
-    assert polyhedra._simplicial_face(5, range(4), holders, 5) == 0
-    assert polyhedra._simplicial_face(3, range(4), holders, 4) == 0
+def test_certificate_rejects_a_lower_dimensional_cone():
+    # {x : x_0 = 0, x_1 >= 0} is pointed and its one ray is valid and extreme
+    with pytest.raises(RuntimeError, match="the rays do not span"):
+        polyhedra._certify([(1, 0), (-1, 0), (0, 1)], [(0, 1)], range(3), {})
+
+
+def test_a_zero_first_row_skips_no_edge_check():
+    # every ray lies on the face of a zero row 0, so none is skipped: three
+    # of the square cone's four rays span R^3 and still fail the certificate
+    rows = [[0, 0, 0], [1, 1, 0], [1, -1, 0], [2, 0, 2], [2, 0, -2]]
+    rays = [v for v, _ in polyhedra._double_description(rows)]
+    assert len(rays) == 4
+    with pytest.raises(RuntimeError):
+        polyhedra._certify(rows, rays[1:], range(5), {})
 
 
 def _l1_metric(seed, n, repeat):
@@ -516,23 +497,96 @@ SPAN_METRICS = {
     "l1-zero": lambda n: _l1_metric(350 + n, n, True),
 }
 RULE_SPANS = {f"{kind}-{n}": lambda make=make, n=n: tight_span_vertices(make(n))
-              for kind, make in SPAN_METRICS.items() for n in range(1, 9)}
+              for kind, make in SPAN_METRICS.items() for n in range(1, 11)}
 RULE_HULLS = {name: case for name, case in FAULT_CASES.items() if not name.startswith("span")}
+# sha256 of repr(output) under the simplicial face rule, whose outputs
+# matched the full edge check at every ray for every case up to 8 points;
+# the 9- and 10-point spans were computed under it with the size limit lifted
+RULE_OUTPUTS = {
+    "float-1": "fd8f7d7bf877f6fa89cc84645feaffb47b96ae52b75f279a996440e5c579d849",
+    "float-2": "6eac9c9bc927f4455e49c6055d55874fc901cbc091b697cbe7e6b3a266a43731",
+    "float-3": "fb5cf2c4e7313a062c37463d3e8bb762fb79649b50da86d2215b3c07dd0d3f5b",
+    "float-4": "768661df938e93ce9b0878fde62a7f35f66de5d841545b3c04caefd1534edf4e",
+    "float-5": "7cb1121be6adeea0241991cb1350bdc0b3008c715385d4f32d48cfaa1b6ce96b",
+    "float-6": "39a14698ee782497b9a144967e38fd40bfd69c5b9ad1c8a2d20ed3524d0e647d",
+    "float-7": "9b050962bf81cf7c2d5591e46e03129b0480e590435a2b9a3277bbef73195c13",
+    "float-8": "1de739b76fc72da0935d7a0aedb198191845385f8b4cb8956622d6b0a4a121cb",
+    "float-9": "aaa93ec22a6005fc0323d374e7a193f9c537337327404e69caaffd242371d2b7",
+    "float-10": "bd54deac3440ecb313bc48ef354043d00fde1cd14e5374a25b8fa281e79a97f5",
+    "float-zero-1": "fd8f7d7bf877f6fa89cc84645feaffb47b96ae52b75f279a996440e5c579d849",
+    "float-zero-2": "26819990c0153f8e0dfefed14fc4ce2286e8ec2d24404ff0fd8b048927c10c69",
+    "float-zero-3": "d2e0d08f7d12c6dcea0afda90f383e92a594ab9eb5779268032bdca6f96aa402",
+    "float-zero-4": "ef85edd29fe014fa717994fe425c6bcbb46fbaef8090f7de2458796b67a69b86",
+    "float-zero-5": "27b9bfd1b132f6d053268e8ee9de0cd4a511e8a6d0d000a6ac4e8bc1b52b009a",
+    "float-zero-6": "455331ed3efd80ca03a0d44b31007d09296a569c8bbe5fd860a2e06b018e4d43",
+    "float-zero-7": "fde4abe4603ba041e182e5a086588e1262677dc1848cbd50747b4274cc7eb43d",
+    "float-zero-8": "cca1cf9e1ad294a8fbd5dcbfee90003ac507adc110a0b0f12eafb3ad8b8bc160",
+    "float-zero-9": "56a98fc06f78a908f8831e7ea3512dbedf4ff03da722b351fd9101f20b13791a",
+    "float-zero-10": "10caa7460c6fa426ea13cd70de144626616f159f57b08855c5f49aaf44993b3d",
+    "l1-1": "fd8f7d7bf877f6fa89cc84645feaffb47b96ae52b75f279a996440e5c579d849",
+    "l1-2": "7472a4776d50021efe97b4fbc5925f15c531e6e780565298d9c37901c9d3e2b5",
+    "l1-3": "d288b74bf8960c7e80a84b576760ae5a35dbd3edf4177f503ac0a982a6d9ece1",
+    "l1-4": "9cba2c833bfaa5bb2f0c7f8e4e43c7d83db987e02adc15b0c2620189d56c31eb",
+    "l1-5": "e86cd496a3a6d760eb623b9901754cd4f8b03c8ff48d01228dae959642eae689",
+    "l1-6": "1f8df823b5c6438f83be9503796eeb2ec8165f02652746c1fb4380b3ace08455",
+    "l1-7": "35beecd66dae10148df74b14f2b58dd7ba0bc40d93a2aa42d0cf1f7a4ca2b028",
+    "l1-8": "87725216fd3fe9ba41a6055b333d4709b67c744ad8dda95a56e97f96b3bfedf1",
+    "l1-9": "74bc56b2d2cca0312cb1c4dc277d3b7c31714ad8bdb9a95f6e99aa2365e39683",
+    "l1-10": "dcf24968344894f4952f6f12d36220d36b8f241f9abc2fdd09230433fb95c70c",
+    "l1-zero-1": "fd8f7d7bf877f6fa89cc84645feaffb47b96ae52b75f279a996440e5c579d849",
+    "l1-zero-2": "26819990c0153f8e0dfefed14fc4ce2286e8ec2d24404ff0fd8b048927c10c69",
+    "l1-zero-3": "c4017e8085871d048cd4c344469b03aa560adf01bad927b0cc112dd01161480f",
+    "l1-zero-4": "2b865741525ef48ea2bfdf18016c4da67a85d190f1ace4abedeaaa06c1892dc3",
+    "l1-zero-5": "cfab9484a7d109c62088472bc74789d492ed376b98853ae8bb32b45a72581d1c",
+    "l1-zero-6": "a41b8fb55bfadd30e3636f0812b54dd214cbb5891cb540d05db233a58d397de1",
+    "l1-zero-7": "4acdd8516e2ce60baf862a2341006f95da57e7b445b454e78f7bf4d1dc75631b",
+    "l1-zero-8": "b1cada91446a0eb380fc324f35f294ad39e1ebb131ed24d21075cf553bc2d244",
+    "l1-zero-9": "108be0fe366e50b56c2f9a888cd3f08beeed7f33334c0f56067ad0a00401b416",
+    "l1-zero-10": "db8e7235a9ec0be91f284226ae75e4e9f617feb6386a6e217369b76cfab1a752",
+    "cube": "2fa748886701e7efd6e3733db2cf63cb0d118fff62e6edf078a1edb7ce03c4c4",
+    "facets-2d": "9a6facd5ffb00ac6d67b82ff63e6957ed6a9d304bc9a4b37f1d0491d5f95966a",
+    "facets-3d": "9e3b3cacbe24e29a1918fcb388e93a4e2223ac431514e350e055ed3324c050b4",
+    "facets-3d-filtered": "a1b204d34cdaa7cd66d006866985b7c93af99a8d3435c01091e432bf87540f26",
+    "facets-4d": "926eeddf05785a5808084d54f752400ddbdc36c63cb6997a79f884dd1d172291",
+    "grid-3x3x3": "f15eb078e7f29908734e5a4f9b08a4dafd44e26a5333a549179745cafc92cbec",
+    "vertices-3d": "c8af325614396384d69b3addd3d0d9c8b540bc71d2686eb9eceef23d65f3d40d",
+}
 
 
-@pytest.mark.parametrize("case", sorted(RULE_SPANS) + sorted(RULE_HULLS))
-def test_the_face_rule_changes_no_output(monkeypatch, case):
-    # with the rule off, _certify runs the full edge check at every ray
-    run = {**RULE_SPANS, **RULE_HULLS}[case]
-    outputs, faces = [], []
-    real, real_face = polyhedra.extreme_rays, polyhedra._simplicial_face
-    monkeypatch.setattr(polyhedra, "extreme_rays", lambda rows: outputs.append(real(rows)) or outputs[-1])
-    monkeypatch.setattr(polyhedra, "_simplicial_face", lambda *a: faces.append(real_face(*a)) or faces[-1])
-    result = run()
-    assert faces[0] or case in RULE_HULLS  # every span's recession face is skipped
-    monkeypatch.setattr(polyhedra, "_simplicial_face", lambda *a: 0)
-    assert run() == result
-    assert len(outputs) == 2 and outputs[0] == outputs[1]
+@pytest.mark.parametrize("case", sorted(RULE_OUTPUTS))
+def test_the_face_rule_changes_no_output(case):
+    out = {**RULE_SPANS, **RULE_HULLS}[case]()
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == RULE_OUTPUTS[case]
+
+
+DROP_CASES = {**FAULT_CASES, "span-l1-9": RULE_SPANS["l1-9"]}
+
+
+@pytest.mark.parametrize("case", ["cube", "facets-3d", "span-exact4", "span-float8", "span-l1-6",
+                                  "span-l1-9"])
+def test_certificate_rejects_every_dropped_recession_ray(monkeypatch, case):
+    # the rays on the face of row 0 are the recession rays of the polyhedron
+    # {x : rows x >= 0, row_0 x = 1}, the rays off it its vertices; without
+    # any one of them, on the face or off it, the certificate must fail
+    rays = []
+    _faulty_kernel(monkeypatch, lambda r: rays.extend(r) or r)
+    DROP_CASES[case]()
+    face = [k for k, (_, z) in enumerate(rays) if z & 1]  # none in facets-3d: point 0 is inner
+    assert len(face) < len(rays)
+    # every ray of the small cases; of the larger ones every face ray and a
+    # seeded sample of the vertex rays
+    off = [k for k in range(len(rays)) if k not in face]
+    drops = range(len(rays)) if len(rays) <= 40 else face + sorted(
+        helpers.rng_for(360).choice(off, 12, replace=False).tolist())
+    for k in drops:
+        _faulty_kernel(monkeypatch, lambda r: r[:k] + r[k + 1:])
+        with pytest.raises(RuntimeError, match="an edge leaves the rays"):
+            DROP_CASES[case]()
+    # the face alone, with no ray off it, does not span
+    if face:
+        _faulty_kernel(monkeypatch, lambda r: [r[k] for k in face])
+        with pytest.raises(RuntimeError, match="the rays do not span"):
+            DROP_CASES[case]()
 
 
 @pytest.mark.parametrize("case", ["span-float5", "span-float8"])

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from normspace import qlinalg, tightspan
+from normspace import polyhedra, qlinalg, tightspan
 from normspace import (
     FiniteMetric,
     InfeasibleScaleError,
@@ -295,46 +295,65 @@ def test_extremal_functions_are_lipschitz():
 
 
 def test_size_guard():
-    d = np.zeros((9, 9))
+    d = np.zeros((11, 11))
     with pytest.raises(InfeasibleScaleError):
         tight_span_vertices(FiniteMetric(d))
 
 
-def test_eight_point_tight_span():
-    # 8 points: every vertex is extremal and pinned by n tight pairs of full
-    # rank, every Kuratowski image is one, and the same distances read as
-    # floats give the same vertices
-    pts = helpers.rng_for(620).integers(-9, 10, size=(8, 3))
-    d = [[int(np.abs(a - b).sum()) for b in pts] for a in pts]
-    space = FiniteMetric(d)
+def l1_space(seed, k):
+    """Integer L1 distances of k seeded points of Z^3."""
+    pts = helpers.rng_for(seed).integers(-9, 10, size=(k, 3))
+    return FiniteMetric([[int(np.abs(a - b).sum()) for b in pts] for a in pts])
+
+
+def assert_large_span(space, perm):
+    """The vertices of a span, checked: each is extremal and pinned by n
+    tight pairs of full rank, each Kuratowski image is one, the other reading
+    of the distances (floats for integers, Fractions for floats) gives the
+    same vertices, and relabelling the points by perm permutes them."""
+    n, d = space.n, space.rows
     verts = tight_span_vertices(space)
     for f in verts:
         assert is_extremal(f, space)
-        tight = [[(k == i) + (k == j) for k in range(8)]
-                 for i in range(8) for j in range(i, 8) if f[i] + f[j] == d[i][j]]
-        assert helpers.gauss_jordan(tight)[2] == 8
+        tight = [[(k == i) + (k == j) for k in range(n)]
+                 for i in range(n) for j in range(i, n) if f[i] + f[j] == d[i][j]]
+        assert helpers.gauss_jordan(tight)[2] == n
     assert all(e in verts for e in kuratowski_embed(space))
+    other = FiniteMetric([[float(x) for x in r] for r in d] if space.exact else d)
+    assert other.exact != space.exact and tight_span_vertices(other) == verts
+    moved = FiniteMetric([[d[i][j] for j in perm] for i in perm])
+    assert tight_span_vertices(moved) == sorted([f[i] for i in perm] for f in verts)
+    return verts
+
+
+def test_eight_point_tight_span():
+    verts = assert_large_span(l1_space(620, 8), [3, 7, 0, 5, 1, 6, 2, 4])
     assert len(verts) > 8
-    assert tight_span_vertices(FiniteMetric([[float(x) for x in r] for r in d])) == verts
 
 
 def test_eight_point_float_body_span():
-    # 8 SPD bodies under the float GI distance: a generic span, every vertex
-    # extremal and pinned by n tight pairs of full rank, every Kuratowski
-    # image a vertex, and a relabelling of the points permutes the vertices
-    space = random_spd_metric(helpers.rng_for(621), 8)
-    d = space.rows
-    verts = tight_span_vertices(space)
+    # 8 SPD bodies under the float GI distance: a generic span
+    verts = assert_large_span(random_spd_metric(helpers.rng_for(621), 8), [3, 7, 0, 5, 1, 6, 2, 4])
     assert len(verts) == 128
-    for f in verts:
-        assert is_extremal(f, space)
-        tight = [[(k == i) + (k == j) for k in range(8)]
-                 for i in range(8) for j in range(i, 8) if f[i] + f[j] == d[i][j]]
-        assert helpers.gauss_jordan(tight)[2] == 8
-    assert all(e in verts for e in kuratowski_embed(space))
-    perm = [3, 7, 0, 5, 1, 6, 2, 4]
-    moved = FiniteMetric([[d[i][j] for j in perm] for i in perm])
-    assert tight_span_vertices(moved) == sorted([f[i] for i in perm] for f in verts)
+
+
+@pytest.mark.parametrize("kind", ["integer", "float"])
+@pytest.mark.parametrize("n", [9, 10])
+def test_nine_and_ten_point_tight_spans(n, kind):
+    space = (l1_space(620 + n, n) if kind == "integer"
+             else random_euclidean_metric(helpers.rng_for(630 + n), n))
+    verts = assert_large_span(space, list(range(n))[::-1])
+    assert len(verts) > n
+
+
+def test_an_eight_point_span_certifies_in_few_tangent_cones(monkeypatch):
+    # the metric of test_eight_point_tight_span has degenerate vertices, each
+    # certified through a tangent cone: 92 calls in all
+    calls = []
+    real = polyhedra._certify
+    monkeypatch.setattr(polyhedra, "_certify", lambda *a: calls.append(1) or real(*a))
+    tight_span_vertices(l1_space(620, 8))
+    assert len(calls) <= 100
 
 
 def test_extremal_radii_feed_the_intersection_witness():

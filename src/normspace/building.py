@@ -11,9 +11,14 @@ JSON of a neighbour are all computed on integers: a neighbour builds its
 Fraction norm only when something reads it, and a ball reads none.  The
 neighbours of every vertex come from one cached list per (n, p) of the
 integer Hermite forms between p^2 Z^n and Z^n, listed directly by diagonal
-and reduced entries.  Neighbours themselves are not cached: each call builds
-them from the basis of the vertex it is given, so a result depends only on
-its arguments, never on earlier calls about the same lattice in another basis.
+and reduced entries.  A ball decides whether a child is new in its
+center's frame, where a vertex is the product of the forms on its BFS path
+and its Hermite form needs no pivot search, and builds the basis and key of
+new children only; its size is checked against Birkhoff's count of the
+submodules of (Z/p^{2r})^n.  Neighbours themselves are not cached: each
+call builds them from the basis of the vertex it is given, so a result
+depends only on its arguments, never on earlier calls about the same
+lattice in another basis.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -73,14 +79,22 @@ def _hermite(cols, p):
     mod = p ** sum(exps)
     for j, col in enumerate(placed):
         t = pow(col[j] // p ** exps[j], -1, mod)
-        col[:] = [t * x % mod for x in col]
+        col = [t * x % mod for x in col]
         col[j] = p ** exps[j]
-        for i in range(j - 1, -1, -1):  # columns i < j are already in final form
-            q = col[i] // placed[i][i]
-            if q:
-                for r in range(i + 1):
-                    col[r] -= q * placed[i][r]
+        placed[j] = _reduce(col, placed[:j])  # columns i < j are already in final form
     return placed
+
+
+def _reduce(col, done):
+    """col with each entry i < len(done) taken into [0, done[i][i]) by
+    subtracting multiples of the column done[i], bottom up: the last stage of
+    a Hermite form whose columns done are final."""
+    for i in range(len(done) - 1, -1, -1):
+        o = done[i]
+        q = col[i] // o[i]
+        if q:
+            col = [x - q * y for x, y in zip(col, o)]
+    return col
 
 
 def _lattice_key(p, rows, s):
@@ -231,88 +245,194 @@ def _standard_forms(n, p):
     return forms
 
 
-def neighbors(vertex):
-    """All vertices at Goldman-Iwahori distance exactly 1.
+def _frame_form(b, form):
+    """The Hermite form of b·form, for integer Hermite forms b and form (columns).
+
+    Both are upper triangular with p-power diagonals, so their product is
+    too: its Hermite form reduces each column by the earlier, already reduced
+    ones (`_reduce`), with no pivot search.
+    """
+    out = []
+    for fc in form:
+        col = None  # the columns of b that fc combines, fc[j] != 0 among them
+        for bk, f in zip(b, fc):
+            if not f:
+                continue
+            if col is None:
+                col = bk if f == 1 else [x * f for x in bk]
+            else:
+                col = [x + y * f for x, y in zip(col, bk)]
+        out.append(tuple(_reduce(col, out)))
+    return tuple(out)
+
+
+def neighbors(vertex, frame=None):
+    """All vertices at Goldman-Iwahori distance exactly 1, in key order.
 
     These are the lattices L' with pL ⊆ L' ⊆ p^{-1}L other than L itself,
     one per listed form p H_s (see _standard_forms).  With W = W_int / D the
     lattice basis of L, neighbour s has basis W H_s = W_int (p H_s) / (D p):
     it is keyed from those integers, and its norm is built only when read.
     Uncached: the neighbour bases always come from this vertex's own basis.
+
+    `frame` = (b, seen) is how `ball_bfs` keys children in its center's
+    frame, b being this vertex's form there: each form is keyed
+    by `_frame_form(b, form)`, only the forms whose key is not in `seen`
+    make children (their keys join `seen`, and the self test is left to the
+    caller), and the result is the (child, frame key) pairs, in key order.
     """
     n, p = vertex.dim, vertex.ctx.p
     _check_scale(n, p)
+    forms = _standard_forms(n, p)
+    if frame is None:
+        self_key, tagged = vertex.canonical_key, [(form, None) for form in forms]
+    else:
+        b, seen = frame
+        self_key, tagged = None, []
+        for form in forms:
+            key = _frame_form(b, form)
+            if key not in seen:
+                seen.add(key)
+                tagged.append((form, key))
     w_cols, den = vertex.lattice_ints()
     w_rows = list(zip(*w_cols))
     exp = pval_int(den * p, p)
-    self_key = vertex.canonical_key
     out = []
-    for form in _standard_forms(n, p):
-        cols = [[sum(x * y for x, y in zip(wr, hc)) for wr in w_rows] for hc in form]
+    for form, tag in tagged:
+        cols = [[sum(map(operator.mul, wr, hc)) for wr in w_rows] for hc in form]
         rows = tuple(zip(*_hermite(cols, p)))
         key = _lattice_key(p, rows, exp)
         if key != self_key:
-            out.append((rows, LatticeVertex._lazy(key, vertex.ctx, cols, den * p)))
+            out.append((rows, LatticeVertex._lazy(key, vertex.ctx, cols, den * p), tag))
     # distinct forms give distinct lattices, and all rows share the exponent
     # exp, so this is the keys' rational order (_key_order)
     out.sort(key=lambda e: e[0])
-    return tuple(v for _, v in out)
+    return tuple(v if frame is None else (v, tag) for _, v, tag in out)
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _det_minors(x):
+    """(det X, gcd of the (n-1)-minors of X) for a square integer matrix X, n <= 3.
+
+    The minors are the entries of adj(X): 1 at n = 1, X's own entries at
+    n = 2, and the cross products of pairs of rows at n = 3.
+    """
+    if len(x) == 1:
+        return x[0][0], 1
+    if len(x) == 2:
+        (a, b), (c, d) = x
+        return a * d - b * c, math.gcd(a, b, c, d)
+    r0, r1, r2 = x
+    cof = _cross(r1, r2)
+    return sum(map(operator.mul, r0, cof)), math.gcd(*cof, *_cross(r2, r0), *_cross(r0, r1))
 
 
 def _distance_from(center):
-    """V -> the exact Goldman-Iwahori distance d(center, V), on integers.
+    """V -> the exact Goldman-Iwahori distance d(center, V), on integers, n <= 3.
 
     With lattice bases C = C_int / c, V = V_int / e and Bareiss giving
-    M_C = d_C C_int^{-1} and M_V C_int = d_V V_int^{-1} C_int, the distance is
-    the larger -v_p of C^{-1}V = c M_C V_int / (d_C e) and V^{-1}C =
-    e M_V C_int / (d_V c); v_p of a matrix is v_p of the gcd of its entries.
+    M_C = d_C C_int^{-1}, let X = M_C V_int.  Then C^{-1}V = c X / (d_C e)
+    and V^{-1}C = e d_C adj(X) / (c det X), and the distance is the larger
+    of their -v_p; v_p of a matrix is v_p of the gcd of its entries, and
+    adj(X) has the (n-1)-minors of X as entries (`_det_minors`).  One
+    product per vertex and no elimination past the center's.
     """
     p = center.ctx.p
     c_cols, c = center.lattice_ints()
     n = len(c_cols)
-    c_rows = list(zip(*c_cols))
     d_c, out = qlinalg.bareiss([list(r) + [int(i == j) for j in range(n)]
-                                for i, r in enumerate(c_rows)])
+                                for i, r in enumerate(zip(*c_cols))])
     m_c = [r[n:] for r in out]
-    v_c, v_dc = pval_int(c, p), pval_int(d_c, p)
+    shift = pval_int(d_c, p) - pval_int(c, p)
 
     def dist(vertex):
         cols, e = vertex.lattice_ints()
-        g = math.gcd(*(sum(x * y for x, y in zip(row, col)) for row in m_c for col in cols))
-        d_v, out = qlinalg.bareiss([list(r) + list(s) for r, s in zip(zip(*cols), c_rows)])
-        h = math.gcd(*(x for r in out for x in r[n:]))
+        x = [[sum(map(operator.mul, row, col)) for col in cols] for row in m_c]
+        det, h = _det_minors(x)
         v_e = pval_int(e, p)
-        return max(v_dc - v_c + v_e - pval_int(g, p), pval_int(d_v, p) - v_e + v_c - pval_int(h, p))
+        g = math.gcd(*itertools.chain.from_iterable(x))
+        return max(shift + v_e - pval_int(g, p), pval_int(det, p) - pval_int(h, p) - v_e - shift)
 
     return dist
+
+
+@functools.cache
+def ball_size(n, p, radius):
+    """|B(L, radius)| in the thickening graph of GL(n, Q_p), for any vertex L.
+
+    The ball is the lattices L' with p^r L ⊆ L' ⊆ p^{-r} L, i.e. the
+    submodules of (Z/p^{2r})^n.  Birkhoff's count (Birkhoff 1935; Butler
+    1994) sums, over the partitions mu with at most n parts each at most 2r,
+    prod_{i=1}^{2r} p^{mu'_{i+1} (n - mu'_i)} [n - mu'_{i+1} choose
+    mu'_i - mu'_{i+1}]_p, with mu' the conjugate partition (n >= mu'_1 >= ...
+    >= mu'_{2r} >= 0) and mu'_{2r+1} = 0.
+    """
+    def gauss(m, k):  # [m choose k]_p, the k-dimensional subspaces of F_p^m
+        return (math.prod(p ** (m - i) - 1 for i in range(k))
+                // math.prod(p ** i - 1 for i in range(1, k + 1)))
+
+    return sum(math.prod(p ** (b * (n - a)) * gauss(n - b, a - b)
+                         for a, b in zip(mu, mu[1:] + (0,)))
+               for mu in itertools.combinations_with_replacement(range(n, -1, -1), 2 * radius))
 
 
 def ball_bfs(center, radius):
     """BFS ball in the thickening graph, certified against the exact metric.
 
-    Every vertex found has its BFS depth checked against its exact distance
-    to the center, on integers (`_distance_from`); a mismatch is fatal.
-    Returns {canonical_key: (vertex, depth)}.
+    A vertex at depth k has basis W B / (D p^k), W = W_int / D the center's
+    basis and B the product of the forms on its BFS path, so its lattice is
+    keyed in the center's frame by the Hermite form of p^{r-k} B (r the
+    radius; at depth 1 it is the form itself, scaled): the child of a vertex
+    whose key is p b by a form is keyed by `_frame_form(b, form)`, and
+    `neighbors` builds, keys (one `_hermite`) and sorts only the children
+    whose frame key is new, so a ball runs one `_hermite` per vertex.  A
+    frame key that is new for a printed key already found is fatal.  Then
+    every vertex but the center has its BFS depth checked against its exact
+    distance to the center, on integers (`_distance_from`), and each
+    sphere's size against Birkhoff's count (`ball_size`); a mismatch is
+    fatal.  Returns {canonical_key: (vertex, depth)}.
     """
     if radius < 0:
         raise UsageError("radius must be nonnegative")
+    n, p = center.dim, center.ctx.p
+
+    def scalar(s):
+        return tuple(tuple(s * (i == j) for i in range(n)) for j in range(n))
+
     found = {center.canonical_key: (center, 0)}
-    frontier = [center]
+    seen = {scalar(p ** radius)}  # frame keys: Hermite forms of p^{r-k} B
+    # b = p^{r-k-1} B: a frame key divided by p, integral while k < r
+    frontier = [(center, scalar(p ** radius // p))]
     for depth in range(1, radius + 1):
         nxt = []
-        for v in frontier:
-            for u in neighbors(v):
+        for v, b in frontier:
+            for u, key in neighbors(v, (b, seen)):
                 k = u.canonical_key
-                if k not in found:
-                    found[k] = (u, depth)
-                    nxt.append(u)
+                if k in found:
+                    raise RuntimeError(f"a new frame key for the known vertex {u.key_string}")
+                found[k] = (u, depth)
+                if depth < radius:
+                    nxt.append((u, tuple(tuple(x // p for x in col) for col in key)))
         frontier = nxt
-    dist = _distance_from(center)
-    for v, depth in found.values():
-        if dist(v) != depth:
+    if radius:  # the center is at depth 0 identically; others exist only for n <= 3
+        dist = _distance_from(center)
+        for v, depth in itertools.islice(found.values(), 1, None):
+            if dist(v) != depth:
+                raise RuntimeError(
+                    "BFS depth disagrees with the metric at "
+                    f"{v.key_string}: depth {depth}"
+                )
+    spheres = [0] * (radius + 1)
+    for _, depth in found.values():
+        spheres[depth] += 1
+    for depth, size in enumerate(spheres):
+        want = ball_size(n, p, depth) - (ball_size(n, p, depth - 1) if depth else 0)
+        if size != want:
             raise RuntimeError(
-                "BFS depth disagrees with the metric at "
-                f"{v.key_string}: depth {depth}"
+                f"the sphere of radius {depth} has {size} vertices, Birkhoff's count {want}"
             )
     return found
 

@@ -229,11 +229,16 @@ def extreme_rays(rows):
     """Primitive integer extreme rays of {x : rows x >= 0}, each with its
     zero set (bit i set when row i vanishes at the ray), certified by
     `_certify`; None when the rows do not span R^d.  The cone must be
-    full-dimensional; the integer rows must all have length d."""
-    rays = _double_description(rows)
+    full-dimensional; the integer rows must all have length d.  Zero rows
+    constrain nothing: they are left out of the enumeration and the
+    certificate, and their bits are set in every zero set."""
+    ids = [i for i, row in enumerate(rows) if any(row)]
+    zero = sum(1 << i for i, row in enumerate(rows) if not any(row))
+    rows = [rows[i] for i in ids]
+    rays = _double_description(rows) if rows else None
     if rays is None:
         return None
-    return _certify(rows, [v for v, _ in rays], range(len(rows)), {})
+    return [(v, z | zero) for v, z in _certify(rows, [v for v, _ in rays], ids, {})]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ brute-force log-sup ratios, the Fraction Hermite form and
 Fraction distances, submodule closures, entrywise adapted-basis and
 lattice-equality tests, loop-structured float kernels, exact closure sweeps,
 the Fraction tight-pair solve, the Fraction and Bareiss pair-set filters
-and the subset-search tight span, brute-force cube isometries, signed
+and the subset-search tight span, the per-vertex ball BFS with its Bareiss
+depth audit, brute-force cube isometries, signed
 permutation matrices and inverses, hulls in any dimension, the
 tangent-polytope witness of a body ball family)
 deliberately do not share code with the library paths they check.
@@ -22,7 +23,7 @@ import numpy as np
 from normspace import (DiagNorm, InfeasibleScaleError, SignedPerm, UsageError,
                        eval_log_norm, is_admissible, is_extremal, qlinalg)
 from normspace import bodies
-from normspace.building import _hermite
+from normspace.building import _hermite, neighbors
 from normspace.valued import pval, pval_int
 
 
@@ -408,6 +409,55 @@ def vertices_equal(u, v):
                 if x != 0 and pval(x, p) < 0:
                     return False
     return True
+
+
+def distance_from_oracle(center):
+    """V -> d(center, V) on integers, by one Bareiss pass per vertex.
+
+    With lattice bases C = C_int / c, V = V_int / e and Bareiss giving
+    M_C = d_C C_int^{-1} and M_V C_int = d_V V_int^{-1} C_int, the distance
+    is the larger -v_p of C^{-1}V = c M_C V_int / (d_C e) and
+    V^{-1}C = e M_V C_int / (d_V c).
+    """
+    p = center.ctx.p
+    c_cols, c = center.lattice_ints()
+    n = len(c_cols)
+    c_rows = list(zip(*c_cols))
+    d_c, out = qlinalg.bareiss([list(r) + [int(i == j) for j in range(n)]
+                                for i, r in enumerate(c_rows)])
+    m_c = [r[n:] for r in out]
+    v_c, v_dc = pval_int(c, p), pval_int(d_c, p)
+
+    def dist(vertex):
+        cols, e = vertex.lattice_ints()
+        g = math.gcd(*(sum(x * y for x, y in zip(row, col)) for row in m_c for col in cols))
+        d_v, out = qlinalg.bareiss([list(r) + list(s) for r, s in zip(zip(*cols), c_rows)])
+        h = math.gcd(*(x for r in out for x in r[n:]))
+        v_e = pval_int(e, p)
+        return max(v_dc - v_c + v_e - pval_int(g, p), pval_int(d_v, p) - v_e + v_c - pval_int(h, p))
+
+    return dist
+
+
+def ball_bfs_oracle(center, radius):
+    """The thickening-graph ball by BFS over every vertex's full `neighbors`
+    list, keyed by each child's own Hermite form, with the Bareiss depth
+    audit; {canonical_key: (vertex, depth)} in discovery order."""
+    found = {center.canonical_key: (center, 0)}
+    frontier = [center]
+    for depth in range(1, radius + 1):
+        nxt = []
+        for v in frontier:
+            for u in neighbors(v):
+                if u.canonical_key not in found:
+                    found[u.canonical_key] = (u, depth)
+                    nxt.append(u)
+        frontier = nxt
+    dist = distance_from_oracle(center)
+    for v, depth in found.values():
+        if dist(v) != depth:
+            raise RuntimeError(f"BFS depth disagrees with the metric at {v.key_string}")
+    return found
 
 
 def _extend_subgroup(elems, gen, p2, n):

@@ -345,3 +345,125 @@ def test_the_depth_audit_is_live(monkeypatch, capsys):
     assert code == 4 and captured.out == ""
     doc = json.loads(captured.err)
     assert doc["error"] == "internal" and "BFS depth disagrees" in doc["message"]
+
+
+# Birkhoff's count of the submodules of (Z/p^{2r})^n, as (n, p, r) -> size
+BALL_COUNTS = {(1, 2, 1): 3, (2, 2, 1): 15, (2, 3, 1): 23, (2, 2, 2): 83, (3, 2, 1): 129,
+               (2, 3, 2): 237, (3, 3, 1): 445, (3, 5, 1): 2607, (4, 2, 1): 1983,
+               (3, 2, 2): 4387, (3, 3, 2): 67969}
+
+
+def test_ball_size_table():
+    assert {k: building.ball_size(*k) for k in BALL_COUNTS} == BALL_COUNTS
+    assert [building.ball_size(n, p, 0) for n, p in ((1, 2), (4, 5))] == [1, 1]
+    # ball(1) is the center and its neighbours, one per standard form
+    for n, p in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)):
+        assert building.ball_size(n, p, 1) == len(_standard_forms(n, p))
+
+
+@pytest.mark.parametrize("n, p, r", [(1, 2, 5), (1, 3, 3), (2, 2, 3), (2, 3, 2), (3, 2, 1)])
+def test_ball_size_matches_the_bfs(n, p, r):
+    ball = ball_bfs(random_vertex(31 + n + p + r, 2, PAdicContext(p), n), r)
+    for k in range(r + 1):
+        assert sum(d <= k for _, d in ball.values()) == building.ball_size(n, p, k)
+
+
+def test_the_count_audit_is_live(monkeypatch, capsys):
+    """A neighbour form gone missing leaves every depth right but a sphere
+    short: the count raises, and the CLI exits 4."""
+    forms = building._standard_forms
+    monkeypatch.setattr(building, "_standard_forms", lambda n, p: forms(n, p)[:-1])
+    with pytest.raises(RuntimeError, match="the sphere of radius 1 has 13 vertices, Birkhoff's count 14"):
+        ball_bfs(STD2, 1)
+    code = main(["ball", "--center", json.dumps(STD2.to_json()), "--radius", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["error"] == "internal" and "Birkhoff's count 14" in doc["message"]
+
+
+def test_a_frame_key_that_merges_lattices_exits_4(monkeypatch, capsys):
+    """Forgetting the corner entry of the frame key merges lattices that
+    differ only there: the ball comes out short, and the count catches it."""
+    frame_form = building._frame_form
+
+    def merging(b, form):
+        key = [list(col) for col in frame_form(b, form)]
+        key[-1][0] = 0
+        return tuple(map(tuple, key))
+
+    monkeypatch.setattr(building, "_frame_form", merging)
+    center = random_vertex(41, 2, P3, 2)
+    code = main(["ball", "--center", json.dumps(center.to_json()), "--radius", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["error"] == "internal" and "Birkhoff's count 22" in doc["message"]
+
+
+def test_a_frame_key_that_splits_a_lattice_is_fatal(monkeypatch):
+    """A frame key that also names its form gives the center a second key,
+    which meets the center's printed key again."""
+    frame_form = building._frame_form
+    monkeypatch.setattr(building, "_frame_form",
+                        lambda b, form: frame_form(b, form) + (tuple(map(tuple, form)),))
+    with pytest.raises(RuntimeError, match="a new frame key for the known vertex p2:1,0;0,1"):
+        ball_bfs(STD2, 1)
+
+
+@pytest.mark.parametrize("n, p, r", [(1, 3, 4), (2, 2, 3), (2, 3, 2), (3, 2, 1), (3, 3, 1), (3, 2, 2)])
+def test_ball_bfs_matches_the_per_vertex_oracle(n, p, r):
+    obj = random_vertex(600 + 10 * n + p, 2, PAdicContext(p), n).to_json()
+    ball = ball_bfs(LatticeVertex.from_json(obj), r)
+    oracle = helpers.ball_bfs_oracle(LatticeVertex.from_json(obj), r)
+    assert list(ball) == list(oracle)  # keys in insertion order
+    assert [d for _, d in ball.values()] == [d for _, d in oracle.values()]
+    assert ([json.dumps(v.to_json()) for v, _ in ball.values()]
+            == [json.dumps(v.to_json()) for v, _ in oracle.values()])
+
+
+@pytest.mark.parametrize("n, p, r", [(2, 2, 2), (2, 3, 2), (3, 2, 1), (3, 2, 2)])
+def test_one_hermite_form_per_ball_vertex(monkeypatch, n, p, r):
+    _standard_forms(n, p)  # the forms are cached before counting
+    calls = []
+    hermite = building._hermite
+    monkeypatch.setattr(building, "_hermite", lambda cols, q: calls.append(1) or hermite(cols, q))
+    obj = random_vertex(77, 2, PAdicContext(p), n).to_json()
+    ball = ball_bfs(LatticeVertex.from_json(obj), r)
+    assert len(calls) == len(ball) == building.ball_size(n, p, r)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_distance_from_agrees_with_the_oracle_and_gi_distance(n):
+    rng = helpers.rng_for(900 + n)
+    for p in (2, 3, 5):
+        ctx = PAdicContext(p)
+        centers = [random_vertex(40 + n, 2, ctx, n),
+                   LatticeVertex(helpers.random_diag_norm(rng, ctx, n, integer_weights=True))]
+        others = [random_vertex(s, 3, ctx, n) for s in range(6)] + [
+            LatticeVertex(helpers.random_diag_norm(rng, ctx, n, integer_weights=True))
+            for _ in range(6)]
+        for c in centers:
+            dist, oracle = building._distance_from(c), helpers.distance_from_oracle(c)
+            for v in others + centers:
+                assert dist(v) == oracle(v) == gi_distance(c.norm, v.norm)
+
+
+@pytest.mark.parametrize("center, expected", [
+    ({"p": 2, "basis": [["2", "1", "0", "0"], ["0", "1/3", "0", "0"], ["0", "0", "1", "5"],
+                        ["0", "0", "0", "4"]], "weights": ["1", "0", "-1", "2"]},
+     '{"count":1,"schema_version":1,"vertices":[{"depth":0,'
+     '"key":"p2:4,0,0,0;0,1,0,0;0,0,16,13/2;0,0,0,1/2","norm":{"basis":[["2","1","0","0"],'
+     '["0","1/3","0","0"],["0","0","1","5"],["0","0","0","4"]],"p":2,'
+     '"weights":["1","0","-1","2"]}}]}\n'),
+    ({"p": 5, "basis": [["1/5", "2"], ["0", "3"]], "weights": ["2", "-1"]},
+     '{"count":1,"schema_version":1,"vertices":[{"depth":0,"key":"p5:5,0;0,1/5",'
+     '"norm":{"basis":[["1/5","2"],["0","3"]],"p":5,"weights":["2","-1"]}}]}\n'),
+], ids=["n4", "p5"])
+def test_a_radius_zero_ball_runs_beyond_the_enumeration_bounds(capsys, center, expected):
+    """Only the center, which needs no neighbour and no audit: n = 4 and
+    p = 5 print it, though a radius-1 ball there is refused."""
+    assert main(["ball", "--center", json.dumps(center), "--radius", "0"]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["ball", "--center", json.dumps(center), "--radius", "1"]) == 3
+    capsys.readouterr()

@@ -596,3 +596,18 @@ def test_generic_float_spans_certify_without_recursion(monkeypatch, case):
     calls = _certify_calls(monkeypatch)
     FAULT_CASES[case]()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("at", [0, 2])
+def test_extreme_rays_ignore_a_zero_row(at):
+    # the square cone with a zero row put in at index `at`: the same rays,
+    # and the zero row's bit set in every zero set
+    square = [[1, 1, 0], [1, -1, 0], [2, 0, 2], [2, 0, -2]]
+    rows = square[:at] + [[0, 0, 0]] + square[at:]
+
+    def spread(z):  # a zero set over `square` as one over `rows`
+        return sum(1 << (i + (i >= at)) for i in range(4) if z >> i & 1) | 1 << at
+
+    assert extreme_rays(rows) == [(v, spread(z)) for v, z in extreme_rays(square)]
+    assert extreme_rays([[0, 0, 0]] + rows) is not None
+    assert extreme_rays([[0, 0], [0, 0]]) is None

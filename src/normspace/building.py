@@ -12,13 +12,13 @@ Fraction norm only when something reads it, and a ball reads none.  The
 neighbours of every vertex come from one cached list per (n, p) of the
 integer Hermite forms between p^2 Z^n and Z^n, listed directly by diagonal
 and reduced entries.  A ball decides whether a child is new in its
-center's frame, where a vertex is the product of the forms on its BFS path
-and its Hermite form needs no pivot search, and builds the basis and key of
-new children only; its size is checked against Birkhoff's count of the
-submodules of (Z/p^{2r})^n.  Neighbours themselves are not cached: each
-call builds them from the basis of the vertex it is given, so a result
-depends only on its arguments, never on earlier calls about the same
-lattice in another basis.
+center's frame, where a vertex is the unreduced product of the forms on its
+BFS path and its Hermite form needs no pivot search, and builds the basis
+and key of new children only; its size is checked against Birkhoff's
+count of the submodules of (Z/p^{2r})^n.  Neighbours themselves are not
+cached: each call builds them from the basis of the vertex it is given, so
+a result depends only on its arguments, never on earlier calls about the
+same lattice in another basis.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ def _ratio_text(x, den):
 class LatticeVertex:
     """A norm with integer weights, canonicalized as a Z_(p)-lattice.
 
-    A vertex made by `neighbors` holds only its key and integer lattice
-    basis; its norm is built the first time it is read.
+    A vertex made by `neighbors` or `ball_bfs` holds only its key and
+    integer lattice basis; its norm is built the first time it is read.
     """
 
     __slots__ = ("_norm", "_key", "_ctx", "_lattice")
@@ -245,14 +245,14 @@ def _standard_forms(n, p):
     return forms
 
 
-def _frame_form(b, form):
-    """The Hermite form of b·form, for integer Hermite forms b and form (columns).
+def _frame_product(b, form):
+    """(b·form, its Hermite form) for integer column lists b and form.
 
     Both are upper triangular with p-power diagonals, so their product is
     too: its Hermite form reduces each column by the earlier, already reduced
-    ones (`_reduce`), with no pivot search.
+    ones (`_reduce`), with no pivot search.  b need not be reduced itself.
     """
-    out = []
+    raw, key = [], []
     for fc in form:
         col = None  # the columns of b that fc combines, fc[j] != 0 among them
         for bk, f in zip(b, fc):
@@ -262,38 +262,19 @@ def _frame_form(b, form):
                 col = bk if f == 1 else [x * f for x in bk]
             else:
                 col = [x + y * f for x, y in zip(col, bk)]
-        out.append(tuple(_reduce(col, out)))
-    return tuple(out)
+        raw.append(col)
+        key.append(tuple(_reduce(col, key)))
+    return raw, tuple(key)
 
 
-def neighbors(vertex, frame=None):
-    """All vertices at Goldman-Iwahori distance exactly 1, in key order.
+def _children(vertex, tagged):
+    """(child, tag) for each (form, tag) in tagged, in key order.
 
-    These are the lattices L' with pL ⊆ L' ⊆ p^{-1}L other than L itself,
-    one per listed form p H_s (see _standard_forms).  With W = W_int / D the
-    lattice basis of L, neighbour s has basis W H_s = W_int (p H_s) / (D p):
-    it is keyed from those integers, and its norm is built only when read.
-    Uncached: the neighbour bases always come from this vertex's own basis.
-
-    `frame` = (b, seen) is how `ball_bfs` keys children in its center's
-    frame, b being this vertex's form there: each form is keyed
-    by `_frame_form(b, form)`, only the forms whose key is not in `seen`
-    make children (their keys join `seen`, and the self test is left to the
-    caller), and the result is the (child, frame key) pairs, in key order.
+    With W = W_int / D the lattice basis of vertex, the child of form p H_s
+    has basis W H_s = W_int (p H_s) / (D p): it is keyed from those integers,
+    and its norm is built only when read.
     """
-    n, p = vertex.dim, vertex.ctx.p
-    _check_scale(n, p)
-    forms = _standard_forms(n, p)
-    if frame is None:
-        self_key, tagged = vertex.canonical_key, [(form, None) for form in forms]
-    else:
-        b, seen = frame
-        self_key, tagged = None, []
-        for form in forms:
-            key = _frame_form(b, form)
-            if key not in seen:
-                seen.add(key)
-                tagged.append((form, key))
+    p = vertex.ctx.p
     w_cols, den = vertex.lattice_ints()
     w_rows = list(zip(*w_cols))
     exp = pval_int(den * p, p)
@@ -302,12 +283,25 @@ def neighbors(vertex, frame=None):
         cols = [[sum(map(operator.mul, wr, hc)) for wr in w_rows] for hc in form]
         rows = tuple(zip(*_hermite(cols, p)))
         key = _lattice_key(p, rows, exp)
-        if key != self_key:
-            out.append((rows, LatticeVertex._lazy(key, vertex.ctx, cols, den * p), tag))
+        out.append((rows, LatticeVertex._lazy(key, vertex.ctx, cols, den * p), tag))
     # distinct forms give distinct lattices, and all rows share the exponent
     # exp, so this is the keys' rational order (_key_order)
     out.sort(key=lambda e: e[0])
-    return tuple(v if frame is None else (v, tag) for _, v, tag in out)
+    return [(v, tag) for _, v, tag in out]
+
+
+def neighbors(vertex):
+    """All vertices at Goldman-Iwahori distance exactly 1, in key order.
+
+    These are the lattices L' with pL ⊆ L' ⊆ p^{-1}L other than L itself,
+    one per listed form p H_s (see _standard_forms), built by `_children`.
+    Uncached: the neighbour bases always come from this vertex's own basis.
+    """
+    n, p = vertex.dim, vertex.ctx.p
+    _check_scale(n, p)
+    self_key = vertex.canonical_key
+    return tuple(u for u, _ in _children(vertex, [(form, None) for form in _standard_forms(n, p)])
+                 if u.canonical_key != self_key)
 
 
 def _cross(a, b):
@@ -383,39 +377,47 @@ def ball_bfs(center, radius):
     """BFS ball in the thickening graph, certified against the exact metric.
 
     A vertex at depth k has basis W B / (D p^k), W = W_int / D the center's
-    basis and B the product of the forms on its BFS path, so its lattice is
-    keyed in the center's frame by the Hermite form of p^{r-k} B (r the
-    radius; at depth 1 it is the form itself, scaled): the child of a vertex
-    whose key is p b by a form is keyed by `_frame_form(b, form)`, and
-    `neighbors` builds, keys (one `_hermite`) and sorts only the children
-    whose frame key is new, so a ball runs one `_hermite` per vertex.  A
-    frame key that is new for a printed key already found is fatal.  Then
-    every vertex but the center has its BFS depth checked against its exact
-    distance to the center, on integers (`_distance_from`), and each
-    sphere's size against Birkhoff's count (`ball_size`); a mismatch is
-    fatal.  Returns {canonical_key: (vertex, depth)}.
+    basis and B the unreduced product of the forms on its BFS path (its
+    printed basis is exactly W_int B / (D p^k)), so its lattice is keyed in
+    the center's frame by the Hermite form of p^{r-k} B (r the radius).  Each
+    frontier vertex carries b = p^{r-k-1} B, its child by a form has frame
+    key the Hermite form of b·form (`_frame_product`), and `_children` builds,
+    keys (one `_hermite`) and sorts only the children whose frame key is new,
+    so a ball runs one `_hermite` per vertex.  A frame key that is new for a
+    printed key already found is fatal.  Then every vertex but the center
+    has its BFS depth checked against its exact distance to the center, on
+    integers (`_distance_from`), and each sphere's size against Birkhoff's
+    count (`ball_size`); a mismatch is fatal.  Returns
+    {canonical_key: (vertex, depth)}.
     """
     if radius < 0:
         raise UsageError("radius must be nonnegative")
     n, p = center.dim, center.ctx.p
+    if radius:
+        _check_scale(n, p)
 
     def scalar(s):
         return tuple(tuple(s * (i == j) for i in range(n)) for j in range(n))
 
     found = {center.canonical_key: (center, 0)}
     seen = {scalar(p ** radius)}  # frame keys: Hermite forms of p^{r-k} B
-    # b = p^{r-k-1} B: a frame key divided by p, integral while k < r
-    frontier = [(center, scalar(p ** radius // p))]
+    frontier = [(center, scalar(p ** radius // p))]  # b, integral while k < r
     for depth in range(1, radius + 1):
         nxt = []
         for v, b in frontier:
-            for u, key in neighbors(v, (b, seen)):
+            tagged = []
+            for form in _standard_forms(n, p):
+                raw, key = _frame_product(b, form)
+                if key not in seen:
+                    seen.add(key)
+                    tagged.append((form, raw))
+            for u, raw in _children(v, tagged):
                 k = u.canonical_key
                 if k in found:
                     raise RuntimeError(f"a new frame key for the known vertex {u.key_string}")
                 found[k] = (u, depth)
                 if depth < radius:
-                    nxt.append((u, tuple(tuple(x // p for x in col) for col in key)))
+                    nxt.append((u, [[x // p for x in col] for col in raw]))
         frontier = nxt
     if radius:  # the center is at depth 0 identically; others exist only for n <= 3
         dist = _distance_from(center)

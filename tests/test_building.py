@@ -361,11 +361,34 @@ def test_ball_size_table():
         assert building.ball_size(n, p, 1) == len(_standard_forms(n, p))
 
 
-@pytest.mark.parametrize("n, p, r", [(1, 2, 5), (1, 3, 3), (2, 2, 3), (2, 3, 2), (3, 2, 1)])
+@pytest.mark.parametrize("n, p, r", [(1, 2, 5), (1, 3, 3), (2, 2, 3), (2, 3, 2), (3, 2, 1),
+                                     (3, 2, 3)])
 def test_ball_size_matches_the_bfs(n, p, r):
     ball = ball_bfs(random_vertex(31 + n + p + r, 2, PAdicContext(p), n), r)
     for k in range(r + 1):
         assert sum(d <= k for _, d in ball.values()) == building.ball_size(n, p, k)
+
+
+def test_frame_keys_name_the_unreduced_product():
+    """B = F1 F2 is a depth-2 path product at n = 3, p = 2 that is not in
+    Hermite form: its entry (1, 2) is 4, past the pivot 2.  The frame key of
+    B·F must be the Hermite form of B·F itself; reducing B first names
+    another lattice for some F, e.g. diag(1, 4, 1)."""
+    def product(b, f):
+        return [[sum(b[k][i] * col[k] for k in range(3)) for i in range(3)] for col in f]
+
+    def cols(key):
+        return [list(col) for col in key]
+
+    forms = _standard_forms(3, 2)
+    f1, f2 = [[4, 0, 0], [0, 2, 0], [0, 1, 2]], [[4, 0, 0], [0, 1, 0], [0, 0, 4]]
+    assert f1 in forms and f2 in forms
+    raw, key = building._frame_product(f1, f2)
+    assert cols(raw) == product(f1, f2) != cols(key) == _hermite(product(f1, f2), 2)
+    for f in forms:
+        assert cols(building._frame_product(raw, f)[1]) == _hermite(product(raw, f), 2)
+    f = [[1, 0, 0], [0, 4, 0], [0, 0, 1]]
+    assert _hermite(product(cols(key), f), 2) != _hermite(product(raw, f), 2)
 
 
 def test_the_count_audit_is_live(monkeypatch, capsys):
@@ -385,14 +408,15 @@ def test_the_count_audit_is_live(monkeypatch, capsys):
 def test_a_frame_key_that_merges_lattices_exits_4(monkeypatch, capsys):
     """Forgetting the corner entry of the frame key merges lattices that
     differ only there: the ball comes out short, and the count catches it."""
-    frame_form = building._frame_form
+    frame_product = building._frame_product
 
     def merging(b, form):
-        key = [list(col) for col in frame_form(b, form)]
+        raw, key = frame_product(b, form)
+        key = [list(col) for col in key]
         key[-1][0] = 0
-        return tuple(map(tuple, key))
+        return raw, tuple(map(tuple, key))
 
-    monkeypatch.setattr(building, "_frame_form", merging)
+    monkeypatch.setattr(building, "_frame_product", merging)
     center = random_vertex(41, 2, P3, 2)
     code = main(["ball", "--center", json.dumps(center.to_json()), "--radius", "1"])
     captured = capsys.readouterr()
@@ -404,9 +428,13 @@ def test_a_frame_key_that_merges_lattices_exits_4(monkeypatch, capsys):
 def test_a_frame_key_that_splits_a_lattice_is_fatal(monkeypatch):
     """A frame key that also names its form gives the center a second key,
     which meets the center's printed key again."""
-    frame_form = building._frame_form
-    monkeypatch.setattr(building, "_frame_form",
-                        lambda b, form: frame_form(b, form) + (tuple(map(tuple, form)),))
+    frame_product = building._frame_product
+
+    def splitting(b, form):
+        raw, key = frame_product(b, form)
+        return raw, key + (tuple(map(tuple, form)),)
+
+    monkeypatch.setattr(building, "_frame_product", splitting)
     with pytest.raises(RuntimeError, match="a new frame key for the known vertex p2:1,0;0,1"):
         ball_bfs(STD2, 1)
 

@@ -198,8 +198,31 @@ def polar(body):
 
 def _spd_pair_distance(a1, a2):
     """0.5 max |log lam| over the pencil a1 - lam a2, whitened by a2, or by
-    a1 when that overflows: the eigenvalues invert and the distance stays."""
-    for a, b in ((a1, a2), (a2, a1)):
+    a1 when that overflows: the eigenvalues invert and the distance stays.
+
+    When both whitenings fail, a1 is scaled by 2^k, with k centering the
+    log2 ratios of the diagonals, and k ln 2 comes off the logs: pencils
+    whose spectrum fits the float range only once centered, such as
+    diag(1e-200, 1) against diag(1e200, 1), are answered.  Wider ones are
+    refused with the first attempt's error.
+    """
+    try:
+        return _whitened_distance(a1, a2, 0)
+    except UsageError as exc:
+        r = np.log2(np.diag(a1)) - np.log2(np.diag(a2))  # SPD diagonals are positive
+        k = -round(0.5 * float(r.max() + r.min()))
+        scaled = np.ldexp(a1, k)
+        if k == 0 or not np.all(np.isfinite(scaled)):
+            raise
+        try:
+            return _whitened_distance(scaled, a2, k)
+        except UsageError:
+            raise exc from None
+
+
+def _whitened_distance(a1, a2, k):
+    """`_spd_pair_distance` of a1 / 2^k and a2, given a1 and a2."""
+    for a, b, sign in ((a1, a2, 1), (a2, a1, -1)):
         ell = np.linalg.cholesky(b)
         s = np.linalg.solve(ell, a)
         mid = np.linalg.solve(ell, s.T).T
@@ -211,7 +234,10 @@ def _spd_pair_distance(a1, a2):
     lam = np.linalg.eigvalsh(0.5 * (mid + mid.T))
     if lam.min() <= 0:
         raise UsageError("singular pencil: inputs are not both SPD")
-    return 0.5 * float(np.max(np.abs(np.log(lam))))
+    logs = np.log(lam)
+    if k:  # whitened by a2 the eigenvalues carry 2^k, by a1 they carry 2^-k
+        logs -= sign * k * math.log(2)
+    return 0.5 * float(np.max(np.abs(logs)))
 
 
 def _sup_gauge_over(body, other):

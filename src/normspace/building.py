@@ -486,7 +486,9 @@ def helly_check_building(family, mode="witness"):
         raise UsageError("radii must be nonnegative integers")
     radii = [int(r) for r in radii]
     if mode == "witness":
-        # helly_witness_na checks the pairs and raises PairwiseRadiusError
+        # helly_witness_na certifies the join's memberships, which prove the
+        # pairwise condition by the triangle inequality; only when one fails
+        # does it measure the pairs, raising PairwiseRadiusError
         theta, _ = helly_witness_na([c.norm for c in centers], radii)
         return BallCertificate(centers, radii, mode, "witness", witness=LatticeVertex(theta))
 

@@ -8,6 +8,17 @@ of common adapted bases are computed on integers (basis = B_int / D,
 inverse = D M / d with M = d B_int^{-1}); Fractions appear only at the
 boundary: inputs, weights, returned values and returned bases.
 No floating point enters this module.
+
+Two facts keep the certificates cheap without making them optional.  The
+determinant norm (Goldman-Iwahori 1963): for a norm diagonal in a basis B
+with weights m, log_q of its value at e_1 ^ ... ^ e_n is
+vol = sum_i m_i + v_p(det B), the same for every adapted basis.  Two norms
+eta <= theta with vol(eta) = vol(theta) are equal: in a basis adapted to
+both, with weights a and b, eta <= theta reads a_i <= b_i for every i, and
+equal volumes give sum a = sum b, so a = b.  And the triangle inequality:
+a witness theta with d(theta, eta_s) <= a_s for every s already proves
+d(eta_s, eta_t) <= a_s + a_t, so the pairwise condition of the Helly
+theorem is measured only when a membership fails.
 """
 
 from __future__ import annotations
@@ -267,8 +278,9 @@ def common_adapted_basis(eta, etap):
     transition matrix: the pivot (i, j) maximizes m_i - m'_j - v_p(g_ij),
     which makes every elementary multiplier pass the stabilizer valuation
     test, so each side keeps its norm while the matrix is reduced to a
-    scaled permutation.  The output is verified before returning; a
-    pivoting bug cannot escape silently.
+    scaled permutation.  The output is verified before returning, by
+    eta <= theta and equal determinant norms (see `_verify_common_basis`);
+    a pivoting bug cannot escape silently.
     """
     _require_same_space(eta, etap)
     return _verify_common_basis(eta, etap, *_smith_pivot(eta, etap))
@@ -331,16 +343,37 @@ def _smith_pivot(eta, etap):
     return basis, tuple(Fraction(x, e) for x in mm), etap.weights
 
 
+def _det_valuation(eta):
+    """v_p(det B) of eta's basis B = B_int / D: v_p(d) - n v_p(D)."""
+    _, den, _, d = eta._ints
+    p = eta.ctx.p
+    return pval_int(d, p) - eta.dim * pval_int(den, p)
+
+
+def _volumes_agree(eta, theta):
+    """True iff eta and theta have one determinant norm: sum of weights plus
+    v_p(det basis) agree, compared as integers over one weight denominator."""
+    e = math.lcm(*(w.denominator for w in eta.weights + theta.weights))
+    gap = (sum(w.numerator * (e // w.denominator) for w in eta.weights)
+           - sum(w.numerator * (e // w.denominator) for w in theta.weights))
+    return gap == e * (_det_valuation(theta) - _det_valuation(eta))
+
+
 def _verify_common_basis(eta, etap, basis, mm, mmp):
+    """(theta, theta') on `basis` with weights mm and mm', certified equal to
+    (eta, eta') as norms.
+
+    Each side costs one `leq_norms` and one volume comparison: eta <= theta
+    and equal determinant norms force theta = eta (module docstring).  The
+    weight gap needs no recheck against `gi_distance`: theta and theta' are
+    diagonal in one basis, so their distance is the largest weight gap.
+    """
     cand = DiagNorm(eta.ctx, basis, mm)
     candp = cand._reweighted(mmp)
-    if not (leq_norms(cand, eta) and leq_norms(eta, cand)):
+    if not (_volumes_agree(eta, cand) and leq_norms(eta, cand)):
         raise RuntimeError("common basis does not reproduce the first norm")
-    if not (leq_norms(candp, etap) and leq_norms(etap, candp)):
+    if not (_volumes_agree(etap, candp) and leq_norms(etap, candp)):
         raise RuntimeError("common basis does not reproduce the second norm")
-    gap = max(abs(a - b) for a, b in zip(mm, mmp))
-    if gap != gi_distance(eta, etap):
-        raise RuntimeError("weight gap does not match the distance")
     return cand, candp
 
 
@@ -364,10 +397,14 @@ def join_norms(norms):
 def helly_witness_na(norms, radii):
     """A norm inside every ball B(eta_s, a_s) of a pairwise-compatible family.
 
-    Checks the pairwise condition d(eta_s, eta_t) <= a_s + a_t, then builds
-    the join theta of the scaled-down norms q^{-a_s} eta_s and re-verifies
-    the ball memberships.  Returns (theta, [d(theta, eta_s)]), the distances
-    that the membership check measured.
+    Builds the join theta of the scaled-down norms q^{-a_s} eta_s and
+    measures the ball memberships.  When all hold, the pairwise condition
+    d(eta_s, eta_t) <= a_s + a_t follows by the triangle inequality through
+    theta, so no input pair is measured.  When one fails, the pairs are
+    measured in order and the first that breaks the condition raises
+    PairwiseRadiusError; if none does, the join is at fault (RuntimeError).
+    Returns (theta, [d(theta, eta_s)]), the distances that the membership
+    check measured.
     """
     norms = list(norms)
     radii = [frac(r) for r in radii]
@@ -377,6 +414,11 @@ def helly_witness_na(norms, radii):
         raise UsageError("empty ball family")
     if any(r < 0 for r in radii):
         raise UsageError("radii must be nonnegative")
+    theta = join_norms([scale_norm(eta, -a) for eta, a in zip(norms, radii)])
+    dists = [gi_distance(theta, eta) for eta in norms]
+    escaped = [s for s, (d, a) in enumerate(zip(dists, radii)) if d > a]
+    if not escaped:
+        return theta, dists
     for s in range(len(norms)):
         for t in range(s + 1, len(norms)):
             d = gi_distance(norms[s], norms[t])
@@ -386,9 +428,4 @@ def helly_witness_na(norms, radii):
                     f"balls {s} and {t} do not intersect: "
                     f"d = {d} > {radii[s]} + {radii[t]}",
                 )
-    theta = join_norms([scale_norm(eta, -a) for eta, a in zip(norms, radii)])
-    dists = [gi_distance(theta, eta) for eta in norms]
-    for s, (d, a) in enumerate(zip(dists, radii)):
-        if d > a:
-            raise RuntimeError(f"witness escaped ball {s}: join construction bug")
-    return theta, dists
+    raise RuntimeError(f"witness escaped ball {escaped[0]}: join construction bug")

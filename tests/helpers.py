@@ -7,7 +7,7 @@ Fraction distances, submodule closures, entrywise adapted-basis and
 lattice-equality tests, loop-structured float kernels, exact closure sweeps,
 the Fraction tight-pair solve, the Fraction and Bareiss pair-set filters
 and the subset-search tight span, the per-vertex ball BFS with its Bareiss
-depth audit, brute-force cube isometries, signed
+depth audit, the eager pairwise-first Helly witness, brute-force cube isometries, signed
 permutation matrices and inverses, hulls in any dimension, the
 tangent-polytope witness of a body ball family)
 deliberately do not share code with the library paths they check.
@@ -20,8 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from normspace import (DiagNorm, InfeasibleScaleError, SignedPerm, UsageError,
-                       eval_log_norm, is_admissible, is_extremal, qlinalg)
+from normspace import (DiagNorm, InfeasibleScaleError, PairwiseRadiusError, SignedPerm,
+                       UsageError, eval_log_norm, gi_distance, is_admissible, is_extremal,
+                       join_norms, qlinalg, scale_norm)
 from normspace import bodies
 from normspace.building import _hermite, neighbors
 from normspace.valued import pval, pval_int
@@ -458,6 +459,36 @@ def ball_bfs_oracle(center, radius):
         if dist(v) != depth:
             raise RuntimeError(f"BFS depth disagrees with the metric at {v.key_string}")
     return found
+
+
+def helly_witness_na_eager(norms, radii):
+    """`helly_witness_na` as it was before the pairwise check became lazy:
+    every input pair is measured, in order, before the join is built.  It
+    shares the join and the distance with the library; only the order of
+    the checks differs."""
+    norms = list(norms)
+    radii = [Fraction(r) for r in radii]
+    if len(norms) != len(radii):
+        raise UsageError("norms and radii must have equal length")
+    if not norms:
+        raise UsageError("empty ball family")
+    if any(r < 0 for r in radii):
+        raise UsageError("radii must be nonnegative")
+    for s in range(len(norms)):
+        for t in range(s + 1, len(norms)):
+            d = gi_distance(norms[s], norms[t])
+            if d > radii[s] + radii[t]:
+                raise PairwiseRadiusError(
+                    (s, t), d - radii[s] - radii[t],
+                    f"balls {s} and {t} do not intersect: "
+                    f"d = {d} > {radii[s]} + {radii[t]}",
+                )
+    theta = join_norms([scale_norm(eta, -a) for eta, a in zip(norms, radii)])
+    dists = [gi_distance(theta, eta) for eta in norms]
+    for s, (d, a) in enumerate(zip(dists, radii)):
+        if d > a:
+            raise RuntimeError(f"witness escaped ball {s}: join construction bug")
+    return theta, dists
 
 
 def _extend_subgroup(elems, gen, p2, n):

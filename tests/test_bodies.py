@@ -654,6 +654,29 @@ def test_an_spd_pencil_overflowing_one_way_is_whitened_the_other():
     assert gi_distance_bodies(DISC, TINY_SPD) == gi_distance_bodies(TINY_SPD, DISC) == want
 
 
+WIDE_SPD = (SpdNorm([[1e-200, 0.0], [0.0, 1.0]]), SpdNorm([[1e200, 0.0], [0.0, 1.0]]))
+
+
+def test_an_spd_pencil_wider_than_one_whitening_is_centered():
+    # whitened by the large form an eigenvalue underflows to 0, by the small
+    # one it overflows; scaled by 2^k the pencil's spectrum is 1e-200, 1e200
+    want = 200 * math.log(10)  # 0.5 ln(1e400)
+    a, b = WIDE_SPD
+    assert gi_distance_bodies(a, b) == gi_distance_bodies(b, a)
+    assert gi_distance_bodies(a, b) == pytest.approx(want, rel=1e-14)
+    details = coarse_helly_details(list(WIDE_SPD), [231.0, 231.0])
+    assert all(d <= r for d, r in zip(details["distances"], details["allowed"]))
+
+
+def test_an_spd_pencil_wider_than_the_float_range_stays_refused():
+    # centering by 2^33 leaves the spectrum 1e620 wide, so the retry fails
+    # too and the first attempt's error stands
+    a, b = SpdNorm(np.diag([1e-300, 1e10])), SpdNorm(np.diag([1e20, 1e-290]))
+    for u, v in ((a, b), (b, a)):
+        with pytest.raises(UsageError, match="singular pencil"):
+            gi_distance_bodies(u, v)
+
+
 def test_a_nan_distance_fails_both_witness_certificates(monkeypatch):
     from normspace import bodies
 

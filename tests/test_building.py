@@ -260,13 +260,18 @@ def test_helly_witness_is_vertex_and_modes_agree():
 
 
 def test_witness_mode_measures_each_pair_once(monkeypatch):
+    """At most once: a witness whose memberships hold proves the pairwise
+    condition by the triangle inequality and measures no input pair; a
+    violation measures the pairs in order, each once, up to the first
+    that breaks the condition."""
     import normspace.building
     import normspace.valued
 
     centers = [random_vertex(80 + k, 1, P2, 2) for k in range(3)]
     dmax = max(gi_distance(a.norm, b.norm) for a in centers for b in centers)
     family = [(c, int(-(-dmax // 2)) + 1) for c in centers]
-    norms = {id(c.norm): s for s, c in enumerate(centers)}
+    far = LatticeVertex(scale_norm(centers[0].norm, 2 * dmax + 5))
+    norms = {id(c.norm): s for s, c in enumerate(centers + [far])}
     pairs = []
 
     def counting(a, b):
@@ -277,7 +282,31 @@ def test_witness_mode_measures_each_pair_once(monkeypatch):
     monkeypatch.setattr(normspace.building, "gi_distance", counting)
     monkeypatch.setattr(normspace.valued, "gi_distance", counting)
     assert helly_check_building(family, mode="witness").outcome == "witness"
-    assert sorted(pairs) == [(0, 1), (0, 2), (1, 2)]
+    assert pairs == []
+    with pytest.raises(PairwiseRadiusError) as exc:
+        helly_check_building(family + [(far, 1)], mode="witness")
+    assert exc.value.pair == (0, 3)
+    assert pairs == [(0, 1), (0, 2), (0, 3)]
+
+
+def test_witness_mode_violations_match_the_eager_check(monkeypatch, capsys):
+    """helly-building prints the eager check's bytes, exit 1 included."""
+    import normspace.building
+
+    seen = set()
+    for p, n, k in ((2, 2, 3), (3, 2, 4), (5, 3, 3), (2, 3, 6)):
+        ctx = PAdicContext(p)
+        centers = [random_vertex(300 + 10 * p + s, 3, ctx, n) for s in range(k)]
+        for trial in range(4):
+            radii = [trial + (s + trial) % 2 for s in range(k)]
+            doc = json.dumps({"centers": [c.to_json() for c in centers], "radii": radii})
+            outs = []
+            for witness in (normspace.valued.helly_witness_na, helpers.helly_witness_na_eager):
+                monkeypatch.setattr(normspace.building, "helly_witness_na", witness)
+                outs.append((main(["helly-building", "--family", doc]), capsys.readouterr()))
+            assert outs[0] == outs[1]
+            seen.add(outs[0][0])
+    assert seen == {0, 1}
 
 
 def test_helly_pairwise_violation():

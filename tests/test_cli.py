@@ -607,6 +607,17 @@ def test_a_pencil_that_overflows_one_way_is_whitened_the_other(capsys):
     assert all(d <= r for d, r in zip(doc["distances"], doc["allowed"]))
 
 
+def test_an_spd_pencil_centered_by_a_power_of_two_answers(capsys):
+    # d = 0.5 ln(1e400), though whitening by either form leaves float range
+    small = '{"kind": "spd", "matrix": [[1e-200, 0], [0, 1]]}'
+    large = '{"kind": "spd", "matrix": [[1e200, 0], [0, 1]]}'
+    outs = {run_cli(capsys, "body-dist", "--a", a, "--b", b)
+            for a, b in ((small, large), (large, small))}
+    ((code, out, err),) = outs
+    assert (code, err) == (0, "")
+    assert json.loads(out)["distance"] == pytest.approx(200 * math.log(10), rel=1e-14)
+
+
 def test_determinism_across_subcommands(capsys):
     rng = np.random.Generator(np.random.PCG64(17))
     body3 = json.dumps(body_to_json(PolyNorm.from_vertices(rng.standard_normal((10, 3)))))

@@ -468,7 +468,13 @@ def _corrupt(kind, p):
             mm = (mm[0] + 1,) + mm[1:]
         elif kind == "weight-b":
             mmp = mmp[:-1] + (mmp[-1] - 1,)
-        else:  # one basis column scaled by p
+        elif kind == "swap":  # the volume stays
+            mm = (mm[0] + 1, mm[1] - 1) + mm[2:]
+        elif kind == "raise-b":
+            mmp = mmp[:-1] + (mmp[-1] + 1,)
+        elif kind == "swap-b":
+            mmp = (mmp[0] - 1, mmp[1] + 1) + mmp[2:]
+        else:  # one basis column scaled by p, its weight unchanged
             basis = tuple((row[0] * p,) + row[1:] for row in basis)
         return basis, mm, mmp
     return corrupted
@@ -478,19 +484,28 @@ def _corrupt(kind, p):
     ("weight", "reproduce the first norm"),
     ("weight-b", "reproduce the second norm"),
     ("column", "does not reproduce"),
-    ("distance", "weight gap does not match the distance"),
+    ("swap", "reproduce the first norm"),
+    ("raise-b", "reproduce the second norm"),
+    ("swap-b", "reproduce the second norm"),
 ])
 def test_a_wrong_common_basis_is_an_internal_error(monkeypatch, capsys, kind, message):
-    """Every check of `_verify_common_basis` fires: a corrupted pivot (or a
-    distance off by one) raises in the library and exits 4 in the CLI."""
+    """Every check of `_verify_common_basis` fires: a corrupted pivot raises
+    in the library and exits 4 in the CLI.  A column scaled by p, or a
+    raised weight, passes eta <= theta and only the volume identity catches
+    it; two weights moved by +1 and -1 keep the volume and only eta <= theta
+    catches them."""
     rng = helpers.rng_for(9005)
     ctx = PAdicContext(3)
     a, b = (helpers.nasty_norm(rng, ctx, 3) for _ in range(2))
-    if kind == "distance":
-        real = valued.gi_distance
-        monkeypatch.setattr(valued, "gi_distance", lambda x, y: real(x, y) + 1)
-    else:
-        monkeypatch.setattr(valued, "_smith_pivot", _corrupt(kind, ctx.p))
+    basis, mm, mmp = _corrupt(kind, ctx.p)(a, b)
+    cand = DiagNorm(ctx, basis, mm)
+    one_half = {"column": (a, cand), "swap": (a, cand),
+                "raise-b": (b, cand._reweighted(mmp)), "swap-b": (b, cand._reweighted(mmp))}
+    if kind in one_half:
+        eta, theta = one_half[kind]
+        assert leq_norms(eta, theta) == (kind in ("column", "raise-b"))
+        assert valued._volumes_agree(eta, theta) == (kind in ("swap", "swap-b"))
+    monkeypatch.setattr(valued, "_smith_pivot", _corrupt(kind, ctx.p))
     with pytest.raises(RuntimeError, match=message):
         common_adapted_basis(a, b)
     family = {"norms": [a.to_json(), b.to_json()], "radii": ["100", "100"]}
@@ -584,6 +599,78 @@ def test_helly_random_families():
         theta, dists = helly_witness_na(family, radii)
         for eta, a, d in zip(family, radii, dists):
             assert gi_distance(theta, eta) == d <= a
+
+
+def _seeded_ball_family(rng, p, n, k, compatible):
+    """k random norms with radii d_s / 2 + (1 + s) / 7 (compatible), or a
+    random tenth of d_s, where d_s is the farthest of the others."""
+    ctx = PAdicContext(p)
+    family = [helpers.random_diag_norm(rng, ctx, n) for _ in range(k)]
+    dmax = [max(gi_distance(a, b) for b in family if b is not a) for a in family]
+    if compatible:
+        radii = [d / 2 + Fraction(1 + s, 7) for s, d in enumerate(dmax)]
+    else:
+        radii = [d * Fraction(int(rng.integers(0, 11)), 10) for d in dmax]
+    return family, radii
+
+
+def _helly_outcome(witness, family, radii):
+    try:
+        theta, dists = witness(family, radii)
+    except PairwiseRadiusError as exc:
+        return "pair", exc.pair, exc.gap, str(exc)
+    return "witness", json.dumps(theta.to_json()), dists
+
+
+def test_the_lazy_pairwise_check_agrees_with_the_eager_oracle(monkeypatch, capsys):
+    """Same witness, distances, offending pair, gap and CLI bytes as the
+    eager check, on compatible and incompatible seeded families."""
+    rng = helpers.rng_for(9006)
+    kinds = {True: set(), False: set()}
+    for p, n, k in itertools.product((2, 3, 5), (2, 3), range(2, 7)):
+        for compatible in (True, False):
+            family, radii = _seeded_ball_family(rng, p, n, k, compatible)
+            got = _helly_outcome(helly_witness_na, family, radii)
+            assert got == _helly_outcome(helpers.helly_witness_na_eager, family, radii)
+            kinds[compatible].add(got[0] if got[0] == "witness" else got[1])
+            doc = json.dumps({"norms": [eta.to_json() for eta in family],
+                              "radii": [str(r) for r in radii]})
+            outs = []
+            for witness in (helly_witness_na, helpers.helly_witness_na_eager):
+                monkeypatch.setattr(valued, "helly_witness_na", witness)
+                outs.append((main(["helly-na", "--family", doc]), capsys.readouterr()))
+            assert outs[0] == outs[1]
+            assert outs[0][0] == (0 if got[0] == "witness" else 1)
+    assert kinds[True] == {"witness"}
+    # the incompatible families fail at several different first pairs
+    assert len(kinds[False] - {"witness"}) >= 5
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_a_compatible_family_measures_no_input_pair(monkeypatch, k):
+    """Cost guard: k - 1 common bases, at most 2 (k - 1) + 2 k `_log_max`
+    evaluations (eta <= theta on each side of each join step, both ways
+    for each membership), and no `gi_distance` between two inputs."""
+    rng = helpers.rng_for(9007 + k)
+    family, radii = _seeded_ball_family(rng, 3, 3, k, True)
+    ids = {id(eta) for eta in family}
+    bases, evals, pairs = [], [], []
+    basis, log_max, distance = valued.common_adapted_basis, valued._log_max, valued.gi_distance
+
+    def counting_distance(a, b):
+        if id(a) in ids and id(b) in ids:
+            pairs.append((a, b))
+        return distance(a, b)
+
+    monkeypatch.setattr(valued, "common_adapted_basis",
+                        lambda a, b: bases.append(1) or basis(a, b))
+    monkeypatch.setattr(valued, "_log_max", lambda *a: evals.append(1) or log_max(*a))
+    monkeypatch.setattr(valued, "gi_distance", counting_distance)
+    _, dists = helly_witness_na(family, radii)
+    assert all(d <= r for d, r in zip(dists, radii))
+    assert len(bases) == k - 1
+    assert len(evals) <= 2 * (k - 1) + 2 * k
+    assert pairs == []
 
 
 # -- serialization --

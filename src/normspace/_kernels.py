@@ -1,6 +1,7 @@
-"""Hot numeric kernels: one numpy implementation each.
+"""Hot numeric kernels: the polytope gauge over direction batches and the
+minimum-volume enclosing ellipsoid, one numpy implementation each.
 
-The tests compare every kernel with a plain-Python loop oracle in
+The tests compare each kernel with a plain-Python loop oracle in
 ``tests/helpers.py``.
 """
 
@@ -12,17 +13,12 @@ HAVE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
-# gauge evaluation over direction batches
+# polytope gauge over direction batches
 # ---------------------------------------------------------------------------
 
 def poly_gauge_batch(a, binv, x):
     """max_i |<a_i, x>| / b_i for each row of x; a is (m, n), binv = 1/b."""
     return np.max(np.abs(x @ a.T) * binv, axis=1)
-
-
-def spd_gauge_batch(mat, x):
-    """sqrt(x^T A x) for each row of x."""
-    return np.sqrt(np.maximum(np.sum((x @ mat) * x, axis=1), 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 Three representations: positive-definite quadratic forms (ellipsoid unit
 balls), centrally symmetric polytopes (facets plus one vertex per antipodal
 pair), and meets of scaled bodies (gauge max_k gauge(K_k) e^{-r_k}).
-Distances use closed forms: generalized eigenvalues for ellipsoid pairs,
-vertex/facet evaluations otherwise.  The John ellipsoid is the polar of the
-minimum-volume ellipsoid of the polar vertices, and the meet of a ball
-family, certified by its pairwise distances, realizes the Helly property.
+Each ellipsoid stores its Cholesky factor L, A = L L^T, and every ellipsoid
+computation reads it: the gauge is |L^T x|, the distance of two ellipsoids
+the largest |ln s| over the singular values s of the factor quotient
+L_big^-1 L_small; other pairs use vertex/facet evaluations.  The John
+ellipsoid is the polar of the minimum-volume ellipsoid of the polar
+vertices, and the meet of a ball family, certified by its pairwise
+distances, realizes the Helly property.
 
 Structural tolerance is 1e-9, optimization tolerance 1e-6; exact rational
 arithmetic is confined to normspace.polyhedra.
@@ -45,20 +48,30 @@ def _readonly(arr):
 
 
 class SpdNorm:
-    """Euclidean norm v -> sqrt(v^T A v); unit ball {v^T A v <= 1}."""
+    """Euclidean norm v -> sqrt(v^T A v); unit ball {v^T A v <= 1}.
 
-    __slots__ = ("matrix",)
+    `factor` is the lower Cholesky factor L of A = L L^T and `log_det`
+    is ln det A; both are fixed at construction."""
+
+    __slots__ = ("matrix", "factor", "log_det")
 
     def __init__(self, matrix):
         a = _finite(np.array(matrix, dtype=float), "SPD matrix entries")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise UsageError("SPD matrix must be square")
-        if not np.all(np.abs(a - a.T) <= 1e-12):
+        # halves overflow neither in a difference nor in a sum; an entry equal
+        # to its transpose keeps its bits, however large or subnormal
+        half = 0.5 * a
+        if not np.all(np.abs(half - half.T) <= 0.5e-12):
             raise UsageError("SPD matrix must be symmetric within 1e-12")
-        a = 0.5 * (a + a.T)
-        if np.linalg.eigvalsh(a).min() <= 0:
-            raise UsageError("SPD matrix must be positive definite")
+        a = np.where(a == a.T, a, half + half.T)
+        try:
+            ell = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            raise UsageError("SPD matrix must be positive definite") from None
         object.__setattr__(self, "matrix", _readonly(a))
+        object.__setattr__(self, "factor", _readonly(ell))
+        object.__setattr__(self, "log_det", 2.0 * sum(map(math.log, ell.diagonal().tolist())))
 
     def __setattr__(self, *a):
         raise AttributeError("SpdNorm is immutable")
@@ -180,7 +193,8 @@ def gauge(body, v):
         out = np.max([gauge(p, x) * math.exp(-r)
                       for p, r in zip(body.parts, body.log_scales)], axis=0)
     elif isinstance(body, SpdNorm):
-        out = _kernels.spd_gauge_batch(body.matrix, x)
+        # |L^T x| with no square formed; reduced down the columns of L^T x^T
+        out = np.hypot.reduce(body.factor.T @ x.T, axis=0, initial=0.0)
     else:
         out = _kernels.poly_gauge_batch(body.a, 1.0 / body.b, x)
     return float(out[0]) if np.ndim(v) == 1 else out
@@ -196,59 +210,35 @@ def polar(body):
     return PolyNorm(new_facets, new_b, new_vertices)
 
 
-def _spd_pair_distance(a1, a2):
-    """0.5 max |log lam| over the pencil a1 - lam a2, whitened by a2, or by
-    a1 when that overflows: the eigenvalues invert and the distance stays.
+def _spd_pair_distance(k1, k2):
+    """0.5 max |ln lam| over the pencil A_1 - lam A_2: the largest |ln s|
+    over the singular values s of L_big^-1 L_small.
 
-    When both whitenings fail, a1 is scaled by 2^k, with k centering the
-    log2 ratios of the diagonals, and k ln 2 comes off the logs: pencils
-    whose spectrum fits the float range only once centered, such as
-    diag(1e-200, 1) against diag(1e200, 1), are answered.  Wider ones are
-    refused with the first attempt's error.
+    The divisor L_big is the factor of larger determinant, ties going by
+    the matrix bytes, so that d(a, b) and d(b, a) agree to the bit.  The
+    factors span half the log range of the forms; a quotient beyond the
+    float range is refused.
     """
-    try:
-        return _whitened_distance(a1, a2, 0)
-    except UsageError as exc:
-        r = np.log2(np.diag(a1)) - np.log2(np.diag(a2))  # SPD diagonals are positive
-        k = -round(0.5 * float(r.max() + r.min()))
-        scaled = np.ldexp(a1, k)
-        if k == 0 or not np.all(np.isfinite(scaled)):
-            raise
-        try:
-            return _whitened_distance(scaled, a2, k)
-        except UsageError:
-            raise exc from None
-
-
-def _whitened_distance(a1, a2, k):
-    """`_spd_pair_distance` of a1 / 2^k and a2, given a1 and a2."""
-    for a, b, sign in ((a1, a2, 1), (a2, a1, -1)):
-        ell = np.linalg.cholesky(b)
-        s = np.linalg.solve(ell, a)
-        mid = np.linalg.solve(ell, s.T).T
-        if np.all(np.isfinite(mid)):  # eigvalsh would turn an overflow into NaN
-            break
-    else:
-        raise UsageError("the SPD pencil must be finite: the two forms differ in "
-                         "scale beyond the float range")
-    lam = np.linalg.eigvalsh(0.5 * (mid + mid.T))
-    if lam.min() <= 0:
-        raise UsageError("singular pencil: inputs are not both SPD")
-    logs = np.log(lam)
-    if k:  # whitened by a2 the eigenvalues carry 2^k, by a1 they carry 2^-k
-        logs -= sign * k * math.log(2)
-    return 0.5 * float(np.max(np.abs(logs)))
+    if (k1.log_det, k1.matrix.tobytes()) < (k2.log_det, k2.matrix.tobytes()):
+        k1, k2 = k2, k1
+    quot = np.linalg.solve(k1.factor, k2.factor)
+    if np.isfinite(quot).all():
+        s = np.linalg.svd(quot, compute_uv=False)  # descending
+        if 0.0 < s[-1] and s[0] < math.inf:
+            return max(math.log(s[0]), -math.log(s[-1]))
+    raise UsageError("the SPD pencil must be finite: the two forms differ in "
+                     "scale beyond the float range")
 
 
 def _sup_gauge_over(body, other):
     """sup over the unit sphere of `other` of gauge(body), via closed forms."""
     if isinstance(other, PolyNorm):
         return float(np.max(gauge(body, other.vertices)))
-    # other is an ellipsoid: sup over {x^T A x = 1} of gauge(body, x)
-    ainv = np.linalg.inv(other.matrix)
     if isinstance(body, SpdNorm):
-        raise AssertionError("spd/spd pairs use the eigenvalue route")
-    return float(np.max(_kernels.spd_gauge_batch(ainv, body.a) / body.b))
+        raise AssertionError("spd/spd pairs use the factor quotient")
+    # sup over {|L^T x| = 1} of |<a_i, x>| / b_i is |L^-1 a_i| / b_i
+    z = np.linalg.solve(other.factor, body.a.T)
+    return float(np.max(np.hypot.reduce(z, axis=0, initial=0.0) / body.b))
 
 
 def gi_distance_bodies(k1, k2):
@@ -258,10 +248,13 @@ def gi_distance_bodies(k1, k2):
     if isinstance(k1, MeetNorm) or isinstance(k2, MeetNorm):
         raise UsageError("no closed-form distance to a meet body")
     if isinstance(k1, SpdNorm) and isinstance(k2, SpdNorm):
-        # one canonical order, so that d(a, b) and d(b, a) agree to the bit
-        return _spd_pair_distance(*sorted((k1.matrix, k2.matrix), key=np.ndarray.tobytes))
-    s12 = _sup_gauge_over(k1, k2)
-    s21 = _sup_gauge_over(k2, k1)
+        return _spd_pair_distance(k1, k2)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        s12 = _sup_gauge_over(k1, k2)
+        s21 = _sup_gauge_over(k2, k1)
+    if not (0.0 < s12 < math.inf and 0.0 < s21 < math.inf):  # NaN fails too
+        raise UsageError("the gauge ratios must be finite: the two bodies differ "
+                         "in scale beyond the float range")
     return max(math.log(s12), math.log(s21))
 
 

@@ -638,14 +638,29 @@ TINY_SPD = SpdNorm([[1e-310, 0.0], [0.0, 1.0]])
 FLIPPED_SPD = SpdNorm([[1.0, 0.0], [0.0, 1e-310]])
 
 
+# equal determinants, so the factor quotient is diag(1e154 / 2.2e-162, ...):
+# its larger singular value, e^d with d about 727, is beyond the float range
+HUGE_SPD = SpdNorm(np.diag([1e308, 5e-324]))
+HUGE_FLIPPED_SPD = SpdNorm(np.diag([5e-324, 1e308]))
+
+
 def test_an_spd_pencil_beyond_the_float_range_is_a_usage_error():
-    # the distance, about 357, is finite, but the pencil overflows whitened
-    # by either form, and eigvalsh would turn the overflow into NaN
-    for a, b in ((FLIPPED_SPD, TINY_SPD), (TINY_SPD, FLIPPED_SPD)):
-        with pytest.raises(UsageError, match="pencil must be finite"):
+    for a, b in ((HUGE_SPD, HUGE_FLIPPED_SPD), (HUGE_FLIPPED_SPD, HUGE_SPD)):
+        with pytest.raises(UsageError, match="pencil must be finite.*beyond the float range"):
             gi_distance_bodies(a, b)
     with pytest.raises(UsageError, match="pencil must be finite"):
-        coarse_helly_details([FLIPPED_SPD, TINY_SPD], [400.0, 400.0])
+        coarse_helly_details([HUGE_SPD, HUGE_FLIPPED_SPD], [400.0, 400.0])
+
+
+def test_an_spd_pencil_overflowing_both_whitenings_answers():
+    # whitened by either form the pencil has an entry near 1e310; the factor
+    # quotient diag(1e155, 1e-155) does not leave the float range
+    want = 0.5 * abs(math.log(1e-310))
+    got = {gi_distance_bodies(a, b) for a, b in ((FLIPPED_SPD, TINY_SPD), (TINY_SPD, FLIPPED_SPD))}
+    assert got == {356.9006894140771}
+    assert got.pop() == pytest.approx(want, rel=1e-14)
+    details = coarse_helly_details([FLIPPED_SPD, TINY_SPD], [400.0, 400.0])
+    assert all(d <= r for d, r in zip(details["distances"], details["allowed"]))
 
 
 def test_an_spd_pencil_overflowing_one_way_is_whitened_the_other():
@@ -668,13 +683,104 @@ def test_an_spd_pencil_wider_than_one_whitening_is_centered():
     assert all(d <= r for d, r in zip(details["distances"], details["allowed"]))
 
 
-def test_an_spd_pencil_wider_than_the_float_range_stays_refused():
-    # centering by 2^33 leaves the spectrum 1e620 wide, so the retry fails
-    # too and the first attempt's error stands
+def test_an_spd_pencil_wider_than_the_float_range_answers():
+    # the pencil's spectrum is 1e-320, 1e300, wider than the float range
+    # even centered by a power of two; the factor quotient's is its square
+    # root, diag(1e-160, 1e150)
     a, b = SpdNorm(np.diag([1e-300, 1e10])), SpdNorm(np.diag([1e20, 1e-290]))
-    for u, v in ((a, b), (b, a)):
-        with pytest.raises(UsageError, match="singular pencil"):
-            gi_distance_bodies(u, v)
+    got = {gi_distance_bodies(a, b), gi_distance_bodies(b, a)}
+    assert got == {368.4136148790473}
+    assert got.pop() == pytest.approx(160 * math.log(10), rel=1e-14)
+
+
+def test_symmetrizing_neither_overflows_nor_rounds_subnormals():
+    big = SpdNorm(np.diag([1e308, 1e308]))
+    assert np.array_equal(big.matrix, np.diag([1e308, 1e308]))
+    assert SpdNorm(np.diag([5e-324, 1.0])).matrix[0, 0] == 5e-324
+    small = SpdNorm(np.diag([1e-309, 1e-309]))
+    got = {gi_distance_bodies(big, small), gi_distance_bodies(small, big)}
+    assert got == {710.347501188663}
+    assert got.pop() == pytest.approx(0.5 * (math.log(1e308) - math.log(1e-309)), rel=1e-14)
+
+
+def test_a_form_that_cholesky_cannot_factor_is_refused():
+    # eigvalsh puts its smallest eigenvalue at 2.8e-17 > 0, but the form is
+    # singular to working precision and has no Cholesky factor
+    with pytest.raises(UsageError, match="positive definite"):
+        SpdNorm([[0.8427598944009403, 0.36402699733708765],
+                 [0.36402699733708765, 0.15724010559905943]])
+
+
+def test_a_polytope_against_a_tiny_ellipsoid_never_reads_nan():
+    # inverting diag(1e-310, 1) overflows to inf and inf * 0 gave NaN; the
+    # factor gives |L^-1 a_i| / b_i = 1e155 for the facet (1, 0)
+    got = {gi_distance_bodies(SQUARE, TINY_SPD), gi_distance_bodies(TINY_SPD, SQUARE)}
+    assert got == {356.9006894140771}
+    assert got.pop() == pytest.approx(0.5 * abs(math.log(1e-310)), rel=1e-14)
+
+
+def test_a_gauge_ratio_beyond_the_float_range_is_a_usage_error():
+    huge = PolyNorm.from_vertices([[1e300, 1e300], [1e300, -1e300]])
+    ball = SpdNorm(1e300 * np.eye(2))
+    for a, b in ((huge, ball), (ball, huge)):
+        with pytest.raises(UsageError, match="beyond the float range"):
+            gi_distance_bodies(a, b)
+
+
+def _seeded_spd_pairs(seed, count):
+    rng = helpers.rng_for(seed)
+    for i in range(count):
+        n = (2, 3, 4)[i % 3]
+        yield random_spd(rng, n), random_spd(rng, n)
+
+
+def test_ellipsoid_distance_is_symmetric_to_the_bit():
+    for a, b in _seeded_spd_pairs(440, 60):
+        assert gi_distance_bodies(a, b) == gi_distance_bodies(b, a)
+
+
+def test_ellipsoid_distance_is_congruence_invariant():
+    # d(M^T A M, M^T B M) = d(A, B) for invertible M (GL-invariance)
+    rng = helpers.rng_for(441)
+    for a, b in _seeded_spd_pairs(442, 60):
+        q = np.linalg.qr(rng.standard_normal((a.dim, a.dim)))[0]
+        m = q * np.exp(rng.uniform(-1, 1, size=a.dim))  # condition number below e^2
+        want = gi_distance_bodies(a, b)
+        got = gi_distance_bodies(SpdNorm(m.T @ a.matrix @ m), SpdNorm(m.T @ b.matrix @ m))
+        assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+
+def test_ellipsoid_distance_scales_by_log_two():
+    # d(A, 4^k A) = k ln 2; the singular values of the quotient carry a few
+    # ulps of roundoff (LAPACK's SVD of the exact quotient 0.5 I of
+    # diag(1/3, pi) returns 0.5 - 2^-54), and the identity none
+    rng = helpers.rng_for(443)
+    forms = [np.diag([1 / 3, math.pi])]
+    forms += [random_spd(rng, n).matrix for n in (2, 3, 4) for _ in range(5)]
+    for k in (1, 5, 100):
+        want = k * math.log(2)
+        assert gi_distance_bodies(SpdNorm(np.eye(3)), SpdNorm(4.0 ** k * np.eye(3))) == want
+        for mat in forms:
+            got = gi_distance_bodies(SpdNorm(mat), SpdNorm(4.0 ** k * mat))
+            assert abs(got - want) <= 4 * math.ulp(want)
+
+
+def test_an_ellipsoid_pair_costs_one_svd(monkeypatch):
+    calls = {"svd": 0, "eigvalsh": 0, "eigh": 0, "inv": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    a, b = random_spd(helpers.rng_for(444), 3), random_spd(helpers.rng_for(445), 3)
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    gi_distance_bodies(a, b)
+    assert calls == {"svd": 1, "eigvalsh": 0, "eigh": 0, "inv": 0}
 
 
 def test_a_nan_distance_fails_both_witness_certificates(monkeypatch):

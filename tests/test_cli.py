@@ -577,18 +577,83 @@ TINY_SPD_BODY = '{"kind": "spd", "matrix": [[1e-310, 0], [0, 1]]}'
 UNIT_SPD_BODY = '{"kind": "spd", "matrix": [[1, 0], [0, 1]]}'
 # whitened by either form, the pencil of these two has an entry near 1e310
 FLIPPED_SPD_BODY = '{"kind": "spd", "matrix": [[1, 0], [0, 1e-310]]}'
+# the factor quotient of these two has a singular value near 4.5e315
+HUGE_SPD_BODY = '{"kind": "spd", "matrix": [[1e308, 0], [0, 5e-324]]}'
+HUGE_FLIPPED_SPD_BODY = '{"kind": "spd", "matrix": [[5e-324, 0], [0, 1e308]]}'
 
 
 @pytest.mark.parametrize("argv", [
-    ("body-dist", "--a", FLIPPED_SPD_BODY, "--b", TINY_SPD_BODY),
-    ("body-dist", "--a", TINY_SPD_BODY, "--b", FLIPPED_SPD_BODY),
+    ("body-dist", "--a", HUGE_SPD_BODY, "--b", HUGE_FLIPPED_SPD_BODY),
+    ("body-dist", "--a", HUGE_FLIPPED_SPD_BODY, "--b", HUGE_SPD_BODY),
     ("helly-bodies", "--family", json.dumps({
-        "bodies": [json.loads(FLIPPED_SPD_BODY), json.loads(TINY_SPD_BODY)], "radii": [400, 400]})),
+        "bodies": [json.loads(HUGE_SPD_BODY), json.loads(HUGE_FLIPPED_SPD_BODY)],
+        "radii": [400, 400]})),
 ], ids=["body-dist", "body-dist-swapped", "helly-bodies"])
 def test_an_overflowing_spd_pencil_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert "pencil must be finite" in json.loads(err)["message"]
+    assert "beyond the float range" in json.loads(err)["message"]
+
+
+def _both_orders(capsys, a, b):
+    """The one (code, out, err) of body-dist in both argument orders."""
+    (res,) = {run_cli(capsys, "body-dist", "--a", u, "--b", v) for u, v in ((a, b), (b, a))}
+    return res
+
+
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr
+def test_a_pencil_overflowing_both_whitenings_answers(capsys):
+    code, out, err = _both_orders(capsys, FLIPPED_SPD_BODY, TINY_SPD_BODY)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["distance"] == 356.9006894140771
+    family = json.dumps({"bodies": [json.loads(FLIPPED_SPD_BODY), json.loads(TINY_SPD_BODY)],
+                         "radii": [400, 400]})
+    code, out, err = run_cli(capsys, "helly-bodies", "--family", family)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert all(d <= r for d, r in zip(doc["distances"], doc["allowed"]))
+
+
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr
+@pytest.mark.parametrize("a, b, want", [
+    ('{"kind": "spd", "matrix": [[1e308, 0], [0, 1e308]]}',
+     '{"kind": "spd", "matrix": [[1e-309, 0], [0, 1e-309]]}', 710.347501188663),
+    (SQUARE_BODY, TINY_SPD_BODY, 356.9006894140771),
+], ids=["overflowing-sum", "square-against-tiny"])
+def test_extreme_forms_answer_in_both_orders(capsys, a, b, want):
+    code, out, err = _both_orders(capsys, a, b)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["distance"] == want
+
+
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr
+def test_a_gauge_ratio_beyond_the_float_range_exits_2(capsys):
+    huge = json.dumps(body_to_json(PolyNorm.from_vertices([[1e300, 1e300], [1e300, -1e300]])))
+    ball = json.dumps(body_to_json(SpdNorm(1e300 * np.eye(2))))
+    code, out, err = _both_orders(capsys, huge, ball)
+    assert (code, out) == (2, "")
+    assert "beyond the float range" in json.loads(err)["message"]
+
+
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr
+def test_an_asymmetry_beyond_the_float_range_is_refused_without_a_warning(capsys):
+    lopsided = '{"kind": "spd", "matrix": [[1, 1e308], [-1e308, 1]]}'
+    code, out, err = _both_orders(capsys, lopsided, UNIT_SPD_BODY)
+    assert (code, out) == (2, "")
+    assert "symmetric" in json.loads(err)["message"]
+
+
+def test_a_form_cholesky_cannot_factor_is_refused_when_read(capsys, monkeypatch):
+    def no_distance(*args):
+        raise AssertionError("a distance was computed")
+
+    monkeypatch.setattr(normspace.bodies, "gi_distance_bodies", no_distance)
+    flat = json.dumps({"kind": "spd", "matrix": [
+        [0.8427598944009403, 0.36402699733708765], [0.36402699733708765, 0.15724010559905943]]})
+    code, out, err = _both_orders(capsys, flat, UNIT_SPD_BODY)
+    assert (code, out) == (2, "")
+    assert "positive definite" in json.loads(err)["message"]
 
 
 def test_a_pencil_that_overflows_one_way_is_whitened_the_other(capsys):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 
 import helpers
-from normspace import FiniteMetric, extremal_closure
+from normspace import FiniteMetric, SpdNorm, extremal_closure, gauge
 from normspace import _kernels as K
 
 
@@ -25,7 +25,7 @@ def test_spd_gauge_paths_agree():
     mat = g.T @ g + 0.25 * np.eye(3)
     x = rng.standard_normal((500, 3))
     ref = helpers.spd_gauge_batch_loops(mat, x)
-    assert np.allclose(K.spd_gauge_batch(mat, x), ref, rtol=1e-12, atol=1e-14)
+    assert np.allclose(gauge(SpdNorm(mat), x), ref, rtol=1e-12, atol=1e-14)
 
 
 def _regular_polygon(k, phase=0.0):

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels, polyhedra
-from .errors import MALFORMED, PairwiseRadiusError, UsageError, malformed
+from .errors import MALFORMED, Frozen, PairwiseRadiusError, UsageError, malformed
 
 STRUCT_TOL = 1e-9
 OPT_TOL = 1e-6
@@ -47,7 +47,7 @@ def _readonly(arr):
     return arr
 
 
-class SpdNorm:
+class SpdNorm(Frozen):
     """Euclidean norm v -> sqrt(v^T A v); unit ball {v^T A v <= 1}.
 
     `factor` is the lower Cholesky factor L of A = L L^T and `log_det`
@@ -69,12 +69,12 @@ class SpdNorm:
             ell = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             raise UsageError("SPD matrix must be positive definite") from None
-        object.__setattr__(self, "matrix", _readonly(a))
-        object.__setattr__(self, "factor", _readonly(ell))
-        object.__setattr__(self, "log_det", 2.0 * sum(map(math.log, ell.diagonal().tolist())))
+        self._store(a, ell)
 
-    def __setattr__(self, *a):
-        raise AttributeError("SpdNorm is immutable")
+    def _store(self, a, ell):
+        """Keep A and its lower factor L (positive diagonal), A = L L^T."""
+        self._set(matrix=_readonly(a), factor=_readonly(ell),
+                  log_det=2.0 * sum(map(math.log, ell.diagonal().tolist())))
 
     @property
     def dim(self):
@@ -84,7 +84,7 @@ class SpdNorm:
         return f"SpdNorm(n={self.dim})"
 
 
-class PolyNorm:
+class PolyNorm(Frozen):
     """Polytope norm: facets |<a_i, x>| <= b_i plus vertex representatives."""
 
     __slots__ = ("a", "b", "vertices")
@@ -109,12 +109,7 @@ class PolyNorm:
             raise UsageError("a vertex violates a facet beyond 1e-9")
         if np.any(vals.max(axis=0) < 1 - STRUCT_TOL):
             raise UsageError("a facet is unsupported by every vertex")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "vertices", w)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyNorm is immutable")
+        self._set(a=a, b=b, vertices=w)
 
     @property
     def dim(self):
@@ -151,7 +146,7 @@ class PolyNorm:
 Body = (SpdNorm, PolyNorm)
 
 
-class MeetNorm:
+class MeetNorm(Frozen):
     """Meet of scaled bodies: unit ball the intersection of the e^{r_k} K_k,
     gauge x -> max_k gauge(K_k, x) e^{-r_k}."""
 
@@ -170,11 +165,7 @@ class MeetNorm:
             raise UsageError("meet parts must be ellipsoids or polytopes")
         if any(p.dim != parts[0].dim for p in parts):
             raise UsageError("dimension mismatch among the meet's bodies")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "log_scales", scales)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MeetNorm is immutable")
+        self._set(parts=parts, log_scales=scales)
 
     @property
     def dim(self):
@@ -280,9 +271,10 @@ def mvee_certified(points):
     """MVEE of a symmetric point set with its optimality certificate.
 
     Returns (SpdNorm, info) where info carries the achieved eps
-    (max_i w_i / n - 1, from the returned weights) and the kernel's outer
-    step count.  All points are inside the returned ellipsoid exactly (up to
-    float roundoff) and its volume is within (1+eps)^{n/2} of optimal.
+    (max_i w_i / n - 1, from the returned weights), the kernel's outer step
+    count, and R and max_w with A = R^-1 R^-T / max_w.  All points are inside
+    the returned ellipsoid exactly (up to float roundoff) and its volume is
+    within (1+eps)^{n/2} of optimal.
     """
     pts = _finite(np.array(points, dtype=float), "MVEE points")
     if pts.ndim != 2 or pts.size == 0:
@@ -296,20 +288,24 @@ def mvee_certified(points):
     # M(u) = R^T R from the weighted support, so w_i = |x_i^T R^{-1}|^2 is
     # accurate to cond(R), not cond(M), times the unit roundoff
     on = u > 0.0
-    rinv = np.linalg.inv(np.linalg.qr(pts[on] * np.sqrt(u[on])[:, None], mode="r"))
+    r = np.linalg.qr(pts[on] * np.sqrt(u[on])[:, None], mode="r")
+    rinv = np.linalg.inv(r)
     w = np.sum((pts @ rinv) ** 2, axis=1)
-    eps = float(np.max(w)) / n - 1.0
+    max_w = float(np.max(w))
+    eps = max_w / n - 1.0
     if eps > OPT_TOL:
         raise RuntimeError(f"MVEE did not converge: eps={eps:.3e} after {iters} iterations")
-    a = rinv @ rinv.T / float(np.max(w))
-    return SpdNorm(0.5 * (a + a.T)), {"eps": eps, "iterations": int(iters)}
+    a = rinv @ rinv.T / max_w
+    return SpdNorm(0.5 * (a + a.T)), {"eps": eps, "iterations": int(iters), "r": r, "max_w": max_w}
 
 
 def john_ellipsoid(body):
     """Maximal-volume inscribed ellipsoid of a polytope norm.
 
-    Computed as the polar of the MVEE of the polar's vertices; the inscribed
-    condition a_i^T Q a_i <= b_i^2 (1+1e-6) and the distance bound
+    Computed as the polar of the MVEE of the polar's vertices: with the
+    MVEE A = R^-1 R^-T / max_w, John's form is max_w R^T R, whose Cholesky
+    factor is sqrt(max_w) R^T with its diagonal signs made positive.  The
+    inscribed condition a_i^T A a_i <= b_i^2 (1+1e-6) and the distance bound
     d(E, K) <= log sqrt(n) + 1e-6 are verified before returning.
     """
     if not isinstance(body, PolyNorm):
@@ -320,8 +316,10 @@ def john_ellipsoid(body):
     vals = np.sum((body.a @ a_out) * body.a, axis=1)
     if np.any(vals > body.b ** 2 * (1 + OPT_TOL)):
         raise RuntimeError("inscribed ellipsoid escapes a facet")
-    b_mat = np.linalg.inv(a_out)
-    john = SpdNorm(0.5 * (b_mat + b_mat.T))
+    r, max_w = info["r"], info["max_w"]
+    b_mat = max_w * (r.T @ r)
+    john = object.__new__(SpdNorm)
+    john._store(0.5 * (b_mat + b_mat.T), math.sqrt(max_w) * r.T * np.sign(np.diag(r)))
     if not gi_distance_bodies(john, body) <= math.log(math.sqrt(n)) + OPT_TOL:
         raise RuntimeError("John bound violated: MVEE certificate broken")
     return john

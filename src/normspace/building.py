@@ -21,18 +21,15 @@ a result depends only on its arguments, never on earlier calls about the
 same lattice in another basis.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import qlinalg
-from .errors import InfeasibleScaleError, UsageError
-from .valued import DiagNorm, gi_distance, helly_witness_na, pval_int
+from .errors import Frozen, InfeasibleScaleError, UsageError
+from .valued import DiagNorm, gi_distance, helly_witness_na, pval_int, ratio_text
 
 MAX_DIM = 3
 MAX_PRIME = 3
@@ -113,7 +110,7 @@ def _key_text(key):
     """The key as text: p, then the Hermite form's rational rows, e.g. p2:1,0;0,1/4."""
     p, s, rows = key
     mul, den = (1, p ** s) if s > 0 else (p ** -s, 1)
-    return f"p{p}:" + ";".join(",".join(_ratio_text(x * mul, den) for x in row) for row in rows)
+    return f"p{p}:" + ";".join(",".join(ratio_text(x * mul, den) for x in row) for row in rows)
 
 
 def _key_order(key):
@@ -123,13 +120,7 @@ def _key_order(key):
     return p, tuple(tuple(x / den for x in row) for row in rows)
 
 
-def _ratio_text(x, den):
-    """str(Fraction(x, den)) for den > 0, without building the Fraction."""
-    g = math.gcd(x, den)
-    return str(x // g) if g == den else f"{x // g}/{den // g}"
-
-
-class LatticeVertex:
+class LatticeVertex(Frozen):
     """A norm with integer weights, canonicalized as a Z_(p)-lattice.
 
     A vertex made by `neighbors` or `ball_bfs` holds only its key and
@@ -139,33 +130,22 @@ class LatticeVertex:
     __slots__ = ("_norm", "_key", "_ctx", "_lattice")
 
     def __init__(self, norm):
-        if not all(w.denominator == 1 for w in norm.weights):
+        if norm._w[1] != 1:
             raise UsageError("vertex weights must be integers")
-        object.__setattr__(self, "_norm", norm)
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_ctx", norm.ctx)
-        object.__setattr__(self, "_lattice", None)
+        self._set(_norm=norm, _key=None, _ctx=norm.ctx, _lattice=None)
 
     @classmethod
     def _lazy(cls, key, ctx, cols, den):
         """The vertex with key `key`, weights 0 and basis columns cols / den."""
         self = object.__new__(cls)
-        object.__setattr__(self, "_norm", None)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_ctx", ctx)
-        object.__setattr__(self, "_lattice", (cols, den))
+        self._set(_norm=None, _key=key, _ctx=ctx, _lattice=(cols, den))
         return self
-
-    def __setattr__(self, *a):
-        raise AttributeError("LatticeVertex is immutable")
 
     @property
     def norm(self):
         if self._norm is None:
             cols, den = self._lattice
-            n = len(cols)
-            basis = [[Fraction(col[i], den) for col in cols] for i in range(n)]
-            object.__setattr__(self, "_norm", DiagNorm(self._ctx, basis, (Fraction(0),) * n))
+            self._set(_norm=DiagNorm._of_ints(self._ctx, cols, den, (0,) * len(cols), 1))
         return self._norm
 
     @property
@@ -179,19 +159,19 @@ class LatticeVertex:
     def lattice_ints(self):
         """(cols, den): column j of cols / den is p^{m_j} times basis vector j."""
         if self._lattice is None:
-            p, b, w = Fraction(self.ctx.p), self.norm.basis, self.norm.weights
+            p, (b_int, den, _, _), (w, _) = self.ctx.p, self._norm._ints, self._norm._w
             if max(map(abs, w)) > MAX_WEIGHT:
                 raise InfeasibleScaleError(f"vertex weights are limited to |m| <= {MAX_WEIGHT}")
-            cols = [[row[j] * p ** w[j] for row in b] for j in range(self.dim)]
-            object.__setattr__(self, "_lattice", qlinalg.clear_denominators(cols))
+            s = max(0, -min(w))  # the basis times p^m is B_int p^(m + s) / (D p^s)
+            cols = [[x * p ** (m + s) for x in col] for col, m in zip(zip(*b_int), w)]
+            self._set(_lattice=(cols, den * p ** s))
         return self._lattice
 
     @property
     def canonical_key(self):
         if self._key is None:
             p, (cols, den) = self.ctx.p, self.lattice_ints()
-            key = _lattice_key(p, tuple(zip(*_hermite(cols, p))), pval_int(den, p))
-            object.__setattr__(self, "_key", key)
+            self._set(_key=_lattice_key(p, tuple(zip(*_hermite(cols, p))), pval_int(den, p)))
         return self._key
 
     @property
@@ -215,7 +195,7 @@ class LatticeVertex:
         if self._norm is not None:
             return self._norm.to_json()
         cols, den = self._lattice
-        return {"p": self.ctx.p, "basis": [[_ratio_text(x, den) for x in col] for col in cols],
+        return {"p": self.ctx.p, "basis": [[ratio_text(x, den) for x in col] for col in cols],
                 "weights": ["0"] * len(cols)}
 
     @classmethod
@@ -439,17 +419,20 @@ def ball_bfs(center, radius):
     return found
 
 
-@dataclass
 class BallCertificate:
-    """Outcome of a Helly check over a family of combinatorial balls."""
+    """Outcome of a Helly check over a family of combinatorial balls;
+    `outcome` is "witness" or "empty".  Compared by value, so unhashable."""
 
-    centers: list
-    radii: list
-    mode: str
-    outcome: str  # "witness" | "empty"
-    witness: LatticeVertex | None = None
-    offending_pair: tuple | None = None
-    stats: dict = field(default_factory=dict)
+    __hash__ = None
+
+    def __init__(self, centers, radii, mode, outcome, witness=None, offending_pair=None,
+                 stats=None):
+        self.centers, self.radii, self.mode, self.outcome = centers, radii, mode, outcome
+        self.witness, self.offending_pair = witness, offending_pair
+        self.stats = {} if stats is None else stats
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     def to_json(self):
         return {

@@ -1,4 +1,5 @@
-"""Shared exception types, mapped to CLI exit codes by normspace.cli."""
+"""Shared exception types, mapped to CLI exit codes by normspace.cli, and
+the base of the immutable classes."""
 
 
 # what reading a malformed outside document raises: every reader of JSON
@@ -29,6 +30,21 @@ class PairwiseRadiusError(NormspaceError):
             message
             or f"balls {pair[0]} and {pair[1]} do not intersect: gap {gap}"
         )
+
+
+class Frozen:
+    """Base of the immutable classes: their slots are set through `_set`."""
+
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 def malformed(what, exc):

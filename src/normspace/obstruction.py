@@ -11,27 +11,33 @@ case in range (n = 4).
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InfeasibleScaleError, UsageError
+from .errors import Frozen, InfeasibleScaleError, UsageError
 
 ENUM_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class SignedPerm:
+class SignedPerm(Frozen):
     """g e_i = signs[i] * e_{perm[i]} (0-based)."""
 
-    perm: tuple
-    signs: tuple
+    __slots__ = ("perm", "signs")
 
-    def __post_init__(self):
-        k = len(self.perm)
-        if sorted(self.perm) != list(range(k)) or len(self.signs) != k:
+    def __init__(self, perm, signs):
+        k = len(perm)
+        if sorted(perm) != list(range(k)) or len(signs) != k:
             raise UsageError("invalid signed permutation data")
-        if any(s not in (1, -1) for s in self.signs):
+        if any(s not in (1, -1) for s in signs):
             raise UsageError("signs must be +-1")
+        self._set(perm=perm, signs=signs)
+
+    def __eq__(self, other):
+        if other.__class__ is not SignedPerm:
+            return NotImplemented
+        return self.perm == other.perm and self.signs == other.signs
+
+    def __hash__(self):
+        return hash((self.perm, self.signs))
 
     @property
     def k(self):
@@ -78,13 +84,19 @@ def cube_isometries(k):
     return tuple(out)
 
 
-@dataclass
 class ObstructionReport:
-    n: int
-    verdict: str  # "impossible" | "exists"
-    reason: str  # "element-order" | "lagrange" | "simplicity" | "exhaustive-search"
-    detail: str = ""
-    certificate: dict | None = None
+    """`verdict` is "impossible" or "exists"; `reason` is "element-order",
+    "lagrange", "simplicity" or "exhaustive-search".  Compared by value, so
+    unhashable."""
+
+    __hash__ = None
+
+    def __init__(self, n, verdict, reason, detail="", certificate=None):
+        self.n, self.verdict, self.reason = n, verdict, reason
+        self.detail, self.certificate = detail, certificate
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     def to_json(self):
         return {

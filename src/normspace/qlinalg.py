@@ -49,9 +49,14 @@ def clear_denominators(rows):
     """(integer rows, d) with rows = integer rows / d, d the least common
     denominator; entries are ints, Fractions or floats, a float read as its
     binary rational."""
-    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
-    d = math.lcm(*(q for row in ratios for _, q in row))
-    return [[p * (d // q) for p, q in row] for row in ratios], d
+    return clear_ratios([[x.as_integer_ratio() for x in row] for row in rows])
+
+
+def clear_ratios(rows):
+    """`clear_denominators` for entries given as (numerator, denominator > 0)
+    pairs; d is least when the pairs are in lowest terms."""
+    d = math.lcm(*(q for row in rows for _, q in row))
+    return [[p * (d // q) for p, q in row] for row in rows], d
 
 
 def echelon(rows, ncols):

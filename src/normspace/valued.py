@@ -1,12 +1,15 @@
 """Diagonalizable ultrametric norms on Q^n with the p-adic absolute value.
 
-A norm is stored as an invertible rational basis matrix (column j = j-th
+A norm is an invertible rational basis matrix (column j = j-th
 basis vector in standard coordinates) together with a rational weight
 vector m.  Writing x for the coordinates of v in that basis, the norm value
-is q^max_i(m_i - v_p(x_i)) with q = p.  Values, distances and the pivoting
-of common adapted bases are computed on integers (basis = B_int / D,
-inverse = D M / d with M = d B_int^{-1}); Fractions appear only at the
-boundary: inputs, weights, returned values and returned bases.
+is q^max_i(m_i - v_p(x_i)) with q = p.  A norm's data are integers: the
+basis B_int / D and the weights a_i / e over their least denominators, and
+the inverse D M / d with M = d B_int^{-1}.  JSON is read into them (ints and
+canonical "a/b" text without a Fraction) and printed from them; values,
+distances and the pivoting of common adapted bases are computed on them.
+Fractions are built only where they are read: the `basis` and `weights`
+of a norm, returned values and distances, and other input spellings.
 No floating point enters this module.
 
 Two facts keep the certificates cheap without making them optional.  The
@@ -21,14 +24,12 @@ d(eta_s, eta_t) <= a_s + a_t, so the pairwise condition of the Helly
 theorem is measured only when a membership fails.
 """
 
-from __future__ import annotations
-
+import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import qlinalg
-from .errors import MALFORMED, PairwiseRadiusError, UsageError, malformed
+from .errors import MALFORMED, Frozen, PairwiseRadiusError, UsageError, malformed
 from .qlinalg import frac, mat, vec
 
 
@@ -50,15 +51,24 @@ def is_prime(p):
     return True
 
 
-@dataclass(frozen=True)
-class PAdicContext:
+class PAdicContext(Frozen):
     """The prime p; values of the absolute value live in p^Z (q = p)."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if type(self.p) is not int or self.p >= MAX_P or not is_prime(self.p):
-            raise UsageError(f"p must be a prime integer below {MAX_P}, got {self.p!r}")
+    def __init__(self, p):
+        if type(p) is not int or p >= MAX_P or not is_prime(p):
+            raise UsageError(f"p must be a prime integer below {MAX_P}, got {p!r}")
+        self._set(p=p)
+
+    def __eq__(self, other):
+        return self.p == other.p if other.__class__ is PAdicContext else NotImplemented
+
+    def __hash__(self):
+        return hash((self.p,))
+
+    def __repr__(self):
+        return f"PAdicContext(p={self.p})"
 
 
 def pval_int(n, p):
@@ -98,45 +108,72 @@ def pval(x, p):
     return pval_int(x.numerator, p) - pval_int(x.denominator, p)
 
 
-class DiagNorm:
-    """An ultrametric norm diagonal in an explicit rational basis."""
+class DiagNorm(Frozen):
+    """An ultrametric norm diagonal in an explicit rational basis.
 
-    __slots__ = ("ctx", "basis", "weights", "_ints")
+    Its data are integers: weights a_i / e and basis B_int / D, each over its
+    least denominator, and M = d B_int^{-1}, d = +-det B_int.  The Fraction
+    `basis` and `weights` are built the first time they are read, the basis
+    once for the norm and all its `_reweighted` copies.
+    """
+
+    __slots__ = ("ctx", "_ints", "_w", "_basis", "_weights")
 
     def __init__(self, ctx, basis, weights):
         if not isinstance(ctx, PAdicContext):
             ctx = PAdicContext(ctx)
-        basis = mat(basis)
-        weights = vec(weights)
-        n = len(weights)
-        if len(basis) != n or any(len(row) != n for row in basis):
+        basis, weights = mat(basis), vec(weights)
+        (a,), e = qlinalg.clear_denominators([weights])
+        self._fill(ctx, *qlinalg.clear_denominators(basis), (tuple(a), e), [basis], weights)
+
+    @classmethod
+    def _of_ints(cls, ctx, cols, den, a, e):
+        """The norm with weights a_i / e on the basis cols[j] / den, for
+        integers a and cols and den, e > 0."""
+        g = math.gcd(den, *itertools.chain.from_iterable(cols))
+        out = object.__new__(cls)
+        out._fill(ctx, [[x // g for x in row] for row in zip(*cols)], den // g,
+                  _lowest(a, e), [None], None)
+        return out
+
+    def _fill(self, ctx, b_int, den, w, basis, weights):
+        n = len(w[0])
+        if len(b_int) != n or any(len(row) != n for row in b_int):
             raise UsageError("basis must be square and match the weight length")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "weights", weights)
-        # (B_int, D, M, d): basis = B_int / D and M = d * B_int^{-1}, d = +-det B_int,
-        # from one Bareiss pass on [B_int | I]
-        b_int, den = qlinalg.clear_denominators(basis)
+        # M = d * B_int^{-1}, d = +-det B_int, from one Bareiss pass on [B_int | I]
         d, out = qlinalg.bareiss([r + [int(i == j) for j in range(n)]
                                   for i, r in enumerate(b_int)])
         if d == 0:
             raise UsageError("basis matrix is singular")
-        object.__setattr__(self, "_ints", (b_int, den, [r[n:] for r in out], d))
+        self._set(ctx=ctx, _ints=(b_int, den, [r[n:] for r in out], d), _w=w, _basis=basis,
+                  _weights=weights)
 
-    def __setattr__(self, *a):  # immutable by construction
-        raise AttributeError("DiagNorm is immutable")
+    @property
+    def basis(self):
+        """The basis matrix (column j = j-th basis vector) as Fractions."""
+        cell = self._basis
+        if cell[0] is None:
+            b_int, den = self._ints[:2]
+            cell[0] = tuple(tuple(Fraction(x, den) for x in row) for row in b_int)
+        return cell[0]
+
+    @property
+    def weights(self):
+        if self._weights is None:
+            a, e = self._w
+            self._set(_weights=tuple(Fraction(x, e) for x in a))
+        return self._weights
 
     @property
     def dim(self):
-        return len(self.weights)
+        return len(self._w[0])
 
-    def _reweighted(self, weights):
-        """The norm on this basis with other weights; it shares the integer
-        data, so no elimination runs."""
+    def _reweighted(self, a, e):
+        """The norm on this basis with weights a_i / e; it shares the integer
+        data and the basis, so no elimination runs."""
         out = object.__new__(DiagNorm)
-        for name, value in (("ctx", self.ctx), ("basis", self.basis),
-                            ("weights", vec(weights)), ("_ints", self._ints)):
-            object.__setattr__(out, name, value)
+        out._set(ctx=self.ctx, _ints=self._ints, _w=_lowest(a, e), _basis=self._basis,
+                 _weights=None)
         return out
 
     @classmethod
@@ -144,16 +181,16 @@ class DiagNorm:
         weights = vec(weights)
         return cls(ctx, qlinalg.identity(len(weights)), weights)
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # least denominators make the integers canonical
         return (
             isinstance(other, DiagNorm)
             and self.ctx == other.ctx
-            and self.basis == other.basis
-            and self.weights == other.weights
+            and self._ints[:2] == other._ints[:2]
+            and self._w == other._w
         )
 
     def __hash__(self):
-        return hash((self.ctx, self.basis, self.weights))
+        return hash((self.ctx, self._w, self._ints[1], *map(tuple, self._ints[0])))
 
     def __repr__(self):
         return f"DiagNorm(p={self.ctx.p}, n={self.dim})"
@@ -161,27 +198,53 @@ class DiagNorm:
     # -- JSON: rationals as "num/den" strings, basis as a list of columns --
 
     def to_json(self):
-        cols = [
-            [str(self.basis[i][j]) for i in range(self.dim)]
-            for j in range(self.dim)
-        ]
+        (b_int, den, _, _), (a, e) = self._ints, self._w
         return {
             "p": self.ctx.p,
-            "basis": cols,
-            "weights": [str(w) for w in self.weights],
+            "basis": [[ratio_text(x, den) for x in col] for col in zip(*b_int)],
+            "weights": [ratio_text(x, e) for x in a],
         }
 
     @classmethod
     def from_json(cls, obj):
         try:
             p = obj["p"]
-            cols = [[frac(x) for x in col] for col in obj["basis"]]
-            weights = [frac(x) for x in obj["weights"]]
+            cols = [[read_ratio(x) for x in col] for col in obj["basis"]]
+            (a,), e = qlinalg.clear_ratios([[read_ratio(x) for x in obj["weights"]]])
         except MALFORMED as exc:
             raise malformed("bad DiagNorm JSON", exc) from exc
         if not cols or any(len(col) != len(cols) for col in cols):
             raise UsageError("bad DiagNorm JSON: basis must be n columns of length n >= 1")
-        return cls(PAdicContext(p), qlinalg.from_columns(cols), weights)
+        return cls._of_ints(PAdicContext(p), *qlinalg.clear_ratios(cols), a, e)
+
+
+def _lowest(a, e):
+    """Integer weights a_i / e over their least common denominator."""
+    g = math.gcd(e, *a)
+    return tuple(x // g for x in a), e // g
+
+
+def read_ratio(x):
+    """Fraction(x).as_integer_ratio() for a JSON value x.  An int and "a" or
+    "a/b" text (an optional "-", ASCII digits, a nonzero denominator) are
+    read as integers; anything else, accepted or refused, goes to Fraction."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is str and x.isascii():
+        num, slash, den = x.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (
+                den.isdigit() and int(den) or not slash):
+            a, b = int(num), int(den or 1)
+            g = math.gcd(a, b)
+            return a // g, b // g
+    return Fraction(x).as_integer_ratio()
+
+
+def ratio_text(x, den):
+    """str(Fraction(x, den)) for integers x and den > 0, without building the
+    Fraction."""
+    g = math.gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
 def _require_same_space(a, b):
@@ -192,34 +255,34 @@ def _require_same_space(a, b):
 
 
 def _log_max(eta, cols, shift, offsets):
-    """max_j (log_q eta(c_j / E) - offsets_j) for integer columns c_j, v_p(E) = shift,
-    as (numerator, denominator).
+    """max_j (log_q eta(c_j / E) - o_j / f) for integer columns c_j, v_p(E) =
+    shift and offsets (o, f), as (numerator, denominator).
 
     c_j / E has coordinates D (M c_j) / (d E) in eta's basis, so only
     valuations of integer products enter and no Fraction is built; None iff
-    every M c_j is 0.  A term a_i - o_j - v_p(y) is at most a_i - o_j, so
-    the rows run in decreasing weight and stop once that bound cannot beat
-    the best term.
+    every M c_j is 0.  With eta's weights a_i / e, terms are kept over e f.
+    A term a_i - o_j - v_p(y) is at most a_i - o_j, so the rows run in
+    decreasing weight and stop once that bound cannot beat the best term.
     """
     p = eta.ctx.p
-    e = math.lcm(*(w.denominator for w in eta.weights + offsets))
+    (a, e), (o, f) = eta._w, offsets
     _, den, m, d = eta._ints
-    rows = sorted(zip((w.numerator * (e // w.denominator) for w in eta.weights), m),
-                  key=lambda r: -r[0])
+    ef = e * f
+    rows = sorted(zip((x * f for x in a), m), key=lambda r: -r[0])
     best = None
-    for col, off in zip(cols, offsets):
-        o = off.numerator * (e // off.denominator)
+    for col, oj in zip(cols, o):
+        oj *= e
         for ai, row in rows:
-            if best is not None and ai - o <= best:
+            if best is not None and ai - oj <= best:
                 break
             y = sum(x * c for x, c in zip(row, col))
             if y:
-                t = ai - o - e * pval_int(y, p)
+                t = ai - oj - ef * pval_int(y, p)
                 if best is None or t > best:
                     best = t
     if best is None:
         return None
-    return best + e * (shift + pval_int(d, p) - pval_int(den, p)), e
+    return best + ef * (shift + pval_int(d, p) - pval_int(den, p)), ef
 
 
 def eval_log_norm(eta, v):
@@ -228,7 +291,7 @@ def eval_log_norm(eta, v):
     if len(v) != eta.dim:
         raise UsageError(f"vector has dimension {len(v)}, norm expects {eta.dim}")
     (v_int,), e = qlinalg.clear_denominators([v])
-    top = _log_max(eta, [v_int], pval_int(e, eta.ctx.p), (Fraction(0),))
+    top = _log_max(eta, [v_int], pval_int(e, eta.ctx.p), ((0,), 1))
     return None if top is None else Fraction(*top)
 
 
@@ -245,7 +308,7 @@ def _log_sup(eta, etap):
     """`log_sup_ratio` as (numerator, denominator)."""
     _require_same_space(eta, etap)
     b_int, den, _, _ = etap._ints
-    return _log_max(eta, list(zip(*b_int)), pval_int(den, eta.ctx.p), etap.weights)
+    return _log_max(eta, list(zip(*b_int)), pval_int(den, eta.ctx.p), etap._w)
 
 
 def leq_norms(eta, etap):
@@ -256,14 +319,14 @@ def leq_norms(eta, etap):
 def scale_norm(eta, a):
     """The norm q^a * eta: all weights shifted by a."""
     a = frac(a)
-    return eta._reweighted(tuple(w + a for w in eta.weights))
+    (w, e), f = eta._w, a.denominator
+    return eta._reweighted([x * f + a.numerator * e for x in w], e * f)
 
 
 def gi_distance(eta, etap):
     """Exact Goldman-Iwahori distance sup_v |log_q eta(v)/eta'(v)|."""
-    a = log_sup_ratio(eta, etap)
-    b = log_sup_ratio(etap, eta)
-    d = max(a, b)
+    (a, e), (b, f) = _log_sup(eta, etap), _log_sup(etap, eta)
+    d = Fraction(a, e) if a * f >= b * e else Fraction(b, f)
     if d < 0:
         raise RuntimeError("negative distance: broken norm input")
     return d
@@ -287,7 +350,9 @@ def common_adapted_basis(eta, etap):
 
 
 def _smith_pivot(eta, etap):
-    """The pivoting of `common_adapted_basis` on integers: (basis, m, m').
+    """The pivoting of `common_adapted_basis` on integers: (cols, D, m, m')
+    with the common basis cols[j] / D and the weights m, m' as (integers,
+    denominator) pairs.
 
     The transition matrix is (D / (d D')) M B'_int.  Its row i is kept as
     s_i g_i with g_i integer and only off_i = v_p(s_i) tracked, so the pivot
@@ -298,9 +363,9 @@ def _smith_pivot(eta, etap):
     (integer column, denominator) in standard coordinates.
     """
     n, p = eta.dim, eta.ctx.p
-    e = math.lcm(*(w.denominator for w in eta.weights + etap.weights))
-    a = [w.numerator * (e // w.denominator) for w in eta.weights]
-    ap = [w.numerator * (e // w.denominator) for w in etap.weights]
+    (a, ea), (ap, eb) = eta._w, etap._w
+    e = math.lcm(ea, eb)
+    a, ap = [x * (e // ea) for x in a], [x * (e // eb) for x in ap]
     _, den, m, d = eta._ints
     b_int, denp, _, _ = etap._ints
     f_cols, f_dens = [list(col) for col in zip(*b_int)], [denp] * n
@@ -338,9 +403,8 @@ def _smith_pivot(eta, etap):
         mm[j0] = a[i0] - e * (v + off[i0])
         rows.remove(i0)
         cols.remove(j0)
-    basis = tuple(tuple(Fraction(col[i], fd) for col, fd in zip(f_cols, f_dens))
-                  for i in range(n))
-    return basis, tuple(Fraction(x, e) for x in mm), etap.weights
+    cols, den = qlinalg.clear_ratios([[(x, fd) for x in col] for col, fd in zip(f_cols, f_dens)])
+    return cols, den, (mm, e), etap._w
 
 
 def _det_valuation(eta):
@@ -352,24 +416,22 @@ def _det_valuation(eta):
 
 def _volumes_agree(eta, theta):
     """True iff eta and theta have one determinant norm: sum of weights plus
-    v_p(det basis) agree, compared as integers over one weight denominator."""
-    e = math.lcm(*(w.denominator for w in eta.weights + theta.weights))
-    gap = (sum(w.numerator * (e // w.denominator) for w in eta.weights)
-           - sum(w.numerator * (e // w.denominator) for w in theta.weights))
-    return gap == e * (_det_valuation(theta) - _det_valuation(eta))
+    v_p(det basis) agree, compared as integers."""
+    (a, e), (b, f) = eta._w, theta._w
+    return sum(a) * f - sum(b) * e == e * f * (_det_valuation(theta) - _det_valuation(eta))
 
 
-def _verify_common_basis(eta, etap, basis, mm, mmp):
-    """(theta, theta') on `basis` with weights mm and mm', certified equal to
-    (eta, eta') as norms.
+def _verify_common_basis(eta, etap, cols, den, mm, mmp):
+    """(theta, theta') on the basis cols[j] / den with weights mm and mm'
+    ((integers, denominator) pairs), certified equal to (eta, eta') as norms.
 
     Each side costs one `leq_norms` and one volume comparison: eta <= theta
     and equal determinant norms force theta = eta (module docstring).  The
     weight gap needs no recheck against `gi_distance`: theta and theta' are
     diagonal in one basis, so their distance is the largest weight gap.
     """
-    cand = DiagNorm(eta.ctx, basis, mm)
-    candp = cand._reweighted(mmp)
+    cand = DiagNorm._of_ints(eta.ctx, cols, den, *mm)
+    candp = cand._reweighted(*mmp)
     if not (_volumes_agree(eta, cand) and leq_norms(eta, cand)):
         raise RuntimeError("common basis does not reproduce the first norm")
     if not (_volumes_agree(etap, candp) and leq_norms(etap, candp)):
@@ -390,7 +452,8 @@ def join_norms(norms):
     out = norms[0]
     for other in norms[1:]:
         theta, thetap = common_adapted_basis(out, other)
-        out = theta._reweighted(tuple(max(a, b) for a, b in zip(theta.weights, thetap.weights)))
+        (a, e), (b, f) = theta._w, thetap._w
+        out = theta._reweighted([max(x * f, y * e) for x, y in zip(a, b)], e * f)
     return out
 
 

@@ -366,6 +366,47 @@ def test_john_inscribed_facet_condition():
     assert np.all(vals <= body.b ** 2 * (1 + 1e-6))
 
 
+def test_john_reads_its_form_and_factor_off_the_mvee(monkeypatch):
+    """John's form is max_w R^T R and its factor sqrt(max_w) R^T with a
+    positive diagonal, read off the MVEE's R: a call inverts nothing past
+    the MVEE's R and factors no form past the MVEE's own.  Both certificates
+    stay live: a corrupted MVEE matrix escapes a facet, a corrupted max_w
+    breaks the John bound."""
+    calls = {"inv": 0, "SpdNorm": 0}
+    inv, spd_init = np.linalg.inv, SpdNorm.__init__
+
+    def counted_inv(*args):
+        calls["inv"] += 1
+        return inv(*args)
+
+    def counted_init(self, *args):
+        calls["SpdNorm"] += 1
+        spd_init(self, *args)
+
+    rng = helpers.rng_for(410)
+    polys = [PolyNorm.from_vertices(rng.standard_normal((n + 3, n))) for n in (2, 3, 4)]
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(SpdNorm, "__init__", counted_init)
+    for body in polys:
+        calls.update(inv=0, SpdNorm=0)
+        john = john_ellipsoid(body)
+        assert calls == {"inv": 1, "SpdNorm": 1}
+        ell = john.factor
+        assert np.array_equal(ell, np.tril(ell)) and np.all(np.diag(ell) > 0)
+        assert np.allclose(ell @ ell.T, john.matrix, rtol=1e-13, atol=0)
+        outer, _ = mvee_certified(body.a / body.b[:, None])
+        assert np.allclose(john.matrix @ outer.matrix, np.eye(body.dim), atol=1e-9)
+    monkeypatch.undo()
+    real = mvee_certified
+    for corrupt, message in ((lambda ell, info: (SpdNorm(4 * ell.matrix), info), "escapes a facet"),
+                             (lambda ell, info: (ell, {**info, "max_w": 4 * info["max_w"]}),
+                              "John bound violated")):
+        monkeypatch.setattr("normspace.bodies.mvee_certified",
+                            lambda pts, corrupt=corrupt: corrupt(*real(pts)))
+        with pytest.raises(RuntimeError, match=message):
+            john_ellipsoid(polys[0])
+
+
 # -- the meet of a ball family, certified by its pairwise distances --
 
 def test_spd_to_polytope_error_bound():
@@ -663,8 +704,9 @@ def test_an_spd_pencil_overflowing_both_whitenings_answers():
     assert all(d <= r for d, r in zip(details["distances"], details["allowed"]))
 
 
-def test_an_spd_pencil_overflowing_one_way_is_whitened_the_other():
-    # whitened by TINY_SPD the pencil overflows, by DISC it does not
+def test_an_spd_pencil_with_a_subnormal_form_answers_in_both_orders():
+    # A = diag(1e-310, 1) against the identity: the factor quotient's singular
+    # values are 1e-155 and 1, so both orders give 0.5 |ln 1e-310| to the bit
     want = 0.5 * abs(math.log(1e-310))
     assert gi_distance_bodies(DISC, TINY_SPD) == gi_distance_bodies(TINY_SPD, DISC) == want
 
@@ -672,9 +714,9 @@ def test_an_spd_pencil_overflowing_one_way_is_whitened_the_other():
 WIDE_SPD = (SpdNorm([[1e-200, 0.0], [0.0, 1.0]]), SpdNorm([[1e200, 0.0], [0.0, 1.0]]))
 
 
-def test_an_spd_pencil_wider_than_one_whitening_is_centered():
-    # whitened by the large form an eigenvalue underflows to 0, by the small
-    # one it overflows; scaled by 2^k the pencil's spectrum is 1e-200, 1e200
+def test_an_spd_pencil_spanning_1e400_answers_in_both_orders():
+    # the pencil's spectrum 1e-200, 1e200 is wider than the float range; the
+    # factor quotient's singular values are its square roots, 1e-100 and 1e100
     want = 200 * math.log(10)  # 0.5 ln(1e400)
     a, b = WIDE_SPD
     assert gi_distance_bodies(a, b) == gi_distance_bodies(b, a)

@@ -343,18 +343,19 @@ def test_certificate_json_roundtrip():
 def test_a_ball_builds_only_the_center_norm(monkeypatch, p, n, r):
     obj = random_vertex(707, 2, PAdicContext(p), n).to_json()
     built = []
-    init = DiagNorm.__init__
+    fill = DiagNorm._fill  # every norm's integer data is made here
 
     def counted(self, *args):
         built.append(self)
-        init(self, *args)
+        fill(self, *args)
 
-    monkeypatch.setattr(DiagNorm, "__init__", counted)
+    monkeypatch.setattr(DiagNorm, "_fill", counted)
     ball = ball_bfs(LatticeVertex.from_json(obj), r)
     doc = [v.to_json() for v, _ in ball.values()]
     monkeypatch.undo()
     assert len(ball) == {(2, 2, 2): 83, (3, 2, 1): 23, (2, 3, 1): 129}[(p, n, r)]
     assert len(built) == 1
+    assert built[0]._basis == [None]  # nor its Fraction basis
     # the integer emission is the Fraction norm's, byte for byte
     assert doc == [v.norm.to_json() for v, _ in ball.values()]
 

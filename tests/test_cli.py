@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -455,13 +456,15 @@ def test_entry_point_subprocess():
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():
+    # nor dataclasses and the inspect module it imports, a few ms of setup
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, normspace.cli; print('scipy.spatial' in sys.modules)"],
+         "import sys, normspace.cli\n"
+         "print([m for m in ('scipy.spatial', 'dataclasses', 'inspect') if m in sys.modules])"],
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_3d_hulls_leave_scipy_unloaded():
@@ -526,6 +529,58 @@ def test_every_subcommand_prints_the_same_bytes_in_fresh_processes(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code in (0, 1), (argv[0], err)
         assert fresh[0] == fresh[1] == (code, out.encode(), err.encode()), argv[0]
+
+
+def _respelled(doc, start):
+    """A norm's JSON with its rationals in non-canonical text, in turn
+    "4/8"-, "3/1"- and "0.5"-style strings and JSON floats where exact."""
+    turn = iter(range(start, start + 100))
+
+    def spell(text):
+        q = Fraction(text)
+        a, b = q.as_integer_ratio()
+        ways = [f"{2 * a}/{2 * b}", f"{a}/{b}"] + ([str(float(q)), float(q)] * (float(q) == q))
+        return ways[next(turn) % len(ways)]
+
+    return {"p": doc["p"], "basis": [[spell(x) for x in col] for col in doc["basis"]],
+            "weights": [spell(x) for x in doc["weights"]]}
+
+
+def test_non_canonical_rationals_print_the_canonical_bytes(capsys):
+    p2 = PAdicContext(2)
+    rational = DiagNorm(p2, [[Fraction(1, 2), 1], [0, 3]], [Fraction(1, 2), -3]).to_json()
+    vertex = DiagNorm(p2, [[Fraction(1, 2), 1], [0, 3]], [1, -3]).to_json()
+    norms = [rational, json.loads(LPRIME), json.loads(SHIFTED), vertex]
+
+    def argvs(a, b, c, v):
+        dump = json.dumps
+        return [
+            ("dist", "--a", dump(a), "--b", dump(b)),
+            ("join", "--inputs", dump(a), dump(b), dump(c)),
+            ("common-basis", "--a", dump(a), "--b", dump(c)),
+            ("helly-na", "--family", dump({"norms": [a, b, c], "radii": ["3", "3", "3"]})),
+            ("ball", "--center", dump(v), "--radius", "1"),
+            ("helly-building", "--family", dump({"centers": [v, b], "radii": [2, 2]})),
+        ]
+
+    def kind(x):
+        if isinstance(x, float) or "." in x:
+            return type(x).__name__
+        a, b = map(int, x.split("/"))
+        return "4/8" if math.gcd(a, b) > 1 else "3/1" if b == 1 else "canonical"
+
+    kinds = set()
+    for start in range(4):
+        respelled = [_respelled(doc, start + k) for k, doc in enumerate(norms)]
+        kinds |= {kind(x) for doc in respelled for x in doc["weights"] + sum(doc["basis"], [])}
+        for want, got in zip(argvs(*norms), argvs(*respelled)):
+            canonical = run_cli(capsys, *want)
+            assert canonical[0] == 0 and canonical[1], want[0]
+            assert run_cli(capsys, *got) == canonical, got[0]
+    assert kinds >= {"float", "str", "4/8", "3/1"}  # JSON 0.5, "0.5", "4/8", "3/1"
+    proc = subprocess.run([sys.executable, "-m", "normspace", *got],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == canonical
 
 
 def test_exact_subcommands_leave_numpy_unloaded():
@@ -656,9 +711,9 @@ def test_a_form_cholesky_cannot_factor_is_refused_when_read(capsys, monkeypatch)
     assert "positive definite" in json.loads(err)["message"]
 
 
-def test_a_pencil_that_overflows_one_way_is_whitened_the_other(capsys):
-    # whitening by the tiny form overflows, by the identity it does not; the
-    # distance is 0.5 |log 1e-310| in both argument orders, to the bit
+def test_a_pencil_with_a_subnormal_form_answers_in_both_orders(capsys):
+    # diag(1e-310, 1) against the identity: the distance is 0.5 |log 1e-310|
+    # in both argument orders, to the bit
     outs = {run_cli(capsys, "body-dist", "--a", a, "--b", b)
             for a, b in ((UNIT_SPD_BODY, TINY_SPD_BODY), (TINY_SPD_BODY, UNIT_SPD_BODY))}
     ((code, out, err),) = outs
@@ -672,8 +727,9 @@ def test_a_pencil_that_overflows_one_way_is_whitened_the_other(capsys):
     assert all(d <= r for d, r in zip(doc["distances"], doc["allowed"]))
 
 
-def test_an_spd_pencil_centered_by_a_power_of_two_answers(capsys):
-    # d = 0.5 ln(1e400), though whitening by either form leaves float range
+def test_an_spd_pencil_spanning_1e400_answers(capsys):
+    # d = 0.5 ln(1e400), though the pencil's spectrum is wider than the float
+    # range: the factor quotient's singular values are 1e-100 and 1e100
     small = '{"kind": "spd", "matrix": [[1e-200, 0], [0, 1]]}'
     large = '{"kind": "spd", "matrix": [[1e200, 0], [0, 1]]}'
     outs = {run_cli(capsys, "body-dist", "--a", a, "--b", b)

@@ -5,7 +5,10 @@ import pytest
 
 import normspace.obstruction
 from normspace import (
+    BallCertificate,
     InfeasibleScaleError,
+    ObstructionReport,
+    PAdicContext,
     SignedPerm,
     UsageError,
     cube_isometries,
@@ -39,6 +42,35 @@ def test_signed_perm_validation():
         SignedPerm((0, 0), (1, 1))
     with pytest.raises(UsageError):
         SignedPerm((0, 1), (1, 2))
+
+
+def test_value_classes_compare_hash_and_freeze_as_before():
+    """The plain value classes keep the semantics of the dataclasses they
+    replaced: frozen ones compare and hash by value and refuse assignment,
+    mutable ones compare by value and are unhashable."""
+    a, b = SignedPerm((1, 0), (1, -1)), SignedPerm((1, 0), (1, -1))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != SignedPerm((1, 0), (-1, 1)) and a != (a.perm, a.signs)
+    p3 = PAdicContext(3)
+    assert p3 == PAdicContext(3) != PAdicContext(5) and hash(p3) == hash(PAdicContext(3))
+    assert p3 != 3 and repr(p3) == "PAdicContext(p=3)"
+    for obj, name in ((a, "perm"), (p3, "p")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 2)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    with pytest.raises(UsageError):
+        PAdicContext(4)
+    report = ObstructionReport(4, "exists", "exhaustive-search")
+    assert report == ObstructionReport(4, "exists", "exhaustive-search", "", None)
+    assert report != ObstructionReport(4, "exists", "exhaustive-search", "found")
+    cert = BallCertificate([], [1], "witness", "empty")
+    assert cert == BallCertificate([], [1], "witness", "empty", None, None, {})
+    assert cert != BallCertificate([], [1], "witness", "empty", stats={"ball_sizes": [1]})
+    for obj in (report, cert):
+        with pytest.raises(TypeError):
+            hash(obj)
+        obj.detail = "mutable"
 
 
 def test_cube_isometries_orders():

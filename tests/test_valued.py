@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from normspace import (
@@ -21,7 +23,7 @@ from normspace import (
     scale_norm,
 )
 from helpers import adapted_transition_check, stabilizer_check
-from normspace import valued
+from normspace import qlinalg, valued
 from normspace.cli import main
 from normspace.valued import MAX_P, is_prime, pval, pval_int
 
@@ -387,8 +389,6 @@ def test_common_basis_unimodular_precompose_keeps_weights():
 
 def test_common_basis_self_verification_data():
     rng = helpers.rng_for(111)
-    from normspace import qlinalg
-
     for _ in range(15):
         eta = helpers.random_diag_norm(rng, P2, 3)
         etap = helpers.random_diag_norm(rng, P2, 3)
@@ -425,7 +425,9 @@ def test_common_basis_stress_mixed_valuations():
 
 def test_integer_pivoting_matches_the_fraction_pivoting():
     """Same scan order and tie-break: the integer kernel returns the basis and
-    weights of the Fraction pivoting it replaced, entry for entry."""
+    weights of the Fraction pivoting it replaced, entry for entry, as integer
+    columns over one denominator; the returned norms hold that basis over
+    its least denominator."""
     rng = helpers.rng_for(9001)
     pairs = []
     for trial in range(300):  # the stress pairs above
@@ -439,7 +441,14 @@ def test_integer_pivoting_matches_the_fraction_pivoting():
             pairs.append((helpers.random_diag_norm(rng, ctx, n),
                           helpers.random_diag_norm(rng, ctx, n)))
     for eta, etap in pairs:
-        assert _adapted(eta, etap) == helpers.common_adapted_basis_fraction(eta, etap)
+        basis, mm, mmp = helpers.common_adapted_basis_fraction(eta, etap)
+        cols, den, (got_mm, e), (got_mmp, f) = valued._smith_pivot(eta, etap)
+        assert [Fraction(x, e) for x in got_mm] == list(mm)
+        assert [Fraction(x, f) for x in got_mmp] == list(mmp)
+        assert [tuple(Fraction(x, den) for x in col) for col in cols] == list(zip(*basis))
+        theta, thetap = common_adapted_basis(eta, etap)
+        assert theta._ints[:2] == thetap._ints[:2] == tuple(qlinalg.clear_denominators(basis))
+        assert _adapted(eta, etap) == (basis, mm, mmp)
 
 
 def test_log_max_pruning_matches_every_row():
@@ -455,7 +464,10 @@ def test_log_max_pruning_matches_every_row():
         offsets = tuple(helpers.random_weights(rng, len(cols), den_choices=(1, 2, 5)))
         shift = int(rng.integers(-3, 4))
         want = helpers.log_max_unpruned(eta, cols, shift, offsets)
-        assert valued._log_max(eta, cols, shift, offsets) == want
+        (o,), f = qlinalg.clear_denominators([offsets])
+        got = valued._log_max(eta, cols, shift, (o, f))  # over another denominator
+        assert (got is None) == (want is None)
+        assert got is None or Fraction(*got) == Fraction(*want)
         assert (want is None) == (trial % 10 == 0)
 
 
@@ -463,20 +475,22 @@ def _corrupt(kind, p):
     real_pivot = valued._smith_pivot
 
     def corrupted(eta, etap):
-        basis, mm, mmp = real_pivot(eta, etap)
+        # the weights are integers over e and f: a weight moves by 1 as e or f
+        cols, den, (mm, e), (mmp, f) = real_pivot(eta, etap)
+        mm, mmp = list(mm), list(mmp)
         if kind == "weight":
-            mm = (mm[0] + 1,) + mm[1:]
+            mm[0] += e
         elif kind == "weight-b":
-            mmp = mmp[:-1] + (mmp[-1] - 1,)
+            mmp[-1] -= f
         elif kind == "swap":  # the volume stays
-            mm = (mm[0] + 1, mm[1] - 1) + mm[2:]
+            mm[0], mm[1] = mm[0] + e, mm[1] - e
         elif kind == "raise-b":
-            mmp = mmp[:-1] + (mmp[-1] + 1,)
+            mmp[-1] += f
         elif kind == "swap-b":
-            mmp = (mmp[0] - 1, mmp[1] + 1) + mmp[2:]
+            mmp[0], mmp[1] = mmp[0] - f, mmp[1] + f
         else:  # one basis column scaled by p, its weight unchanged
-            basis = tuple((row[0] * p,) + row[1:] for row in basis)
-        return basis, mm, mmp
+            cols = [[x * p for x in cols[0]]] + cols[1:]
+        return cols, den, (mm, e), (mmp, f)
     return corrupted
 
 
@@ -497,10 +511,10 @@ def test_a_wrong_common_basis_is_an_internal_error(monkeypatch, capsys, kind, me
     rng = helpers.rng_for(9005)
     ctx = PAdicContext(3)
     a, b = (helpers.nasty_norm(rng, ctx, 3) for _ in range(2))
-    basis, mm, mmp = _corrupt(kind, ctx.p)(a, b)
-    cand = DiagNorm(ctx, basis, mm)
+    cols, den, mm, mmp = _corrupt(kind, ctx.p)(a, b)
+    cand = DiagNorm._of_ints(ctx, cols, den, *mm)
     one_half = {"column": (a, cand), "swap": (a, cand),
-                "raise-b": (b, cand._reweighted(mmp)), "swap-b": (b, cand._reweighted(mmp))}
+                "raise-b": (b, cand._reweighted(*mmp)), "swap-b": (b, cand._reweighted(*mmp))}
     if kind in one_half:
         eta, theta = one_half[kind]
         assert leq_norms(eta, theta) == (kind in ("column", "raise-b"))
@@ -674,6 +688,30 @@ def test_a_compatible_family_measures_no_input_pair(monkeypatch, k):
 
 
 # -- serialization --
+
+_RATIO_TEXT = st.one_of(
+    st.fractions().map(str),  # canonical text
+    st.sampled_from(["2/4", "-0", "+3", " 7 ", "007", "1.5", "1e2", "1/0", "²", "",
+                     "-", "1/", "/2", "--3", "3/-4", "1_000", "٣", "0/5", "-12/30"]),
+    st.text(alphabet="0123456789-+/ .e_²٣", max_size=8),
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(x=st.one_of(_RATIO_TEXT, st.integers(), st.floats(allow_subnormal=True),
+                   st.sampled_from([True, False, float("inf"), 5e-324, None, [1]])))
+def test_read_ratio_matches_fraction(x):
+    """The integer reader gives Fraction(x) in lowest terms, or raises
+    Fraction's exception with its message."""
+    try:
+        want = qlinalg.frac(x)
+    except Exception as exc:
+        with pytest.raises(Exception) as got:
+            valued.read_ratio(x)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        assert valued.read_ratio(x) == want.as_integer_ratio()
+
 
 def test_json_roundtrip_exact():
     eta = DiagNorm(

@@ -16,7 +16,6 @@ arithmetic is confined to normspace.polyhedra.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -124,11 +123,7 @@ class PolyNorm(Frozen):
         redundant facets are dropped."""
         a = _finite(np.atleast_2d(np.array(facets_a, dtype=float)), "facet normals")
         b = _finite(np.ravel(np.array(facets_b, dtype=float)), "facet offsets")
-        fr = [
-            (tuple(Fraction(x) for x in row), Fraction(float(off)))
-            for row, off in zip(a, b)
-        ]
-        verts, keep = polyhedra.vertex_enum_exact(fr)
+        verts, keep = polyhedra.vertex_enum_exact(list(zip(a.tolist(), b.tolist())))
         return cls(a[keep], b[keep], [[float(x) for x in v] for v in verts])
 
     @classmethod
@@ -136,8 +131,7 @@ class PolyNorm(Frozen):
         """Build from vertex representatives; facets are enumerated exactly
         and non-extreme points are dropped."""
         w = _finite(np.atleast_2d(np.array(vertices, dtype=float)), "vertices")
-        fr = [tuple(Fraction(x) for x in row) for row in w]
-        facets, keep = polyhedra.facet_enum_exact(fr)
+        facets, keep = polyhedra.facet_enum_exact(w.tolist())
         fa = [[float(x) for x in a] for a, _ in facets]
         fb = [float(bb) for _, bb in facets]
         return cls(fa, fb, w[keep])

@@ -15,9 +15,10 @@ and reduced entries.  A ball decides whether a child is new in its
 center's frame, where a vertex is the unreduced product of the forms on its
 BFS path and its Hermite form needs no pivot search, and builds the basis
 and key of new children only; its size is checked against Birkhoff's
-count of the submodules of (Z/p^{2r})^n.  Neighbours themselves are not
-cached: each call builds them from the basis of the vertex it is given, so
-a result depends only on its arguments, never on earlier calls about the
+count of the submodules of (Z/p^{2r})^n.  A vertex's neighbours are its
+radius-1 ball after the center, so they are audited the same way.  They are
+not cached: each call builds them from the basis of the vertex it is given,
+so a result depends only on its arguments, never on earlier calls about the
 same lattice in another basis.
 """
 
@@ -29,19 +30,11 @@ from fractions import Fraction
 
 from . import qlinalg
 from .errors import Frozen, InfeasibleScaleError, UsageError
-from .valued import DiagNorm, gi_distance, helly_witness_na, pval_int, ratio_text
+from .valued import DiagNorm, gi_distance, helly_witness_na, norm_json, pval_int, ratio_texts
 
 MAX_DIM = 3
 MAX_PRIME = 3
 MAX_WEIGHT = 100  # lattice entries carry p^m: the cap bounds their size
-
-
-def _check_scale(n, p):
-    if n > MAX_DIM or p > MAX_PRIME:
-        raise InfeasibleScaleError(
-            f"neighbor enumeration is limited to n <= {MAX_DIM}, p <= {MAX_PRIME}"
-            f" (requested n={n}, p={p})"
-        )
 
 
 def _hermite(cols, p):
@@ -110,7 +103,7 @@ def _key_text(key):
     """The key as text: p, then the Hermite form's rational rows, e.g. p2:1,0;0,1/4."""
     p, s, rows = key
     mul, den = (1, p ** s) if s > 0 else (p ** -s, 1)
-    return f"p{p}:" + ";".join(",".join(ratio_text(x * mul, den) for x in row) for row in rows)
+    return f"p{p}:" + ";".join(",".join(ratio_texts([x * mul for x in row], den)) for row in rows)
 
 
 def _key_order(key):
@@ -195,8 +188,7 @@ class LatticeVertex(Frozen):
         if self._norm is not None:
             return self._norm.to_json()
         cols, den = self._lattice
-        return {"p": self.ctx.p, "basis": [[ratio_text(x, den) for x in col] for col in cols],
-                "weights": ["0"] * len(cols)}
+        return norm_json(self.ctx.p, cols, den, [0] * len(cols), 1)
 
     @classmethod
     def from_json(cls, obj):
@@ -247,41 +239,16 @@ def _frame_product(b, form):
     return raw, tuple(key)
 
 
-def _children(vertex, tagged):
-    """(child, tag) for each (form, tag) in tagged, in key order.
-
-    With W = W_int / D the lattice basis of vertex, the child of form p H_s
-    has basis W H_s = W_int (p H_s) / (D p): it is keyed from those integers,
-    and its norm is built only when read.
-    """
-    p = vertex.ctx.p
-    w_cols, den = vertex.lattice_ints()
-    w_rows = list(zip(*w_cols))
-    exp = pval_int(den * p, p)
-    out = []
-    for form, tag in tagged:
-        cols = [[sum(map(operator.mul, wr, hc)) for wr in w_rows] for hc in form]
-        rows = tuple(zip(*_hermite(cols, p)))
-        key = _lattice_key(p, rows, exp)
-        out.append((rows, LatticeVertex._lazy(key, vertex.ctx, cols, den * p), tag))
-    # distinct forms give distinct lattices, and all rows share the exponent
-    # exp, so this is the keys' rational order (_key_order)
-    out.sort(key=lambda e: e[0])
-    return [(v, tag) for _, v, tag in out]
-
-
 def neighbors(vertex):
-    """All vertices at Goldman-Iwahori distance exactly 1, in key order.
+    """All vertices at Goldman-Iwahori distance exactly 1, in key order: the
+    radius-1 ball of `ball_bfs` after its center, with its depth audit and
+    Birkhoff's count.
 
     These are the lattices L' with pL ⊆ L' ⊆ p^{-1}L other than L itself,
-    one per listed form p H_s (see _standard_forms), built by `_children`.
-    Uncached: the neighbour bases always come from this vertex's own basis.
+    one per listed form p H_s (see _standard_forms).  Uncached: the
+    neighbour bases always come from this vertex's own basis.
     """
-    n, p = vertex.dim, vertex.ctx.p
-    _check_scale(n, p)
-    self_key = vertex.canonical_key
-    return tuple(u for u, _ in _children(vertex, [(form, None) for form in _standard_forms(n, p)])
-                 if u.canonical_key != self_key)
+    return tuple(u for u, _ in itertools.islice(ball_bfs(vertex, 1).values(), 1, None))
 
 
 def _cross(a, b):
@@ -361,9 +328,11 @@ def ball_bfs(center, radius):
     printed basis is exactly W_int B / (D p^k)), so its lattice is keyed in
     the center's frame by the Hermite form of p^{r-k} B (r the radius).  Each
     frontier vertex carries b = p^{r-k-1} B, its child by a form has frame
-    key the Hermite form of b·form (`_frame_product`), and `_children` builds,
-    keys (one `_hermite`) and sorts only the children whose frame key is new,
-    so a ball runs one `_hermite` per vertex.  A frame key that is new for a
+    key the Hermite form of b·form (`_frame_product`).  Only the children
+    whose frame key is new are built, keyed (one `_hermite`) and sorted, so a
+    ball runs one `_hermite` per vertex: with W = W_int / D the lattice basis
+    of the parent, the child of form p H_s has basis W_int (p H_s) / (D p),
+    and its norm is built only when read.  A frame key that is new for a
     printed key already found is fatal.  Then every vertex but the center
     has its BFS depth checked against its exact distance to the center, on
     integers (`_distance_from`), and each sphere's size against Birkhoff's
@@ -373,8 +342,9 @@ def ball_bfs(center, radius):
     if radius < 0:
         raise UsageError("radius must be nonnegative")
     n, p = center.dim, center.ctx.p
-    if radius:
-        _check_scale(n, p)
+    if radius and (n > MAX_DIM or p > MAX_PRIME):
+        raise InfeasibleScaleError(f"neighbor enumeration is limited to n <= {MAX_DIM}, "
+                                   f"p <= {MAX_PRIME} (requested n={n}, p={p})")
 
     def scalar(s):
         return tuple(tuple(s * (i == j) for i in range(n)) for j in range(n))
@@ -385,13 +355,23 @@ def ball_bfs(center, radius):
     for depth in range(1, radius + 1):
         nxt = []
         for v, b in frontier:
-            tagged = []
+            w_cols, den = v.lattice_ints()
+            w_rows = list(zip(*w_cols))
+            exp = pval_int(den * p, p)
+            kids = []
             for form in _standard_forms(n, p):
-                raw, key = _frame_product(b, form)
-                if key not in seen:
-                    seen.add(key)
-                    tagged.append((form, raw))
-            for u, raw in _children(v, tagged):
+                raw, frame = _frame_product(b, form)
+                if frame in seen:
+                    continue
+                seen.add(frame)
+                cols = [[sum(map(operator.mul, wr, hc)) for wr in w_rows] for hc in form]
+                rows = tuple(zip(*_hermite(cols, p)))
+                u = LatticeVertex._lazy(_lattice_key(p, rows, exp), v.ctx, cols, den * p)
+                kids.append((rows, u, raw))
+            # distinct forms give distinct lattices, and all rows share the
+            # exponent exp, so this is the keys' rational order (_key_order)
+            kids.sort(key=lambda e: e[0])
+            for _, u, raw in kids:
                 k = u.canonical_key
                 if k in found:
                     raise RuntimeError(f"a new frame key for the known vertex {u.key_string}")
@@ -587,7 +567,7 @@ def random_vertex(seed, radius_bound, ctx, n):
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed)])))
-    w = [list(row) for row in qlinalg.identity(n)]
+    w = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(int(radius_bound)):
         for _ in range(2):
             i, j = rng.integers(0, n, size=2)

@@ -247,24 +247,25 @@ def extreme_rays(rows):
 
 def _hull_planes(points, flat):
     """Integer facet planes (a, b) with <a, x> <= b of conv(+-points), the
-    rays (b, a) of {b - <q, a> >= 0 : q = +-points}, each row cleared of its
-    own denominators; UsageError(flat) when the points do not span.  keep
-    lists in increasing order the inputs whose row is a facet of the cone:
-    its rays lie in no other row's strictly larger set.  An input that
+    rays (b, a) of {b - <q, a> >= 0 : q = +-points}; UsageError(flat) when
+    the points do not span.  Each point q / t is given homogeneously as
+    (t, *q) with t > 0 (entries ints, Fractions or floats) and cleared to
+    the primitive integer row (t', -q'), the same for every positive scale.
+    keep lists in increasing order the inputs whose row is a facet of the
+    cone: its rays lie in no other row's strictly larger set.  An input that
     repeats an earlier point or its antipode is never kept.
     """
-    seen = {}  # each point -> its first index, input i at 2i and -input i at 2i + 1
-    for idx, p in enumerate(q for p in points for q in (p, tuple(-x for x in p))):
-        seen.setdefault(p, idx)
-    uniq, back = list(seen), list(seen.values())  # back[h] // 2 is the input of uniq[h]
-    rows = []
-    for q in uniq:
-        ([den, *p],), _ = qlinalg.clear_denominators([(Fraction(1), *q)])
-        rows.append([den] + [-x for x in p])
+    seen = {}  # each row -> its first index: input i at 2i, its antipode at 2i + 1
+    for i, point in enumerate(points):
+        (row,), _ = qlinalg.clear_denominators([point])
+        t, *q = _reduced(row)
+        seen.setdefault((t, *(-x for x in q)), 2 * i)
+        seen.setdefault((t, *q), 2 * i + 1)
+    rows, back = list(seen), list(seen.values())  # back[h] // 2 is the input of rows[h]
     rays = extreme_rays(rows)
     if rays is None:
         raise UsageError(flat)
-    on = [0] * len(uniq)  # on[h]: the rays tight at row h; a larger set holds its first ray
+    on = [0] * len(rows)  # on[h]: the rays tight at row h; a larger set holds its first ray
     for r, (_, z) in enumerate(rays):
         for h in _bits(z):
             on[h] |= 1 << r
@@ -277,17 +278,18 @@ def _hull_planes(points, flat):
 def vertex_enum_exact(facets):
     """Vertices of {x : |<a_i, x>| <= b_i}, plus the irredundant facet indices.
 
-    facets: list of (a, b) with a a Fraction tuple (one per antipodal pair)
-    and b > 0.  Returns (vertices, keep) where vertices hold one
-    representative per antipodal pair, in increasing order, and keep indexes
-    the facets that actually support the body.  By polarity, the hull facet
-    (n, c) of the points a_i/b_i is the vertex n/c.
+    facets: list of (a, b), one per antipodal pair, with b > 0 and the
+    entries of a and b ints, Fractions or floats.  Returns (vertices, keep)
+    where vertices hold one representative per antipodal pair, in
+    increasing order, and keep indexes the facets that actually support the
+    body.  By polarity, the hull facet (n, c) of the points a_i/b_i is the
+    vertex n/c.
     """
     if not facets:
         raise UsageError("no facets")
     if any(b <= 0 for _, b in facets):
         raise UsageError("facet offsets must be positive")
-    planes, keep = _hull_planes([tuple(x / b for x in a) for a, b in facets],
+    planes, keep = _hull_planes([(b, *a) for a, b in facets],
                                 "facet normals do not span: body is unbounded")
     verts = {_canon_sign(tuple(Fraction(x, c) for x in nrm)) for nrm, c in planes}
     return sorted(verts), keep
@@ -296,10 +298,10 @@ def vertex_enum_exact(facets):
 def facet_enum_exact(vertices):
     """Irredundant facets (a, b) of conv(+-vertices), one per antipodal pair
     and in increasing order, plus the indices of the input vertices that are
-    extreme."""
+    extreme; vertex entries are ints, Fractions or floats."""
     if not vertices:
         raise UsageError("no vertices")
-    planes, keep = _hull_planes([qlinalg.vec(w) for w in vertices],
+    planes, keep = _hull_planes([(1, *w) for w in vertices],
                                 "vertices do not span: body has empty interior")
     out = set()
     for nrm, c in planes:  # scaled to max |a_i| = 1

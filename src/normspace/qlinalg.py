@@ -1,6 +1,5 @@
-"""Small exact linear algebra toolkit over the rationals.
+"""Small exact linear algebra toolkit over the rationals, on integers.
 
-Matrices are tuples of tuples of ``fractions.Fraction`` in row-major order.
 The one exact elimination is ``echelon`` on integer rows, with ``bareiss``
 its square case: callers clear denominators first (``clear_denominators``)
 and read determinants, ranks, pivots, inverses and solutions off one
@@ -8,41 +7,15 @@ fraction-free pass.
 """
 
 import math
-from fractions import Fraction
 
 
-def frac(x):
-    """Coerce ints, strings like '3/4', and Fractions to Fraction (exact)."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
-def mat(rows):
-    """Deep-convert an iterable of iterables into an immutable Fraction matrix."""
-    return tuple(tuple(frac(x) for x in row) for row in rows)
-
-
-def vec(entries):
-    return tuple(frac(x) for x in entries)
-
-
-def identity(n):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-
-
+# Kept only because the benchmark's ball sessions (perfbench/workloads.py)
+# call it; ROADMAP's Benchmark upkeep deletes it.
 def matmul(a, b):
     bt = list(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def from_columns(cols):
-    return tuple(tuple(col[i] for col in cols) for i in range(len(cols[0])))
 
 
 def clear_denominators(rows):

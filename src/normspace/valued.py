@@ -5,12 +5,13 @@ basis vector in standard coordinates) together with a rational weight
 vector m.  Writing x for the coordinates of v in that basis, the norm value
 is q^max_i(m_i - v_p(x_i)) with q = p.  A norm's data are integers: the
 basis B_int / D and the weights a_i / e over their least denominators, and
-the inverse D M / d with M = d B_int^{-1}.  JSON is read into them (ints and
-canonical "a/b" text without a Fraction) and printed from them; values,
-distances and the pivoting of common adapted bases are computed on them.
-Fractions are built only where they are read: the `basis` and `weights`
-of a norm, returned values and distances, and other input spellings.
-No floating point enters this module.
+the inverse D M / d with M = d B_int^{-1}.  Every input, JSON or Python, is
+read entry by entry into them (`read_ratio`: ints and canonical "a/b" text
+without a Fraction) and printed from them (`norm_json`); values, distances
+and the pivoting of common adapted bases are computed on them.  Fractions
+are built only where they are read: the `basis` and `weights` of a norm,
+returned values and distances, and other input spellings.  A float input
+is read as its binary rational; no floating point is computed with.
 
 Two facts keep the certificates cheap without making them optional.  The
 determinant norm (Goldman-Iwahori 1963): for a norm diagonal in a basis B
@@ -30,7 +31,6 @@ from fractions import Fraction
 
 from . import qlinalg
 from .errors import MALFORMED, Frozen, PairwiseRadiusError, UsageError, malformed
-from .qlinalg import frac, mat, vec
 
 
 # Miller-Rabin on the prime bases up to 41 is exact below this bound
@@ -102,10 +102,8 @@ def pval_int(n, p):
 
 def pval(x, p):
     """Exact p-adic valuation of a nonzero rational."""
-    x = frac(x)
-    if x == 0:
-        raise UsageError("valuation of zero is undefined")
-    return pval_int(x.numerator, p) - pval_int(x.denominator, p)
+    a, b = read_ratio(x)
+    return pval_int(a, p) - pval_int(b, p)
 
 
 class DiagNorm(Frozen):
@@ -113,18 +111,19 @@ class DiagNorm(Frozen):
 
     Its data are integers: weights a_i / e and basis B_int / D, each over its
     least denominator, and M = d B_int^{-1}, d = +-det B_int.  The Fraction
-    `basis` and `weights` are built the first time they are read, the basis
-    once for the norm and all its `_reweighted` copies.
+    `basis` and `weights` are views built each time they are read.  The
+    basis is given by rows and its entries, like the weights, are anything
+    `read_ratio` reads.
     """
 
-    __slots__ = ("ctx", "_ints", "_w", "_basis", "_weights")
+    __slots__ = ("ctx", "_ints", "_w")
 
     def __init__(self, ctx, basis, weights):
         if not isinstance(ctx, PAdicContext):
             ctx = PAdicContext(ctx)
-        basis, weights = mat(basis), vec(weights)
-        (a,), e = qlinalg.clear_denominators([weights])
-        self._fill(ctx, *qlinalg.clear_denominators(basis), (tuple(a), e), [basis], weights)
+        rows = qlinalg.clear_ratios([[read_ratio(x) for x in row] for row in basis])
+        (a,), e = qlinalg.clear_ratios([[read_ratio(x) for x in weights]])
+        self._fill(ctx, *rows, (tuple(a), e))
 
     @classmethod
     def _of_ints(cls, ctx, cols, den, a, e):
@@ -132,11 +131,10 @@ class DiagNorm(Frozen):
         integers a and cols and den, e > 0."""
         g = math.gcd(den, *itertools.chain.from_iterable(cols))
         out = object.__new__(cls)
-        out._fill(ctx, [[x // g for x in row] for row in zip(*cols)], den // g,
-                  _lowest(a, e), [None], None)
+        out._fill(ctx, [[x // g for x in row] for row in zip(*cols)], den // g, _lowest(a, e))
         return out
 
-    def _fill(self, ctx, b_int, den, w, basis, weights):
+    def _fill(self, ctx, b_int, den, w):
         n = len(w[0])
         if len(b_int) != n or any(len(row) != n for row in b_int):
             raise UsageError("basis must be square and match the weight length")
@@ -145,24 +143,18 @@ class DiagNorm(Frozen):
                                   for i, r in enumerate(b_int)])
         if d == 0:
             raise UsageError("basis matrix is singular")
-        self._set(ctx=ctx, _ints=(b_int, den, [r[n:] for r in out], d), _w=w, _basis=basis,
-                  _weights=weights)
+        self._set(ctx=ctx, _ints=(b_int, den, [r[n:] for r in out], d), _w=w)
 
     @property
     def basis(self):
         """The basis matrix (column j = j-th basis vector) as Fractions."""
-        cell = self._basis
-        if cell[0] is None:
-            b_int, den = self._ints[:2]
-            cell[0] = tuple(tuple(Fraction(x, den) for x in row) for row in b_int)
-        return cell[0]
+        b_int, den = self._ints[:2]
+        return tuple(tuple(Fraction(x, den) for x in row) for row in b_int)
 
     @property
     def weights(self):
-        if self._weights is None:
-            a, e = self._w
-            self._set(_weights=tuple(Fraction(x, e) for x in a))
-        return self._weights
+        a, e = self._w
+        return tuple(Fraction(x, e) for x in a)
 
     @property
     def dim(self):
@@ -170,16 +162,15 @@ class DiagNorm(Frozen):
 
     def _reweighted(self, a, e):
         """The norm on this basis with weights a_i / e; it shares the integer
-        data and the basis, so no elimination runs."""
+        data, so no elimination runs."""
         out = object.__new__(DiagNorm)
-        out._set(ctx=self.ctx, _ints=self._ints, _w=_lowest(a, e), _basis=self._basis,
-                 _weights=None)
+        out._set(ctx=self.ctx, _ints=self._ints, _w=_lowest(a, e))
         return out
 
     @classmethod
     def standard(cls, ctx, weights):
-        weights = vec(weights)
-        return cls(ctx, qlinalg.identity(len(weights)), weights)
+        n = len(weights)
+        return cls(ctx, [[int(i == j) for j in range(n)] for i in range(n)], weights)
 
     def __eq__(self, other):  # least denominators make the integers canonical
         return (
@@ -195,15 +186,9 @@ class DiagNorm(Frozen):
     def __repr__(self):
         return f"DiagNorm(p={self.ctx.p}, n={self.dim})"
 
-    # -- JSON: rationals as "num/den" strings, basis as a list of columns --
-
     def to_json(self):
         (b_int, den, _, _), (a, e) = self._ints, self._w
-        return {
-            "p": self.ctx.p,
-            "basis": [[ratio_text(x, den) for x in col] for col in zip(*b_int)],
-            "weights": [ratio_text(x, e) for x in a],
-        }
+        return norm_json(self.ctx.p, zip(*b_int), den, a, e)
 
     @classmethod
     def from_json(cls, obj):
@@ -224,10 +209,17 @@ def _lowest(a, e):
     return tuple(x // g for x in a), e // g
 
 
+def norm_json(p, cols, den, a, e):
+    """The JSON of the norm with weights a_i / e on the basis cols[j] / den:
+    rationals as "num/den" strings, the basis as a list of columns."""
+    return {"p": p, "basis": [ratio_texts(col, den) for col in cols], "weights": ratio_texts(a, e)}
+
+
 def read_ratio(x):
-    """Fraction(x).as_integer_ratio() for a JSON value x.  An int and "a" or
-    "a/b" text (an optional "-", ASCII digits, a nonzero denominator) are
-    read as integers; anything else, accepted or refused, goes to Fraction."""
+    """Fraction(x).as_integer_ratio() for a value x that is not a bool.  An
+    int and "a" or "a/b" text (an optional "-", ASCII digits, a nonzero
+    denominator) are read as integers; a bool is refused (TypeError), and
+    anything else, accepted or refused, goes to Fraction."""
     if type(x) is int:
         return x, 1
     if type(x) is str and x.isascii():
@@ -237,14 +229,19 @@ def read_ratio(x):
             a, b = int(num), int(den or 1)
             g = math.gcd(a, b)
             return a // g, b // g
+    if type(x) is bool:
+        raise TypeError(f"{x!r} is not a rational number")
     return Fraction(x).as_integer_ratio()
 
 
-def ratio_text(x, den):
-    """str(Fraction(x, den)) for integers x and den > 0, without building the
-    Fraction."""
-    g = math.gcd(x, den)
-    return str(x // g) if g == den else f"{x // g}/{den // g}"
+def ratio_texts(xs, den):
+    """[str(Fraction(x, den)) for x in xs] for integers xs and den > 0,
+    without building a Fraction."""
+    out = []
+    for x in xs:
+        g = math.gcd(x, den)
+        out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return out
 
 
 def _require_same_space(a, b):
@@ -287,10 +284,10 @@ def _log_max(eta, cols, shift, offsets):
 
 def eval_log_norm(eta, v):
     """log_q eta(v) as a Fraction; None iff v = 0."""
-    v = vec(v)
+    v = [read_ratio(x) for x in v]
     if len(v) != eta.dim:
         raise UsageError(f"vector has dimension {len(v)}, norm expects {eta.dim}")
-    (v_int,), e = qlinalg.clear_denominators([v])
+    (v_int,), e = qlinalg.clear_ratios([v])
     top = _log_max(eta, [v_int], pval_int(e, eta.ctx.p), ((0,), 1))
     return None if top is None else Fraction(*top)
 
@@ -318,9 +315,8 @@ def leq_norms(eta, etap):
 
 def scale_norm(eta, a):
     """The norm q^a * eta: all weights shifted by a."""
-    a = frac(a)
-    (w, e), f = eta._w, a.denominator
-    return eta._reweighted([x * f + a.numerator * e for x in w], e * f)
+    (w, e), (a, f) = eta._w, read_ratio(a)
+    return eta._reweighted([x * f + a * e for x in w], e * f)
 
 
 def gi_distance(eta, etap):
@@ -470,7 +466,7 @@ def helly_witness_na(norms, radii):
     check measured.
     """
     norms = list(norms)
-    radii = [frac(r) for r in radii]
+    radii = [Fraction(r) for r in radii]
     if len(norms) != len(radii):
         raise UsageError("norms and radii must have equal length")
     if not norms:

@@ -1,6 +1,8 @@
 """Shared generators and independent oracles for the test suite.
 
-The oracles here (integer Smith normal form, Fraction Gauss-Jordan
+The Fraction matrix helpers (`mat`, `vec`, `identity`, `from_columns`,
+`matmul`) live here, not in the library, which reads exact data into
+integers.  The oracles here (integer Smith normal form, Fraction Gauss-Jordan
 elimination, Fraction basis inverses and common-basis pivoting,
 brute-force log-sup ratios, the Fraction Hermite form and
 Fraction distances, submodule closures, entrywise adapted-basis and
@@ -26,6 +28,28 @@ from normspace import (DiagNorm, InfeasibleScaleError, PairwiseRadiusError, Sign
 from normspace import bodies
 from normspace.building import _hermite, neighbors
 from normspace.valued import pval, pval_int
+
+
+def mat(rows):
+    """Deep-convert an iterable of iterables into an immutable Fraction matrix."""
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def vec(entries):
+    return tuple(Fraction(x) for x in entries)
+
+
+def identity(n):
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def from_columns(cols):
+    return tuple(tuple(col[i] for col in cols) for i in range(len(cols[0])))
+
+
+def matmul(a, b):
+    bt = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
 def rng_for(seed):
@@ -107,7 +131,7 @@ def common_adapted_basis_fraction(eta, etap):
     m = list(eta.weights)
     mp = list(etap.weights)
     # g[i][j] = coordinate i of eta'-basis vector j, in eta's (current) basis
-    g = [list(row) for row in qlinalg.matmul(basis_inv(eta), etap.basis)]
+    g = [list(row) for row in matmul(basis_inv(eta), etap.basis)]
     f_cols = [list(col) for col in zip(*etap.basis)]  # std coords
     rows = list(range(n))
     cols = list(range(n))
@@ -142,7 +166,7 @@ def common_adapted_basis_fraction(eta, etap):
         pivots[j0] = piv
         rows.remove(i0)
         cols.remove(j0)
-    basis = qlinalg.from_columns(f_cols)
+    basis = from_columns(f_cols)
     mm = tuple(m[sigma[j]] - pval(pivots[j], p) for j in range(n))
     return basis, mm, tuple(mp)
 
@@ -301,7 +325,7 @@ def hnf_dvr(columns, p):
 def hnf_dvr_fraction(columns, p):
     """Column Hermite form over Z_(p), by Fraction elimination."""
     n = len(columns[0])
-    work = [[qlinalg.frac(x) for x in col] for col in columns]
+    work = [[Fraction(x) for x in col] for col in columns]
     avail = list(range(len(work)))
     placed = [None] * n
     for row in range(n - 1, -1, -1):
@@ -344,7 +368,7 @@ def hnf_dvr_fraction(columns, p):
 
 def eval_log_norm_fraction(eta, v):
     """log_q eta(v) from the Fraction inverse of the basis; None iff v = 0."""
-    x = [sum(a * b for a, b in zip(row, qlinalg.vec(v))) for row in inv(eta.basis)]
+    x = [sum(a * b for a, b in zip(row, vec(v))) for row in inv(eta.basis)]
     vals = [m - pval(xi, eta.ctx.p) for m, xi in zip(eta.weights, x) if xi != 0]
     return max(vals) if vals else None
 
@@ -371,7 +395,7 @@ def adapted_transition_check(u, m_from, m_to, p):
     Entrywise criterion: m_from[i] - v_p(u[i][k]) <= m_to[k] for u, and the
     mirrored condition for u^{-1}; together they force norm equality.
     """
-    u = qlinalg.mat(u)
+    u = mat(u)
     uinv = inv(u)
     n = len(u)
     for i in range(n):
@@ -385,7 +409,7 @@ def adapted_transition_check(u, m_from, m_to, p):
 
 def stabilizer_check(u, m, ctx):
     """True iff u and u^{-1} preserve the diagonal norm with weights m."""
-    m = qlinalg.vec(m)
+    m = vec(m)
     return adapted_transition_check(u, m, m, ctx.p)
 
 
@@ -400,9 +424,9 @@ def vertices_equal(u, v):
     if u.ctx != v.ctx or u.dim != v.dim:
         raise UsageError("vertices live in different spaces")
     p = u.ctx.p
-    wu = qlinalg.from_columns(lattice_basis(u))
-    wv = qlinalg.from_columns(lattice_basis(v))
-    t = qlinalg.matmul(inv(wu), wv)
+    wu = from_columns(lattice_basis(u))
+    wv = from_columns(lattice_basis(v))
+    t = matmul(inv(wu), wv)
     tinv = inv(t)
     for mtx in (t, tinv):
         for row in mtx:
@@ -443,7 +467,9 @@ def distance_from_oracle(center):
 def ball_bfs_oracle(center, radius):
     """The thickening-graph ball by BFS over every vertex's full `neighbors`
     list, keyed by each child's own Hermite form, with the Bareiss depth
-    audit; {canonical_key: (vertex, depth)} in discovery order."""
+    audit; {canonical_key: (vertex, depth)} in discovery order.  Each list
+    is the library's radius-1 ball, so from depth 2 on this checks the path
+    products that `ball_bfs` carries."""
     found = {center.canonical_key: (center, 0)}
     frontier = [center]
     for depth in range(1, radius + 1):

@@ -1183,6 +1183,18 @@ def test_malformed_inline_json_reports_its_position(capsys, doc, message):
     assert json.loads(err)["message"] == message
 
 
+@pytest.mark.parametrize("norm, first", [
+    ('{"p": 2, "basis": [[true, false], [false, true]], "weights": [false, true]}', "True"),
+    ('{"p": 2, "basis": [["1", "0"], ["0", "1"]], "weights": ["0", false]}', "False"),
+    ('{"p": 2, "basis": [["1", "0"], [0, true]], "weights": ["0", "0"]}', "True"),
+], ids=["everywhere", "weight", "basis"])
+def test_json_booleans_are_not_rationals(capsys, norm, first):
+    code, out, err = run_cli(capsys, "dist", "--a", norm, "--b", STD)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == (
+        f"bad DiagNorm JSON: TypeError: {first} is not a rational number")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("body-dist", "--a", SQUARE_BODY, "--b",
       '{"kind": "polytope", "facets": [{"b": 1}], "vertices": [[1, 0]]}'),

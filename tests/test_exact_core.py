@@ -15,7 +15,6 @@ from normspace import (
     eval_log_norm,
     gi_distance,
     neighbors,
-    qlinalg,
     random_vertex,
     scale_norm,
 )
@@ -149,8 +148,8 @@ def test_integer_keys_order_hash_and_print_as_fraction_hermite_forms():
         weights = [int(rng.integers(-2, 3)) for _ in range(n)]
         v = LatticeVertex(DiagNorm(ctx, _rational_basis(rng, n, p), weights))
         # the same lattice in another basis, and the same integers over p^(s+1)
-        w = qlinalg.from_columns(helpers.lattice_basis(v))
-        w = qlinalg.matmul(w, helpers.random_unimodular(rng, n))
+        w = helpers.from_columns(helpers.lattice_basis(v))
+        w = helpers.matmul(w, helpers.random_unimodular(rng, n))
         verts += [v, LatticeVertex(DiagNorm(ctx, w, [0] * n)),
                   LatticeVertex(scale_norm(v.norm, -1))]
     keys = [v.canonical_key for v in verts]
@@ -171,11 +170,11 @@ def test_integer_keys_order_hash_and_print_as_fraction_hermite_forms():
 def test_neighbour_norms_match_eagerly_built_ones(p, n):
     ctx = PAdicContext(p)
     v = random_vertex(706 + p + n, 2, ctx, n)
-    w = qlinalg.from_columns(helpers.lattice_basis(v))
+    w = helpers.from_columns(helpers.lattice_basis(v))
     eager = {}
     for form in _standard_forms(n, p):
-        h_s = qlinalg.from_columns([[Fraction(x, p) for x in col] for col in form])
-        u = LatticeVertex(DiagNorm(ctx, qlinalg.matmul(w, h_s), [0] * n))
+        h_s = helpers.from_columns([[Fraction(x, p) for x in col] for col in form])
+        u = LatticeVertex(DiagNorm(ctx, helpers.matmul(w, h_s), [0] * n))
         eager[u.canonical_key] = u
     del eager[v.canonical_key]
     got = neighbors(v)

@@ -203,15 +203,24 @@ def test_repeated_and_antipodal_inputs_are_kept_once(n, route):
     # input 1 repeats input 0; input 3 is the antipode of input 2
     pts = [b0, b0, b1, tuple(-x for x in b1), b2]
     if route == "vertex":
-        _, keep = vertex_enum_exact([(p, F(1)) for p in pts])
-        body = PolyNorm.from_facets(pts, [1] * len(pts))
-        rows = body.a
+        # a facet (a, b) is the same at every positive scale: (2a, 2b) after (a, b)
+        for scales in ([1] * 5, [1, 2, 1, 3, 1], [F(1, 3), 2.0, 5, F(1, 2), 1]):
+            facets = [(tuple(s * x for x in p), s) for p, s in zip(pts, scales)]
+            _, keep = vertex_enum_exact(facets)
+            assert keep == [0, 2, 4]
+            body = PolyNorm.from_facets([[float(x) for x in a] for a, _ in facets],
+                                        [float(b) for _, b in facets])
+            assert body.a.tolist() == [[float(x) for x in facets[i][0]] for i in keep]
+            assert body.b.tolist() == [float(facets[i][1]) for i in keep]
     else:
-        _, keep = facet_enum_exact(pts)
-        body = PolyNorm.from_vertices(pts)
-        rows = body.vertices
-    assert keep == [0, 2, 4]
-    assert rows.tolist() == [[float(x) for x in p] for p in (b0, b1, b2)]
+        # a vertex is the same given as ints, floats or Fractions
+        for first, second in itertools.permutations((int, float, F), 2):
+            given = [tuple(map(first, b0)), tuple(map(second, b0)), b1,
+                     tuple(first(-x) for x in b1), b2]
+            _, keep = facet_enum_exact(given)
+            assert keep == [0, 2, 4]
+            body = PolyNorm.from_vertices(given)
+            assert body.vertices.tolist() == [[float(x) for x in p] for p in (b0, b1, b2)]
 
 
 CUBE = [tuple(F(x) for x in p) for p in itertools.product((1, -1), repeat=3)]

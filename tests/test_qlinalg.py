@@ -8,19 +8,19 @@ from normspace.errors import UsageError
 
 
 def test_mat_and_frac_coercion():
-    m = qlinalg.mat([[1, "1/2"], [Fraction(3, 4), 2]])
+    m = helpers.mat([[1, "1/2"], [Fraction(3, 4), 2]])
     assert m[0][1] == Fraction(1, 2)
     assert m[1][0] == Fraction(3, 4)
 
 
 def test_matmul_identity():
-    a = qlinalg.mat([[1, 2], [3, 4]])
-    assert qlinalg.matmul(a, qlinalg.identity(2)) == a
+    a = helpers.mat([[1, 2], [3, 4]])
+    assert helpers.matmul(a, helpers.identity(2)) == a
 
 
 def test_det_exact():
     # |d| = |det A|; d = 0 on a singular matrix
-    a, den = qlinalg.clear_denominators(qlinalg.mat([["1/3", 2], [1, 6]]))
+    a, den = qlinalg.clear_denominators(helpers.mat([["1/3", 2], [1, 6]]))
     assert den == 3
     assert qlinalg.bareiss(a) == (0, None)
     d, _ = qlinalg.bareiss([[2, 1], [1, 1]])
@@ -31,10 +31,10 @@ def test_det_exact():
 
 
 def test_inv_roundtrip():
-    a = qlinalg.mat([[2, 1, 0], [1, "1/2", 1], [0, 3, 1]])
+    a = helpers.mat([[2, 1, 0], [1, "1/2", 1], [0, 3, 1]])
     ainv = helpers.inv(a)
-    assert qlinalg.matmul(a, ainv) == qlinalg.identity(3)
-    assert qlinalg.matmul(ainv, a) == qlinalg.identity(3)
+    assert helpers.matmul(a, ainv) == helpers.identity(3)
+    assert helpers.matmul(ainv, a) == helpers.identity(3)
     # Bareiss on [A | I] gives M = d A^{-1}, so A M = d I and M / d is the inverse
     a_int, den = qlinalg.clear_denominators(a)
     d, out = qlinalg.bareiss([r + [int(i == j) for j in range(3)] for i, r in enumerate(a_int)])
@@ -46,7 +46,7 @@ def test_inv_roundtrip():
 
 def test_inv_singular_raises():
     with pytest.raises(UsageError):
-        helpers.inv(qlinalg.mat([[1, 2], [2, 4]]))
+        helpers.inv(helpers.mat([[1, 2], [2, 4]]))
     assert qlinalg.bareiss([[1, 2, 1, 0], [2, 4, 0, 1]]) == (0, None)
 
 
@@ -58,7 +58,7 @@ def test_inv_singular_with_pivots_in_the_identity_block():
               [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
               [[0, 0], [0, 1]]):
         with pytest.raises(UsageError):
-            helpers.inv(qlinalg.mat(a))
+            helpers.inv(helpers.mat(a))
         n = len(a)
         assert qlinalg.bareiss([r + [int(i == j) for j in range(n)]
                                 for i, r in enumerate(a)]) == (0, None)
@@ -78,6 +78,6 @@ def test_solve_singular_raises():
 
 
 def test_columns_roundtrip():
-    a = qlinalg.mat([[1, 2], [3, 4]])
+    a = helpers.mat([[1, 2], [3, 4]])
     cols = [(1, 3), (2, 4)]
-    assert qlinalg.from_columns(cols) == a
+    assert helpers.from_columns(cols) == a

@@ -354,7 +354,7 @@ def test_stabilizer_matches_evaluation_on_random_inputs():
 def _adapted(eta, etap):
     """(basis, m, m') of the two returned norms, which share one basis."""
     theta, thetap = common_adapted_basis(eta, etap)
-    assert theta.basis is thetap.basis
+    assert theta._ints is thetap._ints
     return theta.basis, theta.weights, thetap.weights
 
 
@@ -393,8 +393,8 @@ def test_common_basis_self_verification_data():
         eta = helpers.random_diag_norm(rng, P2, 3)
         etap = helpers.random_diag_norm(rng, P2, 3)
         basis, mm, mmp = _adapted(eta, etap)
-        u = qlinalg.matmul(helpers.basis_inv(eta), basis)
-        up = qlinalg.matmul(helpers.basis_inv(etap), basis)
+        u = helpers.matmul(helpers.basis_inv(eta), basis)
+        up = helpers.matmul(helpers.basis_inv(etap), basis)
         assert adapted_transition_check(u, eta.weights, mm, 2)
         assert adapted_transition_check(up, etap.weights, mmp, 2)
         # the eta' transition keeps its weights positionally, so the plain
@@ -702,9 +702,14 @@ _RATIO_TEXT = st.one_of(
                    st.sampled_from([True, False, float("inf"), 5e-324, None, [1]])))
 def test_read_ratio_matches_fraction(x):
     """The integer reader gives Fraction(x) in lowest terms, or raises
-    Fraction's exception with its message."""
+    Fraction's exception with its message; it refuses a bool, which
+    Fraction reads as 0 or 1."""
+    if isinstance(x, bool):
+        with pytest.raises(TypeError, match="is not a rational number"):
+            valued.read_ratio(x)
+        return
     try:
-        want = qlinalg.frac(x)
+        want = Fraction(x)
     except Exception as exc:
         with pytest.raises(Exception) as got:
             valued.read_ratio(x)
@@ -722,6 +727,58 @@ def test_json_roundtrip_exact():
     again = DiagNorm.from_json(eta.to_json())
     assert again == eta
     assert eta.to_json()["weights"] == ["-7/3", "2"]
+
+
+# One rational norm in every spelling the two constructors read: basis rows
+# and weights for DiagNorm(ctx, rows, weights), basis columns for from_json.
+_ODD = {Fraction(7): " 7 ", Fraction(1, 2): "4/8", Fraction(100): "1e2", Fraction(0): "-0",
+        Fraction(-3, 4): "-0.75", Fraction(5, 2): "2.50", Fraction(-3): "-3/1"}
+_SPELLINGS = {
+    "ints": int, "Fractions": lambda x: x, "floats": float, "canonical": str,
+    "odd text": lambda x: _ODD.get(x, str(x)),
+}
+
+
+@pytest.mark.parametrize("spelling", list(_SPELLINGS))
+def test_the_two_constructors_agree_on_every_spelling(spelling):
+    spell = _SPELLINGS[spelling]
+    integral = spelling == "ints"
+    rows = [[Fraction(2), Fraction(7)], [Fraction(0), Fraction(100)]]
+    weights = [Fraction(-3), Fraction(1)]
+    if not integral:
+        rows[0][0], weights = Fraction(1, 2), [Fraction(-3, 4), Fraction(5, 2)]
+    want = {"p": 3, "basis": [[str(x) for x in col] for col in zip(*rows)],
+            "weights": [str(x) for x in weights]}
+    ref = DiagNorm.from_json(want)
+    rows_s = [[spell(x) for x in row] for row in rows]
+    weights_s = [spell(x) for x in weights]
+    built = DiagNorm(3, rows_s, weights_s)
+    read = DiagNorm.from_json({"p": 3, "basis": [list(col) for col in zip(*rows_s)],
+                               "weights": weights_s})
+    for eta in (built, read):
+        assert eta == ref and hash(eta) == hash(ref)
+        assert eta.to_json() == ref.to_json() == want
+        assert (eta.basis, eta.weights) == (tuple(map(tuple, rows)), tuple(weights))
+
+
+SQUARE = "basis must be square and match the weight length"
+N_COLUMNS = "bad DiagNorm JSON: basis must be n columns of length n >= 1"
+
+
+@pytest.mark.parametrize("rows, weights, message, json_message", [
+    ([[1, 0], [0]], [0, 0], SQUARE, N_COLUMNS),
+    ([[1, 0, 0], [0, 1, 0]], [0, 0], SQUARE, N_COLUMNS),
+    ([[1, 0], [0, 1]], [0], SQUARE, SQUARE),
+    ([["1/2", 1], [1, 2]], [0, 0], "basis matrix is singular", "basis matrix is singular"),
+], ids=["ragged", "non-square", "weight-length", "singular"])
+def test_both_constructors_refuse_bad_bases_as_before(rows, weights, message, json_message):
+    """The rows, read as columns by from_json, keep their shape and rank."""
+    with pytest.raises(UsageError) as got:
+        DiagNorm(P2, rows, weights)
+    assert str(got.value) == message
+    with pytest.raises(UsageError) as got:
+        DiagNorm.from_json({"p": 2, "basis": rows, "weights": weights})
+    assert str(got.value) == json_message
 
 
 def test_json_bad_input():

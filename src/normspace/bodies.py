@@ -293,8 +293,10 @@ def mvee_certified(points):
     return SpdNorm(0.5 * (a + a.T)), {"eps": eps, "iterations": int(iters), "r": r, "max_w": max_w}
 
 
-def john_ellipsoid(body):
-    """Maximal-volume inscribed ellipsoid of a polytope norm.
+def john_details(body):
+    """Maximal-volume inscribed ellipsoid E of a polytope norm K, with the
+    check that certified it: {"ellipsoid": E, "distance": d(E, K),
+    "bound": log sqrt(n) + 1e-6}.
 
     Computed as the polar of the MVEE of the polar's vertices: with the
     MVEE A = R^-1 R^-T / max_w, John's form is max_w R^T R, whose Cholesky
@@ -303,7 +305,7 @@ def john_ellipsoid(body):
     d(E, K) <= log sqrt(n) + 1e-6 are verified before returning.
     """
     if not isinstance(body, PolyNorm):
-        raise UsageError("john_ellipsoid expects a PolyNorm")
+        raise UsageError("John's ellipsoid needs a polytope body")
     n = body.dim
     outer, info = mvee_certified(body.a / body.b[:, None])
     a_out = outer.matrix
@@ -314,9 +316,15 @@ def john_ellipsoid(body):
     b_mat = max_w * (r.T @ r)
     john = object.__new__(SpdNorm)
     john._store(0.5 * (b_mat + b_mat.T), math.sqrt(max_w) * r.T * np.sign(np.diag(r)))
-    if not gi_distance_bodies(john, body) <= math.log(math.sqrt(n)) + OPT_TOL:
+    d, bound = gi_distance_bodies(john, body), math.log(math.sqrt(n)) + OPT_TOL
+    if not d <= bound:
         raise RuntimeError("John bound violated: MVEE certificate broken")
-    return john
+    return {"ellipsoid": john, "distance": d, "bound": bound}
+
+
+def john_ellipsoid(body):
+    """The John ellipsoid of a polytope norm, as certified by `john_details`."""
+    return john_details(body)["ellipsoid"]
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +335,9 @@ def coarse_helly_details(bodies, radii):
     """Intersection witness for balls of bodies, with verification data.
 
     The witness is the meet W of the balls e^{r_i} K_i, so W lies in each.
-    As K_i lies in e^{d_ik} K_k, d(W, K_i) <= max(r_i, max_k d_ik - r_k),
-    which the pairwise check holds within r_i + STRUCT_TOL.  A polytope-only
-    meet is enumerated exactly into a polytope, and its distances measured
-    within r_i + OPT_TOL.
+    As K_i lies in e^{d_ik} K_k, d(W, K_i) <= max(r_i, max_k d_ik - r_k):
+    that bound is the returned distance, which the pairwise check holds
+    within r_i + STRUCT_TOL.  Nothing but the pairwise distances is measured.
     """
     meet = MeetNorm(bodies, radii)  # checks the family and its radii
     bodies, radii = meet.parts, meet.log_scales
@@ -345,23 +352,13 @@ def coarse_helly_details(bodies, radii):
                     f"{radii[s]:.9g} + {radii[t]:.9g}",
                 )
             dmat[s, t] = dmat[t, s] = d
-    if any(isinstance(b, SpdNorm) for b in bodies):
-        witness = meet
-        # the diagonal term -r_i never exceeds r_i
-        dists = np.maximum(radii, np.max(dmat - radii, axis=1)).tolist()
-        allowed = [r + STRUCT_TOL for r in radii]
-    else:
-        with np.errstate(over="ignore"):  # an overflow is refused just below
-            pooled_b = np.concatenate([b.b * math.exp(r) for b, r in zip(bodies, radii)])
-        if not np.all(np.isfinite(pooled_b)):
-            raise UsageError("radii too large: a scaled facet offset b e^r overflows a float")
-        witness = PolyNorm.from_facets(np.vstack([b.a for b in bodies]), pooled_b)
-        dists = [gi_distance_bodies(witness, b) for b in bodies]
-        allowed = [r + OPT_TOL for r in radii]
+    # the diagonal term -r_i never exceeds r_i
+    dists = np.maximum(radii, np.max(dmat - radii, axis=1)).tolist()
+    allowed = [r + STRUCT_TOL for r in radii]
     for s, (d, a) in enumerate(zip(dists, allowed)):
         if not d <= a:
             raise RuntimeError(f"intersection witness escaped ball {s}: {d:.9g} > {a:.9g}")
-    return {"witness": witness, "distances": dists, "allowed": allowed}
+    return {"witness": meet, "distances": dists, "allowed": allowed}
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +381,19 @@ def body_to_json(body):
     }
 
 
+def refuse_booleans(doc):
+    """doc, a JSON document, once no value in it is a boolean (TypeError):
+    numpy would read true and false as 1 and 0."""
+    if isinstance(doc, bool):
+        raise TypeError(f"{doc!r} is not a number")
+    for x in doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else ():
+        refuse_booleans(x)
+    return doc
+
+
 def body_from_json(obj):
     try:
-        kind = obj["kind"]
+        kind = refuse_booleans(obj)["kind"]
         if kind == "spd":
             return SpdNorm(obj["matrix"])
         if kind == "polytope":

@@ -35,6 +35,7 @@ from .valued import DiagNorm, gi_distance, helly_witness_na, norm_json, pval_int
 MAX_DIM = 3
 MAX_PRIME = 3
 MAX_WEIGHT = 100  # lattice entries carry p^m: the cap bounds their size
+MAX_BALL = 2 ** 17  # ball vertices: admits (n, p, r) = (3, 2, 3) with 108,325, refuses (2, 3, 5)
 
 
 def _hermite(cols, p):
@@ -300,24 +301,34 @@ def _distance_from(center):
     return dist
 
 
-@functools.cache
-def ball_size(n, p, radius):
-    """|B(L, radius)| in the thickening graph of GL(n, Q_p), for any vertex L.
+def ball_sizes(n, p, radius):
+    """[|B(L, r)| for r = 0, ..., radius] in the thickening graph of
+    GL(n, Q_p), for any vertex L; a ball of more than MAX_BALL vertices is
+    refused (InfeasibleScaleError) as soon as it is counted.
 
     The ball is the lattices L' with p^r L ⊆ L' ⊆ p^{-r} L, i.e. the
     submodules of (Z/p^{2r})^n.  Birkhoff's count (Birkhoff 1935; Butler
     1994) sums, over the partitions mu with at most n parts each at most 2r,
     prod_{i=1}^{2r} p^{mu'_{i+1} (n - mu'_i)} [n - mu'_{i+1} choose
     mu'_i - mu'_{i+1}]_p, with mu' the conjugate partition (n >= mu'_1 >= ...
-    >= mu'_{2r} >= 0) and mu'_{2r+1} = 0.
+    >= mu'_{2r} >= 0) and mu'_{2r+1} = 0.  A factor depends on one step of
+    the chain mu', so the sum is a power of the step matrix: O(r n^2) in all.
     """
     def gauss(m, k):  # [m choose k]_p, the k-dimensional subspaces of F_p^m
         return (math.prod(p ** (m - i) - 1 for i in range(k))
                 // math.prod(p ** i - 1 for i in range(1, k + 1)))
 
-    return sum(math.prod(p ** (b * (n - a)) * gauss(n - b, a - b)
-                         for a, b in zip(mu, mu[1:] + (0,)))
-               for mu in itertools.combinations_with_replacement(range(n, -1, -1), 2 * radius))
+    step = [[p ** (b * (n - a)) * gauss(n - b, a - b) for b in range(a + 1)]
+            for a in range(n + 1)]
+    chains, sizes = [1] + [0] * n, [1]  # chains by first entry a: a >= ... >= 0
+    while len(sizes) <= radius:
+        for _ in range(2):
+            chains = [sum(map(operator.mul, row, chains)) for row in step]
+        sizes.append(sum(chains))
+        if sizes[-1] > MAX_BALL:
+            raise InfeasibleScaleError(f"balls are limited to {MAX_BALL} vertices; at n={n}, "
+                                       f"p={p} the ball of radius {len(sizes) - 1} has {sizes[-1]}")
+    return sizes
 
 
 def ball_bfs(center, radius):
@@ -336,15 +347,19 @@ def ball_bfs(center, radius):
     printed key already found is fatal.  Then every vertex but the center
     has its BFS depth checked against its exact distance to the center, on
     integers (`_distance_from`), and each sphere's size against Birkhoff's
-    count (`ball_size`); a mismatch is fatal.  Returns
+    count (`ball_sizes`); a mismatch is fatal.  A ball that the count puts
+    over MAX_BALL vertices is refused before any vertex is built.  Returns
     {canonical_key: (vertex, depth)}.
     """
     if radius < 0:
         raise UsageError("radius must be nonnegative")
+    if not radius:  # the center alone, in any dimension
+        return {center.canonical_key: (center, 0)}
     n, p = center.dim, center.ctx.p
-    if radius and (n > MAX_DIM or p > MAX_PRIME):
+    if n > MAX_DIM or p > MAX_PRIME:
         raise InfeasibleScaleError(f"neighbor enumeration is limited to n <= {MAX_DIM}, "
                                    f"p <= {MAX_PRIME} (requested n={n}, p={p})")
+    sizes = ball_sizes(n, p, radius)
 
     def scalar(s):
         return tuple(tuple(s * (i == j) for i in range(n)) for j in range(n))
@@ -379,19 +394,18 @@ def ball_bfs(center, radius):
                 if depth < radius:
                     nxt.append((u, [[x // p for x in col] for col in raw]))
         frontier = nxt
-    if radius:  # the center is at depth 0 identically; others exist only for n <= 3
-        dist = _distance_from(center)
-        for v, depth in itertools.islice(found.values(), 1, None):
-            if dist(v) != depth:
-                raise RuntimeError(
-                    "BFS depth disagrees with the metric at "
-                    f"{v.key_string}: depth {depth}"
-                )
+    dist = _distance_from(center)
+    for v, depth in itertools.islice(found.values(), 1, None):
+        if dist(v) != depth:
+            raise RuntimeError(
+                "BFS depth disagrees with the metric at "
+                f"{v.key_string}: depth {depth}"
+            )
     spheres = [0] * (radius + 1)
     for _, depth in found.values():
         spheres[depth] += 1
     for depth, size in enumerate(spheres):
-        want = ball_size(n, p, depth) - (ball_size(n, p, depth - 1) if depth else 0)
+        want = sizes[depth] - (sizes[depth - 1] if depth else 0)
         if size != want:
             raise RuntimeError(
                 f"the sphere of radius {depth} has {size} vertices, Birkhoff's count {want}"

@@ -35,8 +35,9 @@ from .errors import (MALFORMED, InfeasibleScaleError, PairwiseRadiusError, Usage
                      malformed)
 
 SCHEMA_VERSION = 1
-# helly-bodies results, whose witness became a meet body for ellipsoid families
-HELLY_BODIES_SCHEMA_VERSION = 2
+# helly-bodies results, whose witness became the meet of the balls for
+# families with an ellipsoid at version 2 and for every family at version 3
+HELLY_BODIES_SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -177,18 +178,13 @@ def _cmd_body_dist(ns):
 def _cmd_john(ns):
     from . import bodies as bod
 
-    body = bod.body_from_json(_load_json_arg(ns.body, "--body"))
-    if not isinstance(body, bod.PolyNorm):
-        raise UsageError("john expects a polytope body")
-    ell = bod.john_ellipsoid(body)
-    d = bod.gi_distance_bodies(ell, body)
-    bound = math.log(math.sqrt(body.dim)) + bod.OPT_TOL
+    john = bod.john_details(bod.body_from_json(_load_json_arg(ns.body, "--body")))
     return EXIT_OK, {
         "schema_version": SCHEMA_VERSION,
-        "ellipsoid": bod.body_to_json(ell),
-        "distance": d,
-        "bound": bound,
-        "bound_check": bool(d <= bound),
+        "ellipsoid": bod.body_to_json(john["ellipsoid"]),
+        "distance": john["distance"],
+        "bound": john["bound"],
+        "bound_check": bool(john["distance"] <= john["bound"]),
     }
 
 
@@ -197,8 +193,8 @@ def _cmd_mvee(ns):
 
     from . import bodies as bod
 
-    obj = _load_json_arg(ns.points, "--points")
     try:
+        obj = bod.refuse_booleans(_load_json_arg(ns.points, "--points"))
         pts = np.array(obj["points"] if isinstance(obj, dict) else obj, dtype=float)
     except MALFORMED as exc:
         raise malformed("bad points JSON", exc) from exc
@@ -316,9 +312,8 @@ def _campaign_helly_na(rng):
 def _campaign_john(rng):
     from . import bodies as bod
 
-    body = _random_polygon(rng)
-    ell = bod.john_ellipsoid(body)
-    return bod.gi_distance_bodies(ell, body) <= math.log(math.sqrt(2)) + bod.OPT_TOL
+    john = bod.john_details(_random_polygon(rng))
+    return john["distance"] <= john["bound"]
 
 
 def _campaign_spd_formula(rng):

@@ -11,7 +11,8 @@ the Fraction tight-pair solve, the Fraction and Bareiss pair-set filters
 and the subset-search tight span, the per-vertex ball BFS with its Bareiss
 depth audit, the eager pairwise-first Helly witness, brute-force cube isometries, signed
 permutation matrices and inverses, hulls in any dimension, the
-tangent-polytope witness of a body ball family)
+tangent-polytope witness of a body ball family, which for polytopes is their
+meet as one polytope)
 deliberately do not share code with the library paths they check.
 """
 
@@ -792,7 +793,8 @@ def tangent_polytope_witness(family, radii):
     """The pooled polytope of the balls e^{r_i} T_i, where T_i is body i
     itself or, for an ellipsoid, its circumscribed tangent polytope.  It
     contains the meet of the balls, and its gauge is within
-    SPD_APPROX_LOG_BOUND[n] of the meet's."""
+    SPD_APPROX_LOG_BOUND[n] of the meet's.  Of a family of polytopes it is
+    the meet itself, enumerated exactly from the offsets b e^r."""
     rows = [spd_to_polytope(b) if isinstance(b, bodies.SpdNorm) else (b.a, b.b)
             for b in family]
     return bodies.PolyNorm.from_facets(

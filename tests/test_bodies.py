@@ -457,19 +457,23 @@ def test_witness_matches_the_per_body_oracle(n):
         assert gap.max() <= helpers.SPD_APPROX_LOG_BOUND[n]
 
 
-def test_witness_runs_one_exact_enumeration(monkeypatch):
+def test_a_polytope_family_gets_the_meet_and_no_enumeration(monkeypatch):
     rng = helpers.rng_for(419)
     fam = [random_polygon(rng) for _ in range(3)]
+    radii = helly_radii(fam)
     calls = []
-    enum = polyhedra.vertex_enum_exact
-    monkeypatch.setattr(polyhedra, "vertex_enum_exact", lambda f: calls.append(1) or enum(f))
-    assert isinstance(coarse_helly_details(fam, helly_radii(fam))["witness"], PolyNorm)
-    assert len(calls) == 1
+    monkeypatch.setattr(polyhedra, "vertex_enum_exact", lambda f: calls.append(f))
+    w = coarse_helly_details(fam, radii)["witness"]
+    assert isinstance(w, MeetNorm)
+    assert (w.parts, w.log_scales) == (tuple(fam), tuple(radii))
+    assert calls == []
 
 
 def test_witness_identical_bodies_radius_zero():
-    w = coarse_helly_details([SQUARE, SQUARE], [0.0, 0.0])["witness"]
-    assert gi_distance_bodies(w, SQUARE) <= 1e-6
+    details = coarse_helly_details([SQUARE, SQUARE], [0.0, 0.0])
+    assert details["distances"] == [0.0, 0.0]
+    w = helpers.tangent_polytope_witness(details["witness"].parts, [0.0, 0.0])
+    assert gi_distance_bodies(w, SQUARE) <= 1e-12
 
 
 def test_witness_scaled_copies():
@@ -477,8 +481,9 @@ def test_witness_scaled_copies():
     k2 = PolyNorm.from_vertices(2.0 * np.asarray(SQUARE.vertices))
     r = 0.5 * math.log(2)
     details = coarse_helly_details([k1, k2], [r, r])
-    w = details["witness"]
-    # witness is sqrt(2) K1, at distance exactly r from both
+    assert details["distances"] == [r, r]
+    # the meet is sqrt(2) K1, at distance exactly r from both
+    w = helpers.tangent_polytope_witness([k1, k2], [r, r])
     assert gi_distance_bodies(w, k1) == pytest.approx(r, abs=1e-9)
     assert gi_distance_bodies(w, k2) == pytest.approx(r, abs=1e-9)
 
@@ -490,7 +495,10 @@ def test_witness_random_polygon_families():
         dmat = [[gi_distance_bodies(a, b) for b in fam] for a in fam]
         radii = [max(row) / 2 + 0.05 for row in dmat]
         details = coarse_helly_details(fam, radii)
-        for d, allowed in zip(details["distances"], details["allowed"]):
+        # the returned distances bound those of the meet, enumerated exactly
+        meet = helpers.tangent_polytope_witness(fam, radii)
+        for body, d, allowed in zip(fam, details["distances"], details["allowed"]):
+            assert gi_distance_bodies(meet, body) <= d + 1e-12
             assert d <= allowed
 
 
@@ -825,16 +833,9 @@ def test_an_ellipsoid_pair_costs_one_svd(monkeypatch):
     assert calls == {"svd": 1, "eigvalsh": 0, "eigh": 0, "inv": 0}
 
 
-def test_a_nan_distance_fails_both_witness_certificates(monkeypatch):
+def test_a_nan_distance_fails_the_pairwise_check(monkeypatch):
     from normspace import bodies
 
-    fam = [SQUARE, SQUARE]
     monkeypatch.setattr(bodies, "gi_distance_bodies", lambda k1, k2: math.nan)
     with pytest.raises(PairwiseRadiusError):
-        coarse_helly_details(fam, [0.0, 0.0])
-    # NaN only from the witness: the pairwise check passes, the final one must not
-    real = gi_distance_bodies
-    monkeypatch.setattr(bodies, "gi_distance_bodies", lambda k1, k2: (
-        real(k1, k2) if any(k1 is b for b in fam) else math.nan))
-    with pytest.raises(RuntimeError, match="escaped ball 0"):
-        coarse_helly_details(fam, [0.0, 0.0])
+        coarse_helly_details([SQUARE, SQUARE], [0.0, 0.0])

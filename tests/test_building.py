@@ -383,19 +383,33 @@ BALL_COUNTS = {(1, 2, 1): 3, (2, 2, 1): 15, (2, 3, 1): 23, (2, 2, 2): 83, (3, 2,
 
 
 def test_ball_size_table():
-    assert {k: building.ball_size(*k) for k in BALL_COUNTS} == BALL_COUNTS
-    assert [building.ball_size(n, p, 0) for n, p in ((1, 2), (4, 5))] == [1, 1]
+    assert {k: building.ball_sizes(*k)[-1] for k in BALL_COUNTS} == BALL_COUNTS
+    assert [building.ball_sizes(n, p, 0) for n, p in ((1, 2), (4, 5))] == [[1], [1]]
     # ball(1) is the center and its neighbours, one per standard form
     for n, p in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)):
-        assert building.ball_size(n, p, 1) == len(_standard_forms(n, p))
+        assert building.ball_sizes(n, p, 1)[1] == len(_standard_forms(n, p))
+
+
+def test_the_ball_cap_admits_every_ball_up_to_its_size():
+    assert building.ball_sizes(2, 3, 4)[-1] == 19673
+    with pytest.raises(InfeasibleScaleError, match="radius 5 has 177135"):
+        building.ball_sizes(2, 3, 5)
+    with pytest.raises(InfeasibleScaleError, match="radius 4 has 2344743"):
+        ball_bfs(random_vertex(7, 2, PAdicContext(2), 3), 4)
+
+
+def test_a_line_ball_is_counted_in_linear_time():
+    # the partition sum took time cubic in the radius: 30 s at radius 300
+    ball = ball_bfs(LatticeVertex.standard(PAdicContext(3), 1), 1000)
+    assert len(ball) == building.ball_sizes(1, 3, 1000)[-1] == 2001
 
 
 @pytest.mark.parametrize("n, p, r", [(1, 2, 5), (1, 3, 3), (2, 2, 3), (2, 3, 2), (3, 2, 1),
                                      (3, 2, 3)])
 def test_ball_size_matches_the_bfs(n, p, r):
     ball = ball_bfs(random_vertex(31 + n + p + r, 2, PAdicContext(p), n), r)
-    for k in range(r + 1):
-        assert sum(d <= k for _, d in ball.values()) == building.ball_size(n, p, k)
+    for k, size in enumerate(building.ball_sizes(n, p, r)):
+        assert sum(d <= k for _, d in ball.values()) == size
 
 
 def test_frame_keys_name_the_unreduced_product():
@@ -487,7 +501,7 @@ def test_one_hermite_form_per_ball_vertex(monkeypatch, n, p, r):
     monkeypatch.setattr(building, "_hermite", lambda cols, q: calls.append(1) or hermite(cols, q))
     obj = random_vertex(77, 2, PAdicContext(p), n).to_json()
     ball = ball_bfs(LatticeVertex.from_json(obj), r)
-    assert len(calls) == len(ball) == building.ball_size(n, p, r)
+    assert len(calls) == len(ball) == building.ball_sizes(n, p, r)[-1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -188,14 +189,12 @@ def test_help_still_prints_usage(capsys):
 
 
 def test_helly_bodies(capsys):
-    fam = json.dumps({
-        "bodies": [json.loads(SQUARE_BODY), json.loads(SQUARE_BODY)],
-        "radii": [0.0, 0.0],
-    })
-    code, out, _ = run_cli(capsys, "helly-bodies", "--family", fam)
+    fam = {"bodies": [json.loads(SQUARE_BODY), json.loads(SQUARE_BODY)], "radii": [0.0, 0.0]}
+    code, out, _ = run_cli(capsys, "helly-bodies", "--family", json.dumps(fam))
     assert code == 0
     doc = json.loads(out)
-    assert (doc["schema_version"], doc["witness"]["kind"]) == (2, "polytope")
+    assert (doc["schema_version"], doc["witness"]["kind"]) == (3, "meet")
+    assert doc["witness"] == {"kind": "meet", "parts": fam["bodies"], "log_scales": fam["radii"]}
     assert all(d <= a for d, a in zip(doc["distances"], doc["allowed"]))
 
 
@@ -210,7 +209,7 @@ def test_helly_bodies_with_spd_input(capsys):
     assert code == 0
     doc = json.loads(out)
     # the witness is the meet of the balls themselves
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["witness"] == {"kind": "meet", "parts": SPD_FAMILY["bodies"],
                               "log_scales": SPD_FAMILY["radii"]}
     assert all(d <= a for d, a in zip(doc["distances"], doc["allowed"]))
@@ -250,8 +249,6 @@ WIDE_BODY = json.dumps(body_to_json(PolyNorm.from_vertices([[3, 3], [3, -3]])))
     ("mvee", "--points", "[]"),
     ("helly-bodies", "--family",
      json.dumps({"bodies": [json.loads(SQUARE_BODY)] * 2, "radii": [1e308, 1]})),
-    ("helly-bodies", "--family",
-     json.dumps({"bodies": [json.loads(SQUARE_BODY), json.loads(WIDE_BODY)], "radii": [1, 709]})),
     ("helly-building", "--family",
      json.dumps({"centers": [json.loads(STD), json.loads(LPRIME)], "radii": [1.5, 1]})),
     ("body-dist", "--a", MEET_BODY, "--b", SQUARE_BODY),
@@ -261,7 +258,7 @@ WIDE_BODY = json.dumps(body_to_json(PolyNorm.from_vertices([[3, 3], [3, -3]])))
         "mvee-nan", "mvee-missing-points", "mvee-string", "helly-bodies-nan-radius",
         "tight-span-string", "tight-span-nan", "extremal-nan", "extremal-string",
         "dist-ragged-basis", "dist-empty-basis", "mvee-empty",
-        "helly-bodies-overflowing-radius", "helly-bodies-overflowing-offset",
+        "helly-bodies-overflowing-radius",
         "helly-building-fractional-radius", "body-dist-meet", "body-dist-nested-meet",
         "john-meet"])
 @pytest.mark.filterwarnings("error")  # a warning would reach stderr before the JSON
@@ -270,6 +267,33 @@ def test_non_finite_and_malformed_inputs_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [
+    ("body-dist", "--a", '{"kind": "spd", "matrix": [[true, false], [false, true]]}',
+     "--b", '{"kind": "spd", "matrix": [[2, 0], [0, 2]]}'),
+    ("body-dist", "--a", SQUARE_BODY.replace('"a": [1.0, 0.0]', '"a": [true, false]'),
+     "--b", SQUARE_BODY),
+    ("body-dist", "--a", SQUARE_BODY.replace('"b": 1.0', '"b": true'), "--b", SQUARE_BODY),
+    ("john", "--body", SQUARE_BODY.replace("[1.0, -1.0]", "[true, -1.0]")),
+    ("body-dist", "--a", SQUARE_BODY, "--b", MEET_BODY.replace("[0.5]", "[true]")),
+    ("mvee", "--points", "[[true, false], [false, true]]"),
+], ids=["spd", "facet-normal", "facet-offset", "vertex", "meet-log-scale", "mvee-points"])
+def test_a_json_boolean_is_not_a_number(capsys, argv):
+    # numpy would read true and false as 1 and 0; all but the meet, which no
+    # subcommand takes, once exited 0
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "usage" and "is not a number" in doc["message"]
+
+
+def test_a_family_whose_scaled_offsets_overflow_answers(capsys):
+    # 3 e^709 overflows a float; the meet never forms the offsets b e^r
+    fam = {"bodies": [json.loads(SQUARE_BODY), json.loads(WIDE_BODY)], "radii": [1, 709]}
+    code, out, err = run_cli(capsys, "helly-bodies", "--family", json.dumps(fam))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["distances"] == [1.0, 709.0]
 
 
 def test_tight_span_and_extremal(capsys):
@@ -346,8 +370,8 @@ def _family_3d(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_helly_bodies_on_3d_polytope_families(capsys, seed):
-    # The witness's pooled facets put the polar points of a vertex of degree
-    # d > 3 off one plane by about 1e-17 relative: a degenerate exact hull.
+    # Families whose pooled facets b e^r put the polar points of a vertex of
+    # degree d > 3 off one plane by about 1e-17 relative: the meet forms no hull.
     code, out, _ = run_cli(capsys, "helly-bodies", "--family", _family_3d(seed))
     assert code == 0
     doc = json.loads(out)
@@ -355,17 +379,15 @@ def test_helly_bodies_on_3d_polytope_families(capsys, seed):
 
 
 def test_internal_check_failure_exits_4(monkeypatch, capsys):
-    family = _family_3d(0)
+    metric = json.dumps({"d": [[0, 7, 9, 4, 6], [7, 0, 5, 8, 3], [9, 5, 0, 6, 7],
+                               [4, 8, 6, 0, 5], [6, 3, 7, 5, 0]]})
     real = normspace.polyhedra._double_description
-    calls = []
 
-    def dropping(rows):  # the witness's polytope loses one vertex
-        rays = real(rows)
-        calls.append(rows)
-        return rays[1:] if len(calls) == 1 else rays
+    def dropping(rows):  # the span's cone loses one extreme ray
+        return real(rows)[1:]
 
     monkeypatch.setattr(normspace.polyhedra, "_double_description", dropping)
-    code, out, err = run_cli(capsys, "helly-bodies", "--family", family)
+    code, out, err = run_cli(capsys, "tight-span", "--metric", metric)
     assert code == 4
     assert out == ""
     doc = json.loads(err)
@@ -752,6 +774,7 @@ def test_determinism_across_subcommands(capsys):
         ("helly-building", "--family", BALL_FAMILY, "--mode", "witness"),
         ("helly-building", "--family", BALL_FAMILY, "--mode", "exhaustive"),
         ("helly-bodies", "--family", json.dumps(SPD_FAMILY)),
+        ("helly-bodies", "--family", _family_3d(0)),
     ):
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
@@ -848,6 +871,30 @@ def test_a_ball_refuses_a_huge_weight(capsys, weight):
                              "--radius", "0")
     assert (code, out) == (3, "")
     assert json.loads(err)["error"] == "infeasible-scale"
+
+
+CUBE_CENTER = '{"p": 2, "basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "weights": [0, 0, 0]}'
+CUBE_FAMILY = json.dumps({"centers": [json.loads(CUBE_CENTER)] * 2, "radii": [40, 40]})
+
+
+@pytest.mark.parametrize("argv", [
+    ("ball", "--center", CUBE_CENTER, "--radius", "50"),
+    ("ball", "--center", CUBE_CENTER, "--radius", "1000000000"),
+    ("ball", "--center", '{"p": 3, "basis": [[1]], "weights": [0]}', "--radius", "1000000000"),
+    ("helly-building", "--mode", "exhaustive", "--family", CUBE_FAMILY),
+], ids=["n3-radius-50", "n3-radius-1e9", "n1-radius-1e9", "exhaustive-radius-40"])
+def test_a_ball_beyond_the_cap_is_refused_at_once(capsys, argv):
+    # nothing bounded the radius: the first two never finished
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "infeasible-scale"
+
+
+def test_the_witness_mode_enumerates_no_ball(capsys):
+    code, out, _ = run_cli(capsys, "helly-building", "--mode", "witness", "--family", CUBE_FAMILY)
+    assert code == 0 and json.loads(out)["outcome"] == "witness"
 
 
 _ENTRY = st.one_of(

@@ -7,19 +7,18 @@ against the exact metric, and small Helly instances can be checked
 exhaustively.  Enumeration is limited to n <= 3, p <= 3 and |weights| <= 100.
 A vertex's key is the plain integer tuple (p, s, rows), rows / p^s being its
 Hermite form.  Keys, Hermite forms, neighbour bases, the depth audit and the
-JSON of a neighbour are all computed on integers: a neighbour builds its
-Fraction norm only when something reads it, and a ball reads none.  The
+JSON of a neighbour are all computed on integers: a neighbour is its key
+alone, and builds its Fraction norm only when something reads it.  The
 neighbours of every vertex come from one cached list per (n, p) of the
 integer Hermite forms between p^2 Z^n and Z^n, listed directly by diagonal
-and reduced entries.  A ball decides whether a child is new in its
-center's frame, where a vertex is the unreduced product of the forms on its
-BFS path and its Hermite form needs no pivot search, and builds the basis
-and key of new children only; its size is checked against Birkhoff's
-count of the submodules of (Z/p^{2r})^n.  A vertex's neighbours are its
-radius-1 ball after the center, so they are audited the same way.  They are
-not cached: each call builds them from the basis of the vertex it is given,
-so a result depends only on its arguments, never on earlier calls about the
-same lattice in another basis.
+and reduced entries.  A ball keys its center once; every other vertex is
+reached in its own Hermite basis K, and its children K F / p are in Hermite
+form after a reduction with no pivot search.  So a vertex prints the same
+bytes in every ball, whatever basis the center was given in.  Each ball is
+audited against the exact metric, from the center's given basis, and its
+size against Birkhoff's count of the submodules of (Z/p^{2r})^n.  A
+vertex's neighbours are its radius-1 ball after the center, so they are
+audited the same way.
 """
 
 import functools
@@ -117,8 +116,9 @@ def _key_order(key):
 class LatticeVertex(Frozen):
     """A norm with integer weights, canonicalized as a Z_(p)-lattice.
 
-    A vertex made by `neighbors` or `ball_bfs` holds only its key and
-    integer lattice basis; its norm is built the first time it is read.
+    A vertex made by `neighbors` or `ball_bfs` holds only its key: its
+    basis is its Hermite form with weights 0, and its norm is built the
+    first time it is read.
     """
 
     __slots__ = ("_norm", "_key", "_ctx", "_lattice")
@@ -129,16 +129,16 @@ class LatticeVertex(Frozen):
         self._set(_norm=norm, _key=None, _ctx=norm.ctx, _lattice=None)
 
     @classmethod
-    def _lazy(cls, key, ctx, cols, den):
-        """The vertex with key `key`, weights 0 and basis columns cols / den."""
+    def _lazy(cls, key, ctx):
+        """The vertex with key `key`, weights 0 on its Hermite basis."""
         self = object.__new__(cls)
-        self._set(_norm=None, _key=key, _ctx=ctx, _lattice=(cols, den))
+        self._set(_norm=None, _key=key, _ctx=ctx, _lattice=None)
         return self
 
     @property
     def norm(self):
         if self._norm is None:
-            cols, den = self._lattice
+            cols, den = self.lattice_ints()
             self._set(_norm=DiagNorm._of_ints(self._ctx, cols, den, (0,) * len(cols), 1))
         return self._norm
 
@@ -148,11 +148,17 @@ class LatticeVertex(Frozen):
 
     @property
     def dim(self):
-        return self._norm.dim if self._lattice is None else len(self._lattice[0])
+        return len(self._key[2]) if self._norm is None else self._norm.dim
 
     def lattice_ints(self):
-        """(cols, den): column j of cols / den is p^{m_j} times basis vector j."""
+        """(cols, den): column j of cols / den is p^{m_j} times basis vector j.
+        A lazy vertex's are its key's Hermite rows, built on each read."""
         if self._lattice is None:
+            if self._norm is None:
+                p, s, rows = self._key
+                if s >= 0:
+                    return list(zip(*rows)), p ** s
+                return [[x * p ** -s for x in col] for col in zip(*rows)], 1
             p, (b_int, den, _, _), (w, _) = self.ctx.p, self._norm._ints, self._norm._w
             if max(map(abs, w)) > MAX_WEIGHT:
                 raise InfeasibleScaleError(f"vertex weights are limited to |m| <= {MAX_WEIGHT}")
@@ -188,7 +194,7 @@ class LatticeVertex(Frozen):
     def to_json(self):
         if self._norm is not None:
             return self._norm.to_json()
-        cols, den = self._lattice
+        cols, den = self.lattice_ints()
         return norm_json(self.ctx.p, cols, den, [0] * len(cols), 1)
 
     @classmethod
@@ -219,13 +225,14 @@ def _standard_forms(n, p):
 
 
 def _frame_product(b, form):
-    """(b·form, its Hermite form) for integer column lists b and form.
+    """The Hermite form of b·form, for integer column lists b and form.
 
     Both are upper triangular with p-power diagonals, so their product is
     too: its Hermite form reduces each column by the earlier, already reduced
     ones (`_reduce`), with no pivot search.  b need not be reduced itself.
+    With b a vertex's Hermite form, this is the form of one child.
     """
-    raw, key = [], []
+    key = []
     for fc in form:
         col = None  # the columns of b that fc combines, fc[j] != 0 among them
         for bk, f in zip(b, fc):
@@ -235,9 +242,8 @@ def _frame_product(b, form):
                 col = bk if f == 1 else [x * f for x in bk]
             else:
                 col = [x + y * f for x, y in zip(col, bk)]
-        raw.append(col)
         key.append(tuple(_reduce(col, key)))
-    return raw, tuple(key)
+    return tuple(key)
 
 
 def neighbors(vertex):
@@ -246,8 +252,8 @@ def neighbors(vertex):
     Birkhoff's count.
 
     These are the lattices L' with pL ⊆ L' ⊆ p^{-1}L other than L itself,
-    one per listed form p H_s (see _standard_forms).  Uncached: the
-    neighbour bases always come from this vertex's own basis.
+    one per listed form p H_s (see _standard_forms), each in its own
+    Hermite basis.
     """
     return tuple(u for u, _ in itertools.islice(ball_bfs(vertex, 1).values(), 1, None))
 
@@ -334,22 +340,20 @@ def ball_sizes(n, p, radius):
 def ball_bfs(center, radius):
     """BFS ball in the thickening graph, certified against the exact metric.
 
-    A vertex at depth k has basis W B / (D p^k), W = W_int / D the center's
-    basis and B the unreduced product of the forms on its BFS path (its
-    printed basis is exactly W_int B / (D p^k)), so its lattice is keyed in
-    the center's frame by the Hermite form of p^{r-k} B (r the radius).  Each
-    frontier vertex carries b = p^{r-k-1} B, its child by a form has frame
-    key the Hermite form of b·form (`_frame_product`).  Only the children
-    whose frame key is new are built, keyed (one `_hermite`) and sorted, so a
-    ball runs one `_hermite` per vertex: with W = W_int / D the lattice basis
-    of the parent, the child of form p H_s has basis W_int (p H_s) / (D p),
-    and its norm is built only when read.  A frame key that is new for a
-    printed key already found is fatal.  Then every vertex but the center
-    has its BFS depth checked against its exact distance to the center, on
-    integers (`_distance_from`), and each sphere's size against Birkhoff's
-    count (`ball_sizes`); a mismatch is fatal.  A ball that the count puts
-    over MAX_BALL vertices is refused before any vertex is built.  Returns
-    {canonical_key: (vertex, depth)}.
+    The center is keyed once (`_hermite`).  A vertex with Hermite form
+    K = K_int / p^s has as neighbours the lattices between pL and p^{-1}L,
+    i.e. K_int F / p^{s+1} for the forms F = p H_s (`_standard_forms`); since
+    K_int and F are triangular with p-power diagonals, `_frame_product`
+    returns each child's Hermite form with no pivot search.  A child whose
+    key is new is a vertex of the ball, holding only that key, and the new
+    children of one vertex are added in the keys' rational order.  Then
+    every vertex but the center has its BFS depth checked against its exact
+    distance to the center, from the center's given basis, on integers
+    (`_distance_from`), and each sphere's size against Birkhoff's count
+    (`ball_sizes`); a mismatch is fatal.  Distinct keys, each at its depth,
+    as many per sphere as the ball has, are exactly the ball.  A ball that
+    the count puts over MAX_BALL vertices is refused before any vertex is
+    built.  Returns {canonical_key: (vertex, depth)}.
     """
     if radius < 0:
         raise UsageError("radius must be nonnegative")
@@ -361,38 +365,26 @@ def ball_bfs(center, radius):
                                    f"p <= {MAX_PRIME} (requested n={n}, p={p})")
     sizes = ball_sizes(n, p, radius)
 
-    def scalar(s):
-        return tuple(tuple(s * (i == j) for i in range(n)) for j in range(n))
-
+    ctx, forms = center.ctx, _standard_forms(n, p)
     found = {center.canonical_key: (center, 0)}
-    seen = {scalar(p ** radius)}  # frame keys: Hermite forms of p^{r-k} B
-    frontier = [(center, scalar(p ** radius // p))]  # b, integral while k < r
+    frontier = [center.canonical_key]
     for depth in range(1, radius + 1):
         nxt = []
-        for v, b in frontier:
-            w_cols, den = v.lattice_ints()
-            w_rows = list(zip(*w_cols))
-            exp = pval_int(den * p, p)
+        for _, s, rows in frontier:
+            cols = list(zip(*rows))
             kids = []
-            for form in _standard_forms(n, p):
-                raw, frame = _frame_product(b, form)
-                if frame in seen:
-                    continue
-                seen.add(frame)
-                cols = [[sum(map(operator.mul, wr, hc)) for wr in w_rows] for hc in form]
-                rows = tuple(zip(*_hermite(cols, p)))
-                u = LatticeVertex._lazy(_lattice_key(p, rows, exp), v.ctx, cols, den * p)
-                kids.append((rows, u, raw))
-            # distinct forms give distinct lattices, and all rows share the
-            # exponent exp, so this is the keys' rational order (_key_order)
-            kids.sort(key=lambda e: e[0])
-            for _, u, raw in kids:
-                k = u.canonical_key
-                if k in found:
-                    raise RuntimeError(f"a new frame key for the known vertex {u.key_string}")
-                found[k] = (u, depth)
-                if depth < radius:
-                    nxt.append((u, [[x // p for x in col] for col in raw]))
+            for form in forms:
+                frame = tuple(zip(*_frame_product(cols, form)))
+                key = _lattice_key(p, frame, s + 1)
+                if key not in found:
+                    kids.append((frame, key))
+            # distinct forms give distinct lattices, and all frames share the
+            # exponent s + 1, so this is the keys' rational order (_key_order)
+            kids.sort()
+            for _, key in kids:
+                found[key] = (LatticeVertex._lazy(key, ctx), depth)
+            if depth < radius:
+                nxt += (key for _, key in kids)
         frontier = nxt
     dist = _distance_from(center)
     for v, depth in itertools.islice(found.values(), 1, None):

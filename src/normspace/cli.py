@@ -326,12 +326,24 @@ def _campaign_spd_formula(rng):
     return s <= d + 1e-9 and d - s <= 0.05
 
 
+def _distance_matrix(bodies):
+    """gi_distance_bodies on each unordered pair, with a zero diagonal:
+    gi_distance_bodies(K, K) may not be 0.0."""
+    from . import bodies as bod
+
+    k = len(bodies)
+    dmat = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            dmat[i][j] = dmat[j][i] = bod.gi_distance_bodies(bodies[i], bodies[j])
+    return dmat
+
+
 def _campaign_helly_bodies(rng):
     from . import bodies as bod
 
     fam = [_random_polygon(rng) for _ in range(int(rng.integers(3, 6)))]
-    dmat = [[bod.gi_distance_bodies(x, y) for y in fam] for x in fam]
-    radii = [max(row) / 2 + 0.05 for row in dmat]
+    radii = [max(row) / 2 + 0.05 for row in _distance_matrix(fam)]
     details = bod.coarse_helly_details(fam, radii)
     return all(
         d <= allowed for d, allowed in zip(details["distances"], details["allowed"])
@@ -339,13 +351,7 @@ def _campaign_helly_bodies(rng):
 
 
 def _campaign_tight_span(rng):
-    from . import bodies as bod
-
-    pts = [_random_spd(rng, 2) for _ in range(4)]
-    dmat = [[0.0] * 4 for _ in range(4)]  # gi_distance_bodies(K, K) may not be 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            dmat[i][j] = dmat[j][i] = bod.gi_distance_bodies(pts[i], pts[j])
+    dmat = _distance_matrix([_random_spd(rng, 2) for _ in range(4)])
     space = ts.FiniteMetric(dmat)
     start = [max(row) for row in dmat]
     ts.extremal_closure(start, space)  # raises unless the closure is extremal

@@ -469,8 +469,9 @@ def ball_bfs_oracle(center, radius):
     """The thickening-graph ball by BFS over every vertex's full `neighbors`
     list, keyed by each child's own Hermite form, with the Bareiss depth
     audit; {canonical_key: (vertex, depth)} in discovery order.  Each list
-    is the library's radius-1 ball, so from depth 2 on this checks the path
-    products that `ball_bfs` carries."""
+    is the library's radius-1 ball about that vertex, so from depth 2 on
+    this checks that one `ball_bfs` walks its frontier to the same vertices,
+    depths and order, and prints them in the same bases."""
     found = {center.canonical_key: (center, 0)}
     frontier = [center]
     for depth in range(1, radius + 1):

@@ -413,10 +413,9 @@ def test_ball_size_matches_the_bfs(n, p, r):
 
 
 def test_frame_keys_name_the_unreduced_product():
-    """B = F1 F2 is a depth-2 path product at n = 3, p = 2 that is not in
-    Hermite form: its entry (1, 2) is 4, past the pivot 2.  The frame key of
-    B·F must be the Hermite form of B·F itself; reducing B first names
-    another lattice for some F, e.g. diag(1, 4, 1)."""
+    """B = F1 F2 is a product of two forms at n = 3, p = 2 that is not in
+    Hermite form: its entry (1, 2) is 4, past the pivot 2.  The reduce-only
+    product of B and any form F must still be the Hermite form of B·F."""
     def product(b, f):
         return [[sum(b[k][i] * col[k] for k in range(3)) for i in range(3)] for col in f]
 
@@ -426,12 +425,10 @@ def test_frame_keys_name_the_unreduced_product():
     forms = _standard_forms(3, 2)
     f1, f2 = [[4, 0, 0], [0, 2, 0], [0, 1, 2]], [[4, 0, 0], [0, 1, 0], [0, 0, 4]]
     assert f1 in forms and f2 in forms
-    raw, key = building._frame_product(f1, f2)
-    assert cols(raw) == product(f1, f2) != cols(key) == _hermite(product(f1, f2), 2)
+    raw = product(f1, f2)
+    assert raw != cols(building._frame_product(f1, f2)) == _hermite(raw, 2)
     for f in forms:
-        assert cols(building._frame_product(raw, f)[1]) == _hermite(product(raw, f), 2)
-    f = [[1, 0, 0], [0, 4, 0], [0, 0, 1]]
-    assert _hermite(product(cols(key), f), 2) != _hermite(product(raw, f), 2)
+        assert cols(building._frame_product(raw, f)) == _hermite(product(raw, f), 2)
 
 
 def test_the_count_audit_is_live(monkeypatch, capsys):
@@ -449,15 +446,14 @@ def test_the_count_audit_is_live(monkeypatch, capsys):
 
 
 def test_a_frame_key_that_merges_lattices_exits_4(monkeypatch, capsys):
-    """Forgetting the corner entry of the frame key merges lattices that
-    differ only there: the ball comes out short, and the count catches it."""
+    """Forgetting the corner entry of a child's product keys it as another
+    lattice: that vertex's depth audit catches it, and the CLI exits 4."""
     frame_product = building._frame_product
 
     def merging(b, form):
-        raw, key = frame_product(b, form)
-        key = [list(col) for col in key]
+        key = [list(col) for col in frame_product(b, form)]
         key[-1][0] = 0
-        return raw, tuple(map(tuple, key))
+        return tuple(map(tuple, key))
 
     monkeypatch.setattr(building, "_frame_product", merging)
     center = random_vertex(41, 2, P3, 2)
@@ -465,20 +461,22 @@ def test_a_frame_key_that_merges_lattices_exits_4(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     doc = json.loads(captured.err)
-    assert doc["error"] == "internal" and "Birkhoff's count 22" in doc["message"]
+    assert doc["error"] == "internal" and "BFS depth disagrees with the metric" in doc["message"]
 
 
 def test_a_frame_key_that_splits_a_lattice_is_fatal(monkeypatch):
-    """A frame key that also names its form gives the center a second key,
-    which meets the center's printed key again."""
-    frame_product = building._frame_product
+    """A child's product that also names its form, by adding the form's index
+    times its first column to its last, keys one lattice several ways: the
+    center comes back as its own child, at depth 1, and the audit raises."""
+    frame_product, forms = building._frame_product, _standard_forms(2, 2)
 
     def splitting(b, form):
-        raw, key = frame_product(b, form)
-        return raw, key + (tuple(map(tuple, form)),)
+        key = [list(col) for col in frame_product(b, form)]
+        key[-1] = [x + forms.index(form) * y for x, y in zip(key[-1], key[0])]
+        return tuple(map(tuple, key))
 
     monkeypatch.setattr(building, "_frame_product", splitting)
-    with pytest.raises(RuntimeError, match="a new frame key for the known vertex p2:1,0;0,1"):
+    with pytest.raises(RuntimeError, match="BFS depth disagrees with the metric at .*: depth 1"):
         ball_bfs(STD2, 1)
 
 
@@ -494,14 +492,17 @@ def test_ball_bfs_matches_the_per_vertex_oracle(n, p, r):
 
 
 @pytest.mark.parametrize("n, p, r", [(2, 2, 2), (2, 3, 2), (3, 2, 1), (3, 2, 2)])
-def test_one_hermite_form_per_ball_vertex(monkeypatch, n, p, r):
-    _standard_forms(n, p)  # the forms are cached before counting
+def test_a_ball_runs_no_hermite_form_past_the_center(monkeypatch, n, p, r):
+    """Every child is keyed by its reduce-only product: once the forms and
+    the center's key are cached, a ball makes no pivoting Hermite form."""
+    _standard_forms(n, p)
+    center = LatticeVertex.from_json(random_vertex(77, 2, PAdicContext(p), n).to_json())
+    center.canonical_key
     calls = []
     hermite = building._hermite
     monkeypatch.setattr(building, "_hermite", lambda cols, q: calls.append(1) or hermite(cols, q))
-    obj = random_vertex(77, 2, PAdicContext(p), n).to_json()
-    ball = ball_bfs(LatticeVertex.from_json(obj), r)
-    assert len(calls) == len(ball) == building.ball_sizes(n, p, r)[-1]
+    ball = ball_bfs(center, r)
+    assert len(ball) == building.ball_sizes(n, p, r)[-1] and calls == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

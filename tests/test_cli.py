@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -350,6 +351,37 @@ def test_campaign_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "instance,passed"
     assert len(lines) == 4
+
+
+def test_the_helly_bodies_campaign_measures_each_pair_once(monkeypatch):
+    """Instance 0 of seed 3 has k = 5 bodies: its radii measure the 10
+    unordered pairs, and the pairwise check measures them again."""
+    from normspace import bodies
+
+    calls = []
+    dist = bodies.gi_distance_bodies
+    monkeypatch.setattr(bodies, "gi_distance_bodies", lambda a, b: calls.append(1) or dist(a, b))
+    assert cli._campaign_helly_bodies(cli._rng(3, 0)) and len(calls) == 20
+
+
+def test_the_unordered_pairs_give_the_radii_of_the_ordered_ones():
+    from normspace import bodies
+
+    for i in range(6):
+        rng = cli._rng(3, i)
+        fam = [cli._random_polygon(rng) for _ in range(int(rng.integers(3, 6)))]
+        ordered = [[bodies.gi_distance_bodies(x, y) for y in fam] for x in fam]
+        assert [max(row) for row in cli._distance_matrix(fam)] == [max(row) for row in ordered]
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "64e5bd634dd1ef0e96002609c0f8a8be8e2b551c2209d7abe0cb524dfb2eee4c"),
+    ("csv", "1c93acd9cf3b2db73dd16fef7fd8c6a75ebbdfaa43e2725e757e7161b9df28ea"),
+])
+def test_the_helly_bodies_campaign_bytes_are_pinned(capsys, fmt, digest):
+    code, out, _ = run_cli(capsys, "campaign", "--suite", "helly-bodies", "--seed", "3",
+                           "--count", "20", "--format", fmt)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _campaign_with(monkeypatch, capsys, check):

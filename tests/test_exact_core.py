@@ -12,12 +12,14 @@ from normspace import (
     LatticeVertex,
     PAdicContext,
     UsageError,
+    ball_bfs,
     eval_log_norm,
     gi_distance,
     neighbors,
     random_vertex,
     scale_norm,
 )
+from normspace import building
 from normspace.building import _distance_from, _key_order, _key_text, _standard_forms
 from normspace.valued import log_sup_ratio
 
@@ -132,6 +134,11 @@ def test_neighbors_commute_with_unimodular_maps(p, n):
         want = sorted((LatticeVertex(_moved(g, u.norm)).canonical_key for u in neighbors(v)),
                       key=_key_order)
         assert [u.canonical_key for u in neighbors(moved)] == want
+    # radius 2 reaches vertices through vertices keyed in their own Hermite
+    # bases: ball(gC, 2) is g ball(C, 2), each vertex at its depth
+    want = {LatticeVertex(_moved(g, u.norm)).canonical_key: d for u, d in ball_bfs(v, 2).values()}
+    got = {k: d for k, (_, d) in ball_bfs(moved, 2).items()}
+    assert got == want and len(got) == building.ball_sizes(n, p, 2)[-1]
 
 
 def _fraction_key(v):
@@ -180,9 +187,11 @@ def test_neighbour_norms_match_eagerly_built_ones(p, n):
     got = neighbors(v)
     assert [u.canonical_key for u in got] == sorted(eager, key=_key_order)
     for u in got:
-        e = eager[u.canonical_key]
-        assert (u.norm.basis, u.norm.weights) == (e.norm.basis, e.norm.weights)
-        assert u.key_string == e.key_string
+        _, s, rows = u.canonical_key
+        h = DiagNorm(ctx, [[x / Fraction(p) ** s for x in row] for row in rows], [0] * n)
+        assert u.to_json() == h.to_json()
+        assert (u.norm.basis, u.norm.weights) == (h.basis, h.weights)
+        assert u.key_string == eager[u.canonical_key].key_string
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -200,14 +209,19 @@ def test_integer_audit_distance_matches_gi_distance(p, n):
         center = LatticeVertex(DiagNorm(ctx, basis, weights))
         dist = _distance_from(center)
         others = [center, random_vertex(seed + 100, 3, ctx, n)]
-        # lazy vertices at depth 2, whose den = D p^2 need not be reduced
+        # vertices at depth 2, each in its Hermite basis K over p with
+        # weights 1: columns p K over a den that p divides, not reduced (as
+        # I/3 with weights (1, 1) at p = 3 is 3 I over 3, the standard vertex)
         depth1 = neighbors(center)
         for u in (depth1[i] for i in rng.choice(len(depth1), 2, replace=False)):
             two = neighbors(u)
             for v in (two[i] for i in rng.choice(len(two), 3, replace=False)):
-                cols, den = v.lattice_ints()
+                w = LatticeVertex(DiagNorm(ctx, [[x / p for x in row] for row in v.norm.basis],
+                                           [1] * n))
+                cols, den = w.lattice_ints()
                 unreduced += math.gcd(den, *(x for col in cols for x in col)) > 1
-                others.append(v)
+                assert w == v
+                others.append(w)
         for v in others:
             assert dist(v) == gi_distance(center.norm, v.norm)
             checked += 1

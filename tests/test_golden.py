@@ -5,7 +5,10 @@ recorded from the Fraction-based implementation that preceded the integer
 core.  Canonical keys, their order, norms and distances must all print the
 same bytes, with these digests unedited, in whatever order the tests run:
 a payload depends only on its arguments, never on earlier calls in the
-process.
+process.  The two ball payloads and the exhaustive witness were re-recorded
+once, when every vertex but a center came to be printed in its own Hermite
+basis; the digests of their (depth, key) lists and of the witness's key,
+recorded before that change, guard the vertex sets unedited.
 """
 
 import hashlib
@@ -15,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from normspace import DiagNorm, PAdicContext, gi_distance, random_vertex
+from normspace import DiagNorm, LatticeVertex, PAdicContext, gi_distance, random_vertex
 from normspace.cli import main
 
 
@@ -76,11 +79,11 @@ def _tight_span_args():
 GOLDEN = {
     "ball-n3p2r1": (
         lambda: _ball_args(11, 3, 2, 1),
-        "1be74620dfd9d63a96d8e3abfa67661de11cb04f9f6cd6cdd7e98ad340c3d535",
+        "f6e07f10862ef4a0387523534140d7aa7f9b0484a20ace2514787e6543e5dc48",
     ),
     "ball-n2p3r2": (
         lambda: _ball_args(12, 2, 3, 2),
-        "bd41ab32692c9a5d8d66b256a36338d59b8e7ae9d2e0565709bd06e59068cdb7",
+        "0915c007adec598d90d9e85a9e4c515ab15f62d12943d0ea97d77321a3e08c1b",
     ),
     "helly-na-6": (
         _helly_na_args,
@@ -100,7 +103,7 @@ GOLDEN = {
     ),
     "helly-building-exhaustive": (
         _helly_building_exhaustive_args,
-        "d74c31f0f08187c056e306b61e8f8ac8571745666b981752ff1f4d71ef153c3b",
+        "b8613802b1d8e023074dd6403ff1771b47aaaad014dc9ce46add07a3fc5f0db5",
     ),
     "tight-span-exact5": (
         _tight_span_args,
@@ -117,19 +120,64 @@ def test_payload_bytes_are_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _stdout(capsys, args):
+    assert main(list(args)) == 0
+    return capsys.readouterr().out
+
+
+# sha256 of the JSON list of [depth, key] rows of a ball, and of the key of
+# the exhaustive witness, as the BFS in the center's basis printed them
+VERTEX_SETS = {
+    "ball-n3p2r1": "44b67be43d75ed212837f2050c699b380bab1c08105e1309c8e7f7e0c71936aa",
+    "ball-n2p3r2": "09a0b736323e5487e3d401580821e001b02f4d6c23b18a3ccf9f552228bf5385",
+}
+EXHAUSTIVE_WITNESS_KEY = "2bfe64f29f906344e8a2bda51016ab80fda947d3eee67b19cd1761da90105a39"
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_SETS))
+def test_ball_vertex_sets_are_pinned(capsys, name):
+    """The vertices, their depths and their order, whatever basis prints them."""
+    rows = json.loads(_stdout(capsys, GOLDEN[name][0]()))["vertices"]
+    pairs = json.dumps([[row["depth"], row["key"]] for row in rows])
+    assert hashlib.sha256(pairs.encode()).hexdigest() == VERTEX_SETS[name]
+
+
+def test_the_exhaustive_witness_key_is_pinned(capsys):
+    doc = json.loads(_stdout(capsys, _helly_building_exhaustive_args()))
+    key = LatticeVertex.from_json(doc["witness"]).key_string
+    assert hashlib.sha256(key.encode()).hexdigest() == EXHAUSTIVE_WITNESS_KEY
+
+
+def test_every_printed_norm_has_its_row_key(capsys):
+    """Centers in bases that are not Hermite forms and with nonzero weights,
+    in dimensions 1 to 3: each row's norm is a vertex with the row's key."""
+    for seed, n, p, r in ((5, 1, 3, 3), (6, 2, 2, 2), (7, 3, 2, 1), (8, 3, 3, 1)):
+        center = random_vertex(seed, 2, PAdicContext(p), n).norm
+        center = DiagNorm(center.ctx, center.basis, [seed % 3 - 1] * n)
+        rows = json.loads(_stdout(capsys, ("ball", "--center", json.dumps(center.to_json()),
+                                           "--radius", str(r))))["vertices"]
+        assert len(rows) > 1 and rows[0]["norm"] == center.to_json()
+        for row in rows:
+            assert LatticeVertex.from_json(row["norm"]).key_string == row["key"]
+
+
 def test_ball_bytes_do_not_depend_on_earlier_balls(capsys):
     """One lattice in two bases, one process: each ball prints its
-    fresh-process bytes, whichever basis asked about the lattice first."""
+    fresh-process bytes, whichever basis asked about the lattice first, and
+    the two differ only in the center's row: every other vertex is printed
+    in its own Hermite basis."""
     c = random_vertex(12, 2, PAdicContext(2), 2).norm
     other = DiagNorm(c.ctx, [[row[0], row[0] + row[1]] for row in c.basis], c.weights)
     fresh = {
-        "other": "815ad85a0076fa07776f937c79a4520d19ff0d05999bd6d23c923852a3d4e3ca",
-        "c": "175e0b67bdbc205cffea1574c4a6f9221ee311a8c6d6da8d896412f599a1adc5",
+        "other": "7db2e121652b083ac952dfe69a7090e33c50379e15c17786abc52f54582db456",
+        "c": "e025f9f655acccf1c85adcff871b1215103f3efe773afd0da7fb9af0e33d4ac1",
     }
+    rows = {}
     for name, norm in (("other", other), ("c", c), ("other", other)):
-        assert main(["ball", "--center", json.dumps(norm.to_json()), "--radius", "1"]) == 0
-        out = capsys.readouterr().out
+        out = _stdout(capsys, ["ball", "--center", json.dumps(norm.to_json()), "--radius", "1"])
         assert hashlib.sha256(out.encode()).hexdigest() == fresh[name], name
+        rows[name] = json.loads(out)["vertices"]
+    assert rows["c"][0] != rows["other"][0] and rows["c"][1:] == rows["other"][1:]
 
 
 OBSTRUCTION = {

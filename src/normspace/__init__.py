@@ -40,11 +40,9 @@ from .building import (
 from .tightspan import (
     FiniteMetric,
     extremal_closure,
-    is_admissible,
     is_extremal,
     kuratowski_embed,
     tight_span_vertices,
-    ts_distance,
 )
 from .obstruction import (
     ObstructionReport,

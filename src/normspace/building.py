@@ -6,17 +6,19 @@ Goldman-Iwahori distance exactly 1; its combinatorial balls are certified
 against the exact metric, and small Helly instances can be checked
 exhaustively.  Enumeration is limited to n <= 3, p <= 3 and |weights| <= 100.
 A vertex's key is the plain integer tuple (p, s, rows), rows / p^s being its
-Hermite form.  Keys, Hermite forms, neighbour bases, the depth audit and the
-JSON of a neighbour are all computed on integers: a neighbour is its key
-alone, and builds its Fraction norm only when something reads it.  The
-neighbours of every vertex come from one cached list per (n, p) of the
-integer Hermite forms between p^2 Z^n and Z^n, listed directly by diagonal
-and reduced entries.  A ball keys its center once; every other vertex is
-reached in its own Hermite basis K, and its children K F / p are in Hermite
-form after a reduction with no pivot search.  So a vertex prints the same
-bytes in every ball, whatever basis the center was given in.  Each ball is
-audited against the exact metric, from the center's given basis, and its
-size against Birkhoff's count of the submodules of (Z/p^{2r})^n.  A
+Hermite form.  The key's text (`_key_text`, e.g. p2:1,0;0,1/4) is the
+vertex's printed form, and it is accepted as input: `LatticeVertex.from_json`
+reads it as the lattice on the columns of its rows.  Keys, Hermite forms,
+neighbour bases, the depth audit and the JSON of a neighbour are all computed
+on integers: a neighbour is its key alone, and builds its Fraction norm only
+when something reads it.  The neighbours of every vertex come from one cached
+list per (n, p) of the integer Hermite forms between p^2 Z^n and Z^n, listed
+directly by diagonal and reduced entries.  A ball keys its center once; every
+other vertex is reached in its own Hermite basis K, and its children K F / p
+are in Hermite form after a reduction with no pivot search.  So a vertex
+prints the same bytes in every ball, whatever basis the center was given in.
+Each ball is audited against the exact metric, from the center's given basis,
+and its size against Birkhoff's count of the submodules of (Z/p^{2r})^n.  A
 vertex's neighbours are its radius-1 ball after the center, so they are
 audited the same way.
 """
@@ -28,7 +30,7 @@ import operator
 from fractions import Fraction
 
 from . import qlinalg
-from .errors import Frozen, InfeasibleScaleError, UsageError
+from .errors import MALFORMED, Frozen, InfeasibleScaleError, UsageError, malformed
 from .valued import DiagNorm, gi_distance, helly_witness_na, norm_json, pval_int, ratio_texts
 
 MAX_DIM = 3
@@ -113,12 +115,28 @@ def _key_order(key):
     return p, tuple(tuple(x / den for x in row) for row in rows)
 
 
+def _key_norm(text):
+    """The norm with weights 0 on the columns of the rows of key text as
+    `_key_text` prints it, in ASCII digits.  Other text, and rows that are
+    not square or are singular, are a UsageError."""
+    import re  # loaded with argparse and json: no cost to a fresh process
+    if not re.fullmatch(r"p\d+:-?\d+(/\d+)?([,;]-?\d+(/\d+)?)*", text, re.ASCII):
+        raise UsageError(f"bad vertex key {text[:40]!r}: expected p<prime>:<rows>")
+    head, body = text[1:].split(":")
+    rows = [row.split(",") for row in body.split(";")]
+    try:
+        return DiagNorm(int(head), rows, [0] * len(rows))
+    except MALFORMED as exc:
+        raise malformed("bad vertex key", exc) from exc
+
+
 class LatticeVertex(Frozen):
     """A norm with integer weights, canonicalized as a Z_(p)-lattice.
 
-    A vertex made by `neighbors` or `ball_bfs` holds only its key: its
-    basis is its Hermite form with weights 0, and its norm is built the
-    first time it is read.
+    The key text (`key_string`) is the vertex's printed form, and
+    `from_json` reads it back.  A vertex made by `neighbors` or `ball_bfs`
+    holds only its key: its basis is its Hermite form with weights 0, and
+    its norm is built the first time it is read.
     """
 
     __slots__ = ("_norm", "_key", "_ctx", "_lattice")
@@ -199,7 +217,8 @@ class LatticeVertex(Frozen):
 
     @classmethod
     def from_json(cls, obj):
-        return cls(DiagNorm.from_json(obj))
+        """A vertex from its norm JSON, or from its key text."""
+        return cls(_key_norm(obj) if type(obj) is str else DiagNorm.from_json(obj))
 
 
 @functools.cache

@@ -38,6 +38,7 @@ SCHEMA_VERSION = 1
 # helly-bodies results, whose witness became the meet of the balls for
 # families with an ellipsoid at version 2 and for every family at version 3
 HELLY_BODIES_SCHEMA_VERSION = 3
+BALL_SCHEMA_VERSION = 2  # ball results: from version 2 only the center's row has a norm
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -141,20 +142,11 @@ def _cmd_helly_na(ns):
 
 def _cmd_ball(ns):
     center = bld.LatticeVertex.from_json(_load_json_arg(ns.center, "--center"))
-    result = bld.ball_bfs(center, ns.radius)
-    rows = sorted(
-        ((depth, v.key_string, v) for v, depth in result.values()),
-        key=lambda r: (r[0], r[1]),
-    )
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "count": len(rows),
-        "vertices": [
-            {"depth": depth, "key": key, "norm": v.to_json()}
-            for depth, key, v in rows
-        ],
-    }
-    return EXIT_OK, doc
+    rows = sorted((depth, v.key_string) for v, depth in bld.ball_bfs(center, ns.radius).values())
+    vertices = [{"depth": depth, "key": key} for depth, key in rows]
+    vertices[0]["norm"] = center.to_json()  # the one vertex at depth 0
+    return EXIT_OK, {"schema_version": BALL_SCHEMA_VERSION, "count": len(rows),
+                     "vertices": vertices}
 
 
 def _cmd_helly_building(ns):
@@ -452,7 +444,7 @@ def build_parser():
     p.set_defaults(func=_cmd_helly_na)
 
     p = sub.add_parser("ball", help="BFS ball in the thickening graph")
-    p.add_argument("--center", required=True, help="vertex norm JSON")
+    p.add_argument("--center", required=True, help="vertex norm JSON or key")
     p.add_argument("--radius", type=int, required=True)
     p.set_defaults(func=_cmd_ball)
 

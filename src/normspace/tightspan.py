@@ -131,25 +131,12 @@ def _admissible(fi, dmat):
         fi[i] + fi[j] >= dmat[i][j] for i in range(len(fi)) for j in range(i + 1, len(fi)))
 
 
-def is_admissible(f, space):
-    """f(x) + f(y) >= d(x, y) for all pairs, and f >= 0."""
-    fi, dmat, _ = _on_common_denominator(f, space)
-    return _admissible(fi, dmat)
-
-
 def is_extremal(f, space):
     """The fixed-point identity f(x) = max_y (d(x, y) - f(y)) for every x."""
     fi, dmat, _ = _on_common_denominator(f, space)
     if not _admissible(fi, dmat):
         raise UsageError("function is not admissible")
     return all(fx == max(a - b for a, b in zip(row, fi)) for fx, row in zip(fi, dmat))
-
-
-def ts_distance(f, g):
-    """Supremum distance max_x |f(x) - g(x)|."""
-    if len(f) != len(g):
-        raise UsageError("length mismatch")
-    return max(abs(a - b) for a, b in zip(f, g))
 
 
 def kuratowski_embed(space):

@@ -116,7 +116,7 @@ class DiagNorm(Frozen):
     `read_ratio` reads.
     """
 
-    __slots__ = ("ctx", "_ints", "_w")
+    __slots__ = ("ctx", "_ints", "_w", "_desc")
 
     def __init__(self, ctx, basis, weights):
         if not isinstance(ctx, PAdicContext):
@@ -143,7 +143,8 @@ class DiagNorm(Frozen):
                                   for i, r in enumerate(b_int)])
         if d == 0:
             raise UsageError("basis matrix is singular")
-        self._set(ctx=ctx, _ints=(b_int, den, [r[n:] for r in out], d), _w=w)
+        self._set(ctx=ctx, _ints=(b_int, den, [r[n:] for r in out], d), _w=w,
+                  _desc=_descending(w[0]))
 
     @property
     def basis(self):
@@ -164,7 +165,8 @@ class DiagNorm(Frozen):
         """The norm on this basis with weights a_i / e; it shares the integer
         data, so no elimination runs."""
         out = object.__new__(DiagNorm)
-        out._set(ctx=self.ctx, _ints=self._ints, _w=_lowest(a, e))
+        w = _lowest(a, e)
+        out._set(ctx=self.ctx, _ints=self._ints, _w=w, _desc=_descending(w[0]))
         return out
 
     @classmethod
@@ -207,6 +209,11 @@ def _lowest(a, e):
     """Integer weights a_i / e over their least common denominator."""
     g = math.gcd(e, *a)
     return tuple(x // g for x in a), e // g
+
+
+def _descending(a):
+    """Indices of the weights a_i, largest first (ties in index order)."""
+    return sorted(range(len(a)), key=lambda i: -a[i])
 
 
 def norm_json(p, cols, den, a, e):
@@ -259,13 +266,14 @@ def _log_max(eta, cols, shift, offsets):
     valuations of integer products enter and no Fraction is built; None iff
     every M c_j is 0.  With eta's weights a_i / e, terms are kept over e f.
     A term a_i - o_j - v_p(y) is at most a_i - o_j, so the rows run in
-    decreasing weight and stop once that bound cannot beat the best term.
+    decreasing weight (eta's `_desc`, kept with its weights) and stop once
+    that bound cannot beat the best term.
     """
     p = eta.ctx.p
     (a, e), (o, f) = eta._w, offsets
     _, den, m, d = eta._ints
     ef = e * f
-    rows = sorted(zip((x * f for x in a), m), key=lambda r: -r[0])
+    rows = [(a[i] * f, m[i]) for i in eta._desc]
     best = None
     for col, oj in zip(cols, o):
         oj *= e
@@ -292,17 +300,12 @@ def eval_log_norm(eta, v):
     return None if top is None else Fraction(*top)
 
 
-def log_sup_ratio(eta, etap):
-    """Exact log_q sup_{v != 0} eta(v)/eta'(v).
+def _log_sup(eta, etap):
+    """Exact log_q sup_{v != 0} eta(v)/eta'(v) as (numerator, denominator).
 
     The sup is attained at a basis vector f_j of eta' (ultrametric
     inequality), so it is max_j (log eta(f_j) - m'_j), read off M B'_int.
     """
-    return Fraction(*_log_sup(eta, etap))
-
-
-def _log_sup(eta, etap):
-    """`log_sup_ratio` as (numerator, denominator)."""
     _require_same_space(eta, etap)
     b_int, den, _, _ = etap._ints
     return _log_max(eta, list(zip(*b_int)), pval_int(den, eta.ctx.p), etap._w)

@@ -2,7 +2,10 @@
 
 The Fraction matrix helpers (`mat`, `vec`, `identity`, `from_columns`,
 `matmul`) live here, not in the library, which reads exact data into
-integers.  The oracles here (integer Smith normal form, Fraction Gauss-Jordan
+integers; so do the helpers that only tests call: `log_sup_ratio` (the
+library's integer log-sup ratio as a Fraction), the Fraction admissibility
+test `is_admissible` and the sup distance `ts_distance` of functions on a
+finite metric.  The oracles here (integer Smith normal form, Fraction Gauss-Jordan
 elimination, Fraction basis inverses and common-basis pivoting,
 brute-force log-sup ratios, the Fraction Hermite form and
 Fraction distances, submodule closures, entrywise adapted-basis and
@@ -24,8 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from normspace import (DiagNorm, InfeasibleScaleError, PairwiseRadiusError, SignedPerm,
-                       UsageError, eval_log_norm, gi_distance, is_admissible, is_extremal,
-                       join_norms, qlinalg, scale_norm)
+                       UsageError, eval_log_norm, gi_distance, is_extremal, join_norms,
+                       qlinalg, scale_norm, valued)
 from normspace import bodies
 from normspace.building import _hermite, neighbors
 from normspace.valued import pval, pval_int
@@ -381,6 +384,11 @@ def log_sup_ratio_fraction(eta, etap):
     )
 
 
+def log_sup_ratio(eta, etap):
+    """The library's integer log-sup ratio (`valued._log_sup`) as a Fraction."""
+    return Fraction(*valued._log_sup(eta, etap))
+
+
 def gi_distance_fraction(eta, etap):
     return max(log_sup_ratio_fraction(eta, etap), log_sup_ratio_fraction(etap, eta))
 
@@ -696,6 +704,20 @@ def signed_perm_inverse(g):
         ip[g.perm[i]] = i
         isg[g.perm[i]] = g.signs[i]
     return SignedPerm(tuple(ip), tuple(isg))
+
+
+def is_admissible(f, space):
+    """f >= 0 and f(x) + f(y) >= d(x, y) for every pair, in Fractions (a
+    float is read as its binary rational)."""
+    f, rows = [Fraction(x) for x in f], space.rows
+    return all(x >= 0 for x in f) and all(
+        f[i] + f[j] >= rows[i][j] for i, j in itertools.combinations(range(len(f)), 2))
+
+
+def ts_distance(f, g):
+    """Supremum distance max_x |f(x) - g(x)| of two functions on one space."""
+    assert len(f) == len(g)
+    return max(abs(a - b) for a, b in zip(f, g))
 
 
 def exact_closure_loops(rows, f):

@@ -32,7 +32,6 @@ from normspace import (
     neighbors,
     sampled_sup_ratio,
     tight_span_vertices,
-    ts_distance,
 )
 
 
@@ -201,7 +200,7 @@ def test_acceptance_9_tight_spans():
             e = kuratowski_embed(space)
             for i in range(6):
                 for j in range(6):
-                    assert ts_distance(e[i], e[j]) == space.rows[i][j]
+                    assert helpers.ts_distance(e[i], e[j]) == space.rows[i][j]
 
 
 def test_acceptance_10_obstruction():

@@ -524,12 +524,12 @@ def test_distance_from_agrees_with_the_oracle_and_gi_distance(n):
 @pytest.mark.parametrize("center, expected", [
     ({"p": 2, "basis": [["2", "1", "0", "0"], ["0", "1/3", "0", "0"], ["0", "0", "1", "5"],
                         ["0", "0", "0", "4"]], "weights": ["1", "0", "-1", "2"]},
-     '{"count":1,"schema_version":1,"vertices":[{"depth":0,'
+     '{"count":1,"schema_version":2,"vertices":[{"depth":0,'
      '"key":"p2:4,0,0,0;0,1,0,0;0,0,16,13/2;0,0,0,1/2","norm":{"basis":[["2","1","0","0"],'
      '["0","1/3","0","0"],["0","0","1","5"],["0","0","0","4"]],"p":2,'
      '"weights":["1","0","-1","2"]}}]}\n'),
     ({"p": 5, "basis": [["1/5", "2"], ["0", "3"]], "weights": ["2", "-1"]},
-     '{"count":1,"schema_version":1,"vertices":[{"depth":0,"key":"p5:5,0;0,1/5",'
+     '{"count":1,"schema_version":2,"vertices":[{"depth":0,"key":"p5:5,0;0,1/5",'
      '"norm":{"basis":[["1/5","2"],["0","3"]],"p":5,"weights":["2","-1"]}}]}\n'),
 ], ids=["n4", "p5"])
 def test_a_radius_zero_ball_runs_beyond_the_enumeration_bounds(capsys, center, expected):
@@ -539,3 +539,35 @@ def test_a_radius_zero_ball_runs_beyond_the_enumeration_bounds(capsys, center, e
     assert capsys.readouterr().out == expected
     assert main(["ball", "--center", json.dumps(center), "--radius", "1"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n, p, r", [(1, 3, 3), (2, 2, 2), (2, 3, 1), (3, 2, 1)])
+def test_every_ball_row_key_reads_back_as_its_vertex(capsys, n, p, r):
+    """A row prints its vertex once, by its key; the key reads back as a
+    vertex with that key, in a ball around a center with nonzero weights."""
+    center = random_vertex(30 + n + p, 2, PAdicContext(p), n).norm
+    center = scale_norm(center, 1)
+    assert main(["ball", "--center", json.dumps(center.to_json()), "--radius", str(r)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    rows = doc["vertices"]
+    assert doc["schema_version"] == 2 and len(rows) == building.ball_sizes(n, p, r)[-1]
+    assert rows[0]["norm"] == center.to_json() and rows[0]["depth"] == 0
+    assert all(set(row) == {"depth", "key"} for row in rows[1:])
+    for row in rows:
+        assert LatticeVertex.from_json(row["key"]).key_string == row["key"]
+
+
+def test_a_row_key_is_a_center(capsys):
+    """`ball --center '"<key>"'` at radius 0 prints the key; at radius 1
+    it prints the radius-1 ball around that lattice."""
+    center = json.dumps(random_vertex(12, 2, P3, 2).to_json())
+    assert main(["ball", "--center", center, "--radius", "1"]) == 0
+    rows = json.loads(capsys.readouterr().out)["vertices"]
+    for row in rows[::5]:
+        assert main(["ball", "--center", json.dumps(row["key"]), "--radius", "0"]) == 0
+        (only,) = json.loads(capsys.readouterr().out)["vertices"]
+        assert only["key"] == row["key"] and only["depth"] == 0
+        assert LatticeVertex.from_json(only["norm"]).key_string == row["key"]
+    key = json.dumps(rows[0]["key"])
+    assert main(["ball", "--center", key, "--radius", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["vertices"][1:] == rows[1:]

@@ -641,6 +641,8 @@ def test_exact_subcommands_leave_numpy_unloaded():
     examples = [argv for argv in EXAMPLES if argv[0] not in NUMPY_SUBCOMMANDS]
     missing = _subcommands() - NUMPY_SUBCOMMANDS - {argv[0] for argv in examples}
     assert not missing, f"add an example run of {sorted(missing)} to EXAMPLES"
+    # a ball around a center given by its key, which the key reader reads
+    examples.append(("ball", "--center", json.dumps("p2:1,1/2;0,1/4"), "--radius", "1"))
     script = (
         "import contextlib, io, json, sys\n"
         "from normspace import cli\n"
@@ -873,6 +875,35 @@ def test_helly_building_witness_escape_exits_4(monkeypatch, capsys):
     assert json.loads(err)["error"] == "internal"
 
 
+def _exhaustive_run_exits_4(capsys, family, message):
+    code, out, err = run_cli(capsys, "helly-building", "--mode", "exhaustive",
+                             "--family", family)
+    assert (code, out) == (4, "")
+    doc = json.loads(err)
+    assert doc["error"] == "internal" and message in doc["message"]
+
+
+def test_an_exhaustive_witness_outside_a_ball_exits_4(monkeypatch, capsys):
+    # every ball comes back as one vertex at distance 5 from both centers,
+    # so the common set holds only that vertex, and it is the witness
+    far = normspace.LatticeVertex(DiagNorm.standard(PAdicContext(2), [5, 5]))
+    monkeypatch.setattr(normspace.building, "ball_bfs",
+                        lambda center, radius: {far.canonical_key: (far, radius)})
+    _exhaustive_run_exits_4(capsys, BALL_FAMILY, "exhaustive witness escaped ball 0")
+
+
+def test_pairwise_meeting_balls_with_no_common_vertex_exit_4(monkeypatch, capsys):
+    # B(STD, 0) and B(LPRIME, 1) meet in STD alone; every ball comes back
+    # without STD, so the pairwise-meeting balls share no vertex
+    std = normspace.LatticeVertex.from_json(json.loads(STD)).canonical_key
+    ball_bfs = normspace.building.ball_bfs
+    monkeypatch.setattr(normspace.building, "ball_bfs", lambda center, radius: {
+        k: v for k, v in ball_bfs(center, radius).items() if k != std})
+    family = json.dumps({"centers": [json.loads(STD), json.loads(LPRIME)], "radii": [0, 1]})
+    _exhaustive_run_exits_4(capsys, family,
+                            "pairwise-intersecting balls with empty global intersection")
+
+
 def _norm_doc(p, weights=("0", "0")):
     return json.dumps({"p": p, "basis": [["1", "0"], ["0", "1"]], "weights": list(weights)})
 
@@ -990,6 +1021,62 @@ def _ends_in_one_document(argv, codes):
 def test_fuzzed_ball_center_ends_in_one_document(center, radius):
     _ends_in_one_document(("ball", "--center", json.dumps(center),
                                    "--radius", str(radius)), (0, 2, 3))
+
+
+@st.composite
+def _key_text(draw, defect):
+    """Vertex key text of an upper triangular matrix with a nonzero
+    diagonal, with the defect applied: None leaves it a good key."""
+    n, p = draw(st.integers(1, 3)), draw(st.sampled_from([2, 3]))
+    unit = st.sampled_from(["1", "2", "-3", "1/2", "3/4"])
+    entry = st.sampled_from(["0", "5", "-1/8"])
+    rows = [[draw(unit) if i == j else "0" if j < i else draw(entry) for j in range(n)]
+            for i in range(n)]
+    head, i = f"p{p}", draw(st.integers(0, n - 1))
+    if defect == "p":
+        head = draw(st.sampled_from(["p4", "p1", "p0", "p-2", "p", "q2", "P2", "p2.0", "p 2",
+                                     f"p{2 ** 89 - 1}", "p" + "9" * 5000]))
+    elif defect == "ragged":
+        rows[i].append("1")
+    elif defect == "non-square":
+        rows = rows[1:] if draw(st.booleans()) else rows + [rows[i]]
+    elif defect == "zero-denominator":
+        rows[i][draw(st.integers(0, n - 1))] = draw(st.sampled_from(["1/0", "0/0", "-5/0"]))
+    elif defect == "singular":
+        rows[i] = ["0"] * n if n == 1 or draw(st.booleans()) else list(rows[i - 1])
+    elif defect == "non-ascii":
+        text = ";".join(map(",".join, rows))
+        k = draw(st.sampled_from([k for k, c in enumerate(text) if c.isdigit()]))
+        digit = draw(st.sampled_from(["١", "２", "²", "𝟙"]))
+        return f"{head}:{text[:k]}{digit}{text[k + 1:]}"
+    elif defect == "syntax":
+        rows[i][0] = draw(st.sampled_from(["", "1e3", "0.5", " 1", "+1", "1/", "/2", "x"]))
+    return f"{head}:" + ";".join(map(",".join, rows))
+
+
+@given(key=st.sampled_from(["p", "ragged", "non-square", "zero-denominator", "singular",
+                            "non-ascii", "syntax"]).flatmap(_key_text))
+@_FUZZ
+def test_a_malformed_key_is_a_usage_error(key):
+    out, err = io.StringIO(), io.StringIO()
+    for center in (json.dumps(key), json.dumps({"centers": [key], "radii": [0]})):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["ball", "--center", center, "--radius", "0"] if center[0] == '"'
+                        else ["helly-building", "--family", center])
+        assert (code, out.getvalue()) == (2, "")
+        assert json.loads(err.getvalue())["error"] == "usage"
+        err.seek(0)
+        err.truncate()
+
+
+@given(key=_key_text(None))
+@_FUZZ
+def test_a_good_key_is_read(key):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["ball", "--center", json.dumps(key), "--radius", "0"]) == 0
+    (row,) = json.loads(out.getvalue())["vertices"]
+    assert normspace.LatticeVertex.from_json(row["key"]).key_string == row["key"]
 
 
 @st.composite

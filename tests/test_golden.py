@@ -8,7 +8,9 @@ a payload depends only on its arguments, never on earlier calls in the
 process.  The two ball payloads and the exhaustive witness were re-recorded
 once, when every vertex but a center came to be printed in its own Hermite
 basis; the digests of their (depth, key) lists and of the witness's key,
-recorded before that change, guard the vertex sets unedited.
+recorded before that change, guard the vertex sets unedited.  The ball
+payloads were re-recorded again at ball schema version 2, when every row
+but the center's came to print its key alone, with no norm.
 """
 
 import hashlib
@@ -79,11 +81,11 @@ def _tight_span_args():
 GOLDEN = {
     "ball-n3p2r1": (
         lambda: _ball_args(11, 3, 2, 1),
-        "f6e07f10862ef4a0387523534140d7aa7f9b0484a20ace2514787e6543e5dc48",
+        "44bb5da590b84149a5be61c13c271b5b9fbcaa30c4f197b202244ac162efbbfa",
     ),
     "ball-n2p3r2": (
         lambda: _ball_args(12, 2, 3, 2),
-        "0915c007adec598d90d9e85a9e4c515ab15f62d12943d0ea97d77321a3e08c1b",
+        "684b53770ff0cb46670f25374433abec1b6b971bf16876a1dd8b0c453b2eca5b",
     ),
     "helly-na-6": (
         _helly_na_args,
@@ -150,15 +152,21 @@ def test_the_exhaustive_witness_key_is_pinned(capsys):
 
 def test_every_printed_norm_has_its_row_key(capsys):
     """Centers in bases that are not Hermite forms and with nonzero weights,
-    in dimensions 1 to 3: each row's norm is a vertex with the row's key."""
+    in dimensions 1 to 3: the center row's norm is a vertex with the row's
+    key, and each row's key reads back as a vertex with that key, at the
+    row's depth from the center."""
     for seed, n, p, r in ((5, 1, 3, 3), (6, 2, 2, 2), (7, 3, 2, 1), (8, 3, 3, 1)):
         center = random_vertex(seed, 2, PAdicContext(p), n).norm
         center = DiagNorm(center.ctx, center.basis, [seed % 3 - 1] * n)
         rows = json.loads(_stdout(capsys, ("ball", "--center", json.dumps(center.to_json()),
                                            "--radius", str(r))))["vertices"]
         assert len(rows) > 1 and rows[0]["norm"] == center.to_json()
+        assert LatticeVertex.from_json(rows[0]["norm"]).key_string == rows[0]["key"]
         for row in rows:
-            assert LatticeVertex.from_json(row["norm"]).key_string == row["key"]
+            vertex = LatticeVertex.from_json(row["key"])
+            assert vertex.key_string == row["key"]
+            assert gi_distance(center, vertex.norm) == row["depth"]
+            assert "norm" not in row or row is rows[0]
 
 
 def test_ball_bytes_do_not_depend_on_earlier_balls(capsys):
@@ -169,8 +177,8 @@ def test_ball_bytes_do_not_depend_on_earlier_balls(capsys):
     c = random_vertex(12, 2, PAdicContext(2), 2).norm
     other = DiagNorm(c.ctx, [[row[0], row[0] + row[1]] for row in c.basis], c.weights)
     fresh = {
-        "other": "7db2e121652b083ac952dfe69a7090e33c50379e15c17786abc52f54582db456",
-        "c": "e025f9f655acccf1c85adcff871b1215103f3efe773afd0da7fb9af0e33d4ac1",
+        "other": "60f43264495a2dcd8cb469bd63cf937a73b923a59d4bc000e2b10316137ace21",
+        "c": "9a00a406c1c913b89a60d9c18265c3616d257d67f8e33882f33d677807c1439d",
     }
     rows = {}
     for name, norm in (("other", other), ("c", c), ("other", other)):

@@ -15,11 +15,9 @@ from normspace import (
     UsageError,
     extremal_closure,
     gi_distance_bodies,
-    is_admissible,
     is_extremal,
     kuratowski_embed,
     tight_span_vertices,
-    ts_distance,
 )
 
 TWO = FiniteMetric([[0, 6], [6, 0]])
@@ -73,10 +71,10 @@ def test_a_float_metric_failing_an_axiom_by_any_amount_is_refused(d):
 
 
 def test_admissible_examples():
-    assert is_admissible([0, 6], TWO)  # d(x0, .)
-    assert not is_admissible([1, 1], TWO)
-    assert is_admissible([3.5, 2.5], TWO)
-    assert not is_admissible([-1, 8], TWO)
+    assert helpers.is_admissible([0, 6], TWO)  # d(x0, .)
+    assert not helpers.is_admissible([1, 1], TWO)
+    assert helpers.is_admissible([3.5, 2.5], TWO)
+    assert not helpers.is_admissible([-1, 8], TWO)
 
 
 def test_extremal_examples():
@@ -99,7 +97,7 @@ def test_kuratowski_two_and_one_point():
     assert kuratowski_embed(FiniteMetric([[0]])) == [[0]]
     e = kuratowski_embed(TWO)
     assert e == [[0, 6], [6, 0]]
-    assert ts_distance(e[0], e[1]) == 6
+    assert helpers.ts_distance(e[0], e[1]) == 6
 
 
 def test_kuratowski_isometric_on_body_metric():
@@ -108,7 +106,7 @@ def test_kuratowski_isometric_on_body_metric():
     e = kuratowski_embed(space)
     for i in range(6):
         for j in range(6):
-            assert ts_distance(e[i], e[j]) == space.rows[i][j]
+            assert helpers.ts_distance(e[i], e[j]) == space.rows[i][j]
 
 
 def test_closure_trace_example():
@@ -126,7 +124,7 @@ def test_closure_random_inputs_become_extremal():
     for trial in range(20):
         space = random_spd_metric(rng, 4)
         start = [float(max(r)) + float(rng.uniform(0, 2)) for r in space.rows]
-        assert is_admissible(start, space)
+        assert helpers.is_admissible(start, space)
         out = extremal_closure(start, space)
         assert is_extremal(out, space)
         assert all(a <= b for a, b in zip(out, start))
@@ -221,7 +219,7 @@ def test_closure_nonexpansive_on_samples():
         f = [Fraction(max(r)) + Fraction(rng.uniform(0, 1)) for r in space.rows]
         g = [Fraction(max(r)) + Fraction(rng.uniform(0, 1)) for r in space.rows]
         cf, cg = extremal_closure(f, space), extremal_closure(g, space)
-        assert ts_distance(cf, cg) <= ts_distance(f, g)
+        assert helpers.ts_distance(cf, cg) <= helpers.ts_distance(f, g)
 
 
 def test_tight_span_two_points():
@@ -250,7 +248,7 @@ def test_no_tolerance_at_a_small_scale():
     # f misses the identity at x = 0 by 5e-10, far above every distance
     space = _line(1e-300)
     f = [5e-10, 0, 4e-10]
-    assert is_admissible(f, space) and not is_extremal(f, space)
+    assert helpers.is_admissible(f, space) and not is_extremal(f, space)
     assert extremal_closure(f, space) == [Fraction(1e-300), 0, Fraction(1e-300)]
 
 

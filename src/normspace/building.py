@@ -9,18 +9,14 @@ A vertex's key is the plain integer tuple (p, s, rows), rows / p^s being its
 Hermite form.  The key's text (`_key_text`, e.g. p2:1,0;0,1/4) is the
 vertex's printed form, and it is accepted as input: `LatticeVertex.from_json`
 reads it as the lattice on the columns of its rows.  Keys, Hermite forms,
-neighbour bases, the depth audit and the JSON of a neighbour are all computed
-on integers: a neighbour is its key alone, and builds its Fraction norm only
-when something reads it.  The neighbours of every vertex come from one cached
-list per (n, p) of the integer Hermite forms between p^2 Z^n and Z^n, listed
-directly by diagonal and reduced entries.  A ball keys its center once; every
-other vertex is reached in its own Hermite basis K, and its children K F / p
-are in Hermite form after a reduction with no pivot search.  So a vertex
-prints the same bytes in every ball, whatever basis the center was given in.
-Each ball is audited against the exact metric, from the center's given basis,
-and its size against Birkhoff's count of the submodules of (Z/p^{2r})^n.  A
-vertex's neighbours are its radius-1 ball after the center, so they are
-audited the same way.
+the depth audit and the JSON of a ball vertex are all computed on integers,
+and a ball vertex is its key alone.  The ball B(L, r), the lattices between
+p^r L and p^{-r} L, is listed directly, not walked: one product of the
+center's Hermite form with each integer Hermite form between p^{2r} Z^n and
+Z^n, listed once per (n, p, r) with its depth.  Each ball is audited against
+the exact metric, from the center's given basis, and its size against
+Birkhoff's count of the submodules of (Z/p^{2r})^n.  A vertex's neighbours
+are its radius-1 ball after the center, so they are audited the same way.
 """
 
 import functools
@@ -222,25 +218,38 @@ class LatticeVertex(Frozen):
 
 
 @functools.cache
-def _standard_forms(n, p):
-    """Integer Hermite forms H (as column lists) with p^2 Z^n ⊆ H Z^n ⊆ Z^n.
+def _ball_forms(n, p, r):
+    """[(depth, H)] for the integer Hermite forms H (tuples of columns) with
+    p^{2r} Z^n ⊆ H Z^n ⊆ Z^n, i.e. the submodules of (Z/p^{2r})^n.
 
-    Each is p H_s for one lattice pZ^n ⊆ H_s Z^n ⊆ p^{-1}Z^n, i.e. one
-    submodule of (Z/p^2)^n.  Such an H has diagonal p^{a_i}, a_i in {0, 1, 2},
-    and entries above pivot i in [0, p^{a_i}); a candidate is kept exactly
-    when it is the Hermite form of p^2 Z^n + H Z^n.
+    Listed column by column: column j has p^{a_j}, a_j <= 2r, on the
+    diagonal and entries above it in [0, p^{a_i}), and it is kept when
+    p^{2r} e_j is an integral combination x of columns 0..j, which one
+    back-substitution decides.  p^{2r - v_p(x)} e_j is then the least power
+    of p times e_j in H Z^n, so the largest such exponent e is the exponent
+    of Z^n / H Z^n, and p^{-r} H Z^n lies at distance
+    max(r - v_p(content of H), e - r) from Z^n.
     """
-    eye = [[p * p * (i == j) for i in range(n)] for j in range(n)]
-    above = [(i, j) for j in range(n) for i in range(j)]
-    forms = []
-    for exps in itertools.product(range(3), repeat=n):
-        for entries in itertools.product(*(range(p ** exps[i]) for i, _ in above)):
-            h = [[p ** exps[j] * (i == j) for i in range(n)] for j in range(n)]
-            for (i, j), x in zip(above, entries):
-                h[j][i] = x
-            if _hermite(eye + h, p) == h:
-                forms.append(h)
-    return forms
+    forms = [((), 0, 0)]  # (columns so far, their largest exponent, content)
+    for j in range(n):
+        longer = []
+        for cols, e, g in forms:
+            for a in range(2 * r + 1):
+                x_j = p ** (2 * r - a)
+                for above in itertools.product(*(range(col[i]) for i, col in enumerate(cols))):
+                    res, xs = [-x_j * y for y in above], [x_j]
+                    for i in range(j - 1, -1, -1):
+                        x, rem = divmod(res[i], cols[i][i])
+                        if rem:
+                            break
+                        res = [y - x * c for y, c in zip(res, cols[i])]
+                        xs.append(x)
+                    else:
+                        col = (*above, p ** a) + (0,) * (n - j - 1)
+                        longer.append(((*cols, col), max(e, 2 * r - pval_int(math.gcd(*xs), p)),
+                                       math.gcd(g, *above, p ** a)))
+        forms = longer
+    return [(max(r - pval_int(g, p), e - r), cols) for cols, e, g in forms]
 
 
 def _frame_product(b, form):
@@ -249,7 +258,7 @@ def _frame_product(b, form):
     Both are upper triangular with p-power diagonals, so their product is
     too: its Hermite form reduces each column by the earlier, already reduced
     ones (`_reduce`), with no pivot search.  b need not be reduced itself.
-    With b a vertex's Hermite form, this is the form of one child.
+    With b a ball center's Hermite form, this is the form of one ball vertex.
     """
     key = []
     for fc in form:
@@ -271,8 +280,7 @@ def neighbors(vertex):
     Birkhoff's count.
 
     These are the lattices L' with pL ⊆ L' ⊆ p^{-1}L other than L itself,
-    one per listed form p H_s (see _standard_forms), each in its own
-    Hermite basis.
+    each in its own Hermite basis.
     """
     return tuple(u for u, _ in itertools.islice(ball_bfs(vertex, 1).values(), 1, None))
 
@@ -357,22 +365,21 @@ def ball_sizes(n, p, radius):
 
 
 def ball_bfs(center, radius):
-    """BFS ball in the thickening graph, certified against the exact metric.
+    """The ball B(center, radius) of the thickening graph, certified against
+    the exact metric; it is listed directly, and nothing walks the graph.
 
-    The center is keyed once (`_hermite`).  A vertex with Hermite form
-    K = K_int / p^s has as neighbours the lattices between pL and p^{-1}L,
-    i.e. K_int F / p^{s+1} for the forms F = p H_s (`_standard_forms`); since
-    K_int and F are triangular with p-power diagonals, `_frame_product`
-    returns each child's Hermite form with no pivot search.  A child whose
-    key is new is a vertex of the ball, holding only that key, and the new
-    children of one vertex are added in the keys' rational order.  Then
-    every vertex but the center has its BFS depth checked against its exact
-    distance to the center, from the center's given basis, on integers
-    (`_distance_from`), and each sphere's size against Birkhoff's count
-    (`ball_sizes`); a mismatch is fatal.  Distinct keys, each at its depth,
-    as many per sphere as the ball has, are exactly the ball.  A ball that
-    the count puts over MAX_BALL vertices is refused before any vertex is
-    built.  Returns {canonical_key: (vertex, depth)}.
+    With the center keyed once (`_hermite`) as K = K_int / p^s, the ball is
+    the K_int H / p^{s+r} for the forms H between p^{2r} Z^n and Z^n
+    (`_ball_forms`), each listed with its depth.  K_int and H are triangular
+    with p-power diagonals, so one `_frame_product` per vertex (p^r I keys
+    the center again) gives its Hermite form with no pivot search, and a
+    vertex holds only that key.  Then every vertex but the center has its
+    listed depth checked against its exact distance to the center, from the
+    center's given basis, on integers (`_distance_from`), and each sphere's
+    size against Birkhoff's count (`ball_sizes`); a mismatch is fatal.  A
+    ball that the count puts over MAX_BALL vertices is refused before any
+    vertex is built.  Returns {canonical_key: (vertex, depth)}: the center,
+    then the rest by depth and the keys' rational order.
     """
     if radius < 0:
         raise UsageError("radius must be nonnegative")
@@ -384,43 +391,28 @@ def ball_bfs(center, radius):
                                    f"p <= {MAX_PRIME} (requested n={n}, p={p})")
     sizes = ball_sizes(n, p, radius)
 
-    ctx, forms = center.ctx, _standard_forms(n, p)
-    found = {center.canonical_key: (center, 0)}
-    frontier = [center.canonical_key]
-    for depth in range(1, radius + 1):
-        nxt = []
-        for _, s, rows in frontier:
-            cols = list(zip(*rows))
-            kids = []
-            for form in forms:
-                frame = tuple(zip(*_frame_product(cols, form)))
-                key = _lattice_key(p, frame, s + 1)
-                if key not in found:
-                    kids.append((frame, key))
-            # distinct forms give distinct lattices, and all frames share the
-            # exponent s + 1, so this is the keys' rational order (_key_order)
-            kids.sort()
-            for _, key in kids:
-                found[key] = (LatticeVertex._lazy(key, ctx), depth)
-            if depth < radius:
-                nxt += (key for _, key in kids)
-        frontier = nxt
+    ctx, (_, s, rows) = center.ctx, center.canonical_key
+    cols = list(zip(*rows))
+    # every frame has the exponent s + r, so frames sort in the keys' rational order
+    listed = sorted((depth, tuple(zip(*_frame_product(cols, form))))
+                    for depth, form in _ball_forms(n, p, radius))
+    found = {center.canonical_key: (center, 0)}  # the form p^r I keys the center again
+    for depth, frame in listed:
+        key = _lattice_key(p, frame, s + radius)
+        found.setdefault(key, (LatticeVertex._lazy(key, ctx), depth))
     dist = _distance_from(center)
     for v, depth in itertools.islice(found.values(), 1, None):
         if dist(v) != depth:
-            raise RuntimeError(
-                "BFS depth disagrees with the metric at "
-                f"{v.key_string}: depth {depth}"
-            )
+            raise RuntimeError(f"listed depth disagrees with the metric at {v.key_string}: "
+                               f"depth {depth}")
     spheres = [0] * (radius + 1)
     for _, depth in found.values():
         spheres[depth] += 1
     for depth, size in enumerate(spheres):
         want = sizes[depth] - (sizes[depth - 1] if depth else 0)
         if size != want:
-            raise RuntimeError(
-                f"the sphere of radius {depth} has {size} vertices, Birkhoff's count {want}"
-            )
+            raise RuntimeError(f"the sphere of radius {depth} has {size} vertices, "
+                               f"Birkhoff's count {want}")
     return found
 
 
@@ -501,18 +493,14 @@ def helly_check_building(family, mode="witness"):
         for s, (c, r) in enumerate(zip(centers, radii)):
             if gi_distance(witness.norm, c.norm) > r:
                 raise RuntimeError(f"exhaustive witness escaped ball {s}")
-        return BallCertificate(
-            centers, radii, mode, "witness", witness=witness, stats=stats
-        )
+        return BallCertificate(centers, radii, mode, "witness", witness=witness, stats=stats)
     if bad_pair is None:
         raise RuntimeError(
             "pairwise-intersecting balls with empty global intersection: "
             "this falsifies the Helly property and indicates an enumeration bug"
         )
-    return BallCertificate(
-        centers, radii, mode, "empty",
-        offending_pair=bad_pair[:2], stats=stats,
-    )
+    return BallCertificate(centers, radii, mode, "empty", offending_pair=bad_pair[:2],
+                           stats=stats)
 
 
 def helly_triple_campaign(ctx, n, center_radius, max_radius):
@@ -544,11 +532,7 @@ def helly_triple_campaign(ctx, n, center_radius, max_radius):
         for k in keys:
             mask |= 1 << index[k]
         masks[bk] = mask
-    balls = [
-        (c, r, masks[(c.canonical_key, r)])
-        for c in centers
-        for r in range(max_radius + 1)
-    ]
+    balls = [(c, r, masks[(c.canonical_key, r)]) for c in centers for r in range(max_radius + 1)]
     # pairwise intersection table straight from the masks
     nb = len(balls)
     inter = [[False] * nb for _ in range(nb)]

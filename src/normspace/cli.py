@@ -92,6 +92,11 @@ def _family(ns, key, read_item, read_radius):
         raise malformed("bad family JSON", exc) from exc
 
 
+def _ratio(text):
+    """An exact radius, read as `valued.read_ratio` reads weights."""
+    return Fraction(*val.read_ratio(text))
+
+
 def _check_p(norms, p):
     if p is not None:
         for eta in norms:
@@ -131,7 +136,7 @@ def _cmd_common_basis(ns):
 
 
 def _cmd_helly_na(ns):
-    norms, radii = _family(ns, "norms", val.DiagNorm.from_json, Fraction)
+    norms, radii = _family(ns, "norms", val.DiagNorm.from_json, _ratio)
     theta, dists = val.helly_witness_na(norms, radii)
     return EXIT_OK, {
         "schema_version": SCHEMA_VERSION,
@@ -150,7 +155,7 @@ def _cmd_ball(ns):
 
 
 def _cmd_helly_building(ns):
-    centers, radii = _family(ns, "centers", bld.LatticeVertex.from_json, Fraction)
+    centers, radii = _family(ns, "centers", bld.LatticeVertex.from_json, _ratio)
     cert = bld.helly_check_building(list(zip(centers, radii)), mode=ns.mode)
     code = EXIT_OK if cert.outcome == "witness" else EXIT_VIOLATION
     return code, cert.to_json()

@@ -36,6 +36,9 @@ from .errors import MALFORMED, Frozen, PairwiseRadiusError, UsageError, malforme
 # Miller-Rabin on the prime bases up to 41 is exact below this bound
 # (Sorenson and Webster 2015); larger p are refused.
 MAX_P = 3317044064679887385961981
+# |E| of exponent text such as "1e-3": the float range's (-324 to 308) and
+# room to spare; past it 10^E is refused, as its time and memory grow with E
+MAX_EXPONENT = 400
 
 
 def is_prime(p):
@@ -225,8 +228,9 @@ def norm_json(p, cols, den, a, e):
 def read_ratio(x):
     """Fraction(x).as_integer_ratio() for a value x that is not a bool.  An
     int and "a" or "a/b" text (an optional "-", ASCII digits, a nonzero
-    denominator) are read as integers; a bool is refused (TypeError), and
-    anything else, accepted or refused, goes to Fraction."""
+    denominator) are read as integers; a bool is refused (TypeError), so is
+    text whose exponent, after its last e or E, is past MAX_EXPONENT
+    (ValueError), and anything else, accepted or refused, goes to Fraction."""
     if type(x) is int:
         return x, 1
     if type(x) is str and x.isascii():
@@ -238,6 +242,13 @@ def read_ratio(x):
             return a // g, b // g
     if type(x) is bool:
         raise TypeError(f"{x!r} is not a rational number")
+    _, e, exp = x.lower().rpartition("e") if type(x) is str else ("", "", "")
+    try:
+        big = e and exp[:1].strip() and abs(int(exp)) > MAX_EXPONENT
+    except ValueError:  # no exponent: Fraction refuses the text
+        big = False
+    if big:
+        raise ValueError(f"{x[:40]!r} has an exponent past {MAX_EXPONENT} in size")
     return Fraction(x).as_integer_ratio()
 
 

@@ -11,8 +11,9 @@ brute-force log-sup ratios, the Fraction Hermite form and
 Fraction distances, submodule closures, entrywise adapted-basis and
 lattice-equality tests, loop-structured float kernels, exact closure sweeps,
 the Fraction tight-pair solve, the Fraction and Bareiss pair-set filters
-and the subset-search tight span, the per-vertex ball BFS with its Bareiss
-depth audit, the eager pairwise-first Helly witness, brute-force cube isometries, signed
+and the subset-search tight span, the Hermite-filter listing of
+the ball forms with Smith-divisor depths, the per-vertex ball BFS with its
+Bareiss depth audit, the eager pairwise-first Helly witness, brute-force cube isometries, signed
 permutation matrices and inverses, hulls in any dimension, the
 tangent-polytope witness of a body ball family, which for polytopes is their
 meet as one polytope)
@@ -473,13 +474,36 @@ def distance_from_oracle(center):
     return dist
 
 
+def ball_forms_oracle(n, p, r):
+    """{H: depth} for the integer Hermite forms H (tuples of columns) with
+    p^{2r} Z^n ⊆ H Z^n ⊆ Z^n: every triangular candidate with diagonal
+    p^{a_i}, a_i <= 2r, and entries above pivot i in [0, p^{a_i}) is kept
+    when it is the pivoting Hermite form of p^{2r} Z^n + H Z^n.  The depth
+    of p^{-r} H Z^n from Z^n comes from H's Smith divisors d_1 | ... | d_n:
+    max(r - v_p(d_1), v_p(d_n) - r)."""
+    eye = [[p ** (2 * r) * (i == j) for i in range(n)] for j in range(n)]
+    above = [(i, j) for j in range(n) for i in range(j)]
+    forms = {}
+    for exps in itertools.product(range(2 * r + 1), repeat=n):
+        for entries in itertools.product(*(range(p ** exps[i]) for i, _ in above)):
+            h = [[p ** exps[j] * (i == j) for i in range(n)] for j in range(n)]
+            for (i, j), x in zip(above, entries):
+                h[j][i] = x
+            if _hermite(eye + h, p) == h:
+                divs = smith_divisors(h)
+                forms[tuple(map(tuple, h))] = max(r - pval_int(divs[0], p),
+                                                  pval_int(divs[-1], p) - r)
+    return forms
+
+
 def ball_bfs_oracle(center, radius):
     """The thickening-graph ball by BFS over every vertex's full `neighbors`
     list, keyed by each child's own Hermite form, with the Bareiss depth
     audit; {canonical_key: (vertex, depth)} in discovery order.  Each list
     is the library's radius-1 ball about that vertex, so from depth 2 on
-    this checks that one `ball_bfs` walks its frontier to the same vertices,
-    depths and order, and prints them in the same bases."""
+    this walk of the graph checks that the direct listing of one `ball_bfs`
+    gives the same vertices at the same depths, the BFS depths being the
+    metric's, and prints them in the same bases."""
     found = {center.canonical_key: (center, 0)}
     frontier = [center]
     for depth in range(1, radius + 1):

@@ -21,7 +21,7 @@ from normspace import (
 )
 from helpers import hnf_dvr, reduce_mod_ppow, submodule_generators, vertices_equal
 from normspace import building
-from normspace.building import _hermite, _standard_forms
+from normspace.building import _ball_forms, _hermite, _key_order
 from normspace.cli import main
 
 P2 = PAdicContext(2)
@@ -121,11 +121,11 @@ def _independent_subgroup_count(modulus, n=2):
 
 
 def test_submodule_counts():
-    assert len(_standard_forms(1, 2)) == 3
-    assert len(_standard_forms(2, 2)) == 15
-    assert len(_standard_forms(2, 3)) == 23
-    assert len(_standard_forms(3, 2)) == 129
-    assert len(_standard_forms(3, 3)) == 445
+    assert len(_ball_forms(1, 2, 1)) == 3
+    assert len(_ball_forms(2, 2, 1)) == 15
+    assert len(_ball_forms(2, 3, 1)) == 23
+    assert len(_ball_forms(3, 2, 1)) == 129
+    assert len(_ball_forms(3, 3, 1)) == 445
     # independent oracle for the two 2-dimensional cases
     assert _independent_subgroup_count(4) == 15
     assert _independent_subgroup_count(9) == 23
@@ -136,11 +136,11 @@ def test_standard_forms_match_the_submodule_closure(n, p):
     eye = [[p * p * (i == j) for i in range(n)] for j in range(n)]
     closed = {tuple(map(tuple, _hermite(eye + [list(g) for g in gens], p)))
               for gens in submodule_generators(n, p)}
-    listed = [tuple(map(tuple, h)) for h in _standard_forms(n, p)]
+    listed = [h for _, h in _ball_forms(n, p, 1)]
     assert len(set(listed)) == len(listed)
     assert set(listed) == closed
     # every form contains p^2 Z^n: p^2 e_k is an integer combination of its columns
-    for h in _standard_forms(n, p):
+    for h in listed:
         for k in range(n):
             x = [p * p * (i == k) for i in range(n)]
             for j in range(n - 1, -1, -1):
@@ -360,20 +360,21 @@ def test_a_ball_builds_only_the_center_norm(monkeypatch, p, n, r):
 
 
 def test_the_depth_audit_is_live(monkeypatch, capsys):
-    """A neighbour form at distance 3 makes the audit raise, and the CLI exit 4."""
-    forms = building._standard_forms
+    """A form listed at depth 1 but at distance 3 makes the audit raise, and
+    the CLI exit 4."""
+    forms = building._ball_forms
 
-    def with_a_far_form(n, p):
-        return forms(n, p) + [[[1, 0], [0, p ** 4]]]
+    def with_a_far_form(n, p, r):
+        return forms(n, p, r) + [(1, ((1, 0), (0, p ** 4)))]
 
-    monkeypatch.setattr(building, "_standard_forms", with_a_far_form)
-    with pytest.raises(RuntimeError, match="BFS depth disagrees"):
+    monkeypatch.setattr(building, "_ball_forms", with_a_far_form)
+    with pytest.raises(RuntimeError, match="listed depth disagrees"):
         ball_bfs(STD2, 1)
     code = main(["ball", "--center", json.dumps(STD2.to_json()), "--radius", "1"])
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     doc = json.loads(captured.err)
-    assert doc["error"] == "internal" and "BFS depth disagrees" in doc["message"]
+    assert doc["error"] == "internal" and "listed depth disagrees" in doc["message"]
 
 
 # Birkhoff's count of the submodules of (Z/p^{2r})^n, as (n, p, r) -> size
@@ -385,9 +386,9 @@ BALL_COUNTS = {(1, 2, 1): 3, (2, 2, 1): 15, (2, 3, 1): 23, (2, 2, 2): 83, (3, 2,
 def test_ball_size_table():
     assert {k: building.ball_sizes(*k)[-1] for k in BALL_COUNTS} == BALL_COUNTS
     assert [building.ball_sizes(n, p, 0) for n, p in ((1, 2), (4, 5))] == [[1], [1]]
-    # ball(1) is the center and its neighbours, one per standard form
+    # ball(1) is the center and its neighbours, one per form between p^2 Z^n and Z^n
     for n, p in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)):
-        assert building.ball_sizes(n, p, 1)[1] == len(_standard_forms(n, p))
+        assert building.ball_sizes(n, p, 1)[1] == len(_ball_forms(n, p, 1))
 
 
 def test_the_ball_cap_admits_every_ball_up_to_its_size():
@@ -422,7 +423,7 @@ def test_frame_keys_name_the_unreduced_product():
     def cols(key):
         return [list(col) for col in key]
 
-    forms = _standard_forms(3, 2)
+    forms = [[list(col) for col in h] for _, h in _ball_forms(3, 2, 1)]
     f1, f2 = [[4, 0, 0], [0, 2, 0], [0, 1, 2]], [[4, 0, 0], [0, 1, 0], [0, 0, 4]]
     assert f1 in forms and f2 in forms
     raw = product(f1, f2)
@@ -432,10 +433,10 @@ def test_frame_keys_name_the_unreduced_product():
 
 
 def test_the_count_audit_is_live(monkeypatch, capsys):
-    """A neighbour form gone missing leaves every depth right but a sphere
-    short: the count raises, and the CLI exits 4."""
-    forms = building._standard_forms
-    monkeypatch.setattr(building, "_standard_forms", lambda n, p: forms(n, p)[:-1])
+    """A form gone missing leaves every depth right but a sphere short: the
+    count raises, and the CLI exits 4."""
+    forms = building._ball_forms
+    monkeypatch.setattr(building, "_ball_forms", lambda n, p, r: forms(n, p, r)[:-1])
     with pytest.raises(RuntimeError, match="the sphere of radius 1 has 13 vertices, Birkhoff's count 14"):
         ball_bfs(STD2, 1)
     code = main(["ball", "--center", json.dumps(STD2.to_json()), "--radius", "1"])
@@ -446,7 +447,7 @@ def test_the_count_audit_is_live(monkeypatch, capsys):
 
 
 def test_a_frame_key_that_merges_lattices_exits_4(monkeypatch, capsys):
-    """Forgetting the corner entry of a child's product keys it as another
+    """Forgetting the corner entry of a vertex's product keys it as another
     lattice: that vertex's depth audit catches it, and the CLI exits 4."""
     frame_product = building._frame_product
 
@@ -461,14 +462,15 @@ def test_a_frame_key_that_merges_lattices_exits_4(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     doc = json.loads(captured.err)
-    assert doc["error"] == "internal" and "BFS depth disagrees with the metric" in doc["message"]
+    assert doc["error"] == "internal" and "listed depth disagrees with the metric" in doc["message"]
 
 
-def test_a_frame_key_that_splits_a_lattice_is_fatal(monkeypatch):
-    """A child's product that also names its form, by adding the form's index
-    times its first column to its last, keys one lattice several ways: the
-    center comes back as its own child, at depth 1, and the audit raises."""
-    frame_product, forms = building._frame_product, _standard_forms(2, 2)
+def test_a_frame_key_that_splits_a_lattice_is_fatal(monkeypatch, capsys):
+    """A vertex's product that also names its form, by adding the form's
+    index times its first column to its last, keys one lattice several ways:
+    the form p I keys the center a second time, two vertices sit at depth
+    0, and the count raises."""
+    frame_product, forms = building._frame_product, [h for _, h in _ball_forms(2, 2, 1)]
 
     def splitting(b, form):
         key = [list(col) for col in frame_product(b, form)]
@@ -476,8 +478,12 @@ def test_a_frame_key_that_splits_a_lattice_is_fatal(monkeypatch):
         return tuple(map(tuple, key))
 
     monkeypatch.setattr(building, "_frame_product", splitting)
-    with pytest.raises(RuntimeError, match="BFS depth disagrees with the metric at .*: depth 1"):
+    with pytest.raises(RuntimeError, match="the sphere of radius 0 has 2 vertices, Birkhoff's count 1"):
         ball_bfs(STD2, 1)
+    code = main(["ball", "--center", json.dumps(STD2.to_json()), "--radius", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "the sphere of radius 0 has 2 vertices" in json.loads(captured.err)["message"]
 
 
 @pytest.mark.parametrize("n, p, r", [(1, 3, 4), (2, 2, 3), (2, 3, 2), (3, 2, 1), (3, 3, 1), (3, 2, 2)])
@@ -485,17 +491,45 @@ def test_ball_bfs_matches_the_per_vertex_oracle(n, p, r):
     obj = random_vertex(600 + 10 * n + p, 2, PAdicContext(p), n).to_json()
     ball = ball_bfs(LatticeVertex.from_json(obj), r)
     oracle = helpers.ball_bfs_oracle(LatticeVertex.from_json(obj), r)
+    # the center, then by depth and the keys' rational order
+    oracle = dict(sorted(oracle.items(), key=lambda kv: (kv[1][1], _key_order(kv[0]))))
     assert list(ball) == list(oracle)  # keys in insertion order
     assert [d for _, d in ball.values()] == [d for _, d in oracle.values()]
     assert ([json.dumps(v.to_json()) for v, _ in ball.values()]
             == [json.dumps(v.to_json()) for v, _ in oracle.values()])
 
 
+@pytest.mark.parametrize("n, p, r", [(1, 3, 4), (2, 2, 3), (2, 3, 2), (3, 2, 1), (3, 3, 1), (3, 2, 2)])
+def test_ball_forms_match_the_hermite_filter(monkeypatch, n, p, r):
+    """The column-by-column listing gives the forms and depths of the
+    pivoting Hermite filter, as many as Birkhoff counts, with no `_hermite`."""
+    building._ball_forms.cache_clear()
+    monkeypatch.setattr(building, "_hermite", None)  # calling it would raise
+    listed = building._ball_forms(n, p, r)
+    monkeypatch.undo()
+    assert len(listed) == building.ball_sizes(n, p, r)[-1]
+    assert {h: depth for depth, h in listed} == helpers.ball_forms_oracle(n, p, r)
+
+
+@pytest.mark.parametrize("n, p, r", [(2, 2, 2), (2, 3, 2), (3, 2, 2)])
+def test_a_warm_ball_makes_one_product_per_vertex(monkeypatch, n, p, r):
+    """Each vertex is one form's product, the center too (its product repeats
+    its key), and no other product is made."""
+    center = LatticeVertex.from_json(random_vertex(78, 2, PAdicContext(p), n).to_json())
+    ball_bfs(center, r)  # lists the forms and keys the center
+    calls = []
+    frame_product = building._frame_product
+    monkeypatch.setattr(building, "_frame_product",
+                        lambda b, form: calls.append(1) or frame_product(b, form))
+    ball = ball_bfs(center, r)
+    assert len(calls) == len(ball) == building.ball_sizes(n, p, r)[-1]
+
+
 @pytest.mark.parametrize("n, p, r", [(2, 2, 2), (2, 3, 2), (3, 2, 1), (3, 2, 2)])
 def test_a_ball_runs_no_hermite_form_past_the_center(monkeypatch, n, p, r):
-    """Every child is keyed by its reduce-only product: once the forms and
+    """Every vertex is keyed by its reduce-only product: once the forms and
     the center's key are cached, a ball makes no pivoting Hermite form."""
-    _standard_forms(n, p)
+    _ball_forms(n, p, r)
     center = LatticeVertex.from_json(random_vertex(77, 2, PAdicContext(p), n).to_json())
     center.canonical_key
     calls = []

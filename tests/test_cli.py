@@ -166,6 +166,18 @@ def test_mvee_refuses_a_tolerance(monkeypatch, capsys, tol):
     assert "unrecognized arguments: --tol" in doc["message"]
 
 
+def test_an_unconverged_mvee_exits_4(monkeypatch, capsys):
+    """Uniform weights leave the inner points' weight on the ellipsoid: the
+    certificate from the returned weights refuses them."""
+    monkeypatch.setattr(normspace._kernels, "mvee_weights",
+                        lambda pts, tol, max_iter: (np.full(len(pts), 1 / len(pts)), 0, 0.0))
+    code, out, err = run_cli(
+        capsys, "mvee", "--points", "[[1, 1], [1, -1], [2, 0], [0, 2], [0.1, 0], [0, 0.1]]")
+    assert (code, out) == (4, "")
+    doc = json.loads(err)
+    assert doc["error"] == "internal" and "MVEE did not converge" in doc["message"]
+
+
 @pytest.mark.parametrize("argv, needle", [
     (["dist", "--a", STD, "--b", STD, "--q", "2"], "unrecognized arguments: --q"),
     (["mvee"], "required: --points"),
@@ -925,6 +937,30 @@ def test_a_19_digit_prime_is_accepted_at_once(capsys):
                       "radii": [1, 0]})
     code, out, _ = run_cli(capsys, "helly-na", "--family", fam)
     assert code == 0 and json.loads(out)["witness"]["p"] == p
+
+
+def _one_ball(key, center, radius):
+    return json.dumps({key: [json.loads(center)], "radii": [radius]})
+
+
+@pytest.mark.parametrize("argv", [
+    ("dist", "--a", _norm_doc(2, ["1e5000", "0"]), "--b", STD),
+    ("dist", "--a", _norm_doc(2, ["1e6000000", "0"]), "--b", STD),
+    ("helly-na", "--family", _one_ball("norms", STD, "1e6000000")),
+    ("helly-building", "--family", _one_ball("centers", STD, "-1E+6_000_000")),
+], ids=["weight", "long-weight", "helly-na-radius", "helly-building-radius"])
+def test_exponent_text_past_the_cap_is_a_usage_error(capsys, argv):
+    # "1e5000" exited 4 when its 5001 digits were printed; "1e6000000" took
+    # seconds to read, before the same failure
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "usage" and "has an exponent past 400 in size" in doc["message"]
+
+
+def test_exponent_text_within_the_cap_is_read_exactly(capsys):
+    code, out, _ = run_cli(capsys, "dist", "--a", _norm_doc(2, ["1e-3", "0"]), "--b", STD)
+    assert code == 0 and json.loads(out)["distance"] == "1/1000"
 
 
 @pytest.mark.parametrize("weight", ["101", "-1e400", 1e300])

@@ -20,7 +20,7 @@ from normspace import (
     scale_norm,
 )
 from normspace import building
-from normspace.building import _distance_from, _key_order, _key_text, _standard_forms
+from normspace.building import _ball_forms, _distance_from, _key_order, _key_text
 
 PRIMES = (2, 3, 5, 7)
 
@@ -178,7 +178,7 @@ def test_neighbour_norms_match_eagerly_built_ones(p, n):
     v = random_vertex(706 + p + n, 2, ctx, n)
     w = helpers.from_columns(helpers.lattice_basis(v))
     eager = {}
-    for form in _standard_forms(n, p):
+    for _, form in _ball_forms(n, p, 1):
         h_s = helpers.from_columns([[Fraction(x, p) for x in col] for col in form])
         u = LatticeVertex(DiagNorm(ctx, helpers.matmul(w, h_s), [0] * n))
         eager[u.canonical_key] = u

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -691,7 +692,8 @@ def test_a_compatible_family_measures_no_input_pair(monkeypatch, k):
 
 _RATIO_TEXT = st.one_of(
     st.fractions().map(str),  # canonical text
-    st.sampled_from(["2/4", "-0", "+3", " 7 ", "007", "1.5", "1e2", "1/0", "²", "",
+    st.sampled_from(["2/4", "-0", "+3", " 7 ", "007", "1.5", "1e2", "1e-400", "2.5E+400",
+                     "1e401", "0e-401", "1e4_01", "1/2e999", "1/0", "²", "",
                      "-", "1/", "/2", "--3", "3/-4", "1_000", "٣", "0/5", "-12/30"]),
     st.text(alphabet="0123456789-+/ .e_²٣", max_size=8),
 )
@@ -703,11 +705,19 @@ _RATIO_TEXT = st.one_of(
 def test_read_ratio_matches_fraction(x):
     """The integer reader gives Fraction(x) in lowest terms, or raises
     Fraction's exception with its message; it refuses a bool, which
-    Fraction reads as 0 or 1."""
+    Fraction reads as 0 or 1, and text whose exponent is past MAX_EXPONENT,
+    which Fraction would expand."""
     if isinstance(x, bool):
         with pytest.raises(TypeError, match="is not a rational number"):
             valued.read_ratio(x)
         return
+    if isinstance(x, str) and "e" in x.lower():
+        exp = x.lower().rpartition("e")[2]
+        if re.fullmatch(r"[-+]?\d+(_\d+)*\s*", exp):  # Fraction's exponent grammar
+            if abs(int(exp)) > valued.MAX_EXPONENT:
+                with pytest.raises(ValueError, match="has an exponent past 400 in size"):
+                    valued.read_ratio(x)
+                return
     try:
         want = Fraction(x)
     except Exception as exc:
